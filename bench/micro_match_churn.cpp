@@ -67,8 +67,6 @@ void BM_FabricMatch(benchmark::State& state) {
   state.counters["vm_evals"] = static_cast<double>(stats.vm_member_evals);
   state.counters["vm_batch_evals"] =
       static_cast<double>(stats.vm_batch_evals);
-  state.counters["shared_programs"] =
-      static_cast<double>(stats.shared_programs);
 }
 BENCHMARK(BM_FabricMatch)
     ->ArgsProduct({{1000, 10000, 100000}, {0, 1}, {0, 4}})
@@ -151,8 +149,7 @@ void BM_FabricMatchUnderChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
   // Default options compile hot roots mid-churn; surface how many programs
   // were (re)built while the reader was being timed, how often the batch
-  // evaluator ran, what the program cache shared across rebuilds, and
-  // which SIMD kernel dispatched.
+  // evaluator ran, and which SIMD kernel dispatched.
   state.SetLabel(bdps::matching::program::simd::active_kernel_name());
   const MatchFabric::Stats stats = fabric.stats();
   state.counters["compiled_roots"] =
@@ -160,8 +157,6 @@ void BM_FabricMatchUnderChurn(benchmark::State& state) {
   state.counters["compiles"] = static_cast<double>(stats.compiles);
   state.counters["vm_batch_evals"] =
       static_cast<double>(stats.vm_batch_evals);
-  state.counters["shared_programs"] =
-      static_cast<double>(stats.shared_programs);
 }
 BENCHMARK(BM_FabricMatchUnderChurn)
     ->Arg(10000)->Arg(100000)

@@ -2,7 +2,7 @@
 // line, one result block on stdout.  The Swiss-army knife for exploring the
 // system beyond the canned figures.
 //
-//   ./examples/sim_cli scenario=SSD strategy=EBPC r=0.6 rate=12 minutes=60 \
+//   ./examples/sim_cli scenario=SSD strategy=EBPC r=0.6 rate=12 minutes=60
 //       topology=mesh brokers=48 eps=0.001 multipath=1 online_est=1 seed=9
 //
 // Run with `help` for the full knob list.

@@ -31,8 +31,8 @@
 //     runtime-dispatched SIMD kernels in simd.h: wide ordered compares
 //     over the bound SoA folded to a movemask, a sparse ctz-driven
 //     scatter into the uint16 count vector, and a bulk compare of counts
-//     against required_ for the verdicts.  Every kernel (avx2/sse2/neon/
-//     portable) produces byte-identical buffers.
+//     against required_ for the verdicts.  Both kernels (avx2 and
+//     portable) produce byte-identical buffers.
 //   * FALLBACKS — predicates outside the compiled language (kNe, string
 //     orderings, non-finite operands) keep their member on the interpreter:
 //     the program evaluates it via Filter::matches and overrides the

@@ -1,61 +1,25 @@
 #include "matching/program/simd.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 namespace bdps::matching::program::simd {
 
 namespace {
 
-/// True when the *running* CPU can execute `kernel`.  Compile-time
-/// availability is already settled: a getter returning non-null means the
-/// TU was built for an ISA the target architecture could have.
-bool runtime_supports(const Kernel* kernel) {
-  if (kernel == nullptr) return false;
+/// The AVX2 kernel when this binary carries it and the running CPU can
+/// execute it; nullptr otherwise.
+const Kernel* avx2_if_supported() {
 #if defined(__x86_64__) || defined(_M_X64)
-  if (std::strcmp(kernel->name, "avx2") == 0) {
-    return __builtin_cpu_supports("avx2") != 0;
-  }
+  const Kernel* k = detail::avx2_kernel();
+  if (k != nullptr && __builtin_cpu_supports("avx2") != 0) return k;
 #endif
-  // sse2 is the x86-64 baseline, neon the aarch64 baseline, portable runs
-  // anywhere — non-null getter implies runtime support.
-  return true;
-}
-
-/// Dispatch-preference order; portable last so it is the fallback.
-const Kernel* kernel_slot(std::size_t i) {
-  switch (i) {
-    case 0: return detail::avx2_kernel();
-    case 1: return detail::neon_kernel();
-    case 2: return detail::sse2_kernel();
-    default: return detail::portable_kernel();
-  }
-}
-constexpr std::size_t kKernelSlots = 4;
-
-const Kernel* find_kernel(const char* name) {
-  for (std::size_t i = 0; i < kKernelSlots; ++i) {
-    const Kernel* k = kernel_slot(i);
-    if (k != nullptr && std::strcmp(k->name, name) == 0) {
-      return runtime_supports(k) ? k : nullptr;
-    }
-  }
   return nullptr;
 }
 
-/// Environment pin first, then the best runtime-supported kernel.  An
-/// unknown or unsupported BDPS_SIMD_KERNEL value is ignored (a bad env var
-/// must never turn into wrong answers or a crash).
-const Kernel* auto_resolve() {
-  if (const char* env = std::getenv("BDPS_SIMD_KERNEL")) {
-    if (const Kernel* k = find_kernel(env)) return k;
-  }
-  for (std::size_t i = 0; i < kKernelSlots; ++i) {
-    const Kernel* k = kernel_slot(i);
-    if (runtime_supports(k)) return k;
-  }
-  return detail::portable_kernel();  // Unreachable: portable always resolves.
+const Kernel* best_kernel() {
+  const Kernel* k = avx2_if_supported();
+  return k != nullptr ? k : detail::portable_kernel();
 }
 
 std::atomic<const Kernel*> g_active{nullptr};
@@ -65,9 +29,8 @@ std::atomic<const Kernel*> g_active{nullptr};
 const Kernel& active_kernel() {
   const Kernel* k = g_active.load(std::memory_order_acquire);
   if (k == nullptr) {
-    k = auto_resolve();
-    // Racing first calls may both resolve; the result is identical either
-    // way, so a plain store is fine — but CAS keeps a concurrent
+    k = best_kernel();
+    // Racing first calls resolve identically; the CAS keeps a concurrent
     // force_kernel() from being overwritten by a late resolver.
     const Kernel* expected = nullptr;
     if (!g_active.compare_exchange_strong(expected, k,
@@ -82,20 +45,21 @@ const char* active_kernel_name() { return active_kernel().name; }
 
 std::vector<const Kernel*> available_kernels() {
   std::vector<const Kernel*> out;
-  for (std::size_t i = 0; i < kKernelSlots; ++i) {
-    const Kernel* k = kernel_slot(i);
-    if (runtime_supports(k)) out.push_back(k);
-  }
+  if (const Kernel* k = avx2_if_supported()) out.push_back(k);
+  out.push_back(detail::portable_kernel());
   return out;
 }
 
 bool force_kernel(const char* name) {
+  const Kernel* k = nullptr;
   if (name == nullptr) {
-    g_active.store(auto_resolve(), std::memory_order_release);
-    return true;
+    k = best_kernel();
+  } else {
+    for (const Kernel* candidate : available_kernels()) {
+      if (std::strcmp(candidate->name, name) == 0) k = candidate;
+    }
+    if (k == nullptr) return false;
   }
-  const Kernel* k = find_kernel(name);
-  if (k == nullptr) return false;
   g_active.store(k, std::memory_order_release);
   return true;
 }

@@ -3,20 +3,18 @@
 // PredicateProgram::evaluate runs three dense inner loops — interval
 // compares over the iv_lo_/iv_hi_ SoA, interned-string-id compares, and
 // the verdict reduction of uint16 pass counts against required_.  Each has
-// a hand-written kernel per ISA (simd_avx2.cpp, simd_sse2.cpp,
-// simd_neon.cpp) plus a portable unrolled-scalar reference
+// an AVX2 kernel (simd_avx2.cpp) and a portable unrolled-scalar reference
 // (simd_portable.cpp); this header is the dispatcher that picks ONE kernel
 // family per process.
 //
-// Dispatch is strictly a runtime decision: the per-ISA translation units
-// are compiled with their own flags (never a global -mavx2), each exposes
-// a getter that returns nullptr when compiled out, and active_kernel()
-// resolves the best *runtime-supported* kernel once at first use via CPU
-// feature detection.  The `BDPS_SIMD_KERNEL` environment variable pins the
-// choice for a whole process ("portable", "sse2", "avx2", "neon");
-// force_kernel() does the same programmatically for tests and benches.
+// Dispatch is a runtime decision: the AVX2 translation unit is the only
+// one compiled with its own flag (never a global -mavx2), its getter
+// returns nullptr when compiled out, and active_kernel() picks AVX2 once
+// at first use when the running CPU reports it, else portable.
+// force_kernel() pins a kernel by name — the hook the kernel tests and
+// micro benches use to run both kernels in one process.
 //
-// Exactness: every kernel produces byte-identical count/verdict buffers
+// Exactness: both kernels produce byte-identical count/verdict buffers
 // for every input — NaN and ±inf message values, denormals, ±0.0, and
 // partial final vector lanes included.  The differential suite in
 // tests/matching/program_test.cpp forces each dispatchable kernel in turn
@@ -29,12 +27,13 @@
 
 namespace bdps::matching::program::simd {
 
-/// The kernel evaluate() dispatches through.  Resolved once (env override,
-/// then best runtime-supported ISA) and cached; an atomic load per call.
+/// The kernel evaluate() dispatches through.  Resolved once (AVX2 when
+/// compiled in and supported by the CPU, else portable) and cached; an
+/// atomic load per call.
 const Kernel& active_kernel();
 
-/// Name of the kernel active_kernel() returns ("avx2", "sse2", "neon",
-/// "portable") — recorded by benches and tools so results name their ISA.
+/// Name of the kernel active_kernel() returns ("avx2" or "portable") —
+/// recorded by benches and tools so results name their ISA.
 const char* active_kernel_name();
 
 /// Every kernel this binary can dispatch on this machine (compiled in AND
@@ -43,8 +42,8 @@ std::vector<const Kernel*> available_kernels();
 
 /// Pins the active kernel by name; false (and no change) when the name is
 /// unknown, compiled out, or unsupported by the running CPU.  Passing
-/// nullptr re-resolves from scratch (environment, then CPU detection).
-/// Thread-safe; concurrent evaluations see either kernel — both exact.
+/// nullptr re-resolves from CPU detection.  Thread-safe; concurrent
+/// evaluations see either kernel — both exact.
 bool force_kernel(const char* name);
 
 }  // namespace bdps::matching::program::simd

@@ -1,14 +1,13 @@
-// Kernel table shared between the per-ISA translation units and the
+// Kernel table shared between the kernel translation units and the
 // dispatcher (simd.h / simd.cpp).
 //
 // This header is deliberately minimal — <cstddef>/<cstdint> only, no STL,
-// no inline functions.  The per-ISA .cpp files are compiled with their own
-// instruction-set flags (e.g. -mavx2 on simd_avx2.cpp); any inline function
-// they pulled in from a shared header would be emitted as a comdat compiled
-// for that ISA, and the linker is free to pick that copy for every other
-// translation unit — an illegal-instruction time bomb on machines without
-// the extension.  Keeping the per-ISA TUs leaf-only (raw pointers in, raw
-// stores out) is what makes runtime dispatch sound.
+// no inline functions.  simd_avx2.cpp is compiled with -mavx2; any inline
+// function it pulled in from a shared header would be emitted as a comdat
+// compiled for that ISA, and the linker is free to pick that copy for
+// every other translation unit — an illegal-instruction time bomb on
+// machines without the extension.  Keeping the AVX2 TU leaf-only (raw
+// pointers in, raw stores out) is what makes runtime dispatch sound.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +20,7 @@ namespace bdps::matching::program::simd {
 /// lane) they produce byte-identical outputs to the portable kernel, which
 /// in turn mirrors the scalar semantics documented in program.h.
 struct Kernel {
-  const char* name;  // "avx2", "sse2", "neon", "portable".
+  const char* name;  // "avx2" or "portable".
 
   /// Interval pass over one slot's contiguous SoA run:
   ///   counts[member[i]] += (lo[i] <= v && v <= hi[i])  for i in [0, n).
@@ -46,14 +45,12 @@ struct Kernel {
 };
 
 namespace detail {
-/// Per-ISA kernel getters.  Each returns nullptr when its TU was compiled
-/// without the ISA (wrong architecture or missing compiler support);
+/// Kernel getters.  avx2_kernel() returns nullptr when its TU was compiled
+/// without AVX2 (wrong architecture or missing compiler support);
 /// portable_kernel() never does.  Runtime CPU support is the dispatcher's
 /// problem, not theirs.
 const Kernel* portable_kernel();
-const Kernel* sse2_kernel();
 const Kernel* avx2_kernel();
-const Kernel* neon_kernel();
 }  // namespace detail
 
 }  // namespace bdps::matching::program::simd

@@ -1,6 +1,6 @@
-// Portable unrolled-scalar kernel: the semantic reference every SIMD
-// kernel must match byte-for-byte, and the fallback on ISAs without a
-// dedicated TU.  Built unconditionally with the project's baseline flags.
+// Portable unrolled-scalar kernel: the semantic reference the AVX2 kernel
+// must match byte-for-byte, and the fallback wherever AVX2 is unavailable.
+// Built unconditionally with the project's baseline flags.
 #include "matching/program/simd_kernels.h"
 
 namespace bdps::matching::program::simd {

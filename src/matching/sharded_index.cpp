@@ -4,9 +4,24 @@
 #include <cassert>
 #include <chrono>
 #include <functional>
-#include <unordered_set>
 
 namespace bdps::matching {
+
+namespace {
+/// True when two core roots evaluate the same member units in the same
+/// order — the condition for a rebuild to keep a root's program.
+template <typename Root>
+bool same_eval_members(const Root& a, const Root& b) {
+  if (a.eval_members != b.eval_members) return false;
+  std::size_t j = 0;
+  for (const auto& member : a.members) {
+    if (member.equal) continue;
+    while (b.members[j].equal) ++j;  // Bounded: eval counts agree.
+    if (b.members[j++].unit != member.unit) return false;
+  }
+  return true;
+}
+}  // namespace
 
 MatchFabric::ShardSnapshot::~ShardSnapshot() {
   // Long overlay lists must not unwind recursively (the shared_ptr chain
@@ -126,8 +141,6 @@ void MatchFabric::remove(RowId row) {
         cur != nullptr && cur->core != nullptr ? cur->core->roots.size() : 0;
     if (shard.dead_since_rebuild > overlay_threshold(core_size)) {
       rebuild_locked(shard);
-    } else if (shard.compile_wanted.load(std::memory_order_acquire)) {
-      compile_hot_locked(shard);  // Reader-requested; we hold the lock.
     }
   }
   if (removed_any) --live_rows_;
@@ -210,9 +223,6 @@ void MatchFabric::install_unit(
   snapshot->overlay_len = overlay_len;
   snapshot->programs = cur != nullptr ? cur->programs : nullptr;
   publish_locked(shard, std::move(snapshot));
-  if (shard.compile_wanted.load(std::memory_order_acquire)) {
-    compile_hot_locked(shard);  // Reader-requested; we hold the lock.
-  }
 }
 
 void MatchFabric::rebuild_locked(Shard& shard) {
@@ -253,9 +263,20 @@ void MatchFabric::rebuild_locked(Shard& shard) {
   // The rebuild is the cheap compile point (immutable input, already off
   // the read path): roots that crossed the hot threshold — including ones
   // compiled for the previous core, whose heat lives on their units —
-  // come out of the rebuild compiled.
+  // come out of the rebuild compiled.  A root the previous core compiled
+  // over the same evaluated member units keeps that program.
   std::shared_ptr<ProgramSet> programs;
   if (options_.compile_hot_hits > 0) {
+    // Reuse candidates: the previous core's compiled roots, by root unit.
+    const ShardSnapshot* old = shard.owner.get();
+    std::unordered_map<const Unit*, std::size_t> compiled_before;
+    if (old != nullptr && old->programs != nullptr) {
+      for (std::size_t k = 0; k < old->programs->programs.size(); ++k) {
+        if (old->programs->programs[k] != nullptr) {
+          compiled_before.emplace(old->core->roots[k].unit, k);
+        }
+      }
+    }
     for (std::size_t k = 0; k < core->roots.size(); ++k) {
       const CoreRoot& root = core->roots[k];
       if (!wants_program(root)) continue;
@@ -263,10 +284,15 @@ void MatchFabric::rebuild_locked(Shard& shard) {
         programs = std::make_shared<ProgramSet>();
         programs->programs.resize(core->roots.size());
       }
-      programs->programs[k] = compile_root_locked(shard, root);
+      const auto before = compiled_before.find(root.unit);
+      if (before != compiled_before.end() &&
+          same_eval_members(old->core->roots[before->second], root)) {
+        programs->programs[k] = old->programs->programs[before->second];
+      } else {
+        programs->programs[k] = compile_root_locked(shard, root);
+      }
     }
   }
-  shard.compile_wanted.store(false, std::memory_order_relaxed);
   shard.dead_since_rebuild = 0;
   ++shard.rebuilds;
   auto snapshot = std::make_shared<ShardSnapshot>();
@@ -282,57 +308,14 @@ bool MatchFabric::wants_program(const CoreRoot& root) const {
              options_.compile_hot_hits;
 }
 
-namespace {
-/// Order-sensitive combined hash of the member signatures — the cache
-/// bucket key (FilterSignature::hash already collides only for
-/// near-equivalent filters).
-template <typename Units>
-std::uint64_t program_cache_key(const Units& members) {
-  std::uint64_t key = 0xcbf29ce484222325ull ^ members.size();
-  for (const auto* unit : members) {
-    key = (key ^ unit->sig.hash()) * 0x100000001b3ull;
-  }
-  return key;
-}
-}  // namespace
-
 std::shared_ptr<const program::PredicateProgram>
 MatchFabric::compile_root_locked(Shard& shard, const CoreRoot& root) const {
-  std::vector<const Unit*> members;
-  members.reserve(root.eval_members);
-  for (const CoreMember& member : root.members) {
-    if (!member.equal) members.push_back(member.unit);
-  }
-  const std::uint64_t key = program_cache_key(members);
-  const auto same_list = [&members](const ProgramCacheEntry& entry) {
-    if (entry.members.size() != members.size()) return false;
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      // Same unit (a root recompiled at a rebuild) or an interchangeable
-      // filter (an equal root in another shard).
-      if (entry.members[i] != members[i] &&
-          !entry.members[i]->sig.equivalent(members[i]->sig)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  {
-    std::lock_guard<std::mutex> lock(program_cache_.mu);
-    const auto it = program_cache_.entries.find(key);
-    if (it != program_cache_.entries.end()) {
-      for (const ProgramCacheEntry& entry : it->second) {
-        if (same_list(entry)) {
-          ++program_cache_.hits;
-          return entry.program;
-        }
-      }
-    }
-  }
-
   const auto start = std::chrono::steady_clock::now();
   std::vector<const Filter*> filters;
-  filters.reserve(members.size());
-  for (const Unit* unit : members) filters.push_back(&unit->filter);
+  filters.reserve(root.eval_members);
+  for (const CoreMember& member : root.members) {
+    if (!member.equal) filters.push_back(&member.unit->filter);
+  }
   auto compiled = std::make_shared<const program::PredicateProgram>(
       program::PredicateProgram::compile(filters));
   shard.compile_ns += static_cast<std::uint64_t>(
@@ -340,38 +323,10 @@ MatchFabric::compile_root_locked(Shard& shard, const CoreRoot& root) const {
           std::chrono::steady_clock::now() - start)
           .count());
   ++shard.compiles;
-
-  std::lock_guard<std::mutex> lock(program_cache_.mu);
-  // Two shards can race past the lookup and compile the same list twice;
-  // keep the first entry so the cache never holds duplicates.
-  std::vector<ProgramCacheEntry>& bucket = program_cache_.entries[key];
-  for (const ProgramCacheEntry& entry : bucket) {
-    if (same_list(entry)) return entry.program;
-  }
-  bucket.push_back(ProgramCacheEntry{std::move(members), compiled});
-  if (++program_cache_.size >= program_cache_.next_sweep) {
-    // Drop entries no snapshot references any more (rebuilds retired the
-    // cores that rode them); geometric cadence keeps the sweep amortised.
-    for (auto it = program_cache_.entries.begin();
-         it != program_cache_.entries.end();) {
-      std::vector<ProgramCacheEntry>& b = it->second;
-      for (std::size_t i = b.size(); i-- > 0;) {
-        if (b[i].program.use_count() == 1) {
-          b[i] = std::move(b.back());
-          b.pop_back();
-          --program_cache_.size;
-        }
-      }
-      it = b.empty() ? program_cache_.entries.erase(it) : ++it;
-    }
-    program_cache_.next_sweep = std::max<std::size_t>(
-        64, program_cache_.size * 2);
-  }
   return compiled;
 }
 
 void MatchFabric::compile_hot_locked(Shard& shard) const {
-  shard.compile_wanted.store(false, std::memory_order_relaxed);
   if (options_.compile_hot_hits == 0) return;
   const ShardSnapshot* cur = shard.owner.get();
   if (cur == nullptr || cur->core == nullptr) return;
@@ -539,17 +494,14 @@ const std::vector<RowId>& MatchFabric::match(const Message& message,
       }
     }
 
-    // Compile-tier handoff, after this shard's snapshot is consumed: flag
-    // the shard so the next writer compiles, and volunteer ourselves when
-    // the lock is free.  try_lock keeps readers wait-free with respect to
-    // each other and to writers; the pinned epoch keeps `snap` (and every
-    // snapshot retired by our own republish) alive meanwhile.
-    if (saw_hot_uncompiled) {
-      shard->compile_wanted.store(true, std::memory_order_release);
-      if (shard->mu.try_lock()) {
-        std::lock_guard<std::mutex> lock(shard->mu, std::adopt_lock);
-        compile_hot_locked(*shard);
-      }
+    // Compile-tier handoff, after this shard's snapshot is consumed:
+    // volunteer when the lock is free, else leave it to the next reader
+    // that hits a hot interpreted root.  try_lock keeps readers wait-free
+    // with respect to each other and to writers; the pinned epoch keeps
+    // `snap` (and every snapshot retired by our own republish) alive.
+    if (saw_hot_uncompiled && shard->mu.try_lock()) {
+      std::lock_guard<std::mutex> lock(shard->mu, std::adopt_lock);
+      compile_hot_locked(*shard);
     }
   }
 
@@ -584,18 +536,13 @@ MatchFabric::Stats MatchFabric::stats() const {
   stats.interp_member_evals =
       interp_member_evals_.load(std::memory_order_relaxed);
   stats.vm_batch_evals = vm_batch_evals_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> cache_lock(program_cache_.mu);
-    stats.shared_programs = program_cache_.hits;
-  }
   std::uint64_t compile_ns = 0;
-  // Shared programs ride several shards' snapshots: count each root once
-  // in compiled_roots but each distinct program once in unique_programs.
-  std::unordered_set<const program::PredicateProgram*> seen_programs;
+  stats.shard_units.reserve(shards_.size());
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> shard_lock(shard.mu);
     stats.live_units += shard.live_units;
+    stats.shard_units.push_back(shard.live_units);
     stats.rebuilds += shard.rebuilds;
     stats.publications += shard.publications;
     stats.compiles += shard.compiles;
@@ -604,9 +551,7 @@ MatchFabric::Stats MatchFabric::stats() const {
     if (snap == nullptr) continue;
     if (snap->programs != nullptr) {
       for (const auto& prog : snap->programs->programs) {
-        if (prog == nullptr) continue;
-        ++stats.compiled_roots;
-        if (seen_programs.insert(prog.get()).second) ++stats.unique_programs;
+        stats.compiled_roots += prog != nullptr ? 1u : 0u;
       }
     }
     if (snap->core != nullptr) {

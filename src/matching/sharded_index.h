@@ -43,21 +43,18 @@
 //     (program/program.h — per-attribute slots, SoA interval bounds,
 //     interned string ids, counting batch evaluation), and subsequent
 //     hits evaluate all members in a single pass.  Compilation happens
-//     off the read path: at snapshot rebuilds, on the next writer to
-//     touch the shard, or by a reader volunteering through a try_lock.
-//     Programs ride the snapshots, so EpochDomain retire reclaims them
-//     with the core they were compiled for, and add/remove stays cheap
-//     under churn (cold filters never pay compile costs).
+//     off the read path at exactly two points: inline at snapshot
+//     rebuilds, and by a reader that saw a hot interpreted root and wins
+//     the shard's try_lock (a losing reader simply asks again on its next
+//     hit).  Programs ride the snapshots, so EpochDomain retire reclaims
+//     them with the core they were compiled for, and add/remove stays
+//     cheap under churn (cold filters never pay compile costs).
 //
-//     Programs are deduplicated fabric-wide through a signature-keyed
-//     cache: a compile request whose evaluated member list is element-wise
-//     FilterSignature::equivalent to an already-compiled one (the same
-//     root recompiled at a rebuild, or an equal root in another shard —
-//     promotion splits popular filters across shards) shares the existing
-//     program instead of building a new one.  Shared programs are
-//     refcounted by the snapshots that ride them and retired through the
-//     same epoch domain; the cache's own reference is dropped by an
-//     occasional sweep once no snapshot holds the program.
+//     A rebuild does not recompile what it can reuse: a root that the
+//     previous core had compiled, with the very same evaluated member
+//     units (pointer-identical, program order), keeps its program.  Only
+//     roots whose member list changed — a member folded in from the
+//     overlay, or a tombstoned one dropped — are compiled afresh.
 //
 //     Evaluation is batched per message: match() resolves the head into a
 //     hash-probed SlotValues view once and every compiled program in
@@ -121,10 +118,10 @@ struct MatchFabricOptions {
   std::size_t rebuild_divisor = 8;
   /// Compile tier: a core root whose hit counter reaches this many match
   /// hits gets its evaluated members lowered into a PredicateProgram
-  /// (program/program.h) — at the next rebuild, at the next write to its
-  /// shard, or by a reader volunteering through a try_lock (never blocking
-  /// other readers).  0 disables compilation; members then always
-  /// interpret through Filter::matches.
+  /// (program/program.h) — at the next rebuild, or by a reader
+  /// volunteering through a try_lock (never blocking other readers).
+  /// 0 disables compilation; members then always interpret through
+  /// Filter::matches.
   std::size_t compile_hot_hits = 4;
   /// Roots with fewer evaluated (non-equal) members than this stay on the
   /// interpreter: below the crossover the per-hit program dispatch costs
@@ -186,15 +183,11 @@ class MatchFabric {
     std::size_t publications = 0;
     /// Hash shards new filters currently fan across (promote_rows).
     std::size_t active_shards = 0;
+    /// Live units per shard, by shard index ([0] is the fallback shard).
+    std::vector<std::size_t> shard_units;
     // ---- Compile tier ----
     std::size_t compiled_roots = 0;  // Roots with a live program.
-    /// Distinct live programs across all shards — counted once however
-    /// many roots share them (compiled_roots counts per root).
-    std::size_t unique_programs = 0;
     std::size_t compiles = 0;        // Programs actually built, cumulative.
-    /// Compile requests served by the cross-shard program cache instead
-    /// of a fresh compile (equal-signature member lists), cumulative.
-    std::size_t shared_programs = 0;
     double compile_ms = 0.0;         // Wall time spent compiling.
     /// Member verdicts produced by compiled programs vs. by the
     /// Filter::matches interpreter (covered members + overlay + program
@@ -314,32 +307,8 @@ class MatchFabric {
         roots_by_anchor;
     std::size_t rebuilds = 0;
     std::size_t publications = 0;
-    /// Raised by readers that saw a hot, uncompiled root; drained by the
-    /// next writer to hold mu (or by a reader winning the try_lock).
-    std::atomic<bool> compile_wanted{false};
     std::size_t compiles = 0;
     std::uint64_t compile_ns = 0;
-  };
-
-  /// Cross-shard program cache: one entry per distinct evaluated member
-  /// list, keyed by the combined hash of the members' FilterSignatures
-  /// (order-sensitive) and verified element-wise with
-  /// FilterSignature::equivalent — the same interchangeability contract
-  /// equal-member merging already trusts.  Member units are address-stable
-  /// for the fabric's lifetime, so entries stay comparable after
-  /// tombstones; entries whose program no snapshot references any more
-  /// (use_count() == 1) are dropped by an occasional sweep.  Lock order:
-  /// shard.mu -> mu (never the reverse).
-  struct ProgramCacheEntry {
-    std::vector<const Unit*> members;  // Evaluated members, program order.
-    std::shared_ptr<const program::PredicateProgram> program;
-  };
-  struct ProgramCache {
-    std::mutex mu;
-    std::unordered_map<std::uint64_t, std::vector<ProgramCacheEntry>> entries;
-    std::size_t size = 0;
-    std::size_t hits = 0;       // Stats::shared_programs.
-    std::size_t next_sweep = 64;
   };
 
   std::size_t shard_of(const FilterSignature& sig) const;
@@ -356,16 +325,14 @@ class MatchFabric {
   void rebuild_locked(Shard& shard);
   /// Root is hot enough and big enough to pay for a program.
   bool wants_program(const CoreRoot& root) const;
-  /// Program for `root`'s evaluated members: served from the cross-shard
-  /// cache when an equivalent member list was already compiled, freshly
-  /// compiled (timing into the shard counters) and cached otherwise.
-  /// Requires shard.mu.
+  /// Freshly compiled program for `root`'s evaluated members, timed into
+  /// the shard counters.  Requires shard.mu.
   std::shared_ptr<const program::PredicateProgram> compile_root_locked(
       Shard& shard, const CoreRoot& root) const;
-  /// Compile point off the rebuild path: builds programs for every hot,
+  /// Reader-volunteered compile point: builds programs for every hot,
   /// still-interpreted root of the current snapshot and republishes with
   /// the core and overlay shared.  Requires shard.mu; const because
-  /// readers volunteer through it (the fabric's logical state — the row
+  /// readers call it from match() (the fabric's logical state — the row
   /// set — is untouched).
   void compile_hot_locked(Shard& shard) const;
   void publish_locked(Shard& shard,
@@ -391,8 +358,6 @@ class MatchFabric {
   mutable std::atomic<std::uint64_t> vm_fallback_evals_{0};
   mutable std::atomic<std::uint64_t> interp_member_evals_{0};
   mutable std::atomic<std::uint64_t> vm_batch_evals_{0};
-  /// Mutable: readers volunteer compiles through the const match() path.
-  mutable ProgramCache program_cache_;
 };
 
 }  // namespace bdps::matching

@@ -45,7 +45,7 @@ CompiledFaults CompiledFaults::compile(const FaultPlan& plan,
   for (auto& windows : broker_windows) merge_in_place(windows);
 
   for (const LinkOutage& o : plan.link_outages) {
-    for (const auto [from, to] :
+    for (const auto& [from, to] :
          {std::pair{o.a, o.b}, std::pair{o.b, o.a}}) {
       const EdgeId e = graph.edge_id(from, to);
       if (e == kNoEdge) {

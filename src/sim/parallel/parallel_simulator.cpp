@@ -853,6 +853,11 @@ void ParallelSimulator::process_shard(std::size_t shard_index,
       case EventType::kLinkFailure:
         handle_link_failure(shard, event);
         break;
+      case EventType::kFault:
+        // Fault batches are applied by the coordinator (apply_fault_batch)
+        // between windows; one in a shard lane is a broken invariant.
+        throw std::logic_error(
+            "ParallelSimulator: fault event reached a shard lane");
     }
     record.ops_end = static_cast<std::uint32_t>(shard.ops.size());
     record.children_end = static_cast<std::uint32_t>(shard.children.size());

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "workload/generator.h"
+
 namespace bdps::matching {
 namespace {
 
@@ -269,101 +271,122 @@ TEST(MatchFabric, StatsCountDisjunctUnitsSeparately) {
   EXPECT_EQ(stats.live_units, 2u);
 }
 
+/// A 4-shard fabric that rebuilds on every second add and compiles on the
+/// first hit, loaded with one hot covering root (X < 100 over eight
+/// covered members) plus two equal "forcer" units (X >= 200) whose later
+/// copies trigger rebuilds without touching the hot root's member list.
+struct HotRootFixture {
+  HotRootFixture() : fabric(options()) {
+    add(where("X", Op::kLt, Value(100.0)));  // Root.
+    for (int k = 1; k <= 8; ++k) {  // Covered members: the compile unit.
+      add(where("X", Op::kLt, Value(static_cast<double>(k))));
+    }
+    add_forcer();
+    add_forcer();
+  }
+  static MatchFabricOptions options() {
+    MatchFabricOptions o;
+    o.shards = 4;
+    o.rebuild_min = 1;  // Rebuild on every second add: constant folds.
+    o.compile_hot_hits = 1;
+    return o;
+  }
+  void add(Filter f) {
+    fabric.add(f);
+    filters.push_back(std::move(f));
+    alive.push_back(true);
+  }
+  void add_forcer() { add(where("X", Op::kGe, Value(200.0))); }
+  void remove(RowId row) {
+    alive[row] = false;
+    fabric.remove(row);
+  }
+  std::vector<RowId> brute_force(const Message& m) const {
+    std::vector<RowId> out;
+    for (RowId r = 0; r < filters.size(); ++r) {
+      if (alive[r] && filters[r].matches(m)) out.push_back(r);
+    }
+    return out;
+  }
+
+  MatchFabric fabric;
+  MatchScratch scratch;
+  std::vector<Filter> filters;
+  std::vector<bool> alive;
+  const Message probe = make_message({{"X", Value(0.5)}});
+};
+
 TEST(MatchFabric, RebuildReusesTheCachedProgramForAnUnchangedRoot) {
   // A rebuild recompiles every hot root; when the root's evaluated member
-  // list is unchanged, the program cache must serve the existing program
-  // instead of building a new one — compiles stays put, shared_programs
-  // counts the reuse, and the stats see one unique program.
-  MatchFabricOptions options;
-  options.shards = 4;
-  options.rebuild_min = 1;  // Rebuild on every second add: constant folds.
-  options.compile_hot_hits = 1;
-  MatchFabric fabric(options);
-  MatchScratch scratch;
-
-  std::vector<RowId> expect;
-  expect.push_back(fabric.add(where("X", Op::kLt, Value(100.0))));  // Root.
-  for (int k = 1; k <= 8; ++k) {  // Covered members: the compile unit.
-    expect.push_back(
-        fabric.add(where("X", Op::kLt, Value(static_cast<double>(k)))));
-  }
-  // Two disjoint-interval units so later adds can force rebuilds without
-  // touching the hot root's member list (they merge as equal members of
-  // their own root, never of X < 100).
-  fabric.add(where("X", Op::kGe, Value(200.0)));
-  fabric.add(where("X", Op::kGe, Value(200.0)));
-
-  const Message probe = make_message({{"X", Value(0.5)}});
-  EXPECT_EQ(match(fabric, scratch, probe), expect);  // Heats + volunteers.
-  MatchFabric::Stats stats = fabric.stats();
+  // list is unchanged, it must keep the previous core's program instead of
+  // building a new one.
+  HotRootFixture fx;
+  const std::vector<RowId> expect = fx.brute_force(fx.probe);
+  ASSERT_EQ(expect.size(), 9u);
+  EXPECT_EQ(match(fx.fabric, fx.scratch, fx.probe), expect);  // Heats.
+  MatchFabric::Stats stats = fx.fabric.stats();
   EXPECT_EQ(stats.compiles, 1u);
   EXPECT_EQ(stats.compiled_roots, 1u);
-  EXPECT_EQ(stats.unique_programs, 1u);
-  EXPECT_EQ(stats.shared_programs, 0u);
 
   // Force a rebuild that leaves the hot root's member list unchanged.
-  fabric.add(where("X", Op::kGe, Value(200.0)));
-  stats = fabric.stats();
-  EXPECT_EQ(stats.compiles, 1u);          // No recompile...
-  EXPECT_EQ(stats.shared_programs, 1u);   // ...the cache served it.
+  const std::size_t rebuilds = stats.rebuilds;
+  fx.add_forcer();
+  stats = fx.fabric.stats();
+  ASSERT_GT(stats.rebuilds, rebuilds);
+  EXPECT_EQ(stats.compiles, 1u);  // No recompile.
   EXPECT_EQ(stats.compiled_roots, 1u);
-  EXPECT_EQ(stats.unique_programs, 1u);
 
-  EXPECT_EQ(match(fabric, scratch, probe), expect);
-  EXPECT_GE(fabric.stats().vm_batch_evals, 1u);
+  EXPECT_EQ(match(fx.fabric, fx.scratch, fx.probe), expect);
+  EXPECT_GE(fx.fabric.stats().vm_batch_evals, 1u);
 }
 
-TEST(MatchFabric, EqualRootsInDifferentShardsShareOneProgram) {
-  // Row-count promotion splits a popular filter population across shards:
-  // the pre-promotion copies sit in the single starting shard, the
-  // post-promotion copies in their hash shard.  Both roots compile the
-  // same member list — the second must share the first's program, and
-  // stats() must count the program once (unique_programs) while still
-  // reporting both roots (compiled_roots).
+TEST(MatchFabric, RebuildRecompilesARootWhoseMemberListChanged) {
+  // The opposite case: a tombstoned covered member drops out of the hot
+  // root's member list at the next rebuild, so the old program no longer
+  // fits and exactly one fresh compile replaces it.
+  HotRootFixture fx;
+  EXPECT_EQ(match(fx.fabric, fx.scratch, fx.probe),
+            fx.brute_force(fx.probe));  // Heats.
+  MatchFabric::Stats stats = fx.fabric.stats();
+  ASSERT_EQ(stats.compiles, 1u);
+
+  fx.remove(3);  // A covered member (X < 3).
+  const std::size_t rebuilds = fx.fabric.stats().rebuilds;
+  fx.add_forcer();
+  stats = fx.fabric.stats();
+  ASSERT_GT(stats.rebuilds, rebuilds);
+  EXPECT_EQ(stats.compiles, 2u);
+  EXPECT_EQ(stats.compiled_roots, 1u);
+
+  const std::vector<RowId> expect = fx.brute_force(fx.probe);
+  ASSERT_EQ(expect.size(), 8u);
+  EXPECT_EQ(match(fx.fabric, fx.scratch, fx.probe), expect);
+  EXPECT_EQ(fx.fabric.stats().compiles, 2u);
+}
+
+TEST(MatchFabric, MultiAttributeLoadReachesEveryHashShard) {
+  // Placement regression: a signature moved from before shard_of reads it
+  // has an empty selective attribute and routes every unit to the fallback
+  // shard.  Matches stay exact either way, so only occupancy shows it.
   MatchFabricOptions options;
   options.shards = 8;
-  options.promote_rows = 12;
-  options.rebuild_min = 1;
-  options.compile_hot_hits = 1;
+  options.promote_rows = 0;
   MatchFabric fabric(options);
-  MatchScratch scratch;
-
-  // An attribute whose hash shard differs from the pre-promotion shard
-  // (index 1), so the two copies really land in different shards.
-  std::string attr;
-  for (int i = 0; i < 64 && attr.empty(); ++i) {
-    const std::string candidate = "G" + std::to_string(i);
-    if (1 + std::hash<std::string>{}(candidate) % 8 != 1) attr = candidate;
-  }
-  ASSERT_FALSE(attr.empty());
-
-  std::vector<RowId> expect;
-  const auto add_group = [&]() {
-    expect.push_back(fabric.add(where(attr, Op::kLt, Value(100.0))));
-    for (int k = 1; k <= 8; ++k) {
-      expect.push_back(
-          fabric.add(where(attr, Op::kLt, Value(static_cast<double>(k)))));
-    }
-    fabric.add(where(attr, Op::kGe, Value(200.0)));  // Rebuild forcers.
-    fabric.add(where(attr, Op::kGe, Value(200.0)));
-  };
-  add_group();                               // Rows 0..10: shard 1.
-  fabric.add(where("F", Op::kGe, Value(0.0)));  // Row 11: crosses nothing.
-  ASSERT_EQ(fabric.stats().active_shards, 1u);
-  add_group();                               // Rows 12..22: promoted shard.
-  ASSERT_EQ(fabric.stats().active_shards, 8u);
-
-  const Message probe = make_message({{attr, Value(0.5)}});
-  EXPECT_EQ(match(fabric, scratch, probe), expect);  // Heats + volunteers.
+  ChurnWorkloadConfig config;
+  config.seed = 3;
+  ChurnWorkload workload(config);
+  for (int i = 0; i < 2000; ++i) fabric.add(workload.next_filter());
 
   const MatchFabric::Stats stats = fabric.stats();
-  EXPECT_EQ(stats.compiles, 1u);         // One real compile...
-  EXPECT_EQ(stats.shared_programs, 1u);  // ...shared by the twin root.
-  EXPECT_EQ(stats.compiled_roots, 2u);   // Both roots carry it.
-  EXPECT_EQ(stats.unique_programs, 1u);  // Counted once after dedup.
-
-  EXPECT_EQ(match(fabric, scratch, probe), expect);
-  EXPECT_GE(fabric.stats().vm_batch_evals, 2u);
+  EXPECT_EQ(stats.active_shards, 8u);
+  ASSERT_EQ(stats.shard_units.size(), 9u);  // [0] is the fallback shard.
+  std::size_t total = stats.shard_units[0];
+  for (std::size_t s = 1; s < stats.shard_units.size(); ++s) {
+    EXPECT_GT(stats.shard_units[s], 0u) << "hash shard " << s;
+    total += stats.shard_units[s];
+  }
+  EXPECT_EQ(total, stats.live_units);
+  EXPECT_LT(stats.shard_units[0], stats.live_units / 2);
 }
 
 TEST(EpochDomain, RetireReclaimsOnlyPastPinnedEpochs) {

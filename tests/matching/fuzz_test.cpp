@@ -153,12 +153,12 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzParam{9, 8, true, 64, 1, ""}, FuzzParam{10, 1, true, 4, 1, ""},
         FuzzParam{11, 4, true, 8, 3, ""}, FuzzParam{12, 8, false, 16, 1, ""},
         FuzzParam{13, 2, true, 4, 2, ""}, FuzzParam{14, 16, true, 32, 1, ""},
-        // Every dispatch-table kernel forced through the compiled tier
-        // (runs that this host cannot dispatch are skipped at runtime).
+        // Both kernels forced through the compiled tier (an avx2 run is
+        // skipped at runtime on a host that cannot dispatch it).
         FuzzParam{15, 4, true, 8, 1, "portable"},
-        FuzzParam{16, 8, true, 16, 1, "sse2"},
+        FuzzParam{16, 8, true, 16, 1, "avx2"},
         FuzzParam{17, 2, true, 4, 1, "avx2"},
-        FuzzParam{18, 4, true, 8, 2, "neon"}),
+        FuzzParam{18, 4, true, 8, 2, "portable"}),
     [](const ::testing::TestParamInfo<FuzzParam>& info) {
       const std::string& kernel = std::get<5>(info.param);
       return "seed" + std::to_string(std::get<0>(info.param)) + "_shards" +

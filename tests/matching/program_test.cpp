@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
@@ -234,7 +233,7 @@ TEST(PredicateProgram, ZipfCorpusEquivalenceSweep) {
 // on ±1ulp boundary probes, ±inf/NaN/denormal heads, and member counts
 // that leave a partial final vector lane.
 
-/// Restores auto-dispatch (env, then CPU detection) however a test exits.
+/// Restores auto-dispatch (CPU detection) however a test exits.
 struct KernelGuard {
   ~KernelGuard() { simd::force_kernel(nullptr); }
 };
@@ -325,14 +324,6 @@ TEST(PredicateProgramSimd, DispatchTableAlwaysResolvesPortableLast) {
   EXPECT_STREQ(kernels.back()->name, "portable");
   EXPECT_NE(simd::active_kernel_name(), nullptr);
   EXPECT_FALSE(simd::force_kernel("no-such-isa"));
-}
-
-TEST(PredicateProgramSimd, EnvOverridePinsTheKernel) {
-  KernelGuard guard;
-  ASSERT_EQ(::setenv("BDPS_SIMD_KERNEL", "portable", 1), 0);
-  ASSERT_TRUE(simd::force_kernel(nullptr));  // Re-resolve: reads the env.
-  EXPECT_STREQ(simd::active_kernel_name(), "portable");
-  ASSERT_EQ(::unsetenv("BDPS_SIMD_KERNEL"), 0);
 }
 
 TEST(PredicateProgramSimd, AllKernelsBitwiseAgreeOnAdversarialWidths) {

@@ -29,10 +29,13 @@ TEST(Value, MixedTypesAreIncomparable) {
 }
 
 TEST(Value, TypePredicates) {
-  EXPECT_TRUE(Value(1.5).is_number());
-  EXPECT_TRUE(Value(3).is_number());
-  EXPECT_TRUE(Value("s").is_string());
-  EXPECT_FALSE(Value("s").is_number());
+  const Value real(1.5);
+  const Value integer(3);
+  const Value text("s");
+  EXPECT_TRUE(real.is_number());
+  EXPECT_TRUE(integer.is_number());
+  EXPECT_TRUE(text.is_string());
+  EXPECT_FALSE(text.is_number());
 }
 
 TEST(Value, AsDoubleConversions) {

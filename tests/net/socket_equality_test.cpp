@@ -160,7 +160,8 @@ TEST(SocketEquality, TrunkSeverAndHealReentersService) {
       live_broker_shards(rig.topo.graph, 2);
   // Find a cut edge to fault.
   BrokerId cut_a = kNoBroker, cut_b = kNoBroker;
-  for (EdgeId e = 0; e < rig.topo.graph.edge_count(); ++e) {
+  for (EdgeId e = 0; static_cast<std::size_t>(e) < rig.topo.graph.edge_count();
+       ++e) {
     const Edge& edge = rig.topo.graph.edge(e);
     if (broker_shard[edge.from] != broker_shard[edge.to]) {
       cut_a = edge.from;

@@ -20,7 +20,10 @@
 // sensitivity rows at 100k.
 //
 // Output: one JSON object per line on stdout (errors JSON-escaped), plus a
-// summary table on stderr.
+// summary table on stderr.  Exits non-zero when a sharded row's fabric is
+// not the configuration the row claims: fewer active shards than
+// configured, or (with more than one shard) units in fewer than two hash
+// shards — the signature of routing that collapsed onto one shard.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,12 +71,14 @@ struct Probe {
   double compile_ms = 0.0;
   std::uint64_t vm_member_evals = 0;
   std::uint64_t interp_member_evals = 0;
-  // SIMD batch tier (PR 10): the dispatched kernel name, program-cache
-  // hits across shards, distinct live programs, and batch evaluate calls.
+  // SIMD batch tier: the dispatched kernel name and batch evaluate calls.
   std::string simd_kernel;
-  std::size_t shared_programs = 0;
-  std::size_t unique_programs = 0;
   std::uint64_t vm_batch_evals = 0;
+  // Placement (sharded rows only): hash shards new filters fan across and
+  // hash shards that hold at least one live unit.
+  std::size_t active_shards = 0;
+  std::size_t occupied_shards = 0;
+  bool misconfigured = false;  // The placement check below failed.
 };
 
 using Clock = std::chrono::steady_clock;
@@ -119,6 +124,19 @@ void time_matches(Probe& p, ChurnWorkload& workload, std::size_t probes,
       total_us > 0.0 ? 1e6 * static_cast<double>(probes) / total_us : 0.0;
   p.mean_matches =
       static_cast<double>(total_matches) / static_cast<double>(probes);
+}
+
+/// Why the fabric is not the `shards`-way layout the row claims, or "".
+std::string placement_error(const Probe& p, std::size_t shards) {
+  if (p.active_shards != shards) {
+    return "active_shards " + std::to_string(p.active_shards) +
+           " != configured " + std::to_string(shards);
+  }
+  if (shards > 1 && p.occupied_shards < 2) {
+    return "units occupy " + std::to_string(p.occupied_shards) + " of " +
+           std::to_string(shards) + " hash shards";
+  }
+  return "";
 }
 
 Probe run_sharded(std::size_t subs, std::size_t shards, bool covering,
@@ -190,10 +208,14 @@ Probe run_sharded(std::size_t subs, std::size_t shards, bool covering,
     p.vm_member_evals = stats.vm_member_evals;
     p.interp_member_evals = stats.interp_member_evals;
     p.simd_kernel = matching::program::simd::active_kernel_name();
-    p.shared_programs = stats.shared_programs;
-    p.unique_programs = stats.unique_programs;
     p.vm_batch_evals = stats.vm_batch_evals;
-    p.completed = true;
+    p.active_shards = stats.active_shards;
+    for (std::size_t s = 1; s < stats.shard_units.size(); ++s) {
+      p.occupied_shards += stats.shard_units[s] > 0 ? 1 : 0;
+    }
+    p.error = placement_error(p, shards);
+    p.misconfigured = !p.error.empty();
+    p.completed = !p.misconfigured;
   } catch (const std::exception& e) {
     p.error = e.what();
   }
@@ -253,8 +275,8 @@ void emit(const Probe& p) {
       "\"compile_hits\": %zu, \"compiled_roots\": %zu, \"compiles\": %zu, "
       "\"compile_ms\": %.2f, \"vm_member_evals\": %llu, "
       "\"interp_member_evals\": %llu, \"simd_kernel\": \"%s\", "
-      "\"shared_programs\": %zu, \"unique_programs\": %zu, "
-      "\"vm_batch_evals\": %llu%s%s%s}\n",
+      "\"vm_batch_evals\": %llu, \"active_shards\": %zu, "
+      "\"occupied_shards\": %zu%s%s%s}\n",
       p.subs, p.engine.c_str(), p.shards, p.covering ? "true" : "false",
       p.completed ? "true" : "false", p.build_ms, p.adds_per_sec,
       p.churn_per_sec, p.match_p50_us, p.match_p99_us, p.match_per_sec,
@@ -263,9 +285,9 @@ void emit(const Probe& p) {
       p.compiled_roots, p.compiles, p.compile_ms,
       static_cast<unsigned long long>(p.vm_member_evals),
       static_cast<unsigned long long>(p.interp_member_evals),
-      p.simd_kernel.c_str(), p.shared_programs, p.unique_programs,
-      static_cast<unsigned long long>(p.vm_batch_evals),
-      error.empty() ? "" : ", \"error\": \"", error.c_str(),
+      p.simd_kernel.c_str(),
+      static_cast<unsigned long long>(p.vm_batch_evals), p.active_shards,
+      p.occupied_shards, error.empty() ? "" : ", \"error\": \"", error.c_str(),
       error.empty() ? "" : "\"");
   std::fflush(stdout);
   std::fprintf(stderr,
@@ -303,6 +325,12 @@ int main(int argc, char** argv) {
                "ops, budget %.0f s)\n",
                max_subs, probes, churn_ops, budget_ms / 1000.0);
 
+  bool misconfigured = false;
+  const auto report = [&misconfigured](const Probe& p) {
+    emit(p);
+    misconfigured = misconfigured || p.misconfigured;
+  };
+
   // Population sweep, both engines, escalation gated on the wall budget.
   bool alive = true;
   if (do_sweep) {
@@ -315,13 +343,13 @@ int main(int argc, char** argv) {
         skipped.subs = subs;
         skipped.engine = "sharded";
         skipped.error = "skipped: previous row blew the budget";
-        emit(skipped);
+        report(skipped);
         continue;
       }
       const auto row_start = Clock::now();
-      emit(run_reference(subs, probes));
-      emit(run_sharded(subs, MatchFabricOptions{}.shards,
-                       /*covering=*/true, probes, churn_ops));
+      report(run_reference(subs, probes));
+      report(run_sharded(subs, MatchFabricOptions{}.shards,
+                         /*covering=*/true, probes, churn_ops));
       if (ms_since(row_start) > budget_ms) alive = false;
     }
   }
@@ -329,20 +357,25 @@ int main(int argc, char** argv) {
   if (alive) {
     if (do_ablation) {
       // Covering ablation: same corpus, merging off.
-      emit(run_sharded(extras_subs, MatchFabricOptions{}.shards,
-                       /*covering=*/false, probes, churn_ops));
+      report(run_sharded(extras_subs, MatchFabricOptions{}.shards,
+                         /*covering=*/false, probes, churn_ops));
       // Compile-tier ablation: same corpus, programs off — the interpret
       // baseline the compiled rows above are compared against (PERF.md
       // compiled-programs table).
-      emit(run_sharded(extras_subs, MatchFabricOptions{}.shards,
-                       /*covering=*/true, probes, churn_ops,
-                       /*compile_hits=*/0));
+      report(run_sharded(extras_subs, MatchFabricOptions{}.shards,
+                         /*covering=*/true, probes, churn_ops,
+                         /*compile_hits=*/0));
     }
     // Shard-count sensitivity (PERF.md table).
     for (const std::size_t shards : shard_sweep) {
-      emit(run_sharded(extras_subs, shards, /*covering=*/true, probes,
-                       churn_ops));
+      report(run_sharded(extras_subs, shards, /*covering=*/true, probes,
+                         churn_ops));
     }
+  }
+  if (misconfigured) {
+    std::fprintf(stderr, "match-scaling: a sharded row did not run the "
+                         "configuration it reports (see its error)\n");
+    return 1;
   }
   return 0;
 }

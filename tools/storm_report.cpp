@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
       StrategyKind::kLowerBound};
 
   std::vector<Scenario> scenarios;
-  scenarios.push_back(Scenario{"calm", false, {}});
+  scenarios.push_back(Scenario{"calm", false, {}, {}});
   {
-    Scenario s{"link_outage", false, {}};
+    Scenario s{"link_outage", false, {}, {}};
     s.faults.link_outages.push_back(
         LinkOutage{seconds(0.2 * duration_s), seconds(0.45 * duration_s),
                    0, 1});
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
     storm.recovery_delay = seconds(0.2 * duration_s);
     storm.recovery_jitter = seconds(0.05 * duration_s);
     storm.kill_brokers = true;
-    Scenario s{"region_storm", false, {}};
+    Scenario s{"region_storm", false, {}, {}};
     s.faults.storms.push_back(storm);
     scenarios.push_back(s);
     s.name = "region_storm_repair";

@@ -2,19 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
+#include <thread>
 #include <utility>
 
 namespace bdps {
 
 namespace {
 
-constexpr std::uint64_t kKeyWake = 0;
+// Poller keys: kind in the high 32 bits, peer / pending id in the low 32.
+// Kind 0 is kOwnerKey's.
 constexpr std::uint64_t kKeyListener = 1;
 constexpr std::uint64_t kKeyDial = 2;
 constexpr std::uint64_t kKeyIn = 3;
 constexpr std::uint64_t kKeyPending = 4;
 
-std::uint64_t make_key(std::uint64_t kind, std::uint64_t index) {
+constexpr std::uint64_t make_key(std::uint64_t kind, std::uint64_t index) {
   return (kind << 32) | index;
 }
 
@@ -28,16 +30,14 @@ NetEndpoint::NetEndpoint(const NetEndpointOptions& options,
       on_acked_(std::move(on_acked)),
       on_peer_state_(std::move(on_peer_state)),
       listener_(0, options.bind_host) {
+  static_assert(make_key(kKeyListener, 0) != kOwnerKey);
   peers_.resize(static_cast<std::size_t>(options_.shard_count));
-  tx_.resize(static_cast<std::size_t>(options_.shard_count));
-  poller_.add(wake_.fd(), make_key(kKeyWake, 0), true, false);
   poller_.add(listener_.fd(), make_key(kKeyListener, 0), true, false);
 }
 
 NetEndpoint::~NetEndpoint() { stop(); }
 
 void NetEndpoint::connect(const std::vector<std::uint16_t>& ports) {
-  if (thread_.joinable()) return;
   const auto now = std::chrono::steady_clock::now();
   for (int peer = 0; peer < options_.shard_count; ++peer) {
     if (peer == options_.shard) continue;
@@ -51,7 +51,6 @@ void NetEndpoint::connect(const std::vector<std::uint16_t>& ports) {
     p.reconnect_pending = true;
     p.reconnect_at = now;
   }
-  thread_ = std::thread([this] { net_loop(); });
 }
 
 bool NetEndpoint::wait_connected(std::chrono::milliseconds timeout) {
@@ -64,114 +63,103 @@ bool NetEndpoint::wait_connected(std::chrono::milliseconds timeout) {
   return true;
 }
 
-bool NetEndpoint::forward_remote(int peer, BrokerId target,
-                                 const std::shared_ptr<const Message>& message) {
-  {
-    std::lock_guard<std::mutex> lock(tx_mutex_);
-    if (stopped_) return false;
-    PeerTx& tx = tx_[static_cast<std::size_t>(peer)];
-    ForwardFrame forward;
-    forward.seq = tx.next_seq++;
-    forward.target = target;
-    forward.message = *message;
-    std::vector<std::uint8_t> bytes = encode_frame(Frame{std::move(forward)});
-    tx.staged.insert(tx.staged.end(), bytes.begin(), bytes.end());
-    tx.unacked.emplace_back(tx.next_seq - 1, std::move(bytes));
+void NetEndpoint::handle(const Poller::Event& event) {
+  if (stopped_) return;
+  const std::uint64_t kind = event.key >> 32;
+  const std::uint32_t index = static_cast<std::uint32_t>(event.key);
+  switch (kind) {
+    case kKeyListener:
+      accept_ready();
+      break;
+    case kKeyDial:
+      handle_dial_event(static_cast<int>(index), event);
+      break;
+    case kKeyIn:
+      handle_in_event(static_cast<int>(index));
+      break;
+    case kKeyPending:
+      handle_pending_event(index);
+      break;
+    default:
+      break;
   }
+}
+
+void NetEndpoint::service() {
+  if (stopped_) return;
+  std::optional<std::chrono::steady_clock::time_point> now;
+  for (int peer = 0; peer < options_.shard_count; ++peer) {
+    Peer& p = peers_[static_cast<std::size_t>(peer)];
+    if (!p.reconnect_pending) continue;
+    if (!now) now = std::chrono::steady_clock::now();
+    if (*now >= p.reconnect_at) {
+      p.reconnect_pending = false;
+      start_dial(peer);
+    }
+  }
+  // One send per trunk per pass: this pass's forwards and acks together.
+  for (int peer = 0; peer < options_.shard_count; ++peer) {
+    const Peer& p = peers_[static_cast<std::size_t>(peer)];
+    if (p.dial.open() &&
+        (p.dial.buffered_bytes() > 0 || p.dial_write_interest)) {
+      flush_peer(peer);
+    }
+  }
+}
+
+std::optional<std::chrono::steady_clock::time_point>
+NetEndpoint::next_deadline() const {
+  std::optional<std::chrono::steady_clock::time_point> earliest;
+  if (stopped_) return earliest;
+  for (const Peer& p : peers_) {
+    if (p.reconnect_pending && (!earliest || p.reconnect_at < *earliest)) {
+      earliest = p.reconnect_at;
+    }
+  }
+  return earliest;
+}
+
+bool NetEndpoint::forward_remote(int peer, BrokerId target,
+                                 std::shared_ptr<const Message> message) {
+  if (stopped_) return false;
+  Peer& p = peers_[static_cast<std::size_t>(peer)];
+  const std::uint64_t seq = p.next_seq++;
+  // A trunk that is down or still connecting gets the frame from the
+  // reconnect replay instead.
+  if (p.dial.open()) encode_forward(seq, target, *message, p.dial.outbound());
+  p.unacked.push_back(Unacked{seq, target, std::move(message)});
   forwards_sent_.fetch_add(1, std::memory_order_relaxed);
-  wake_.signal();
   return true;
 }
 
 void NetEndpoint::drop_peer(int peer) {
-  {
-    std::lock_guard<std::mutex> lock(command_mutex_);
-    drop_requests_.push_back(peer);
+  if (stopped_ || peer < 0 || peer >= options_.shard_count ||
+      peer == options_.shard) {
+    return;
   }
-  wake_.signal();
+  Peer& p = peers_[static_cast<std::size_t>(peer)];
+  if (p.dial.open()) {
+    handle_dial_down(peer);
+  } else if (p.dial.connecting()) {
+    p.dial.close_now();
+    schedule_reconnect(peer);
+  }
+  // Already down: a reconnect is pending, nothing to drop.
 }
 
 std::uint64_t NetEndpoint::stop() {
-  bool first = false;
-  {
-    std::lock_guard<std::mutex> lock(tx_mutex_);
-    first = !stopped_;
-    stopped_ = true;
-  }
-  stop_requested_.store(true, std::memory_order_release);
-  wake_.signal();
-  if (thread_.joinable()) thread_.join();
-  if (!first) return 0;
+  if (stopped_) return 0;
+  stopped_ = true;
+  poller_.remove(listener_.fd());
   std::uint64_t lost = 0;
-  std::lock_guard<std::mutex> lock(tx_mutex_);
-  for (const PeerTx& tx : tx_) lost += tx.unacked.size();
+  for (Peer& p : peers_) {
+    if (!p.dial.closed()) poller_.remove(p.dial.fd());
+    if (!p.in.closed()) poller_.remove(p.in.fd());
+    lost += p.unacked.size();
+    p.unacked.clear();
+  }
+  for (const auto& entry : pending_) poller_.remove(entry.second.link->fd());
   return lost;
-}
-
-std::uint64_t NetEndpoint::unacked_total() const {
-  std::lock_guard<std::mutex> lock(tx_mutex_);
-  std::uint64_t total = 0;
-  for (const PeerTx& tx : tx_) total += tx.unacked.size();
-  return total;
-}
-
-void NetEndpoint::net_loop() {
-  std::vector<Poller::Event> events;
-  while (!stop_requested_.load(std::memory_order_acquire)) {
-    poller_.wait(poll_timeout_ms(), events);
-    if (stop_requested_.load(std::memory_order_acquire)) break;
-    for (const Poller::Event& event : events) {
-      const std::uint64_t kind = event.key >> 32;
-      const std::uint32_t index = static_cast<std::uint32_t>(event.key);
-      switch (kind) {
-        case kKeyWake:
-          wake_.drain();
-          break;
-        case kKeyListener:
-          accept_ready();
-          break;
-        case kKeyDial:
-          handle_dial_event(static_cast<int>(index), event);
-          break;
-        case kKeyIn:
-          handle_in_event(static_cast<int>(index), event);
-          break;
-        case kKeyPending:
-          handle_pending_event(index, event);
-          break;
-        default:
-          break;
-      }
-    }
-    apply_commands();
-    const auto now = std::chrono::steady_clock::now();
-    for (int peer = 0; peer < options_.shard_count; ++peer) {
-      Peer& p = peers_[static_cast<std::size_t>(peer)];
-      if (p.reconnect_pending && now >= p.reconnect_at) {
-        p.reconnect_pending = false;
-        start_dial(peer);
-      }
-    }
-    drain_staged();
-  }
-}
-
-int NetEndpoint::poll_timeout_ms() const {
-  bool any = false;
-  auto earliest = std::chrono::steady_clock::time_point::max();
-  for (const Peer& p : peers_) {
-    if (p.reconnect_pending && p.reconnect_at < earliest) {
-      earliest = p.reconnect_at;
-      any = true;
-    }
-  }
-  if (!any) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  if (earliest <= now) return 0;
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      earliest - now)
-                      .count();
-  return static_cast<int>(std::min<long long>(ms + 1, 1000));
 }
 
 void NetEndpoint::start_dial(int peer) {
@@ -186,8 +174,9 @@ void NetEndpoint::start_dial(int peer) {
     schedule_reconnect(peer);
     return;
   }
+  p.dial_write_interest = p.dial.wants_write();
   poller_.add(p.dial.fd(), make_key(kKeyDial, static_cast<std::uint64_t>(peer)),
-              true, p.dial.wants_write());
+              true, p.dial_write_interest);
   if (p.dial.open()) on_dial_established(peer);
 }
 
@@ -198,37 +187,25 @@ void NetEndpoint::on_dial_established(int peer) {
   hello.shard = static_cast<std::uint32_t>(options_.shard);
   hello.shard_count = static_cast<std::uint32_t>(options_.shard_count);
   hello.role = PeerRole::kPeer;
-  std::vector<std::uint8_t> bytes;
-  encode_frame(Frame{hello}, bytes);
+  std::vector<std::uint8_t>& out = p.dial.outbound();
+  encode_frame(Frame{hello}, out);
   // The first ack lets the peer trim its unacked window even if our
   // earlier acks died with the previous connection.
-  encode_frame(Frame{AckFrame{p.last_seq_from}}, bytes);
-  {
-    std::lock_guard<std::mutex> lock(tx_mutex_);
-    PeerTx& tx = tx_[static_cast<std::size_t>(peer)];
-    for (const auto& [seq, encoded] : tx.unacked) {
-      bytes.insert(bytes.end(), encoded.begin(), encoded.end());
-    }
-    // Everything unacked is now on the socket; staged is a suffix of
-    // unacked, so clearing it prevents a duplicate send.
-    tx.staged.clear();
+  encode_frame(Frame{AckFrame{p.last_seq_from}}, out);
+  for (const Unacked& copy : p.unacked) {
+    encode_forward(copy.seq, copy.target, *copy.message, out);
   }
-  p.dial.send(bytes);
   connected_count_.fetch_add(1, std::memory_order_release);
   if (on_peer_state_) on_peer_state_(peer, true);
-  flush_peer(peer);
+  // service() flushes the hello, ack and replay with the pass.
 }
 
 void NetEndpoint::handle_dial_down(int peer) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
+  // Buffered frames die with the socket; every forward among them is
+  // still in `unacked` and rides the reconnect replay.
   p.dial.close_now();
   p.dial_assembler = FrameAssembler{};
-  {
-    std::lock_guard<std::mutex> lock(tx_mutex_);
-    // Staged bytes were never socketed; their frames survive in unacked
-    // and ride the reconnect replay.
-    tx_[static_cast<std::size_t>(peer)].staged.clear();
-  }
   connected_count_.fetch_sub(1, std::memory_order_release);
   reconnects_.fetch_add(1, std::memory_order_relaxed);
   if (on_peer_state_) on_peer_state_(peer, false);
@@ -237,6 +214,7 @@ void NetEndpoint::handle_dial_down(int peer) {
 
 void NetEndpoint::schedule_reconnect(int peer) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
+  p.dial_write_interest = false;  // The dial socket is closed (or never was).
   p.backoff_ms = p.backoff_ms <= 0.0
                      ? options_.reconnect_initial_ms
                      : std::min(p.backoff_ms * 2.0, options_.reconnect_max_ms);
@@ -277,8 +255,7 @@ void NetEndpoint::handle_dial_event(int peer, const Poller::Event& event) {
   if (event.writable) flush_peer(peer);
 }
 
-void NetEndpoint::handle_in_event(int peer, const Poller::Event& event) {
-  (void)event;
+void NetEndpoint::handle_in_event(int peer) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
   if (p.in.closed()) return;
   const bool alive = p.in.read_into(p.in_assembler);
@@ -292,9 +269,7 @@ void NetEndpoint::handle_in_event(int peer, const Poller::Event& event) {
   if (!alive) p.in_assembler = FrameAssembler{};
 }
 
-void NetEndpoint::handle_pending_event(std::uint64_t id,
-                                       const Poller::Event& event) {
-  (void)event;
+void NetEndpoint::handle_pending_event(std::uint64_t id) {
   auto it = std::find_if(pending_.begin(), pending_.end(),
                          [id](const auto& entry) { return entry.first == id; });
   if (it == pending_.end()) return;
@@ -338,40 +313,34 @@ void NetEndpoint::process_inbound(int peer, FrameAssembler& assembler) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
   bool ack_due = false;
   while (std::optional<Frame> frame = assembler.next()) {
-    if (const ForwardFrame* f = std::get_if<ForwardFrame>(&frame->payload)) {
+    if (ForwardFrame* f = std::get_if<ForwardFrame>(&frame->payload)) {
       if (f->seq > p.last_seq_from) {
         p.last_seq_from = f->seq;
         forwards_received_.fetch_add(1, std::memory_order_relaxed);
         // The handler increments the owner's outstanding count before we
         // return and ack — the sender's decrement can never race a copy
         // that is not yet accounted for.
-        if (on_forward_) on_forward_(f->target, f->message);
+        if (on_forward_) on_forward_(f->target, std::move(f->message));
       }
       ack_due = true;  // even a replayed duplicate refreshes the ack
     } else if (const AckFrame* a = std::get_if<AckFrame>(&frame->payload)) {
-      std::uint64_t delta = 0;
-      {
-        std::lock_guard<std::mutex> lock(tx_mutex_);
-        PeerTx& tx = tx_[static_cast<std::size_t>(peer)];
-        const std::uint64_t upto = std::min(a->seq, tx.next_seq - 1);
-        if (upto > tx.acked_through) {
-          delta = upto - tx.acked_through;
-          tx.acked_through = upto;
-          while (!tx.unacked.empty() && tx.unacked.front().first <= upto) {
-            tx.unacked.pop_front();
-          }
+      const std::uint64_t upto = std::min(a->seq, p.next_seq - 1);
+      if (upto > p.acked_through) {
+        const std::uint64_t delta = upto - p.acked_through;
+        p.acked_through = upto;
+        while (!p.unacked.empty() && p.unacked.front().seq <= upto) {
+          p.unacked.pop_front();
         }
+        if (on_acked_) on_acked_(delta);
       }
-      if (delta > 0 && on_acked_) on_acked_(delta);
     }
     // Other frame types (redundant hellos, future control traffic) are
     // ignored on a data trunk.
   }
+  // The ack rides this pass's flush; a trunk that is not up sends it with
+  // its next hello instead.
   if (ack_due && p.dial.open()) {
-    std::vector<std::uint8_t> bytes;
-    encode_frame(Frame{AckFrame{p.last_seq_from}}, bytes);
-    p.dial.send(bytes);
-    flush_peer(peer);
+    encode_frame(Frame{AckFrame{p.last_seq_from}}, p.dial.outbound());
   }
 }
 
@@ -388,26 +357,6 @@ void NetEndpoint::accept_ready() {
   }
 }
 
-void NetEndpoint::drain_staged() {
-  for (int peer = 0; peer < options_.shard_count; ++peer) {
-    if (peer == options_.shard) continue;
-    Peer& p = peers_[static_cast<std::size_t>(peer)];
-    if (!p.dial.open()) continue;
-    bool touched = false;
-    {
-      std::lock_guard<std::mutex> lock(tx_mutex_);
-      std::vector<std::uint8_t>& staged =
-          tx_[static_cast<std::size_t>(peer)].staged;
-      if (!staged.empty()) {
-        p.dial.send(staged);
-        staged.clear();
-        touched = true;
-      }
-    }
-    if (touched || p.dial.buffered_bytes() > 0) flush_peer(peer);
-  }
-}
-
 void NetEndpoint::flush_peer(int peer) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
   if (!p.dial.open()) return;
@@ -415,28 +364,13 @@ void NetEndpoint::flush_peer(int peer) {
     handle_dial_down(peer);
     return;
   }
-  poller_.modify(p.dial.fd(), make_key(kKeyDial, static_cast<std::uint64_t>(peer)),
-                 true, p.dial.wants_write());
-}
-
-void NetEndpoint::apply_commands() {
-  std::vector<int> drops;
-  {
-    std::lock_guard<std::mutex> lock(command_mutex_);
-    drops.swap(drop_requests_);
-  }
-  for (const int peer : drops) {
-    if (peer < 0 || peer >= options_.shard_count || peer == options_.shard) {
-      continue;
-    }
-    Peer& p = peers_[static_cast<std::size_t>(peer)];
-    if (p.dial.open()) {
-      handle_dial_down(peer);
-    } else if (p.dial.connecting()) {
-      p.dial.close_now();
-      schedule_reconnect(peer);
-    }
-    // Already down: a reconnect is pending, nothing to drop.
+  // epoll_ctl only when EPOLLOUT interest actually changes.
+  const bool want = p.dial.wants_write();
+  if (want != p.dial_write_interest) {
+    p.dial_write_interest = want;
+    poller_.modify(p.dial.fd(),
+                   make_key(kKeyDial, static_cast<std::uint64_t>(peer)), true,
+                   want);
   }
 }
 

@@ -4,20 +4,29 @@
 // listener, and the two directions of a shard pair are *independent*
 // connections — a dialed trunk carries only this shard's output (kHello,
 // kForward copies, kAck receipts for traffic received *from* that peer),
-// an accepted trunk is read-only.  One epoll thread owns all sockets;
-// reactor workers hand copies over with forward_remote(), which stages
-// bytes under a mutex and rings an eventfd doorbell.
+// an accepted trunk is read-only.
+//
+// The endpoint is passive: it owns its sockets and a Poller but no thread.
+// One owner thread drives it — in a live shard that is reactor worker 0,
+// which parks on poller() next to its own wake doorbell (key kOwnerKey)
+// and timer-wheel deadline, hands every other ready event to handle(), and
+// calls service() once per pass.  Everything below the "owner thread"
+// line runs on that thread only, so the endpoint takes no lock: a forward
+// is encoded straight into the peer socket's outbound buffer, an inbound
+// copy is handed to on_forward inside the read, and the pass's single
+// flush per peer carries forwards and acks together.
 //
 // Reliability is a per-trunk cumulative-ack window.  Each kForward gets a
-// monotonic sequence number (from 1); the encoded bytes stay in an
-// `unacked` deque until the peer's cumulative kAck covers them, and a
-// reconnect replays the whole deque in order after kHello (the receiver
-// dedups via its last-seen seq — TCP FIFO plus in-order replay keep the
-// stream contiguous).  Dropped trunks redial with capped exponential
-// backoff; every up/down transition of *our* dialed trunk is surfaced
-// through on_peer_state so the owner can drive set_link_state for the cut
-// edges served by that trunk (fault-storm replay forces real disconnects
-// through drop_peer and the same path heals them).
+// monotonic sequence number (from 1); the copy (seq, target, shared
+// message) stays in an `unacked` deque until the peer's cumulative kAck
+// covers it, and a reconnect re-encodes the whole deque in order after
+// kHello (the receiver dedups via its last-seen seq — TCP FIFO plus
+// in-order replay keep the stream contiguous).  Dropped trunks redial with
+// capped exponential backoff (next_deadline() feeds the owner's park);
+// every up/down transition of *our* dialed trunk is surfaced through
+// on_peer_state so the owner can drive set_link_state for the cut edges
+// served by that trunk (fault-storm replay forces real disconnects through
+// drop_peer and the same path heals them).
 //
 // Outstanding-copy accounting transfers ownership, it never gaps: a true
 // return from forward_remote means the endpoint holds the sender's
@@ -35,9 +44,8 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/types.h"
@@ -65,19 +73,23 @@ struct NetEndpointOptions {
 
 class NetEndpoint {
  public:
-  /// `on_forward(target, message)` runs on the net thread for every newly
-  /// deposited copy and MUST increment the owner's outstanding count
+  /// `on_forward(target, message)` runs on the owner thread for every
+  /// newly deposited copy and MUST increment the owner's outstanding count
   /// before returning (the ack that licenses the sender's decrement is
-  /// sent after the whole read batch).  `on_acked(n)` releases n
-  /// sender-side outstanding increments.  `on_peer_state(peer, up)`
-  /// reports dialed-trunk transitions.
-  using ForwardHandler = std::function<void(BrokerId, const Message&)>;
+  /// sent after the whole read batch); the parsed message is the
+  /// handler's to move from.  `on_acked(n)` releases n sender-side
+  /// outstanding increments.  `on_peer_state(peer, up)` reports
+  /// dialed-trunk transitions.
+  using ForwardHandler = std::function<void(BrokerId, Message&&)>;
   using AckHandler = std::function<void(std::uint64_t)>;
   using PeerStateHandler = std::function<void(int, bool)>;
 
+  /// The poller key the endpoint never uses: an owner parking on poller()
+  /// registers its own doorbell under it.
+  static constexpr std::uint64_t kOwnerKey = 0;
+
   /// Binds the trunk listener (ephemeral port on options.bind_host,
-  /// loopback by default; port() is valid immediately).  The net thread
-  /// starts in connect().
+  /// loopback by default; port() is valid immediately).
   NetEndpoint(const NetEndpointOptions& options, ForwardHandler on_forward,
               AckHandler on_acked, PeerStateHandler on_peer_state);
   ~NetEndpoint();
@@ -87,30 +99,49 @@ class NetEndpoint {
 
   std::uint16_t port() const { return listener_.port(); }
 
-  /// Starts the net thread and dials every other shard.  `ports` is
+  /// Records every other shard's port; the owner's next service() dials
+  /// them.  Call before the owner starts driving the endpoint.  `ports` is
   /// indexed by shard id (our own entry is ignored); each dial targets
   /// options.peer_hosts[shard] when set, loopback otherwise.
   void connect(const std::vector<std::uint16_t>& ports);
 
-  /// Blocks until every dialed trunk is up (or the deadline passes).
+  /// Blocks until every dialed trunk is up or the deadline passes (any
+  /// thread; the owner must be driving the endpoint meanwhile).
   bool wait_connected(std::chrono::milliseconds timeout);
 
-  /// Hands one copy to the transport (any thread).  True: the endpoint
-  /// now owns the caller's outstanding increment (released via on_acked
-  /// or counted into stop()'s return).  False: the endpoint is stopped —
-  /// the caller keeps ownership and must settle the copy itself.
+  // ---- Owner thread -------------------------------------------------------
+
+  Poller& poller() { return poller_; }
+
+  /// Dispatches one ready event from poller() (never one keyed kOwnerKey).
+  void handle(const Poller::Event& event);
+
+  /// End of a pass: runs due redials, then flushes each trunk with
+  /// buffered bytes once.
+  void service();
+
+  /// Earliest pending redial, if any — the owner parks no longer.
+  std::optional<std::chrono::steady_clock::time_point> next_deadline() const;
+
+  /// Hands one copy to the transport.  True: the endpoint now owns the
+  /// caller's outstanding increment (released via on_acked or counted into
+  /// stop()'s return).  False: the endpoint is stopped — the caller keeps
+  /// ownership and must settle the copy itself.
   bool forward_remote(int peer, BrokerId target,
-                      const std::shared_ptr<const Message>& message);
+                      std::shared_ptr<const Message> message);
 
   /// Fault injection: closes our dialed trunk to `peer` (a real TCP
-  /// disconnect; on_peer_state(peer, false) fires on the net thread) and
+  /// disconnect; on_peer_state(peer, false) fires before this returns) and
   /// lets the normal backoff schedule heal it.
   void drop_peer(int peer);
 
-  /// Stops the net thread and returns the number of forwards never
-  /// covered by an ack — copies the cluster must count as lost.
-  /// Idempotent; later calls return 0.
+  /// Stops serving: every socket leaves poller() (they close with the
+  /// endpoint, so peers see no disconnect) and later forwards are refused.
+  /// Returns the number of forwards never covered by an ack — copies the
+  /// cluster must count as lost.  Idempotent; later calls return 0.
   std::uint64_t stop();
+
+  // ---- Counters (any thread) ----------------------------------------------
 
   std::uint64_t forwards_sent() const {
     return forwards_sent_.load(std::memory_order_relaxed);
@@ -121,23 +152,20 @@ class NetEndpoint {
   std::uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
-  /// Forwards currently awaiting a cumulative ack (diagnostic).
-  std::uint64_t unacked_total() const;
 
  private:
-  struct PeerTx {
-    std::uint64_t next_seq = 1;
-    std::uint64_t acked_through = 0;
-    /// (seq, encoded kForward) awaiting the peer's cumulative ack.
-    std::deque<std::pair<std::uint64_t, std::vector<std::uint8_t>>> unacked;
-    /// Encoded frames staged by forward_remote but not yet handed to the
-    /// socket (always a suffix of `unacked`).
-    std::vector<std::uint8_t> staged;
+  /// A forward awaiting the peer's cumulative ack; re-encoded on replay.
+  struct Unacked {
+    std::uint64_t seq = 0;
+    BrokerId target = kNoBroker;
+    std::shared_ptr<const Message> message;
   };
 
   struct Peer {
     SocketLink dial;
     FrameAssembler dial_assembler;
+    /// EPOLLOUT interest currently registered for `dial`.
+    bool dial_write_interest = false;
     SocketLink in;
     FrameAssembler in_assembler;
     std::uint16_t dial_port = 0;
@@ -146,6 +174,10 @@ class NetEndpoint {
     double backoff_ms = 0.0;
     bool reconnect_pending = false;
     std::chrono::steady_clock::time_point reconnect_at{};
+    // Tx window toward this peer.
+    std::uint64_t next_seq = 1;
+    std::uint64_t acked_through = 0;
+    std::deque<Unacked> unacked;
   };
 
   struct Pending {
@@ -153,20 +185,16 @@ class NetEndpoint {
     FrameAssembler assembler;
   };
 
-  void net_loop();
   void start_dial(int peer);
   void on_dial_established(int peer);
   void handle_dial_down(int peer);
   void schedule_reconnect(int peer);
   void handle_dial_event(int peer, const Poller::Event& event);
-  void handle_in_event(int peer, const Poller::Event& event);
-  void handle_pending_event(std::uint64_t id, const Poller::Event& event);
+  void handle_in_event(int peer);
+  void handle_pending_event(std::uint64_t id);
   void process_inbound(int peer, FrameAssembler& assembler);
   void accept_ready();
-  void drain_staged();
   void flush_peer(int peer);
-  void apply_commands();
-  int poll_timeout_ms() const;
 
   NetEndpointOptions options_;
   ForwardHandler on_forward_;
@@ -175,30 +203,17 @@ class NetEndpoint {
 
   TcpListener listener_;
   Poller poller_;
-  WakeFd wake_;
 
-  /// Net-thread-only connection state, indexed by shard id.
+  /// Connection and Tx-window state, indexed by shard id.
   std::vector<Peer> peers_;
   std::uint64_t next_pending_id_ = 0;
   std::vector<std::pair<std::uint64_t, Pending>> pending_;
-
-  /// Shared Tx state (forward_remote callers + net thread).
-  mutable std::mutex tx_mutex_;
-  std::vector<PeerTx> tx_;
   bool stopped_ = false;
 
-  /// Peers whose dialed trunk should be force-dropped (net thread drains).
-  std::mutex command_mutex_;
-  std::vector<int> drop_requests_;
-
-  std::atomic<bool> stop_requested_{false};
   std::atomic<int> connected_count_{0};
   std::atomic<std::uint64_t> forwards_sent_{0};
   std::atomic<std::uint64_t> forwards_received_{0};
   std::atomic<std::uint64_t> reconnects_{0};
-
-  std::thread thread_;
-  bool joined_ = false;
 };
 
 }  // namespace bdps

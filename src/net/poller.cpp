@@ -2,6 +2,7 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -56,13 +57,20 @@ void Poller::remove(int fd) {
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
 }
 
-void Poller::wait(int timeout_ms, std::vector<Event>& out) {
+void Poller::wait(std::chrono::nanoseconds timeout, std::vector<Event>& out) {
   out.clear();
   epoll_event events[64];
-  const int n = epoll_wait(epoll_fd_, events, 64, timeout_ms);
+  timespec ts{};
+  const timespec* tsp = nullptr;
+  if (timeout.count() >= 0) {
+    ts.tv_sec = static_cast<time_t>(timeout.count() / 1000000000);
+    ts.tv_nsec = static_cast<long>(timeout.count() % 1000000000);
+    tsp = &ts;
+  }
+  const int n = epoll_pwait2(epoll_fd_, events, 64, tsp, nullptr);
   if (n < 0) {
     if (errno == EINTR) return;
-    throw_errno("epoll_wait");
+    throw_errno("epoll_pwait2");
   }
   out.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {

@@ -1,13 +1,16 @@
-// Thin epoll wrapper: the readiness loop behind NetEndpoint.
+// Thin epoll wrapper: the park of every reactor worker.
 //
-// One Poller per transport thread.  Registered fds carry a caller-chosen
-// u64 key (an index into the endpoint's connection table); wait() decodes
-// epoll events into (key, readable, writable, hangup) records.  WakeFd is
+// Registered fds carry a caller-chosen u64 key (an index into the owner's
+// connection table); wait() decodes epoll events into (key, readable,
+// writable, hangup) records.  The timeout has nanosecond resolution
+// (epoll_pwait2), so a worker parked on its timer wheel's next deadline
+// wakes on time even when that deadline is microseconds away.  WakeFd is
 // the cross-thread doorbell — an eventfd registered like any other fd, so
-// commands queued by reactor workers interrupt an idle epoll_wait without
-// a pipe pair or signal games.
+// work pushed by another thread interrupts an idle wait without a pipe
+// pair or signal games.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -32,9 +35,9 @@ class Poller {
     bool hangup = false;
   };
 
-  /// Blocks up to `timeout_ms` (-1 = indefinitely) and appends ready
-  /// events to `out` (cleared first).
-  void wait(int timeout_ms, std::vector<Event>& out);
+  /// Blocks up to `timeout` (negative = indefinitely, zero = poll) and
+  /// stores the ready events in `out` (cleared first).
+  void wait(std::chrono::nanoseconds timeout, std::vector<Event>& out);
 
  private:
   int epoll_fd_ = -1;

@@ -168,11 +168,6 @@ bool SocketLink::finish_connect() {
   return true;
 }
 
-void SocketLink::send(const std::uint8_t* data, std::size_t size) {
-  if (closed()) return;
-  buffer_.insert(buffer_.end(), data, data + size);
-}
-
 bool SocketLink::flush() {
   if (closed() || connecting_) return !closed();
   while (offset_ < buffer_.size()) {

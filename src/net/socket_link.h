@@ -3,11 +3,11 @@
 // TcpListener binds an IPv4 address (127.0.0.1 and an ephemeral port by
 // default; pass a dotted-quad literal to bind a real interface) and accepts
 // non-blocking connections.  SocketLink is one connection's state: the Tx
-// half is the reactor's TxAwaitWritable state in socket form — writes go
-// into an outbound buffer, flush() pushes until EAGAIN, and wants_write()
-// tells the poller when EPOLLOUT interest is needed; the Rx half reads
-// into a scratch buffer that feeds a FrameAssembler (incremental frame
-// reassembly across arbitrary read boundaries).
+// half is the reactor's TxAwaitWritable state in socket form — frames are
+// encoded onto an outbound buffer, flush() pushes until EAGAIN, and
+// wants_write() tells the poller when EPOLLOUT interest is needed; the Rx
+// half reads into a scratch buffer that feeds a FrameAssembler
+// (incremental frame reassembly across arbitrary read boundaries).
 //
 // BlockingConn is the control-plane counterpart: tools/brokerd's
 // controller <-> daemon exchanges are strictly request/reply at human
@@ -89,11 +89,9 @@ class SocketLink {
   /// established; false closes the link (connection refused, ...).
   bool finish_connect();
 
-  /// Queues bytes for transmission (no syscall; call flush()).
-  void send(const std::uint8_t* data, std::size_t size);
-  void send(const std::vector<std::uint8_t>& bytes) {
-    send(bytes.data(), bytes.size());
-  }
+  /// The outbound buffer: callers encode frames straight onto its end (no
+  /// syscall; call flush()).  Only meaningful while the link is open.
+  std::vector<std::uint8_t>& outbound() { return buffer_; }
 
   /// Writes buffered bytes until EAGAIN or empty.  False = fatal error;
   /// the link is closed.

@@ -278,10 +278,6 @@ void encode_payload(const Frame& frame, std::vector<std::uint8_t>& out) {
           put_u32(out, f.shard);
           put_u32(out, f.shard_count);
           put_u8(out, static_cast<std::uint8_t>(f.role));
-        } else if constexpr (std::is_same_v<T, ForwardFrame>) {
-          put_u64(out, f.seq);
-          put_i32(out, f.target);
-          put_message(out, f.message);
         } else if constexpr (std::is_same_v<T, AckFrame>) {
           put_u64(out, f.seq);
         } else if constexpr (std::is_same_v<T, SubscribeFrame>) {
@@ -335,8 +331,10 @@ void encode_payload(const Frame& frame, std::vector<std::uint8_t>& out) {
         } else if constexpr (std::is_same_v<T, ErrorFrame>) {
           put_string(out, f.what);
         } else {
-          // kStart / kStatus / kDump / kShutdown: empty payloads.
-          static_assert(std::is_same_v<T, StartFrame> ||
+          // kStart / kStatus / kDump / kShutdown: empty payloads (kForward
+          // never gets here: encode_frame hands it to encode_forward).
+          static_assert(std::is_same_v<T, ForwardFrame> ||
+                        std::is_same_v<T, StartFrame> ||
                         std::is_same_v<T, StatusFrame> ||
                         std::is_same_v<T, DumpFrame> ||
                         std::is_same_v<T, ShutdownFrame>);
@@ -452,6 +450,29 @@ FramePayload parse_payload(FrameType type, Reader& r) {
   throw WireError("wire: unknown frame type");
 }
 
+// ---- Framing ---------------------------------------------------------------
+
+/// Reserves the header; returns its offset for finish_frame.
+std::size_t begin_frame(std::vector<std::uint8_t>& out) {
+  const std::size_t header_at = out.size();
+  out.resize(out.size() + kWireHeaderBytes);
+  return header_at;
+}
+
+/// Fills in the header reserved at `header_at` once the payload follows it.
+void finish_frame(std::vector<std::uint8_t>& out, std::size_t header_at,
+                  FrameType type) {
+  const std::size_t payload_len = out.size() - header_at - kWireHeaderBytes;
+  if (payload_len > kMaxFrameBytes) throw WireError("wire: frame too large");
+  std::uint8_t* h = out.data() + header_at;
+  const std::uint32_t len = static_cast<std::uint32_t>(payload_len);
+  for (int i = 0; i < 4; ++i) h[i] = static_cast<std::uint8_t>(len >> (8 * i));
+  h[4] = kWireVersion;
+  h[5] = static_cast<std::uint8_t>(type);
+  h[6] = 0;
+  h[7] = 0;
+}
+
 }  // namespace
 
 bool ForwardFrame::operator==(const ForwardFrame& other) const {
@@ -486,20 +507,23 @@ FrameType Frame::type() const {
   return static_cast<FrameType>(payload.index() + 1);
 }
 
+void encode_forward(std::uint64_t seq, BrokerId target, const Message& message,
+                    std::vector<std::uint8_t>& out) {
+  const std::size_t header_at = begin_frame(out);
+  put_u64(out, seq);
+  put_i32(out, target);
+  put_message(out, message);
+  finish_frame(out, header_at, FrameType::kForward);
+}
+
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out) {
-  const std::size_t header_at = out.size();
-  out.resize(out.size() + kWireHeaderBytes);
-  const std::size_t payload_at = out.size();
+  if (const ForwardFrame* f = std::get_if<ForwardFrame>(&frame.payload)) {
+    encode_forward(f->seq, f->target, f->message, out);
+    return;
+  }
+  const std::size_t header_at = begin_frame(out);
   encode_payload(frame, out);
-  const std::size_t payload_len = out.size() - payload_at;
-  if (payload_len > kMaxFrameBytes) throw WireError("wire: frame too large");
-  std::uint8_t* h = out.data() + header_at;
-  const std::uint32_t len = static_cast<std::uint32_t>(payload_len);
-  for (int i = 0; i < 4; ++i) h[i] = static_cast<std::uint8_t>(len >> (8 * i));
-  h[4] = kWireVersion;
-  h[5] = static_cast<std::uint8_t>(frame.type());
-  h[6] = 0;
-  h[7] = 0;
+  finish_frame(out, header_at, frame.type());
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {

@@ -241,6 +241,13 @@ struct Frame {
 /// Appends the framed encoding (header + payload) to `out`.
 void encode_frame(const Frame& frame, std::vector<std::uint8_t>& out);
 
+/// Appends one kForward frame straight from a shared message — the
+/// trunk's hot path, which never copies the message into a ForwardFrame.
+/// Bytes are identical to encode_frame(Frame{ForwardFrame{seq, target,
+/// message}}).
+void encode_forward(std::uint64_t seq, BrokerId target, const Message& message,
+                    std::vector<std::uint8_t>& out);
+
 /// Convenience: encode into a fresh buffer.
 std::vector<std::uint8_t> encode_frame(const Frame& frame);
 

@@ -107,8 +107,8 @@ LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
     net_options.peer_hosts = options_.net.peer_hosts;
     endpoint_ = std::make_unique<NetEndpoint>(
         net_options,
-        [this](BrokerId target, const Message& message) {
-          on_trunk_forward(target, message);
+        [this](BrokerId target, Message&& message) {
+          on_trunk_forward(target, std::move(message));
         },
         [this](std::uint64_t n_acked) { on_trunk_acked(n_acked); },
         [this](int peer, bool up) { on_trunk_peer_state(peer, up); });
@@ -122,11 +122,7 @@ LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
   if (socket) {
     reactor_options.broker_shard = &broker_shard_;
     reactor_options.shard = static_cast<std::uint32_t>(options_.net.shard);
-    reactor_options.forwarder = [this](int peer, BrokerId target,
-                                       const std::shared_ptr<const Message>&
-                                           message) {
-      return endpoint_->forward_remote(peer, target, message);
-    };
+    reactor_options.endpoint = endpoint_.get();
   }
   reactor_ = std::make_unique<Reactor>(topology_, fabric_, strategy_,
                                        reactor_options, &clock_, &stats_,
@@ -220,7 +216,7 @@ void LiveNetwork::set_edge_state(EdgeId edge, bool up) {
     effective = up && trunk_up_[static_cast<std::size_t>(peer)] != 0;
   }
   reactor_->set_link_state(edge, effective);
-  if (!up && endpoint_) endpoint_->drop_peer(peer);
+  if (!up) reactor_->drop_trunk(peer);
 }
 
 void LiveNetwork::set_broker_state(BrokerId broker, bool up) {
@@ -233,17 +229,9 @@ void LiveNetwork::set_broker_state(BrokerId broker, bool up) {
 }
 
 void LiveNetwork::stop() {
-  if (endpoint_) {
-    // Transport first: copies the peers never acked are settled as losses
-    // so the reactor workers can observe outstanding == 0 and exit.  Any
-    // forward the reactor attempts after this point is refused by the
-    // endpoint and settled by the reactor itself.
-    const std::uint64_t unacked = endpoint_->stop();
-    if (unacked > 0) {
-      stats_.on_loss(unacked);
-      outstanding_.fetch_sub(unacked, std::memory_order_release);
-    }
-  }
+  // Socket mode: reactor worker 0 stops the transport at its first pass
+  // after the request and settles never-acked trunk copies as losses, so
+  // the workers can observe outstanding == 0 and exit.
   if (reactor_) reactor_->stop();
 }
 
@@ -252,6 +240,9 @@ std::uint16_t LiveNetwork::trunk_port() const {
 }
 
 void LiveNetwork::connect_trunks(const std::vector<std::uint16_t>& ports) {
+  if (started_) {
+    throw std::logic_error("live network: connect_trunks after start");
+  }
   if (endpoint_) endpoint_->connect(ports);
 }
 
@@ -271,17 +262,14 @@ std::uint64_t LiveNetwork::trunk_reconnects() const {
   return endpoint_ ? endpoint_->reconnects() : 0;
 }
 
-void LiveNetwork::on_trunk_forward(BrokerId target, const Message& message) {
+void LiveNetwork::on_trunk_forward(BrokerId target, Message&& message) {
   // Deposit at the locally served downstream broker.  The increment lands
   // *before* the endpoint acks this forward (the handler runs inline in
-  // the net thread's read batch), so the sender's release of its own
-  // increment can never leave the cluster-wide sum at zero with the copy
-  // alive.
+  // worker 0's read batch), so the sender's release of its own increment
+  // can never leave the cluster-wide sum at zero with the copy alive.
   outstanding_.fetch_add(1);
-  if (!reactor_->publish(target, std::make_shared<Message>(message))) {
-    outstanding_.fetch_sub(1, std::memory_order_release);
-    stats_.on_loss(1);
-  }
+  reactor_->deposit_trunk(target,
+                          std::make_shared<const Message>(std::move(message)));
 }
 
 void LiveNetwork::on_trunk_acked(std::uint64_t n) {

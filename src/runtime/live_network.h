@@ -11,8 +11,8 @@
 //     sharded engine's ShardPlan, per-broker Rx and per-link Tx state
 //     machines sleep as timers in a hierarchical wheel
 //     (common/timer_wheel.h), and cross-worker handoff rides SpscQueue
-//     mailboxes plus an epoch/condvar wake protocol.  Thread count is
-//     hardware-sized, so one process serves 10k+ links.  (The old
+//     mailboxes plus an eventfd doorbell rung only for a parked worker.
+//     Thread count is hardware-sized, so one process serves 10k+ links.  (The old
 //     thread-per-link oracle this mode was differentially tested against
 //     is retired; the reactor is now the in-process reference the socket
 //     mode diffs against.)
@@ -21,11 +21,15 @@
 //     it plus every directed link *leaving* them; a transmission that
 //     completes toward a remote broker rides a TCP trunk — loopback by
 //     default, real interfaces via LiveNetOptions::bind_host/peer_hosts
-//     (net/endpoint.h: epoll loop, per-trunk cumulative-ack reliability,
-//     capped-backoff reconnect) instead of a worker mailbox.  Fault
-//     replay on a cut edge forces a real disconnect (drop_peer) and the
-//     healed trunk re-enters through the same set_link_state path the
-//     storm engine drives.
+//     (net/endpoint.h: per-trunk cumulative-ack reliability,
+//     capped-backoff reconnect) instead of a worker mailbox.  The shard
+//     runs exactly `workers` threads: reactor worker 0 drives the
+//     endpoint inside its own event loop (one epoll park for trunk
+//     sockets, doorbell and timers), so a forward goes straight into the
+//     peer socket's buffer and an inbound copy is deposited inline.
+//     Fault replay on a cut edge forces a real disconnect (drop_trunk)
+//     and the healed trunk re-enters through the same set_link_state path
+//     the storm engine drives.
 //
 // Transmission sampling follows the engines' per-edge RNG stream
 // discipline: one stream split from LiveOptions::seed per true EdgeId
@@ -40,8 +44,8 @@
 // before acking — summed over shards the counter never transiently hits
 // zero mid-flight, so cluster drain is `sum(outstanding) == 0` re-checked
 // once for stability.  Single-instance `drain()` blocks on the local
-// counter; `stop()` settles unacked trunk copies as losses, then finishes
-// pending reactor work and joins all threads.
+// counter; `stop()` has worker 0 settle unacked trunk copies as losses,
+// then finishes pending reactor work and joins all threads.
 #pragma once
 
 #include <optional>
@@ -156,9 +160,10 @@ class LiveNetwork {
   /// get the link-down half from set_edge_state.
   void set_broker_state(BrokerId broker, bool up);
 
-  /// Stops and joins all threads (idempotent).  Socket mode first stops
-  /// the transport and settles never-acked trunk copies as losses so the
-  /// reactor workers can observe a zero outstanding count and exit.
+  /// Stops and joins all threads (idempotent).  In socket mode worker 0
+  /// first stops the transport and settles never-acked trunk copies as
+  /// losses so the reactor workers can observe a zero outstanding count
+  /// and exit.
   void stop();
 
   const LiveStats& stats() const { return stats_; }
@@ -181,7 +186,8 @@ class LiveNetwork {
   // ---- Socket mode ----
   /// Trunk listen port (0 unless socket mode).
   std::uint16_t trunk_port() const;
-  /// Dials every peer shard; `ports` is indexed by shard id.
+  /// Records every peer shard's port (indexed by shard id); worker 0
+  /// dials them once start() runs.  Throws std::logic_error after start().
   void connect_trunks(const std::vector<std::uint16_t>& ports);
   /// Blocks until every dialed trunk is up (false on timeout).
   bool wait_trunks(std::chrono::milliseconds timeout);
@@ -191,7 +197,7 @@ class LiveNetwork {
   std::uint64_t trunk_reconnects() const;
 
  private:
-  void on_trunk_forward(BrokerId target, const Message& message);
+  void on_trunk_forward(BrokerId target, Message&& message);
   void on_trunk_acked(std::uint64_t n);
   void on_trunk_peer_state(int peer, bool up);
   int shard_of(BrokerId broker) const;
@@ -209,9 +215,8 @@ class LiveNetwork {
   std::vector<std::vector<LinkRef>> out_links_;
   std::size_t link_count_ = 0;
 
-  std::unique_ptr<Reactor> reactor_;
-
   // ---- Socket mode ----
+  /// Declared before reactor_ so it outlives the workers that drive it.
   std::unique_ptr<NetEndpoint> endpoint_;
   /// Shard id per broker (socket mode; empty otherwise).
   std::vector<std::uint32_t> broker_shard_;
@@ -222,6 +227,8 @@ class LiveNetwork {
   std::mutex net_state_mutex_;
   std::vector<char> edge_fault_down_;  // indexed by EdgeId (served cuts only)
   std::vector<char> trunk_up_;         // indexed by peer shard
+
+  std::unique_ptr<Reactor> reactor_;
 
   std::atomic<std::size_t> outstanding_{0};
   bool started_ = false;

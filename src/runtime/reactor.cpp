@@ -1,8 +1,8 @@
 #include "runtime/reactor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -11,6 +11,8 @@
 #include "broker/output_queue.h"
 #include "common/spsc_queue.h"
 #include "common/timer_wheel.h"
+#include "net/endpoint.h"
+#include "net/poller.h"
 #include "runtime/channel.h"
 #include "scheduling/kernel.h"
 #include "sim/parallel/shard_plan.h"
@@ -24,6 +26,9 @@ namespace {
 /// keeps shutdown prompt while outstanding work drains.
 constexpr std::chrono::milliseconds kMaxPark{50};
 constexpr std::chrono::milliseconds kStopPark{2};
+
+/// The doorbell's poller key (the endpoint leaves this key to its owner).
+constexpr std::uint64_t kWakeKey = NetEndpoint::kOwnerKey;
 
 }  // namespace
 
@@ -92,18 +97,21 @@ struct Reactor::Worker {
   std::vector<std::unique_ptr<SpscQueue<Inbound>>> inbound;
   /// External entry point (publish arrives from arbitrary user threads).
   Channel<Inbound> injector;
-  /// Link and broker up/down transitions from set_link_state /
-  /// set_broker_state (arbitrary threads); applied by the owning worker
-  /// between drains.  Low traffic, so a plain mutex-guarded vector
-  /// suffices.
+  /// Link, broker and trunk transitions from set_link_state /
+  /// set_broker_state / drop_trunk (arbitrary threads); applied by the
+  /// owning worker between drains.  Low traffic, so a plain mutex-guarded
+  /// vector suffices.
   std::mutex command_mutex;
   std::vector<Command> commands;
-  /// Wake protocol: producers bump `epoch` *after* pushing, then notify;
-  /// the worker snapshots it before draining and parks only while it is
-  /// unchanged — either side losing the race still observes the other.
-  std::atomic<std::uint64_t> epoch{0};
-  std::mutex mutex;
-  std::condition_variable cv;
+  /// Park (see the header): the worker waits on `poller` — its own, or the
+  /// endpoint's for worker 0 in socket mode — with `wake` registered under
+  /// kWakeKey.  `parked` is raised before the final re-check and tells
+  /// producers whether a push needs the doorbell.
+  std::unique_ptr<Poller> own_poller;
+  Poller* poller = nullptr;
+  WakeFd wake;
+  std::atomic<bool> parked{false};
+  std::vector<Poller::Event> events;
   std::thread thread;
   std::vector<Inbound> drain_scratch;
   /// Worker-owned matching scratch: with the sharded engine, every worker
@@ -168,6 +176,13 @@ Reactor::Reactor(const Topology* topology, const RoutingFabric* fabric,
     for (std::size_t src = 0; src < worker_count; ++src) {
       if (src != w) worker->inbound[src] = std::make_unique<SpscQueue<Inbound>>();
     }
+    if (w == 0 && options_.endpoint != nullptr) {
+      worker->poller = &options_.endpoint->poller();
+    } else {
+      worker->own_poller = std::make_unique<Poller>();
+      worker->poller = worker->own_poller.get();
+    }
+    worker->poller->add(worker->wake.fd(), kWakeKey, true, false);
     workers_.push_back(std::move(worker));
   }
 }
@@ -211,22 +226,33 @@ void Reactor::set_link_state(EdgeId edge, bool up) {
   if (static_cast<std::size_t>(edge) >= link_by_edge_.size()) return;
   const std::int32_t index = link_by_edge_[edge];
   if (index < 0) return;  // No subscription routes over this link.
-  Worker& worker = *workers_[owner_of_broker_[links_[index]->from]];
-  {
-    const std::lock_guard<std::mutex> lock(worker.command_mutex);
-    worker.commands.push_back(Command{Command::Kind::kLink,
-                                      static_cast<std::uint32_t>(index), up});
-  }
-  wake(worker);
+  push_command(*workers_[owner_of_broker_[links_[index]->from]],
+               Command{Command::Kind::kLink, static_cast<std::uint32_t>(index),
+                       up});
 }
 
 void Reactor::set_broker_state(BrokerId broker, bool up) {
   if (static_cast<std::size_t>(broker) >= brokers_.size()) return;
-  Worker& worker = *workers_[owner_of_broker_[broker]];
+  push_command(*workers_[owner_of_broker_[broker]],
+               Command{Command::Kind::kBroker,
+                       static_cast<std::uint32_t>(broker), up});
+}
+
+void Reactor::drop_trunk(int peer) {
+  if (options_.endpoint == nullptr) return;
+  push_command(*workers_[0], Command{Command::Kind::kDropTrunk,
+                                     static_cast<std::uint32_t>(peer), false});
+}
+
+void Reactor::deposit_trunk(BrokerId target,
+                            std::shared_ptr<const Message> message) {
+  route(*workers_[0], target, std::move(message));
+}
+
+void Reactor::push_command(Worker& worker, Command command) {
   {
     const std::lock_guard<std::mutex> lock(worker.command_mutex);
-    worker.commands.push_back(Command{Command::Kind::kBroker,
-                                      static_cast<std::uint32_t>(broker), up});
+    worker.commands.push_back(command);
   }
   wake(worker);
 }
@@ -242,6 +268,10 @@ void Reactor::apply_commands(Worker& worker) {
     if (command.kind == Command::Kind::kBroker) {
       apply_broker_command(worker, static_cast<BrokerId>(command.index),
                            command.up);
+      continue;
+    }
+    if (command.kind == Command::Kind::kDropTrunk) {
+      options_.endpoint->drop_peer(static_cast<int>(command.index));
       continue;
     }
     LinkState& link = *links_[command.index];
@@ -304,12 +334,25 @@ std::uint64_t Reactor::tick_ceil(TimeMs at) const {
 }
 
 void Reactor::worker_loop(Worker& worker) {
+  NetEndpoint* const io = worker.id == 0 ? options_.endpoint : nullptr;
   for (;;) {
-    const std::uint64_t epoch =
-        worker.epoch.load(std::memory_order_acquire);
     apply_commands(worker);
     drain_inbound(worker);
     advance_wheel(worker);
+    const bool stopping = stopping_.load(std::memory_order_acquire);
+    if (io != nullptr) {
+      if (stopping) {
+        // The transport stops first: copies the peers never acked are
+        // settled as losses so outstanding can reach zero; forwards after
+        // this point are refused and settled in arrive().  Idempotent.
+        const std::uint64_t unacked = io->stop();
+        if (unacked > 0) {
+          stats_->on_loss(unacked);
+          outstanding_->fetch_sub(unacked, std::memory_order_release);
+        }
+      }
+      io->service();
+    }
     // Exit order matters: the injector must be observed *closed* before
     // outstanding is read.  A publish that won the push-before-close race
     // incremented the counter before pushing, and both precede the close
@@ -318,12 +361,11 @@ void Reactor::worker_loop(Worker& worker) {
     // can strand in a dead worker's injector.  Cross-worker mailboxes
     // need no check: a future push implies an in-flight copy that keeps
     // outstanding nonzero the whole time.
-    if (stopping_.load(std::memory_order_acquire) &&
-        worker.injector.closed() &&
+    if (stopping && worker.injector.closed() &&
         outstanding_->load(std::memory_order_acquire) == 0) {
       return;
     }
-    park(worker, epoch);
+    park(worker);
   }
 }
 
@@ -337,7 +379,7 @@ void Reactor::drain_inbound(Worker& worker) {
   // common case every loop iteration) costs one lock, no allocation.
   worker.injector.try_drain(batch);
   for (Inbound& in : batch) {
-    deposit(worker, in.to, std::move(in.message));
+    arrive(worker, in.to, std::move(in.message));
   }
   batch.clear();
 }
@@ -356,28 +398,97 @@ void Reactor::advance_wheel(Worker& worker) {
                        });
 }
 
-void Reactor::park(Worker& worker, std::uint64_t epoch_snapshot) {
+bool Reactor::has_pending(Worker& worker) {
+  for (const auto& mailbox : worker.inbound) {
+    if (mailbox && !mailbox->empty()) return true;
+  }
+  if (worker.injector.size() > 0) return true;
+  const std::lock_guard<std::mutex> lock(worker.command_mutex);
+  return !worker.commands.empty();
+}
+
+void Reactor::park(Worker& worker) {
   const bool stopping = stopping_.load(std::memory_order_acquire);
-  auto deadline = std::chrono::steady_clock::now() +
-                  (stopping ? kStopPark : kMaxPark);
+  const auto now = std::chrono::steady_clock::now();
+  auto deadline = now + (stopping ? kStopPark : kMaxPark);
   if (const auto next = worker.wheel.next_due()) {
     deadline = std::min(
         deadline, clock_->real_time_at(static_cast<TimeMs>(*next) *
                                        options_.wheel_tick_ms));
   }
-  std::unique_lock<std::mutex> lock(worker.mutex);
-  worker.cv.wait_until(lock, deadline, [&] {
-    return worker.epoch.load(std::memory_order_acquire) != epoch_snapshot;
-  });
+  if (worker.id == 0 && options_.endpoint != nullptr) {
+    if (const auto redial = options_.endpoint->next_deadline()) {
+      deadline = std::min(deadline, *redial);
+    }
+  }
+  auto timeout = std::max(std::chrono::nanoseconds{0},
+                          std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              deadline - now));
+  if (timeout.count() > 0) {
+    // Raise the flag, then re-check.  Every write to `parked` is an
+    // acq_rel exchange, so each one synchronizes with the one before it:
+    // a producer whose exchange came first made its push visible to this
+    // re-check, and one that comes later reads `true` and rings.
+    worker.parked.exchange(true, std::memory_order_acq_rel);
+    if (has_pending(worker) ||
+        stopping_.load(std::memory_order_acquire) != stopping) {
+      timeout = std::chrono::nanoseconds{0};
+    }
+  }
+  worker.poller->wait(timeout, worker.events);
+  worker.parked.exchange(false, std::memory_order_acq_rel);
+  for (const Poller::Event& event : worker.events) {
+    if (event.key == kWakeKey) {
+      worker.wake.drain();
+    } else {
+      options_.endpoint->handle(event);  // Only worker 0's poller has these.
+    }
+  }
 }
 
 void Reactor::wake(Worker& worker) {
-  worker.epoch.fetch_add(1, std::memory_order_release);
-  // The empty critical section orders this notify after any in-progress
-  // park decision: either the worker sees the new epoch before waiting, or
-  // it is already parked and the notify lands.
-  { const std::lock_guard<std::mutex> lock(worker.mutex); }
-  worker.cv.notify_one();
+  // The caller's push happens before this exchange (see park()); clearing
+  // the flag lets exactly one producer ring a parked worker.
+  if (worker.parked.exchange(false, std::memory_order_acq_rel)) {
+    worker.wake.signal();
+  }
+}
+
+bool Reactor::remote(BrokerId broker) const {
+  return options_.broker_shard != nullptr &&
+         (*options_.broker_shard)[broker] != options_.shard;
+}
+
+void Reactor::route(Worker& from, BrokerId to,
+                    std::shared_ptr<const Message> message) {
+  // Copies leaving the shard all go through worker 0, the endpoint's
+  // only caller.
+  const std::uint32_t owner = remote(to) ? 0 : owner_of_broker_[to];
+  if (owner == from.id) {
+    arrive(from, to, std::move(message));
+    return;
+  }
+  Worker& target = *workers_[owner];
+  target.inbound[from.id]->push(Inbound{to, std::move(message)});
+  wake(target);
+}
+
+void Reactor::arrive(Worker& worker, BrokerId to,
+                     std::shared_ptr<const Message> message) {
+  if (!remote(to)) {
+    deposit(worker, to, std::move(message));
+    return;
+  }
+  // The downstream broker lives in another process.  A true return
+  // transfers the copy's outstanding increment to the transport (held
+  // until the peer's cumulative ack); false means the transport is
+  // stopped and the copy dies here.
+  const int peer = static_cast<int>((*options_.broker_shard)[to]);
+  if (options_.endpoint == nullptr ||
+      !options_.endpoint->forward_remote(peer, to, std::move(message))) {
+    stats_->on_loss(1);
+    outstanding_->fetch_sub(1, std::memory_order_release);
+  }
 }
 
 void Reactor::deposit(Worker& worker, BrokerId broker,
@@ -488,27 +599,7 @@ void Reactor::on_tx_done(Worker& worker, std::uint32_t link_index) {
   std::shared_ptr<const Message> message = std::move(link.in_flight.message);
   link.in_flight = QueuedMessage{};
 
-  if (options_.broker_shard != nullptr &&
-      (*options_.broker_shard)[link.to] != options_.shard) {
-    // The downstream broker lives in another process.  A true return
-    // transfers the copy's outstanding increment to the transport (held
-    // until the peer's cumulative ack); false means the transport is
-    // stopped and the copy dies here.
-    const int peer = static_cast<int>((*options_.broker_shard)[link.to]);
-    if (!options_.forwarder || !options_.forwarder(peer, link.to, message)) {
-      stats_->on_loss(1);
-      outstanding_->fetch_sub(1, std::memory_order_release);
-    }
-  } else {
-    const std::uint32_t owner = owner_of_broker_[link.to];
-    if (owner == worker.id) {
-      deposit(worker, link.to, std::move(message));
-    } else {
-      Worker& target = *workers_[owner];
-      target.inbound[worker.id]->push(Inbound{link.to, std::move(message)});
-      wake(target);
-    }
-  }
+  route(worker, link.to, std::move(message));
 
   // The link is free at this instant: pop the next pick inline (or go
   // idle) — the event-driven equivalent of the sender loop's next

@@ -26,19 +26,38 @@
 // engine's ShardPlan (greedy edge cut — most fan-outs stay worker-local);
 // each directed link lives with its *source* broker's worker, so enqueue,
 // pick and purge are always same-worker.  A transmission that completes
-// toward a remote broker crosses through the (source worker, destination
-// worker) SpscQueue mailbox plus an epoch/condvar wake protocol — the only
-// synchronisation in steady state; there are no per-broker blocking
-// channels and no per-link locks.
+// toward a broker on another worker crosses through the (source worker,
+// destination worker) SpscQueue mailbox — the only synchronisation in
+// steady state; there are no per-broker blocking channels and no per-link
+// locks.
+//
+// Park and wake: every worker parks in one place, an epoll wait (Poller)
+// on its own eventfd doorbell, bounded by its timer wheel's next deadline
+// at nanosecond resolution.  A producer pushes, then rings the doorbell
+// only if the worker has raised its `parked` flag; the worker raises the
+// flag, then re-checks its mailboxes, injector and command list before it
+// waits.  Every write to the flag is an acq_rel exchange, so either the
+// producer sees the flag or the worker sees the push — and a busy worker
+// costs its producers no syscall.
+//
+// Socket mode: worker 0 also drives the shard's NetEndpoint (no transport
+// thread).  It parks on the endpoint's poller, so trunk sockets, its
+// doorbell, its wheel deadline and the redial backoff share one wait; it
+// dispatches trunk events inline (an inbound copy lands in its broker's
+// input on worker 0, or in the owner's mailbox) and flushes each trunk
+// once per pass.  A copy that another worker sends out of the shard
+// reaches worker 0 through worker 0's SPSC mailbox from that worker, so
+// forward_remote runs on exactly one thread.
 //
 // Drain/stop share LiveNetwork's outstanding-copies counter: workers exit
 // once stop() was requested and no copy remains in flight, finishing
-// queued work first (the legacy semantics).
+// queued work first (the legacy semantics).  Worker 0 stops the endpoint
+// at the first pass that sees the request and settles its never-acked
+// copies as losses, so the counter can reach zero.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -49,6 +68,8 @@
 #include "topology/edge_map.h"
 
 namespace bdps {
+
+class NetEndpoint;
 
 struct ReactorOptions {
   TimeMs processing_delay = 2.0;
@@ -61,16 +82,15 @@ struct ReactorOptions {
   /// 0.25 sim ms is far below any PD/transmission scale the paper uses.
   TimeMs wheel_tick_ms = 0.25;
   /// Cross-process serving (socket mode): shard id of every broker in the
-  /// full topology (nullptr = everything is local).  A transmission whose
-  /// downstream broker lives in another shard is handed to `forwarder`
-  /// instead of deposited.  A true return transfers the copy's outstanding
-  /// increment to the transport (released when the covering ack arrives);
-  /// false means the transport is gone — the reactor settles the copy as a
-  /// loss itself.
+  /// full topology (nullptr = everything is local) and the trunk transport
+  /// worker 0 drives.  A transmission whose downstream broker lives in
+  /// another shard is handed to endpoint->forward_remote on worker 0: a
+  /// true return transfers the copy's outstanding increment to the
+  /// transport (released when the covering ack arrives); false means the
+  /// transport is stopped — the reactor settles the copy as a loss itself.
   const std::vector<std::uint32_t>* broker_shard = nullptr;
   std::uint32_t shard = 0;
-  std::function<bool(int, BrokerId, const std::shared_ptr<const Message>&)>
-      forwarder;
+  NetEndpoint* endpoint = nullptr;
 };
 
 /// One directed overlay link the runtime serves: resolved by LiveNetwork
@@ -120,6 +140,16 @@ class Reactor {
   /// re-arms it.  Unknown or unserved edges are ignored.
   void set_link_state(EdgeId edge, bool up);
 
+  /// Socket mode, worker 0 only (the endpoint's on_forward handler): lands
+  /// one trunk copy at its broker — inline when worker 0 owns it, through
+  /// the owner's mailbox otherwise.  The caller has already counted it
+  /// outstanding.
+  void deposit_trunk(BrokerId target, std::shared_ptr<const Message> message);
+
+  /// Socket mode: severs our dialed trunk to `peer` (thread-safe; worker 0
+  /// calls NetEndpoint::drop_peer on its next pass).
+  void drop_trunk(int peer);
+
   /// Crashes or restarts one broker (thread-safe, applied asynchronously
   /// by the owning worker).  A crash is the simulator's semantics: the
   /// input queue and every outgoing OutputQueue are wiped (copies counted
@@ -136,12 +166,14 @@ class Reactor {
   struct LinkState;
   struct Worker;
   struct Command {
-    enum class Kind : std::uint8_t { kLink, kBroker };
+    enum class Kind : std::uint8_t { kLink, kBroker, kDropTrunk };
     Kind kind = Kind::kLink;
-    std::uint32_t index = 0;  // links_ index (kLink) or BrokerId (kBroker).
+    /// links_ index (kLink), BrokerId (kBroker) or peer shard (kDropTrunk).
+    std::uint32_t index = 0;
     bool up = false;
   };
 
+  void push_command(Worker& worker, Command command);
   void apply_commands(Worker& worker);
   void apply_broker_command(Worker& worker, BrokerId broker, bool up);
 
@@ -149,8 +181,13 @@ class Reactor {
   void worker_loop(Worker& worker);
   void drain_inbound(Worker& worker);
   void advance_wheel(Worker& worker);
-  void park(Worker& worker, std::uint64_t epoch_snapshot);
+  bool has_pending(Worker& worker);
+  void park(Worker& worker);
   void wake(Worker& worker);
+  bool remote(BrokerId broker) const;
+  void route(Worker& from, BrokerId to, std::shared_ptr<const Message> message);
+  void arrive(Worker& worker, BrokerId to,
+              std::shared_ptr<const Message> message);
   void deposit(Worker& worker, BrokerId broker,
                std::shared_ptr<const Message> message);
   void schedule_rx(Worker& worker, BrokerId broker);

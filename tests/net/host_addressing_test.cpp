@@ -8,7 +8,6 @@
 // dial) instead of silently reverting to loopback.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
@@ -60,9 +59,10 @@ TEST(HostAddressing, NonLiteralHostsFailLoudly) {
 TEST(HostAddressing, EndpointsTrunkOverExplicitHosts) {
   // Two shards, both binding all interfaces and dialing each other through
   // explicit per-peer host entries: a forward must arrive and its ack
-  // must release the sender's outstanding copy.
-  std::atomic<int> received{0};
-  std::atomic<std::uint64_t> acked{0};
+  // must release the sender's outstanding copy.  The endpoints own no
+  // thread; this test is their owner and pumps both.
+  int received = 0;
+  std::uint64_t acked = 0;
   auto make_options = [](int shard) {
     NetEndpointOptions options;
     options.shard = shard;
@@ -72,31 +72,44 @@ TEST(HostAddressing, EndpointsTrunkOverExplicitHosts) {
     return options;
   };
   NetEndpoint a(
-      make_options(0), [&](BrokerId, const Message&) { ++received; },
+      make_options(0), [&](BrokerId, Message&&) { ++received; },
       [&](std::uint64_t n) { acked += n; }, nullptr);
   NetEndpoint b(
-      make_options(1), [&](BrokerId, const Message&) { ++received; },
+      make_options(1), [&](BrokerId, Message&&) { ++received; },
       [&](std::uint64_t n) { acked += n; }, nullptr);
   const std::vector<std::uint16_t> ports{a.port(), b.port()};
   a.connect(ports);
   b.connect(ports);
-  ASSERT_TRUE(a.wait_connected(std::chrono::seconds(5)));
-  ASSERT_TRUE(b.wait_connected(std::chrono::seconds(5)));
+  std::vector<Poller::Event> events;
+  const auto pass = [&](NetEndpoint& endpoint) {
+    endpoint.poller().wait(std::chrono::milliseconds(1), events);
+    for (const Poller::Event& event : events) endpoint.handle(event);
+    endpoint.service();
+  };
+  const auto pump_until = [&](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      pass(a);
+      pass(b);
+    }
+    return done();
+  };
+  ASSERT_TRUE(pump_until([&] {
+    return a.wait_connected(std::chrono::milliseconds(0)) &&
+           b.wait_connected(std::chrono::milliseconds(0));
+  }));
 
   const auto message = std::make_shared<const Message>(
       MessageId{1}, PublisherId{0}, 0.0, 50.0,
       std::vector<Attribute>{{"A", Value(1.0)}});
   ASSERT_TRUE(a.forward_remote(1, BrokerId{0}, message));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while ((received.load() < 1 || acked.load() < 1) &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(received.load(), 1);
-  EXPECT_EQ(acked.load(), 1u);
+  EXPECT_TRUE(pump_until([&] { return received >= 1 && acked >= 1; }));
+  EXPECT_EQ(received, 1);
+  EXPECT_EQ(acked, 1u);
   EXPECT_EQ(a.stop(), 0u);
   EXPECT_EQ(b.stop(), 0u);
+  EXPECT_FALSE(a.forward_remote(1, BrokerId{0}, message));
 }
 
 }  // namespace

@@ -15,11 +15,17 @@
 //   ./live_scaling [budget_s=120] [messages=4]
 //
 // Output: one JSON object per line, plus a summary table on stderr.
+// `threads` is measured, not assumed: the OS threads /proc/self/task gains
+// while the mode runs.  Exits 1 when a socket row reports `completed`
+// although no copy crossed a trunk — that row measured a single shard.
+#include <dirent.h>
+
 #include <chrono>
 #include <cstdio>
 #include <exception>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/config.h"
@@ -41,13 +47,38 @@ struct Probe {
   std::size_t links = 0;
   std::string mode;
   std::size_t workers = 0;
-  std::size_t threads = 0;  // OS threads the mode needs.
+  std::size_t threads = 0;  // OS threads the mode ran (measured).
   bool completed = false;
   std::string error;
   double wall_ms = 0.0;
   double tx_per_sec = 0.0;
   unsigned long long trunk_forwards = 0;  // Copies that crossed TCP.
 };
+
+/// Threads in this process right now (entries of /proc/self/task).
+std::size_t task_count() {
+  std::size_t count = 0;
+  if (DIR* dir = opendir("/proc/self/task")) {
+    while (const dirent* entry = readdir(dir)) {
+      if (entry->d_name[0] != '.') ++count;
+    }
+    closedir(dir);
+  }
+  return count;
+}
+
+/// task_count() once it holds still: a joined thread can stay listed for
+/// a moment after pthread_join returns.
+std::size_t settled_task_count() {
+  std::size_t count = task_count();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const std::size_t again = task_count();
+    if (again == count) break;
+    count = again;
+  }
+  return count;
+}
 
 LiveOptions probe_options(std::size_t workers) {
   LiveOptions opt;
@@ -65,15 +96,16 @@ Probe run_probe_reactor(const Topology& topo, const RoutingFabric& fabric,
   probe.mode = "reactor";
   try {
     LiveNetwork net(&topo, &fabric, &strategy, probe_options(workers));
+    const std::size_t idle_tasks = settled_task_count();
     const auto start = std::chrono::steady_clock::now();
     net.start();
+    probe.threads = task_count() - idle_tasks;
     const Message tick(0, 0, 0.0, 1.0, {{"A1", Value(1.0)}}, kNoDeadline);
     for (int i = 0; i < messages; ++i) net.publish(0, tick);
     net.drain();
     const auto end = std::chrono::steady_clock::now();
     net.stop();
     probe.workers = net.worker_count();
-    probe.threads = net.worker_count();
     probe.wall_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     probe.completed = net.stats().deliveries().size() ==
@@ -115,6 +147,7 @@ Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
     const std::vector<std::uint16_t> ports = {nets[0]->trunk_port(),
                                               nets[1]->trunk_port()};
     for (const auto& net : nets) net->connect_trunks(ports);
+    const std::size_t idle_tasks = settled_task_count();
     const auto start = std::chrono::steady_clock::now();
     for (const auto& net : nets) net->start();
     for (const auto& net : nets) {
@@ -122,6 +155,7 @@ Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
         throw std::runtime_error("trunks never came up");
       }
     }
+    probe.threads = task_count() - idle_tasks;
     const Message tick(0, 0, 0.0, 1.0, {{"A1", Value(1.0)}}, kNoDeadline);
     LiveNetwork* hub_home = nets[0]->serves(0) ? raw[0] : raw[1];
     for (int i = 0; i < messages; ++i) hub_home->publish(0, tick);
@@ -136,8 +170,6 @@ Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
       probe.workers += net->worker_count();
       probe.trunk_forwards += net->trunk_forwards_sent();
     }
-    // Each shard runs its worker pool plus the endpoint's net thread.
-    probe.threads = probe.workers + 2;
     probe.wall_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     probe.completed = delivered == static_cast<std::size_t>(messages) *
@@ -200,6 +232,7 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "live link-scaling probe (%d msgs, budget %.0f s)\n",
                messages, budget_ms / 1000.0);
   bool socket_mode_alive = true;
+  bool single_shard_rows = false;
   for (const Row& row : rows) {
     const Topology topo =
         build_star_of_chains(row.chains, row.depth, LinkParams{0.2, 0.02});
@@ -219,6 +252,13 @@ int main(int argc, char** argv) {
     }
     const Probe probe = run_probe_socket(topo, fabric, *strategy, messages);
     emit(probe);
+    if (probe.completed && probe.trunk_forwards == 0) {
+      std::fprintf(stderr,
+                   "live_scaling: socket row at %zu links completed with no "
+                   "trunk forward\n",
+                   probe.links);
+      single_shard_rows = true;
+    }
     if (!probe.completed || probe.wall_ms > budget_ms) {
       socket_mode_alive = false;  // The ceiling: stop escalating.
     }
@@ -233,5 +273,5 @@ int main(int argc, char** argv) {
       emit(run_probe_reactor(topo, fabric, *strategy, workers, messages));
     }
   }
-  return 0;
+  return single_shard_rows ? 1 : 0;
 }

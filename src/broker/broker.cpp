@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace bdps {
 
 Broker::Broker(BrokerId id, const RoutingFabric* fabric,
@@ -98,14 +96,14 @@ Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
 
 void Broker::take_next(std::span<const QueueSlot> slots, TimeMs now,
                        const PurgePolicy& policy, std::vector<Dispatch>& out,
-                       ThreadPool* pool, bool collect_purged_ids) {
+                       bool collect_purged_ids) {
   out.resize(slots.size());
   // All queues in one batch share the same instant, so the context's only
   // broker-wide ingredient — the running average message size — is computed
   // once here instead of per slot (a divide per link-free instant adds up
   // when a storm frees many links at once).
   const double average_kb = average_message_size_kb();
-  const auto run_one = [&](std::size_t i) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
     Dispatch& dispatch = out[i];
     OutputQueue& queue = queues_[slots[i]];
     dispatch.slot = slots[i];
@@ -117,11 +115,6 @@ void Broker::take_next(std::span<const QueueSlot> slots, TimeMs now,
     dispatch.chosen = queue.take_next(
         ctx, policy, &dispatch.purge,
         collect_purged_ids ? &dispatch.purged_ids : nullptr);
-  };
-  if (pool != nullptr && slots.size() >= kParallelDispatchThreshold) {
-    pool->parallel_for(slots.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < slots.size(); ++i) run_one(i);
   }
 }
 

@@ -27,8 +27,6 @@
 
 namespace bdps {
 
-class ThreadPool;
-
 class Broker {
  public:
   /// Index of an output queue within this broker's slot vector; dense in
@@ -82,21 +80,13 @@ class Broker {
     std::vector<MessageId> purged_ids;
   };
 
-  /// Queues with at least this many link-free neighbours fan their
-  /// purge + pick work across the thread pool (when one is provided).
-  static constexpr std::size_t kParallelDispatchThreshold = 4;
-
   /// Purges then picks on each named queue slot at instant `now`, writing
   /// results into `out` in `slots` order (resized to match; inner buffers
-  /// are reused across calls).  Queue states are independent — the paper's
-  /// link-free instants decouple per-neighbour decisions — so when `pool`
-  /// is non-null and the batch reaches kParallelDispatchThreshold the
-  /// per-queue work runs across the pool; results are bitwise identical
-  /// either way.  The caller remains responsible for busy flags and
-  /// anything involving shared RNG streams or event queues.
+  /// are reused across calls).  The caller remains responsible for busy
+  /// flags and anything involving RNG streams or event queues.
   void take_next(std::span<const QueueSlot> slots, TimeMs now,
                  const PurgePolicy& policy, std::vector<Dispatch>& out,
-                 ThreadPool* pool = nullptr, bool collect_purged_ids = false);
+                 bool collect_purged_ids = false);
 
   std::size_t queue_count() const { return queues_.size(); }
 

@@ -139,6 +139,8 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
     result.purged_hopeless = collector.purges().hopeless;
     result.lost_copies = collector.lost_copies();
     result.max_input_queue = collector.max_input_queue();
+    result.fault_batches = collector.fault_batches();
+    result.repaired_rows = collector.repaired_rows();
     result.mean_valid_delay_ms = collector.valid_delay().mean();
     result.end_time = end_time;
     return result;

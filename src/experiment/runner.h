@@ -25,6 +25,9 @@ struct SimResult {
   std::size_t lost_copies = 0;
   /// Deepest input queue observed (serialize_processing only; else 0).
   std::size_t max_input_queue = 0;
+  /// Fault batches applied, and routing rows their repair rewrote.
+  std::size_t fault_batches = 0;
+  std::size_t repaired_rows = 0;
   double mean_valid_delay_ms = 0.0;
   TimeMs end_time = 0.0;
 };

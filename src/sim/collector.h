@@ -50,6 +50,16 @@ class Collector {
   }
   std::size_t max_input_queue() const { return max_input_queue_; }
 
+  /// Called once per applied fault batch with the routing rows its repair
+  /// rewrote (0 without repair).  A storm that never takes effect shows up
+  /// here as zero batches.
+  void on_fault_batch(std::size_t repaired_rows) {
+    ++fault_batches_;
+    repaired_rows_ += repaired_rows;
+  }
+  std::size_t fault_batches() const { return fault_batches_; }
+  std::size_t repaired_rows() const { return repaired_rows_; }
+
   // ---- Aggregates ----
 
   std::size_t published() const { return published_; }
@@ -87,6 +97,8 @@ class Collector {
   PurgeStats purges_;
   std::size_t lost_copies_ = 0;
   std::size_t max_input_queue_ = 0;
+  std::size_t fault_batches_ = 0;
+  std::size_t repaired_rows_ = 0;
   Welford valid_delay_;
   std::map<double, TierStats> tiers_;
 };

@@ -36,64 +36,15 @@ ParallelSimulator::ParallelSimulator(const Topology* topology,
                                      const RoutingFabric* fabric,
                                      const Strategy* strategy,
                                      SimulatorOptions options, Rng link_rng)
-    : topology_(topology),
-      believed_(believed),
-      fabric_(fabric),
-      options_(options),
-      plan_(ShardPlan::greedy_edge_cut(topology->graph,
-                                       effective_shards(options, *topology))) {
+    : core_(topology, believed, fabric, strategy, std::move(options),
+            link_rng),
+      plan_(ShardPlan::greedy_edge_cut(
+          topology->graph, effective_shards(core_.options, *topology))) {
   const std::size_t broker_count = topology->graph.broker_count();
   const std::size_t edge_count = topology->graph.edge_count();
 
-  brokers_.reserve(broker_count);
-  for (std::size_t b = 0; b < broker_count; ++b) {
-    brokers_.emplace_back(static_cast<BrokerId>(b), fabric, believed,
-                          strategy, options_.processing_delay,
-                          /*queues_for_all_links=*/options_.repair_fabric !=
-                              nullptr);
-  }
-  // Identical slot -> true-edge resolution (and validation) as Simulator.
-  true_edge_by_slot_.resize(broker_count);
-  for (std::size_t b = 0; b < broker_count; ++b) {
-    const Broker& broker = brokers_[b];
-    auto& edges = true_edge_by_slot_[b];
-    edges.reserve(broker.queue_count());
-    for (const OutputQueue& queue : broker.queues()) {
-      const EdgeId true_edge = topology->graph.edge_id(
-          static_cast<BrokerId>(b), queue.neighbor());
-      if (true_edge == kNoEdge) {
-        throw std::logic_error(
-            "believed link has no counterpart in the true topology");
-      }
-      edges.push_back(true_edge);
-    }
-  }
-  // Identical per-edge stream derivation as Simulator: stream e is the e-th
-  // split of the constructor's generator.
-  link_rngs_.resize(edge_count);
-  for (std::size_t e = 0; e < edge_count; ++e) {
-    link_rngs_[e].rng = link_rng.split();
-  }
-  if (options_.online_estimation) {
-    send_started_.assign(edge_count, 0.0);
-    estimators_.assign(edge_count,
-                       RateEstimator(options_.estimator_min_samples));
-    estimator_live_.assign(edge_count, 0);
-  }
-  if (options_.dedup_arrivals) {
-    seen_.resize(broker_count);
-  }
-  if (options_.serialize_processing) {
-    input_queues_.resize(broker_count);
-    processing_busy_.assign(broker_count, 0);
-  }
   death_time_.assign(edge_count, kNoDeadline);
-  for (const LinkFailure& failure : options_.failures) {
-    const auto n = static_cast<BrokerId>(broker_count);
-    if (failure.a < 0 || failure.a >= n || failure.b < 0 || failure.b >= n) {
-      throw std::invalid_argument(
-          "link failure references a broker outside the topology");
-    }
+  for (const LinkFailure& failure : core_.options.failures) {
     const EdgeId forward = topology->graph.edge_id(failure.a, failure.b);
     if (forward != kNoEdge) {
       death_time_[forward] = std::min(death_time_[forward], failure.at);
@@ -102,12 +53,6 @@ ParallelSimulator::ParallelSimulator(const Topology* topology,
     if (backward != kNoEdge) {
       death_time_[backward] = std::min(death_time_[backward], failure.at);
     }
-  }
-  if (options_.faults != nullptr && !options_.faults->empty()) {
-    has_faults_ = true;
-    down_.assign(edge_count);
-    broker_down_.assign(broker_count, 0);
-    send_begin_.assign(edge_count, 0.0);
   }
 
   const std::size_t shard_count = plan_.shard_count();
@@ -124,8 +69,7 @@ ParallelSimulator::ParallelSimulator(const Topology* topology,
     // the next transmission on any edge is known, not estimated.
     for (std::size_t e = 0; e < edge_count; ++e) {
       const auto edge = static_cast<EdgeId>(e);
-      next_rate_[edge] =
-          topology->graph.edge(edge).link.sample_rate(link_rngs_[e].rng);
+      next_rate_[edge] = core_.draw_rate(edge);
       push_rate(edge, next_rate_[edge]);
     }
   }
@@ -168,16 +112,6 @@ void ParallelSimulator::schedule_publish(
   pending_publishes_.push_back(std::move(message));
 }
 
-const RateEstimator* ParallelSimulator::estimator(EdgeId edge) const {
-  if (estimators_.empty()) return nullptr;
-  if (edge < 0 ||
-      static_cast<std::size_t>(edge) >= topology_->graph.edge_count()) {
-    return nullptr;
-  }
-  if (estimator_live_[edge] == 0) return nullptr;
-  return &estimators_[edge];
-}
-
 // ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------
@@ -188,8 +122,8 @@ void ParallelSimulator::build_initial_lanes() {
   // schedule order.  Batches never enter a lane — they are applied
   // coordinator-side between rounds — but their sequence numbers are
   // reserved here so every later sequence lines up bit for bit.
-  if (has_faults_) next_seq_ += options_.faults->batches().size();
-  for (const LinkFailure& failure : options_.failures) {
+  if (core_.has_faults) next_seq_ += core_.options.faults->batches().size();
+  for (const LinkFailure& failure : core_.options.failures) {
     const std::uint64_t seq = next_seq_++;
     const std::uint32_t shard_a = plan_.shard_of(failure.a);
     const std::uint32_t shard_b = plan_.shard_of(failure.b);
@@ -225,18 +159,11 @@ void ParallelSimulator::build_initial_lanes() {
     min_size_kb_ = std::min(min_size_kb_, message->size_kb());
     // Eq. (1)/(2) inputs come from the fabric's *global* index, whose
     // match scratch is not thread-safe; resolve them up front.
-    std::size_t interested = 0;
-    double potential = 0.0;
-    for (const std::size_t index : fabric_->match_all(*message)) {
-      const Subscription& sub = fabric_->subscription(index);
-      if (!sub.active_at(message->publish_time())) continue;
-      ++interested;
-      potential += sub.price;
-    }
+    const auto [interested, potential] = core_.interest(*message);
     LaneEvent event;
     event.time = message->publish_time();
     event.type = EventType::kPublish;
-    event.broker = topology_->publisher_edges.at(
+    event.broker = core_.topology->publisher_edges.at(
         static_cast<std::size_t>(message->publisher()));
     event.seq = next_seq_++;
     event.id = next_initial_id_++;
@@ -251,7 +178,7 @@ void ParallelSimulator::build_initial_lanes() {
 bool ParallelSimulator::any_runnable() const {
   for (const Shard& shard : shards_) {
     if (!shard.lane.empty() &&
-        shard.lane.top().time <= options_.horizon) {
+        shard.lane.top().time <= core_.options.horizon) {
       return true;
     }
   }
@@ -259,13 +186,13 @@ bool ParallelSimulator::any_runnable() const {
 }
 
 TimeMs ParallelSimulator::next_batch_time() const {
-  if (!has_faults_) return kNoDeadline;
-  const auto& batches = options_.faults->batches();
+  if (!core_.has_faults) return kNoDeadline;
+  const auto& batches = core_.options.faults->batches();
   if (batch_cursor_ >= batches.size()) return kNoDeadline;
   const TimeMs at = batches[batch_cursor_].at;
   // The sequential engine stops at the first event past its horizon; a
   // batch beyond it never applies.
-  return at <= options_.horizon ? at : kNoDeadline;
+  return at <= core_.options.horizon ? at : kNoDeadline;
 }
 
 bool ParallelSimulator::batch_due(TimeMs at) const {
@@ -276,7 +203,7 @@ bool ParallelSimulator::batch_due(TimeMs at) const {
 }
 
 void ParallelSimulator::push_rate(EdgeId edge, double rate) {
-  const Edge& e = topology_->graph.edge(edge);
+  const Edge& e = core_.topology->graph.edge(edge);
   std::vector<RateEntry>& heap =
       is_cut_.test(edge)
           ? pair_rate_heap_[plan_.shard_of(e.from) * plan_.shard_count() +
@@ -337,7 +264,7 @@ void ParallelSimulator::compute_shard_bound(Shard& shard) {
       if (death_time_[e] <= base) continue;  // Dead before any send.
       // A held (down) edge cannot start a send before the next fault batch,
       // and rounds never span a batch instant.
-      if (has_faults_ && down_.test(e)) continue;
+      if (core_.has_faults && core_.down.test(e)) continue;
       const TimeMs candidate = base + next_rate_[e] * min_size_kb_;
       if (candidate < bound) bound = candidate;
     }
@@ -348,7 +275,7 @@ void ParallelSimulator::compute_shard_bound(Shard& shard) {
     return true;
   });
   if (chain != kNoDeadline) {
-    chain += options_.processing_delay;
+    chain += core_.options.processing_delay;
     for (std::size_t d = 0; d < shard_count; ++d) {
       if (d == shard.index) continue;
       const double cut_rate =
@@ -466,14 +393,15 @@ void ParallelSimulator::merge_and_route() {
              i < cut_out_offset_[b + 1]; ++i) {
           const EdgeId e = cut_out_edges_[i];
           if (death_time_[e] <= base) continue;
-          if (has_faults_ && down_.test(e)) continue;  // Held until a batch.
+          // Held until a batch.
+          if (core_.has_faults && core_.down.test(e)) continue;
           deposit_bound_ = std::min(
               deposit_bound_, base + next_rate_[e] * min_size_kb_);
         }
         const double internal_rate = lazy_min_rate(broker_rate_heap_[b]);
         if (internal_rate != kNoDeadline) {
-          const TimeMs chain =
-              base + internal_rate * min_size_kb_ + options_.processing_delay;
+          const TimeMs chain = base + internal_rate * min_size_kb_ +
+                               core_.options.processing_delay;
           for (std::size_t d = 0; d < shard_count; ++d) {
             if (d == to) continue;
             const double cut_rate =
@@ -519,156 +447,178 @@ void ParallelSimulator::replay(const Shard& shard, const LoggedOp& op) {
   }
 }
 
-void ParallelSimulator::coordinator_drain_slot(BrokerId broker_id,
-                                               Broker::QueueSlot slot) {
-  OutputQueue& out = brokers_[broker_id].queue_at(slot);
-  if (trace_ != nullptr) {
-    for (const QueuedMessage& queued : out.messages()) {
-      trace_->record(TraceEvent{now_, TraceEventKind::kLoss,
-                                queued.message->id(), broker_id,
-                                out.neighbor(), -1, false});
+// ---------------------------------------------------------------------------
+// Effects of the shared step
+// ---------------------------------------------------------------------------
+
+/// A shard worker's step: collector and trace effects are logged for the
+/// barrier replay, children get shard-banded ids and unresolved sequence
+/// numbers, and a send's arrival is deposited at send start when P > 1.
+struct ParallelSimulator::ShardEffects {
+  using Event = LaneEvent;
+  ParallelSimulator* sim;
+  Shard* shard;
+  bool traced;
+
+  ShardEffects(ParallelSimulator* s, Shard* owner)
+      : sim(s), shard(owner), traced(s->trace_ != nullptr) {}
+
+  void log(LoggedOp::Kind kind, std::size_t n = 0, double a = 0.0,
+           double b = 0.0, double c = 0.0, std::size_t n2 = 0) {
+    LoggedOp op;
+    op.kind = kind;
+    op.a = a;
+    op.b = b;
+    op.c = c;
+    op.n = n;
+    op.n2 = n2;
+    shard->ops.push_back(op);
+  }
+  bool tracing() const { return traced; }
+  void trace(const TraceEvent& event) {
+    log(LoggedOp::Kind::kTrace, shard->traces.size());
+    shard->traces.push_back(event);
+  }
+  void publish(std::size_t interested, double potential) {
+    log(LoggedOp::Kind::kPublish, interested, potential);
+  }
+  void reception() { log(LoggedOp::Kind::kReception); }
+  void delivery(TimeMs delay, TimeMs deadline, double price) {
+    log(LoggedOp::Kind::kDelivery, 0, delay, deadline, price);
+  }
+  void purge(const PurgeStats& stats) {
+    if (stats.expired == 0 && stats.hopeless == 0) return;
+    log(LoggedOp::Kind::kPurge, stats.expired, 0.0, 0.0, 0.0,
+        stats.hopeless);
+  }
+  void loss(std::size_t copies) { log(LoggedOp::Kind::kLoss, copies); }
+  void input_depth(std::size_t depth) {
+    log(LoggedOp::Kind::kInputDepth, depth);
+  }
+  void fault_batch(std::size_t) {
+    throw std::logic_error("ParallelSimulator: fault batch in a shard lane");
+  }
+
+  std::pair<std::size_t, double> interest(const Event& publish) {
+    return {publish.interested, publish.potential};
+  }
+  void push(Event child) {
+    child.id = mint_id();
+    child.seq = kUnresolvedSeq;
+    shard->children.push_back(child.id);
+    shard->lane.push(std::move(child));
+  }
+  double draw_rate(EdgeId edge) { return sim->take_rate(edge); }
+  void send(Event complete, EdgeId edge, TimeMs start) {
+    sim->ship(*this, std::move(complete), edge, start);
+  }
+  std::uint64_t mint_id() { return shard->id_band | ++shard->next_id; }
+  void deposit(Event arrival, EdgeId edge) {
+    if (sim->is_cut_.test(edge)) {
+      sim->mailbox(shard->index, sim->plan_.shard_of(arrival.broker))
+          .push(std::move(arrival));
+    } else {
+      shard->lane.push(std::move(arrival));
     }
   }
-  const std::size_t dropped = out.clear();
-  if (dropped > 0) collector_.on_loss(dropped);
+  bool claim_deposit(Event& complete) {
+    if (sim->plan_.shard_count() == 1) return false;
+    // The arrival was deposited at send start (mailbox or own lane); claim
+    // its sequence slot here, where the sequential engine pushes it.
+    assert(complete.deposited_child != 0);
+    shard->children.push_back(complete.deposited_child);
+    return true;
+  }
+  EdgeFlags& dead(BrokerId) { return shard->dead; }
+  bool owns(BrokerId broker) const {
+    return sim->plan_.shard_of(broker) == shard->index;
+  }
+  StepScratch& scratch() { return shard->scratch; }
+};
+
+/// The coordinator's step at a barrier (fault batches and their recovery
+/// kicks; no other rule runs there): every earlier event has merged, so
+/// collector and trace effects apply directly, children take their
+/// sequence numbers inline with ids from band 0, and deposits go straight
+/// into the destination lane (the mailboxes are idle).
+struct ParallelSimulator::BarrierEffects : DirectRecord {
+  using Event = LaneEvent;
+  ParallelSimulator* sim;
+
+  explicit BarrierEffects(ParallelSimulator* s)
+      : DirectRecord{&s->collector_, s->trace_}, sim(s) {}
+
+  void push(Event child) {
+    child.seq = sim->next_seq_++;
+    child.id = mint_id();
+    sim->shards_[sim->plan_.shard_of(child.broker)].lane.push(
+        std::move(child));
+  }
+  double draw_rate(EdgeId edge) { return sim->take_rate(edge); }
+  void send(Event complete, EdgeId edge, TimeMs start) {
+    sim->ship(*this, std::move(complete), edge, start);
+  }
+  std::uint64_t mint_id() { return sim->next_initial_id_++; }
+  void deposit(Event arrival, EdgeId) {
+    sim->shards_[sim->plan_.shard_of(arrival.broker)].lane.push(
+        std::move(arrival));
+  }
+  EdgeFlags& dead(BrokerId broker) {
+    return sim->shards_[sim->plan_.shard_of(broker)].dead;
+  }
+  StepScratch& scratch() { return sim->barrier_scratch_; }
+};
+
+double ParallelSimulator::take_rate(EdgeId edge) {
+  if (plan_.shard_count() == 1) return core_.draw_rate(edge);
+  // Consume the pre-drawn rate and replenish it (stream position k for
+  // send k, exactly like the sequential engine's lazy draw); the fresh
+  // rate feeds the lazy lookahead heaps.
+  const double rate = next_rate_[edge];
+  next_rate_[edge] = core_.draw_rate(edge);
+  push_rate(edge, next_rate_[edge]);
+  return rate;
 }
 
-void ParallelSimulator::coordinator_start_sends(BrokerId broker_id,
-                                                Broker::QueueSlot slot) {
-  // The recovery kick's single-slot start_sends, run at a barrier: side
-  // effects are applied directly (the kick sits at the global-order point —
-  // everything earlier has merged), the completion event takes its sequence
-  // number inline, and its id comes from the coordinator's band 0.
-  Shard& owner = shards_[plan_.shard_of(broker_id)];
-  const EdgeId true_edge = true_edge_by_slot_[broker_id][slot];
-  if (!owner.dead.none() && owner.dead.test(true_edge)) {
-    coordinator_drain_slot(broker_id, slot);
+template <class Fx>
+void ParallelSimulator::ship(Fx& fx, LaneEvent complete, EdgeId edge,
+                             TimeMs start) {
+  if (plan_.shard_count() > 1 && complete.time < death_time_[edge] &&
+      !core_.lost_in_flight(edge, start, complete.time)) {
+    // The arrival instant is already known: deposit the arrival at send
+    // start — into the destination shard's mailbox for cut edges, into
+    // this very lane for internal ones.  Either way the destination
+    // broker's future arrival becomes a *visible pending event*, which is
+    // what lets the safe horizon reason per broker instead of charging
+    // whole-shard worst cases; its sequence number is claimed later by the
+    // completion's record (deposited_child), exactly where the sequential
+    // engine pushes the arrival.
+    LaneEvent arrival = make_event<LaneEvent>(
+        complete.time, EventType::kArrival, complete.neighbor,
+        complete.message);
+    arrival.id = fx.mint_id();
+    complete.deposited_child = arrival.id;
+    // Push order matters at the shared completion instant: the completion
+    // must take the smaller lane key so it pops (and assigns the arrival's
+    // sequence) first.
+    fx.push(std::move(complete));
+    fx.deposit(std::move(arrival), edge);
     return;
   }
-  if (down_.test(true_edge)) return;  // Still held by another outage.
-  Broker& broker = brokers_[broker_id];
-  coord_slots_.assign(1, slot);
-  broker.take_next(coord_slots_, now_, options_.purge, coord_dispatch_,
-                   nullptr, trace_ != nullptr);
-  for (Broker::Dispatch& dispatch : coord_dispatch_) {
-    collector_.on_purge(dispatch.purge);
-    if (trace_ != nullptr) {
-      for (const MessageId id : dispatch.purged_ids) {
-        trace_->record(TraceEvent{now_, TraceEventKind::kPurge, id, broker_id,
-                                  dispatch.neighbor, -1, false});
-      }
-    }
-    if (!dispatch.chosen.has_value()) continue;  // Purge emptied the queue.
-    if (trace_ != nullptr) {
-      trace_->record(TraceEvent{now_, TraceEventKind::kSendStart,
-                                dispatch.chosen->message->id(), broker_id,
-                                dispatch.neighbor, -1, false});
-    }
-    const LinkModel& link = topology_->graph.edge(true_edge).link;
-    double rate;
-    if (plan_.shard_count() > 1) {
-      rate = next_rate_[true_edge];
-      next_rate_[true_edge] = link.sample_rate(link_rngs_[true_edge].rng);
-      push_rate(true_edge, next_rate_[true_edge]);
-    } else {
-      rate = link.sample_rate(link_rngs_[true_edge].rng);
-    }
-    const TimeMs duration = dispatch.chosen->message->size_kb() * rate;
-
-    broker.queue_at(slot).set_link_busy(true);
-    if (options_.online_estimation) send_started_[true_edge] = now_;
-    send_begin_[true_edge] = now_;
-    LaneEvent complete;
-    complete.time = now_ + duration;
-    complete.type = EventType::kSendComplete;
-    complete.broker = broker_id;
-    complete.neighbor = dispatch.neighbor;
-    complete.seq = next_seq_++;
-    complete.id = next_initial_id_++;
-    complete.message = std::move(dispatch.chosen->message);
-    if (plan_.shard_count() > 1 && complete.time < death_time_[true_edge] &&
-        !options_.faults->edge_cut_between(true_edge, now_, complete.time)) {
-      // Deposit at send start, straight into the destination lane (the
-      // mailboxes are idle at a barrier).  Completion first: at the shared
-      // instant it must take the smaller lane key so it pops — and assigns
-      // the arrival's sequence via deposited_child — first.
-      LaneEvent arrival;
-      arrival.time = complete.time;
-      arrival.type = EventType::kArrival;
-      arrival.broker = dispatch.neighbor;
-      arrival.message = complete.message;
-      arrival.id = next_initial_id_++;
-      complete.deposited_child = arrival.id;
-      owner.lane.push(std::move(complete));
-      shards_[plan_.shard_of(dispatch.neighbor)].lane.push(
-          std::move(arrival));
-      continue;
-    }
-    owner.lane.push(std::move(complete));
-  }
+  fx.push(std::move(complete));
 }
 
-void ParallelSimulator::apply_fault_batch() {
-  // Coordinator-side mirror of Simulator::handle_fault — identical
-  // canonical order; see the NOTE there.  At this point every event before
-  // the batch instant has merged, so next_seq_ equals the sequential
-  // engine's push counter at its kFault pop and side effects apply
-  // directly.
-  const FaultBatch& batch = options_.faults->batches()[batch_cursor_++];
+bool ParallelSimulator::apply_due_batch() {
+  const TimeMs at = next_batch_time();
+  if (at == kNoDeadline || !batch_due(at)) return false;
+  // Every event before the batch instant has merged, so next_seq_ equals
+  // the sequential engine's push counter at its kFault pop and the
+  // coordinator's effects apply directly.
+  const FaultBatch& batch = core_.options.faults->batches()[batch_cursor_++];
   now_ = batch.at;
-  // 1. Broker crashes: input queue, in-progress message (doomed at its
-  //    kProcessed) and every output queue die with the process.
-  for (const BrokerId b : batch.brokers_down) {
-    broker_down_[b] = 1;
-    if (options_.serialize_processing) {
-      auto& pending = input_queues_[b];
-      if (trace_ != nullptr) {
-        for (const auto& message : pending) {
-          trace_->record(TraceEvent{now_, TraceEventKind::kLoss,
-                                    message->id(), b, kNoBroker, -1, false});
-        }
-      }
-      if (!pending.empty()) collector_.on_loss(pending.size());
-      pending.clear();
-      processing_busy_[b] = 0;
-    }
-    const auto queue_count =
-        static_cast<Broker::QueueSlot>(brokers_[b].queue_count());
-    for (Broker::QueueSlot slot = 0; slot < queue_count; ++slot) {
-      coordinator_drain_slot(b, slot);
-    }
-  }
-  // 2. Edge downs: hold semantics (copies wait for recovery).
-  for (const EdgeId e : batch.edges_down) down_.set(e);
-  // 3. Recoveries.
-  for (const BrokerId b : batch.brokers_up) broker_down_[b] = 0;
-  for (const EdgeId e : batch.edges_up) down_.reset(e);
-  // 3b. Incremental routing repair (see Simulator::handle_fault).
-  if (options_.repair_fabric != nullptr &&
-      (!batch.edges_down.empty() || !batch.edges_up.empty())) {
-    const Graph& believed = options_.repair_fabric->graph();
-    const auto translate = [&](const std::vector<EdgeId>& in) {
-      std::vector<EdgeId> out;
-      out.reserve(in.size());
-      for (const EdgeId e : in) {
-        const Edge& edge = topology_->graph.edge(e);
-        const EdgeId fe = believed.edge_id(edge.from, edge.to);
-        if (fe != kNoEdge) out.push_back(fe);
-      }
-      return out;
-    };
-    options_.repair_fabric->apply_link_state(translate(batch.edges_down),
-                                             translate(batch.edges_up));
-  }
-  // 4. Recovery kicks, in edge-id order.
-  for (const EdgeId e : batch.edges_up) {
-    const Edge& edge = topology_->graph.edge(e);
-    const Broker::QueueSlot slot = brokers_[edge.from].slot_of(edge.to);
-    if (slot == Broker::kNoSlot) continue;
-    const OutputQueue& out = brokers_[edge.from].queue_at(slot);
-    if (out.empty() || out.link_busy()) continue;
-    coordinator_start_sends(edge.from, slot);
-  }
+  BarrierEffects fx(this);
+  core_.apply_faults(fx, batch, now_);
+  return true;
 }
 
 void ParallelSimulator::run() {
@@ -680,14 +630,10 @@ void ParallelSimulator::run() {
     // replays through the same machinery.
     stats_.shard_cpu_ms.assign(1, 0.0);
     for (;;) {
-      const TimeMs batch_at = next_batch_time();
-      if (batch_at != kNoDeadline && batch_due(batch_at)) {
-        apply_fault_batch();
-        continue;
-      }
+      if (apply_due_batch()) continue;
       if (!any_runnable()) break;
       const double lane_start = thread_cpu_ms();
-      process_shard(0, batch_at);
+      process_shard(0, next_batch_time());
       const double lane_ms = thread_cpu_ms() - lane_start;
       stats_.rounds += 1;
       stats_.critical_path_ms += lane_ms;
@@ -736,9 +682,7 @@ void ParallelSimulator::run() {
     stats_.horizon_ms += thread_cpu_ms() - horizon_start;
   }
   for (;;) {
-    const TimeMs batch_at = next_batch_time();
-    if (batch_at != kNoDeadline && batch_due(batch_at)) {
-      apply_fault_batch();
+    if (apply_due_batch()) {
       // The batch changed queue and lane state (drains, recovery kicks);
       // refresh every shard's bound before the next fold.  Serial, but
       // batches are rare relative to rounds.
@@ -749,7 +693,7 @@ void ParallelSimulator::run() {
     }
     if (!any_runnable()) break;
     const double horizon_start = thread_cpu_ms();
-    fold_horizon(batch_at);
+    fold_horizon(next_batch_time());
     stats_.horizon_ms += thread_cpu_ms() - horizon_start;
     round_start_->arrive_and_wait();
     const double lane_start = thread_cpu_ms();
@@ -795,39 +739,13 @@ void ParallelSimulator::run() {
 // Worker side (shard-local)
 // ---------------------------------------------------------------------------
 
-std::uint64_t ParallelSimulator::mint_id(Shard& shard) {
-  return shard.id_band | ++shard.next_id;
-}
-
-std::uint64_t ParallelSimulator::push_local_child(Shard& shard,
-                                                  LaneEvent event) {
-  event.id = mint_id(shard);
-  event.seq = kUnresolvedSeq;
-  const std::uint64_t id = event.id;
-  shard.children.push_back(id);
-  shard.lane.push(std::move(event));
-  return id;
-}
-
-void ParallelSimulator::log_trace(Shard& shard, TimeMs now,
-                                  TraceEventKind kind, MessageId message,
-                                  BrokerId broker, BrokerId neighbor,
-                                  SubscriberId subscriber, bool valid) {
-  if (trace_ == nullptr) return;
-  LoggedOp op;
-  op.kind = LoggedOp::Kind::kTrace;
-  op.n = shard.traces.size();
-  shard.traces.push_back(
-      TraceEvent{now, kind, message, broker, neighbor, subscriber, valid});
-  shard.ops.push_back(op);
-}
-
 void ParallelSimulator::process_shard(std::size_t shard_index,
                                       TimeMs horizon) {
   Shard& shard = shards_[shard_index];
   LaneQueue& lane = shard.lane;
+  ShardEffects fx(this, &shard);
   while (!lane.empty() && lane.top().time < horizon &&
-         lane.top().time <= options_.horizon) {
+         lane.top().time <= core_.options.horizon) {
     LaneEvent event = lane.pop();
     Record record;
     record.time = event.time;
@@ -837,370 +755,16 @@ void ParallelSimulator::process_shard(std::size_t shard_index,
     record.ops_begin = static_cast<std::uint32_t>(shard.ops.size());
     record.children_begin =
         static_cast<std::uint32_t>(shard.children.size());
-    switch (event.type) {
-      case EventType::kPublish:
-        handle_publish(shard, event);
-        break;
-      case EventType::kArrival:
-        handle_arrival(shard, event);
-        break;
-      case EventType::kProcessed:
-        handle_processed(shard, event);
-        break;
-      case EventType::kSendComplete:
-        handle_send_complete(shard, event);
-        break;
-      case EventType::kLinkFailure:
-        handle_link_failure(shard, event);
-        break;
-      case EventType::kFault:
-        // Fault batches are applied by the coordinator (apply_fault_batch)
-        // between windows; one in a shard lane is a broken invariant.
-        throw std::logic_error(
-            "ParallelSimulator: fault event reached a shard lane");
+    if (event.type == EventType::kFault) {
+      // Fault batches are applied by the coordinator (apply_due_batch)
+      // between windows; one in a shard lane is a broken invariant.
+      throw std::logic_error(
+          "ParallelSimulator: fault event reached a shard lane");
     }
+    core_.step(fx, event);
     record.ops_end = static_cast<std::uint32_t>(shard.ops.size());
     record.children_end = static_cast<std::uint32_t>(shard.children.size());
     shard.records.push_back(record);
-  }
-}
-
-void ParallelSimulator::handle_publish(Shard& shard, LaneEvent& event) {
-  LoggedOp op;
-  op.kind = LoggedOp::Kind::kPublish;
-  op.n = event.interested;
-  op.a = event.potential;
-  shard.ops.push_back(op);
-  log_trace(shard, event.time, TraceEventKind::kPublish, event.message->id(),
-            event.broker);
-
-  LaneEvent arrival;
-  arrival.time = event.time;
-  arrival.type = EventType::kArrival;
-  arrival.broker = event.broker;
-  arrival.message = std::move(event.message);
-  push_local_child(shard, std::move(arrival));
-}
-
-void ParallelSimulator::handle_arrival(Shard& shard, LaneEvent& event) {
-  LoggedOp op;
-  op.kind = LoggedOp::Kind::kReception;
-  shard.ops.push_back(op);
-  log_trace(shard, event.time, TraceEventKind::kArrival, event.message->id(),
-            event.broker);
-  if (has_faults_ && broker_down_[event.broker] != 0) {
-    // The copy reached a crashed broker: nothing is listening.
-    LoggedOp loss;
-    loss.kind = LoggedOp::Kind::kLoss;
-    loss.n = 1;
-    shard.ops.push_back(loss);
-    log_trace(shard, event.time, TraceEventKind::kLoss, event.message->id(),
-              event.broker);
-    return;
-  }
-  if (options_.dedup_arrivals &&
-      !seen_[event.broker].insert(event.message->id())) {
-    return;  // Duplicate copy over a redundant path; count it, drop it.
-  }
-  if (options_.serialize_processing) {
-    if (processing_busy_[event.broker] != 0) {
-      auto& pending = input_queues_[event.broker];
-      pending.push_back(std::move(event.message));
-      LoggedOp depth;
-      depth.kind = LoggedOp::Kind::kInputDepth;
-      depth.n = pending.size();
-      shard.ops.push_back(depth);
-      return;
-    }
-    processing_busy_[event.broker] = 1;
-  }
-  LaneEvent processed;
-  processed.time = event.time + options_.processing_delay;
-  processed.type = EventType::kProcessed;
-  processed.broker = event.broker;
-  processed.message = std::move(event.message);
-  push_local_child(shard, std::move(processed));
-}
-
-void ParallelSimulator::handle_processed(Shard& shard, LaneEvent& event) {
-  if (has_faults_ &&
-      options_.faults->broker_cut_between(
-          event.broker, event.time - options_.processing_delay, event.time)) {
-    // The broker crashed while this message was in its processing stage —
-    // the in-progress work is gone even if the broker already restarted.
-    LoggedOp loss;
-    loss.kind = LoggedOp::Kind::kLoss;
-    loss.n = 1;
-    shard.ops.push_back(loss);
-    log_trace(shard, event.time, TraceEventKind::kLoss, event.message->id(),
-              event.broker);
-    return;
-  }
-  Broker& broker = brokers_[event.broker];
-  log_trace(shard, event.time, TraceEventKind::kProcessed,
-            event.message->id(), event.broker);
-  const Broker::FanOut fanout = broker.process(event.message, event.time);
-
-  for (const SubscriptionEntry* entry : fanout.local) {
-    const TimeMs delay = event.message->elapsed(event.time);
-    const TimeMs deadline = entry->effective_deadline(*event.message);
-    LoggedOp op;
-    op.kind = LoggedOp::Kind::kDelivery;
-    op.a = delay;
-    op.b = deadline;
-    op.c = entry->subscription->price;
-    shard.ops.push_back(op);
-    log_trace(shard, event.time, TraceEventKind::kDeliver,
-              event.message->id(), event.broker, kNoBroker,
-              entry->subscription->subscriber, delay <= deadline);
-  }
-  if (trace_ != nullptr) {
-    for (const Broker::QueueSlot slot : fanout.enqueued) {
-      log_trace(shard, event.time, TraceEventKind::kEnqueue,
-                event.message->id(), event.broker,
-                broker.queue_at(slot).neighbor());
-    }
-  }
-  start_sends(shard, event.broker, fanout.sendable, event.time);
-
-  if (options_.serialize_processing) {
-    auto& pending = input_queues_[event.broker];
-    if (pending.empty()) {
-      processing_busy_[event.broker] = 0;
-    } else {
-      LaneEvent next;
-      next.time = event.time + options_.processing_delay;
-      next.type = EventType::kProcessed;
-      next.broker = event.broker;
-      next.message = std::move(pending.front());
-      pending.pop_front();
-      push_local_child(shard, std::move(next));
-    }
-  }
-}
-
-void ParallelSimulator::start_sends(Shard& shard, BrokerId broker_id,
-                                    std::span<const Broker::QueueSlot> slots,
-                                    TimeMs now) {
-  const std::vector<EdgeId>& true_edges = true_edge_by_slot_[broker_id];
-  shard.live_slots.clear();
-  if (shard.dead.none() && (!has_faults_ || down_.none())) {
-    shard.live_slots.assign(slots.begin(), slots.end());
-  } else {
-    for (const Broker::QueueSlot slot : slots) {
-      const EdgeId true_edge = true_edges[slot];
-      if (!shard.dead.none() && shard.dead.test(true_edge)) {
-        drain_dead_slot(shard, broker_id, slot, now);
-      } else if (has_faults_ && down_.test(true_edge)) {
-        // Fault-timeline outage: hold the copies; the recovery batch (or a
-        // post-flap completion) kicks this queue again.
-      } else {
-        shard.live_slots.push_back(slot);
-      }
-    }
-  }
-  if (shard.live_slots.empty()) return;
-  Broker& broker = brokers_[broker_id];
-
-  // The dispatch pool is the sequential engine's intra-run parallelism; the
-  // sharded engine brings its own and keeps per-queue work on this thread.
-  broker.take_next(shard.live_slots, now, options_.purge, shard.dispatch,
-                   nullptr, trace_ != nullptr);
-
-  for (Broker::Dispatch& dispatch : shard.dispatch) {
-    if (dispatch.purge.expired != 0 || dispatch.purge.hopeless != 0) {
-      LoggedOp op;
-      op.kind = LoggedOp::Kind::kPurge;
-      op.n = dispatch.purge.expired;
-      op.n2 = dispatch.purge.hopeless;
-      shard.ops.push_back(op);
-    }
-    for (const MessageId id : dispatch.purged_ids) {
-      log_trace(shard, now, TraceEventKind::kPurge, id, broker_id,
-                dispatch.neighbor);
-    }
-    if (!dispatch.chosen.has_value()) continue;  // Purge emptied the queue.
-    log_trace(shard, now, TraceEventKind::kSendStart,
-              dispatch.chosen->message->id(), broker_id, dispatch.neighbor);
-
-    const EdgeId true_edge = true_edges[dispatch.slot];
-    const LinkModel& link = topology_->graph.edge(true_edge).link;
-    const bool cut = is_cut_.test(true_edge);
-    double rate;
-    if (plan_.shard_count() > 1) {
-      // Consume the pre-drawn rate and replenish it (stream position k for
-      // send k, exactly like the sequential engine's lazy draw); the fresh
-      // rate feeds the lazy lookahead heaps.
-      rate = next_rate_[true_edge];
-      next_rate_[true_edge] = link.sample_rate(link_rngs_[true_edge].rng);
-      push_rate(true_edge, next_rate_[true_edge]);
-    } else {
-      rate = link.sample_rate(link_rngs_[true_edge].rng);
-    }
-    // Same expression as LinkModel::sample_send_time — bit-identical
-    // durations to the sequential engine's lazy draw.
-    const TimeMs duration = dispatch.chosen->message->size_kb() * rate;
-
-    broker.queue_at(dispatch.slot).set_link_busy(true);
-    if (options_.online_estimation) {
-      send_started_[true_edge] = now;
-    }
-    if (has_faults_) {
-      send_begin_[true_edge] = now;
-    }
-    LaneEvent complete;
-    complete.time = now + duration;
-    complete.type = EventType::kSendComplete;
-    complete.broker = broker_id;
-    complete.neighbor = dispatch.neighbor;
-    complete.message = std::move(dispatch.chosen->message);
-    if (plan_.shard_count() > 1 && complete.time < death_time_[true_edge] &&
-        !(has_faults_ && options_.faults->edge_cut_between(
-                             true_edge, now, complete.time))) {
-      // The arrival instant is already known: deposit the arrival at send
-      // start — into the destination shard's mailbox for cut edges, into
-      // this very lane for internal ones.  Either way the destination
-      // broker's future arrival becomes a *visible pending event*, which
-      // is what lets the safe horizon reason per broker instead of
-      // charging whole-shard worst cases; its sequence number is claimed
-      // later by the completion's record (deposited_child), exactly where
-      // the sequential engine pushes the arrival.
-      LaneEvent arrival;
-      arrival.time = complete.time;
-      arrival.type = EventType::kArrival;
-      arrival.broker = dispatch.neighbor;
-      arrival.message = complete.message;
-      arrival.id = mint_id(shard);
-      complete.deposited_child = arrival.id;
-      // Push order matters at the shared completion instant: the
-      // completion must take the smaller lane key so it pops (and assigns
-      // the arrival's sequence) first.
-      push_local_child(shard, std::move(complete));
-      if (cut) {
-        mailbox(shard.index, plan_.shard_of(dispatch.neighbor))
-            .push(std::move(arrival));
-      } else {
-        shard.lane.push(std::move(arrival));
-      }
-      continue;
-    }
-    push_local_child(shard, std::move(complete));
-  }
-}
-
-void ParallelSimulator::handle_send_complete(Shard& shard, LaneEvent& event) {
-  Broker& broker = brokers_[event.broker];
-  const Broker::QueueSlot slot = broker.slot_of(event.neighbor);
-  OutputQueue& out = broker.queue_at(slot);
-  out.set_link_busy(false);
-
-  const EdgeId true_edge = true_edge_by_slot_[event.broker][slot];
-
-  if (!shard.dead.none() && shard.dead.test(true_edge)) {
-    // Cut mid-flight: the copy is lost (nothing was deposited — the death
-    // instant was known at send start), and the queue is unreachable.
-    LoggedOp op;
-    op.kind = LoggedOp::Kind::kLoss;
-    op.n = 1;
-    shard.ops.push_back(op);
-    log_trace(shard, event.time, TraceEventKind::kLoss, event.message->id(),
-              event.broker, event.neighbor);
-    drain_dead_slot(shard, event.broker, slot, event.time);
-    return;
-  }
-  if (has_faults_ && options_.faults->edge_cut_between(
-                         true_edge, send_begin_[true_edge], event.time)) {
-    // The link went down mid-transfer (possibly flapping back up before
-    // the completion): the copy is lost but the queue holds the rest.
-    // Nothing was deposited — the deposit guard consults the same static
-    // timeline at send start.
-    LoggedOp op;
-    op.kind = LoggedOp::Kind::kLoss;
-    op.n = 1;
-    shard.ops.push_back(op);
-    log_trace(shard, event.time, TraceEventKind::kLoss, event.message->id(),
-              event.broker, event.neighbor);
-    if (!down_.test(true_edge) && !out.empty()) {
-      const Broker::QueueSlot resend[1] = {slot};
-      start_sends(shard, event.broker, resend, event.time);
-    }
-    return;
-  }
-  log_trace(shard, event.time, TraceEventKind::kSendEnd, event.message->id(),
-            event.broker, event.neighbor);
-
-  if (options_.online_estimation) {
-    RateEstimator& estimator = estimators_[true_edge];
-    estimator_live_[true_edge] = 1;
-    estimator.observe(event.message->size_kb(),
-                      event.time - send_started_[true_edge]);
-    out.set_believed_link(
-        estimator.estimate(believed_->edge(out.edge()).link.params()));
-  }
-
-  if (plan_.shard_count() > 1) {
-    // The arrival was deposited at send start (mailbox or own lane); claim
-    // its sequence slot here, in the position the sequential engine pushes
-    // it.
-    assert(event.deposited_child != 0);
-    shard.children.push_back(event.deposited_child);
-  } else {
-    LaneEvent arrival;
-    arrival.time = event.time;
-    arrival.type = EventType::kArrival;
-    arrival.broker = event.neighbor;
-    arrival.message = std::move(event.message);
-    push_local_child(shard, std::move(arrival));
-  }
-
-  if (!out.empty()) {
-    const Broker::QueueSlot resend[1] = {slot};
-    start_sends(shard, event.broker, resend, event.time);
-  }
-}
-
-void ParallelSimulator::drain_dead_queue(Shard& shard, BrokerId broker_id,
-                                         BrokerId neighbor, TimeMs now) {
-  const Broker::QueueSlot slot = brokers_[broker_id].slot_of(neighbor);
-  if (slot == Broker::kNoSlot) return;
-  drain_dead_slot(shard, broker_id, slot, now);
-}
-
-void ParallelSimulator::drain_dead_slot(Shard& shard, BrokerId broker_id,
-                                        Broker::QueueSlot slot, TimeMs now) {
-  OutputQueue& out = brokers_[broker_id].queue_at(slot);
-  if (trace_ != nullptr) {
-    for (const QueuedMessage& queued : out.messages()) {
-      log_trace(shard, now, TraceEventKind::kLoss, queued.message->id(),
-                broker_id, out.neighbor());
-    }
-  }
-  const std::size_t dropped = out.clear();
-  if (dropped > 0) {
-    LoggedOp op;
-    op.kind = LoggedOp::Kind::kLoss;
-    op.n = dropped;
-    shard.ops.push_back(op);
-  }
-}
-
-void ParallelSimulator::handle_link_failure(Shard& shard,
-                                            const LaneEvent& event) {
-  // event.broker is always the *local* broker of this half (the a-side on
-  // shard(a), the b-side on shard(b)); a same-shard failure is one event
-  // handling both sides, like the sequential engine.
-  const BrokerId local = event.broker;
-  const BrokerId remote = event.neighbor;
-  // Both halves mark both directions in their private flag copy; a shard
-  // only ever *tests* edges its own brokers send on.
-  const EdgeId forward = topology_->graph.edge_id(local, remote);
-  if (forward != kNoEdge) shard.dead.set(forward);
-  const EdgeId backward = topology_->graph.edge_id(remote, local);
-  if (backward != kNoEdge) shard.dead.set(backward);
-
-  drain_dead_queue(shard, local, remote, event.time);
-  if (plan_.shard_of(local) == plan_.shard_of(remote)) {
-    drain_dead_queue(shard, remote, local, event.time);
   }
 }
 

@@ -1,5 +1,15 @@
 // Sharded parallel discrete-event engine, bitwise-identical to Simulator.
 //
+// The event semantics are not here: every publish, arrival, processing
+// step, send completion, link failure and fault batch is applied by the
+// same BrokerStep (sim/broker_step.h) Simulator runs.  This engine owns the
+// *ordering* only — lanes, mailboxes, the safe horizon, the barrier merge,
+// the split of a link failure into per-shard halves and EngineStats — and
+// hands the step two Effects policies: a shard worker's, which logs every
+// collector/trace effect and child id for the merge, and the coordinator's,
+// which applies them directly at a barrier (fault batches and their
+// recovery kicks).
+//
 // ParallelSimulator partitions the brokers into P shards (ShardPlan), gives
 // each shard its own event lane (LaneQueue) plus one SPSC mailbox per
 // destination shard, and advances all lanes in lock-step *conservative
@@ -28,9 +38,10 @@
 //            destination lanes (folding the deposits' own horizon
 //            contributions, since they land after the workers' bound pass).
 //
-// Bitwise identity with Simulator rests on three mechanisms:
+// Bitwise identity with Simulator rests on the shared step plus three
+// ordering mechanisms:
 //
-//   1.  Per-edge RNG streams (shared with Simulator since the same PR): the
+//   1.  Per-edge RNG streams (owned by the shared step): the
 //       k-th send on an edge consumes the k-th sample of that edge's
 //       stream, so draw *values* are independent of cross-edge
 //       interleaving.  The parallel engine pre-draws every edge's next
@@ -76,26 +87,20 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <vector>
 
-#include "broker/broker.h"
-#include "common/flat_set.h"
 #include "common/spsc_queue.h"
 #include "common/window_barrier.h"
+#include "sim/broker_step.h"
 #include "sim/collector.h"
 #include "sim/parallel/lane.h"
 #include "sim/parallel/seq_map.h"
 #include "sim/parallel/shard_plan.h"
-#include "sim/simulator.h"
-#include "stats/rate_estimator.h"
 #include "topology/edge_map.h"
 #include "trace/trace.h"
-
-#include <deque>
-#include <exception>
-#include <mutex>
-#include <span>
 
 namespace bdps {
 
@@ -120,7 +125,7 @@ class ParallelSimulator {
 
   TimeMs now() const { return now_; }
   const Collector& collector() const { return collector_; }
-  const Broker& broker(BrokerId id) const { return brokers_[id]; }
+  const Broker& broker(BrokerId id) const { return core_.brokers[id]; }
   const ShardPlan& plan() const { return plan_; }
 
   /// Per-run engine accounting, collected with per-thread CPU clocks so the
@@ -147,7 +152,9 @@ class ParallelSimulator {
 
   /// Online estimator for a true-graph directed link; nullptr when
   /// online_estimation is off or the link never carried a send.
-  const RateEstimator* estimator(EdgeId edge) const;
+  const RateEstimator* estimator(EdgeId edge) const {
+    return core_.estimator(edge);
+  }
 
  private:
   /// One order-sensitive side effect of a handled event, replayed by the
@@ -190,12 +197,6 @@ class ParallelSimulator {
     EdgeId edge = kNoEdge;
   };
 
-  /// Rng padded to its own cache line: per-edge streams of neighbouring
-  /// edge ids are written by different shards.
-  struct alignas(64) PaddedRng {
-    Rng rng{0};
-  };
-
   struct Shard {
     std::size_t index = 0;
     LaneQueue lane;
@@ -211,9 +212,7 @@ class ParallelSimulator {
     /// Shard-banded event-id allocation (band 0 is the coordinator's).
     std::uint64_t id_band = 0;
     std::uint64_t next_id = 0;
-    /// Dispatch scratch (mirrors Simulator's live_slots_/dispatch_).
-    std::vector<Broker::QueueSlot> live_slots;
-    std::vector<Broker::Dispatch> dispatch;
+    StepScratch scratch;
     /// Cumulative CPU spent in compute_shard_bound (diagnostic).
     double bound_cpu_ms = 0.0;
     /// This shard's contribution to the next round's safe horizon,
@@ -225,26 +224,21 @@ class ParallelSimulator {
     double round_cpu_ms = 0.0;
   };
 
+  /// Effects of a step run by a shard worker (logged for the merge) and
+  /// by the coordinator at a barrier (applied directly).
+  struct ShardEffects;
+  struct BarrierEffects;
+
   // ---- Worker-side (shard-local) machinery ----
   void process_shard(std::size_t shard_index, TimeMs horizon);
-  void handle_publish(Shard& shard, LaneEvent& event);
-  void handle_arrival(Shard& shard, LaneEvent& event);
-  void handle_processed(Shard& shard, LaneEvent& event);
-  void handle_send_complete(Shard& shard, LaneEvent& event);
-  void handle_link_failure(Shard& shard, const LaneEvent& event);
-  void start_sends(Shard& shard, BrokerId broker,
-                   std::span<const Broker::QueueSlot> slots, TimeMs now);
-  void drain_dead_queue(Shard& shard, BrokerId broker, BrokerId neighbor,
-                        TimeMs now);
-  void drain_dead_slot(Shard& shard, BrokerId broker, Broker::QueueSlot slot,
-                       TimeMs now);
-  std::uint64_t push_local_child(Shard& shard, LaneEvent event);
-  std::uint64_t mint_id(Shard& shard);
-
-  void log_trace(Shard& shard, TimeMs now, TraceEventKind kind,
-                 MessageId message, BrokerId broker,
-                 BrokerId neighbor = kNoBroker, SubscriberId subscriber = -1,
-                 bool valid = false);
+  /// The rate of `edge`'s next send: drawn now at P = 1, else the
+  /// pre-drawn one, replaced by the next sample of the stream.
+  double take_rate(EdgeId edge);
+  /// A send started: pushes its completion and, when the arrival instant
+  /// is final (P > 1, no failure or cut before it), deposits the arrival
+  /// at send start.
+  template <class Fx>
+  void ship(Fx& fx, LaneEvent complete, EdgeId edge, TimeMs start);
 
   // ---- Coordinator-side machinery ----
   void build_initial_lanes();
@@ -253,21 +247,15 @@ class ParallelSimulator {
   /// instant (kNoDeadline when no batch pends) — rounds never span a batch.
   void fold_horizon(TimeMs batch_at);
   /// Instant of the next unapplied fault batch; kNoDeadline when none is
-  /// left (or the next one lies beyond options_.horizon).
+  /// left (or the next one lies beyond the run horizon).
   TimeMs next_batch_time() const;
   /// True when no lane holds an event strictly before `at` — the batch's
   /// reserved sequence number precedes every ordinary event's, so at its
   /// own instant it is the global minimum.
   bool batch_due(TimeMs at) const;
-  /// Applies the next fault batch between rounds: the coordinator-side
-  /// mirror of Simulator::handle_fault (identical canonical order), with
-  /// collector/trace side effects applied directly — every earlier event
-  /// has already merged — and child sequence numbers assigned inline.
-  void apply_fault_batch();
-  /// Coordinator-side mirrors of drain_dead_slot / the recovery kick's
-  /// single-slot start_sends (direct side effects, band-0 event ids).
-  void coordinator_drain_slot(BrokerId broker, Broker::QueueSlot slot);
-  void coordinator_start_sends(BrokerId broker, Broker::QueueSlot slot);
+  /// Applies the next fault batch through the step when it is due (every
+  /// lane's events before its instant have merged); false otherwise.
+  bool apply_due_batch();
   /// Worker-side: this shard's minimum cut-edge bound over its pending
   /// brokers (direct terms) and intra-shard chains.
   void compute_shard_bound(Shard& shard);
@@ -283,30 +271,12 @@ class ParallelSimulator {
     return mailboxes_[from * plan_.shard_count() + to];
   }
 
-  const Topology* topology_;
-  const Graph* believed_;
-  const RoutingFabric* fabric_;
-  SimulatorOptions options_;
+  BrokerStep core_;
   ShardPlan plan_;
-
-  std::vector<Broker> brokers_;
   Collector collector_;
   TimeMs now_ = 0.0;
   TraceSink* trace_ = nullptr;
   EngineStats stats_;
-
-  /// Same per-edge stream derivation as Simulator (see simulator.h).
-  std::vector<PaddedRng> link_rngs_;
-  std::vector<std::vector<EdgeId>> true_edge_by_slot_;
-  EdgeMap<TimeMs> send_started_;
-  EdgeMap<RateEstimator> estimators_;
-  /// Byte- (not bit-) per-edge liveness: bit flags would race across shards.
-  EdgeMap<std::uint8_t> estimator_live_;
-  std::vector<FlatIdSet> seen_;
-  std::vector<std::deque<std::shared_ptr<const Message>>> input_queues_;
-  /// uint8, not vector<bool>: neighbouring brokers may live on different
-  /// shards and vector<bool> packs 64 brokers into one racing word.
-  std::vector<std::uint8_t> processing_busy_;
 
   /// Cut-edge membership (read-only after construction) and per-cut-edge
   /// lookahead state.
@@ -316,22 +286,12 @@ class ParallelSimulator {
   /// decides at send start whether a cut-edge arrival may be deposited.
   EdgeMap<TimeMs> death_time_;
 
-  /// Fault-timeline state (mirrors Simulator's; populated only when a
-  /// non-empty CompiledFaults plan is attached).  down_/broker_down_ are
-  /// mutated exclusively by the coordinator between rounds — fold_horizon
+  /// Next unapplied batch in the plan.  The step's fault state (down
+  /// edges, crashed brokers) is written only at barriers — fold_horizon
   /// caps every round at the next batch instant, so a round never observes
-  /// a transition — and read racelessly by workers mid-round; send_begin_
-  /// is written only by the owning edge's source-shard worker (or the
-  /// coordinator, at a barrier).
-  bool has_faults_ = false;
-  EdgeFlags down_;
-  std::vector<std::uint8_t> broker_down_;
-  EdgeMap<TimeMs> send_begin_;
-  /// Next unapplied batch in options_.faults->batches().
+  /// a transition — and read racelessly by workers mid-round.
   std::size_t batch_cursor_ = 0;
-  /// Coordinator dispatch scratch for recovery kicks.
-  std::vector<Broker::QueueSlot> coord_slots_;
-  std::vector<Broker::Dispatch> coord_dispatch_;
+  StepScratch barrier_scratch_;
   /// CSR of each broker's *cut* out-edges (with the destination shard
   /// pre-resolved) — the safe-horizon pass walks the cut edges of
   /// event-pending brokers only, so idle regions of the graph never narrow

@@ -1,76 +1,45 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace bdps {
 
+/// One global heap: children go straight onto it, each send's rate is
+/// drawn when it starts, and its arrival is pushed at completion.
+struct Simulator::Effects : DirectRecord {
+  using Event = bdps::Event;
+  Simulator* sim;
+
+  explicit Effects(Simulator* s)
+      : DirectRecord{&s->collector_, s->trace_}, sim(s) {}
+
+  std::pair<std::size_t, double> interest(const Event& publish) {
+    return sim->core_.interest(*publish.message);
+  }
+  void push(Event child) { sim->events_.push(std::move(child)); }
+  double draw_rate(EdgeId edge) { return sim->core_.draw_rate(edge); }
+  void send(Event completion, EdgeId, TimeMs) {
+    sim->events_.push(std::move(completion));
+  }
+  bool claim_deposit(Event&) { return false; }
+  EdgeFlags& dead(BrokerId) { return sim->dead_; }
+  bool owns(BrokerId) const { return true; }
+  StepScratch& scratch() { return sim->scratch_; }
+};
+
 Simulator::Simulator(const Topology* topology, const Graph* believed,
                      const RoutingFabric* fabric, const Strategy* strategy,
                      SimulatorOptions options, Rng link_rng)
-    : topology_(topology),
-      believed_(believed),
-      fabric_(fabric),
-      options_(options) {
-  const std::size_t broker_count = topology->graph.broker_count();
-  // One independent stream per true directed edge (see the header); the
-  // derivation order is the edge-id order, so the mapping is a pure
-  // function of the seed and the topology.
-  link_rngs_.reserve(topology->graph.edge_count());
-  for (std::size_t e = 0; e < topology->graph.edge_count(); ++e) {
-    link_rngs_.push_back(link_rng.split());
-  }
-  brokers_.reserve(broker_count);
-  for (std::size_t b = 0; b < broker_count; ++b) {
-    brokers_.emplace_back(static_cast<BrokerId>(b), fabric, believed,
-                          strategy, options_.processing_delay,
-                          /*queues_for_all_links=*/options_.repair_fabric !=
-                              nullptr);
-  }
-  // Resolve each queue slot to its true directed link once; every per-link
-  // access afterwards is a flat indexed load.
-  const std::size_t edge_count = topology->graph.edge_count();
-  true_edge_by_slot_.resize(broker_count);
-  for (std::size_t b = 0; b < broker_count; ++b) {
-    const Broker& broker = brokers_[b];
-    auto& edges = true_edge_by_slot_[b];
-    edges.reserve(broker.queue_count());
-    for (const OutputQueue& queue : broker.queues()) {
-      const EdgeId true_edge = topology->graph.edge_id(
-          static_cast<BrokerId>(b), queue.neighbor());
-      if (true_edge == kNoEdge) {
-        throw std::logic_error(
-            "believed link has no counterpart in the true topology");
-      }
-      edges.push_back(true_edge);
-    }
-  }
-  dead_.assign(edge_count);
-  if (options_.online_estimation) {
-    send_started_.assign(edge_count, 0.0);
-    estimators_.assign(edge_count,
-                       RateEstimator(options_.estimator_min_samples));
-    estimator_live_.assign(edge_count);
-  }
-  if (options_.dedup_arrivals) {
-    seen_.resize(broker_count);
-  }
-  if (options_.serialize_processing) {
-    input_queues_.resize(broker_count);
-    processing_busy_.assign(broker_count, false);
-  }
+    : core_(topology, believed, fabric, strategy, std::move(options),
+            link_rng) {
+  dead_.assign(topology->graph.edge_count());
   // Fault batches are pushed before anything else so they take the lowest
   // sequence numbers: at an equal instant a batch fires ahead of arrivals
   // and completions pushed at construction.  An absent/empty plan pushes
   // nothing, leaving the no-fault event numbering (and the golden matrix)
   // untouched.
-  if (options_.faults != nullptr && !options_.faults->empty()) {
-    has_faults_ = true;
-    down_.assign(edge_count);
-    broker_down_.assign(broker_count, 0);
-    send_begin_.assign(edge_count, 0.0);
-    const auto& batches = options_.faults->batches();
+  if (core_.has_faults) {
+    const auto& batches = core_.options.faults->batches();
     for (std::size_t i = 0; i < batches.size(); ++i) {
       Event event;
       event.time = batches[i].at;
@@ -79,12 +48,7 @@ Simulator::Simulator(const Topology* topology, const Graph* believed,
       events_.push(std::move(event));
     }
   }
-  for (const LinkFailure& failure : options_.failures) {
-    const auto n = static_cast<BrokerId>(broker_count);
-    if (failure.a < 0 || failure.a >= n || failure.b < 0 || failure.b >= n) {
-      throw std::invalid_argument(
-          "link failure references a broker outside the topology");
-    }
+  for (const LinkFailure& failure : core_.options.failures) {
     Event event;
     event.time = failure.at;
     event.type = EventType::kLinkFailure;
@@ -98,381 +62,23 @@ void Simulator::schedule_publish(std::shared_ptr<const Message> message) {
   Event event;
   event.time = message->publish_time();
   event.type = EventType::kPublish;
-  event.broker =
-      topology_->publisher_edges.at(static_cast<std::size_t>(message->publisher()));
+  event.broker = core_.topology->publisher_edges.at(
+      static_cast<std::size_t>(message->publisher()));
   event.message = std::move(message);
   events_.push(std::move(event));
 }
 
 void Simulator::run() {
+  Effects fx(this);
   while (!events_.empty()) {
-    if (events_.top().time > options_.horizon) break;
-    // The pop moves the event (and its message ref) out of the heap;
-    // handlers move the payload onward, so routing a message through an
-    // event costs no shared_ptr refcount churn.
+    if (events_.top().time > core_.options.horizon) break;
+    // The pop moves the event (and its message ref) out of the heap; the
+    // step moves the payload onward, so routing a message through an event
+    // costs no shared_ptr refcount churn.
     Event event = events_.pop();
     now_ = event.time;
-    switch (event.type) {
-      case EventType::kPublish:
-        handle_publish(event);
-        break;
-      case EventType::kArrival:
-        handle_arrival(event);
-        break;
-      case EventType::kProcessed:
-        handle_processed(event);
-        break;
-      case EventType::kSendComplete:
-        handle_send_complete(event);
-        break;
-      case EventType::kLinkFailure:
-        handle_link_failure(event);
-        break;
-      case EventType::kFault:
-        handle_fault(event);
-        break;
-    }
+    core_.step(fx, event);
   }
-}
-
-void Simulator::trace(TraceEventKind kind, const Message& message,
-                      BrokerId broker, BrokerId neighbor,
-                      SubscriberId subscriber, bool valid) {
-  if (trace_ == nullptr) return;
-  trace_->record(
-      TraceEvent{now_, kind, message.id(), broker, neighbor, subscriber,
-                 valid});
-}
-
-void Simulator::trace_id(TraceEventKind kind, MessageId message,
-                         BrokerId broker, BrokerId neighbor) {
-  if (trace_ == nullptr) return;
-  trace_->record(TraceEvent{now_, kind, message, broker, neighbor, -1, false});
-}
-
-void Simulator::drain_dead_queue(BrokerId broker_id, BrokerId neighbor) {
-  const Broker::QueueSlot slot = brokers_[broker_id].slot_of(neighbor);
-  if (slot == Broker::kNoSlot) return;
-  drain_dead_slot(broker_id, slot);
-}
-
-void Simulator::drain_dead_slot(BrokerId broker_id, Broker::QueueSlot slot) {
-  OutputQueue& out = brokers_[broker_id].queue_at(slot);
-  if (trace_ != nullptr) {
-    for (const QueuedMessage& queued : out.messages()) {
-      trace_id(TraceEventKind::kLoss, queued.message->id(), broker_id,
-               out.neighbor());
-    }
-  }
-  const std::size_t dropped = out.clear();
-  if (dropped > 0) collector_.on_loss(dropped);
-}
-
-void Simulator::handle_link_failure(const Event& event) {
-  // Broker ids were range-checked at construction; the pair may still name
-  // a non-adjacent pair, which kills nothing.
-  const BrokerId a = event.broker;
-  const BrokerId b = event.neighbor;
-  const EdgeId forward = topology_->graph.edge_id(a, b);
-  if (forward != kNoEdge) dead_.set(forward);
-  const EdgeId backward = topology_->graph.edge_id(b, a);
-  if (backward != kNoEdge) dead_.set(backward);
-  // Queued copies in both directions are dropped immediately; an in-flight
-  // send is handled (and lost) when its completion event fires.
-  drain_dead_queue(a, b);
-  drain_dead_queue(b, a);
-}
-
-void Simulator::handle_fault(const Event& event) {
-  // NOTE: the sharded engine replays this batch coordinator-side
-  // (ParallelSimulator::apply_fault_batch) with the identical canonical
-  // order; any change here must be mirrored there to keep runs bitwise.
-  const FaultBatch& batch =
-      options_.faults->batches()[static_cast<std::size_t>(event.broker)];
-  // 1. Broker crashes: the input queue, the in-progress message (doomed at
-  //    its kProcessed via the (f - PD, f] cut test) and every output queue
-  //    die with the process.  Incident edges go down via edges_down below
-  //    (compilation folded broker windows into them).
-  for (const BrokerId b : batch.brokers_down) {
-    broker_down_[b] = 1;
-    if (options_.serialize_processing) {
-      auto& pending = input_queues_[b];
-      if (trace_ != nullptr) {
-        for (const auto& message : pending) {
-          trace_id(TraceEventKind::kLoss, message->id(), b, kNoBroker);
-        }
-      }
-      if (!pending.empty()) collector_.on_loss(pending.size());
-      pending.clear();
-      processing_busy_[b] = false;
-    }
-    Broker& broker = brokers_[b];
-    const auto queue_count = static_cast<Broker::QueueSlot>(broker.queue_count());
-    for (Broker::QueueSlot slot = 0; slot < queue_count; ++slot) {
-      drain_dead_slot(b, slot);
-    }
-  }
-  // 2. Edge downs: hold semantics — queued copies wait for recovery (the
-  //    purge policy applies deadline pressure at the next pick); an
-  //    in-flight send is doomed by the (s, c] cut test at its completion.
-  for (const EdgeId e : batch.edges_down) down_.set(e);
-  // 3. Recoveries: brokers restart (empty queues), edges clear.
-  for (const BrokerId b : batch.brokers_up) broker_down_[b] = 0;
-  for (const EdgeId e : batch.edges_up) down_.reset(e);
-  // 3b. Incremental routing repair: re-point subscription rows around the
-  //     new link state.  Edge ids are translated into the fabric's believed
-  //     graph (identity unless the ids diverge); copies already queued keep
-  //     following their original rows.
-  if (options_.repair_fabric != nullptr &&
-      (!batch.edges_down.empty() || !batch.edges_up.empty())) {
-    const Graph& believed = options_.repair_fabric->graph();
-    const auto translate = [&](const std::vector<EdgeId>& in) {
-      std::vector<EdgeId> out;
-      out.reserve(in.size());
-      for (const EdgeId e : in) {
-        const Edge& edge = topology_->graph.edge(e);
-        const EdgeId fe = believed.edge_id(edge.from, edge.to);
-        if (fe != kNoEdge) out.push_back(fe);
-      }
-      return out;
-    };
-    options_.repair_fabric->apply_link_state(translate(batch.edges_down),
-                                             translate(batch.edges_up));
-  }
-  // 4. Each recovered edge whose queue held copies through the outage (and
-  //    whose link is idle) starts sending again, in edge-id order.
-  for (const EdgeId e : batch.edges_up) {
-    const Edge& edge = topology_->graph.edge(e);
-    Broker& broker = brokers_[edge.from];
-    const Broker::QueueSlot slot = broker.slot_of(edge.to);
-    if (slot == Broker::kNoSlot) continue;
-    const OutputQueue& out = broker.queue_at(slot);
-    if (out.empty() || out.link_busy()) continue;
-    const Broker::QueueSlot kick[1] = {slot};
-    start_sends(edge.from, kick);
-  }
-}
-
-void Simulator::handle_publish(Event& event) {
-  // ts_i of eq. (1): subscribers interested system-wide (and currently
-  // active), and the matching earning ceiling for eq. (2).
-  std::size_t interested = 0;
-  double potential = 0.0;
-  for (const std::size_t index : fabric_->match_all(*event.message)) {
-    const Subscription& sub = fabric_->subscription(index);
-    if (!sub.active_at(event.message->publish_time())) continue;
-    ++interested;
-    potential += sub.price;
-  }
-  collector_.on_publish(interested, potential);
-  trace(TraceEventKind::kPublish, *event.message, event.broker);
-
-  // Injection into the edge broker is itself a reception: arrival now.
-  Event arrival = std::move(event);
-  arrival.type = EventType::kArrival;
-  events_.push(std::move(arrival));
-}
-
-void Simulator::handle_arrival(Event& event) {
-  collector_.on_reception();
-  trace(TraceEventKind::kArrival, *event.message, event.broker);
-  if (has_faults_ && broker_down_[event.broker] != 0) {
-    // The copy reached a crashed broker: nothing is listening.
-    collector_.on_loss(1);
-    trace(TraceEventKind::kLoss, *event.message, event.broker);
-    return;
-  }
-  if (options_.dedup_arrivals &&
-      !seen_[event.broker].insert(event.message->id())) {
-    return;  // Duplicate copy over a redundant path; count it, drop it.
-  }
-  if (options_.serialize_processing) {
-    if (processing_busy_[event.broker]) {
-      // Fig. 2's input queue: wait for the processing unit.
-      input_queues_[event.broker].push_back(std::move(event.message));
-      collector_.on_input_queue_depth(input_queues_[event.broker].size());
-      return;
-    }
-    processing_busy_[event.broker] = true;
-  }
-  Event processed = std::move(event);
-  processed.type = EventType::kProcessed;
-  processed.time = now_ + options_.processing_delay;
-  events_.push(std::move(processed));
-}
-
-void Simulator::handle_processed(Event& event) {
-  if (has_faults_ &&
-      options_.faults->broker_cut_between(
-          event.broker, now_ - options_.processing_delay, now_)) {
-    // The broker crashed while this message was in its processing stage —
-    // the in-progress work is gone even if the broker already restarted.
-    // The crash also cleared the busy flag and the input queue, so the
-    // serialize chain (if any) restarts with the next arrival.
-    collector_.on_loss(1);
-    trace(TraceEventKind::kLoss, *event.message, event.broker);
-    return;
-  }
-  Broker& broker = brokers_[event.broker];
-  trace(TraceEventKind::kProcessed, *event.message, event.broker);
-  const Broker::FanOut fanout = broker.process(event.message, now_);
-
-  for (const SubscriptionEntry* entry : fanout.local) {
-    const TimeMs delay = event.message->elapsed(now_);
-    const TimeMs deadline = entry->effective_deadline(*event.message);
-    collector_.on_delivery(delay, deadline, entry->subscription->price);
-    trace(TraceEventKind::kDeliver, *event.message, event.broker, kNoBroker,
-          entry->subscription->subscriber, delay <= deadline);
-  }
-  if (trace_ != nullptr) {
-    for (const Broker::QueueSlot slot : fanout.enqueued) {
-      trace(TraceEventKind::kEnqueue, *event.message, event.broker,
-            broker.queue_at(slot).neighbor());
-    }
-  }
-  start_sends(event.broker, fanout.sendable);
-
-  if (options_.serialize_processing) {
-    auto& pending = input_queues_[event.broker];
-    if (pending.empty()) {
-      processing_busy_[event.broker] = false;
-    } else {
-      Event next;
-      next.time = now_ + options_.processing_delay;
-      next.type = EventType::kProcessed;
-      next.broker = event.broker;
-      next.message = std::move(pending.front());
-      pending.pop_front();
-      events_.push(std::move(next));
-    }
-  }
-}
-
-void Simulator::start_sends(BrokerId broker_id,
-                            std::span<const Broker::QueueSlot> slots) {
-  const std::vector<EdgeId>& true_edges = true_edge_by_slot_[broker_id];
-  live_slots_.clear();
-  if (dead_.none() && (!has_faults_ || down_.none())) {
-    live_slots_.assign(slots.begin(), slots.end());
-  } else {
-    for (const Broker::QueueSlot slot : slots) {
-      const EdgeId true_edge = true_edges[slot];
-      if (!dead_.none() && dead_.test(true_edge)) {
-        drain_dead_slot(broker_id, slot);
-      } else if (has_faults_ && down_.test(true_edge)) {
-        // Fault-timeline outage: hold the copies; the recovery batch (or a
-        // post-flap completion) kicks this queue again.
-      } else {
-        live_slots_.push_back(slot);
-      }
-    }
-  }
-  if (live_slots_.empty()) return;
-  Broker& broker = brokers_[broker_id];
-
-  // Phase 1 — per-queue purge + pick.  Queue states are independent, so
-  // Broker::take_next may fan this across the dispatch pool; the results
-  // come back in slot order either way.
-  broker.take_next(live_slots_, now_, options_.purge, dispatch_,
-                   options_.dispatch_pool, trace_ != nullptr);
-
-  // Phase 2 — serial accounting, RNG sampling and event pushes in slot
-  // order, keeping runs reproducible from the seed alone.
-  for (Broker::Dispatch& dispatch : dispatch_) {
-    collector_.on_purge(dispatch.purge);
-    for (const MessageId id : dispatch.purged_ids) {
-      trace_id(TraceEventKind::kPurge, id, broker_id, dispatch.neighbor);
-    }
-    if (!dispatch.chosen.has_value()) continue;  // Purge emptied the queue.
-    trace(TraceEventKind::kSendStart, *dispatch.chosen->message, broker_id,
-          dispatch.neighbor);
-
-    const EdgeId true_edge = true_edges[dispatch.slot];
-    const TimeMs duration =
-        topology_->graph.edge(true_edge).link.sample_send_time(
-            link_rngs_[true_edge], dispatch.chosen->message->size_kb());
-
-    broker.queue_at(dispatch.slot).set_link_busy(true);
-    if (options_.online_estimation) {
-      send_started_[true_edge] = now_;
-    }
-    if (has_faults_) {
-      send_begin_[true_edge] = now_;
-    }
-    Event complete;
-    complete.time = now_ + duration;
-    complete.type = EventType::kSendComplete;
-    complete.broker = broker_id;
-    complete.neighbor = dispatch.neighbor;
-    complete.message = std::move(dispatch.chosen->message);
-    events_.push(std::move(complete));
-  }
-}
-
-void Simulator::handle_send_complete(Event& event) {
-  Broker& broker = brokers_[event.broker];
-  const Broker::QueueSlot slot = broker.slot_of(event.neighbor);
-  OutputQueue& out = broker.queue_at(slot);
-  out.set_link_busy(false);
-
-  const EdgeId true_edge = true_edge_by_slot_[event.broker][slot];
-  if (!dead_.none() && dead_.test(true_edge)) {
-    // The transfer was cut mid-flight: the copy is lost, and anything that
-    // queued up since the failure is unreachable too.
-    collector_.on_loss(1);
-    trace(TraceEventKind::kLoss, *event.message, event.broker,
-          event.neighbor);
-    drain_dead_slot(event.broker, slot);
-    return;
-  }
-  if (has_faults_ && options_.faults->edge_cut_between(
-                         true_edge, send_begin_[true_edge], now_)) {
-    // The link went down mid-transfer (possibly flapping back up before
-    // the completion): the copy is lost, but the queue holds the rest.
-    collector_.on_loss(1);
-    trace(TraceEventKind::kLoss, *event.message, event.broker,
-          event.neighbor);
-    if (!down_.test(true_edge) && !out.empty()) {
-      const Broker::QueueSlot resend[1] = {slot};
-      start_sends(event.broker, resend);
-    }
-    return;
-  }
-  trace(TraceEventKind::kSendEnd, *event.message, event.broker,
-        event.neighbor);
-
-  if (options_.online_estimation) {
-    RateEstimator& estimator = estimators_[true_edge];
-    estimator_live_.set(true_edge);
-    estimator.observe(event.message->size_kb(),
-                      now_ - send_started_[true_edge]);
-    // The prior is the queue's construction-time belief, read straight off
-    // the believed graph (the queue's edge id names it).
-    out.set_believed_link(
-        estimator.estimate(believed_->edge(out.edge()).link.params()));
-  }
-
-  Event arrival;
-  arrival.time = now_;
-  arrival.type = EventType::kArrival;
-  arrival.broker = event.neighbor;
-  arrival.message = std::move(event.message);
-  events_.push(std::move(arrival));
-
-  if (!out.empty()) {
-    const Broker::QueueSlot resend[1] = {slot};
-    start_sends(event.broker, resend);
-  }
-}
-
-const RateEstimator* Simulator::estimator(EdgeId edge) const {
-  if (estimator_live_.none()) return nullptr;
-  if (edge < 0 ||
-      static_cast<std::size_t>(edge) >= topology_->graph.edge_count()) {
-    return nullptr;
-  }
-  if (!estimator_live_.test(edge)) return nullptr;
-  return &estimators_[edge];
 }
 
 }  // namespace bdps

@@ -1,96 +1,27 @@
 // Discrete-event simulator of the broker overlay (§6.1's evaluation rig).
 //
-// Wires Brokers, the RoutingFabric and a Scheduler over an EventQueue.
-// Time advances through four event types (publish, arrival, processed,
-// send-complete); sends occupy their link for `size * TR` where TR is
-// sampled per send from the *true* link model, while every scheduling
-// decision uses the brokers' *believed* parameters — the gap between the
-// two is the estimation ablation.
+// The event semantics — what a publish, arrival, processing step, send
+// completion, link failure or fault batch does to the overlay — live in
+// BrokerStep (sim/broker_step.h), shared with the sharded engine.  This
+// class only owns the ordering: one EventQueue popped in (time, sequence)
+// order, each event handed to the step with Effects that apply collector
+// and trace effects at once, push children onto the same heap and draw
+// each send's rate when it starts.
 //
-// Per-link state (in-flight send start, online estimator, dead-link bit)
-// lives in flat arrays indexed by the true graph's EdgeId; the broker's
-// queue slots are resolved to true edge ids once at construction, so the
-// hot loop's failure kills, dead-link checks and estimator updates are O(1)
-// indexed loads with no map in sight.
+// Time advances through the step's event types; sends occupy their link
+// for `size * TR` where TR is sampled per send from the *true* link model,
+// while every scheduling decision uses the brokers' *believed* parameters —
+// the gap between the two is the estimation ablation.
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include <deque>
-#include <utility>
-
-#include "broker/broker.h"
-#include "common/flat_set.h"
-#include "common/thread_pool.h"
+#include "sim/broker_step.h"
 #include "sim/collector.h"
 #include "sim/event_queue.h"
-#include "sim/faults/timeline.h"
-#include "stats/rate_estimator.h"
-#include "topology/edge_map.h"
 #include "trace/trace.h"
 
 namespace bdps {
-
-struct SimulatorOptions {
-  /// Per-broker processing delay PD (§3.2; paper default 2 ms).
-  TimeMs processing_delay = 2.0;
-  /// Invalid-message purge policy (§5.4).
-  PurgePolicy purge;
-  /// Hard stop; events beyond this instant are not processed.  Guards
-  /// against pathological configurations — normal runs drain naturally.
-  TimeMs horizon = kNoDeadline;
-  /// §3.2's measurement loop, made explicit: when true, every completed
-  /// send feeds a per-link RateEstimator (Welford over ms/KB) and the
-  /// queue's believed parameters — the basis of FT and of eq. (5) at *this*
-  /// hop via the context — track the estimate instead of staying at their
-  /// initial values.  Lets brokers recover from wrong initial beliefs.
-  bool online_estimation = false;
-  /// Samples before an estimate fully replaces the initial belief.
-  std::size_t estimator_min_samples = 8;
-  /// Drop duplicate arrivals of the same message at a broker (after
-  /// counting the reception).  Required under multi-path routing, where a
-  /// broker can legitimately receive a message over several links; harmless
-  /// (and a no-op) under single-path routing.
-  bool dedup_arrivals = false;
-  /// Failure injection: links to kill mid-run (both directions).  A send in
-  /// flight at the failure instant is lost; queued and future copies toward
-  /// a dead link are dropped and counted as losses.  Routing tables are
-  /// *not* recomputed — recovery, if any, comes from multi-path redundancy.
-  std::vector<LinkFailure> failures;
-  /// Compiled fault timeline (sim/faults/): link/broker down→up windows
-  /// applied as atomic batches at their instants.  Unlike `failures`, a
-  /// down link *holds* its queued copies until recovery (deadline pressure
-  /// applies at the next pick); a crashed broker drops its queues and loses
-  /// in-progress work, and restarts empty.  Shared by both engines so a
-  /// storm replays bitwise at any shard count.  nullptr/empty = no faults.
-  std::shared_ptr<const CompiledFaults> faults;
-  /// When set, fault batches additionally repair this fabric's routing
-  /// state incrementally (affected-subtree SPT recompute) as links go down
-  /// and come back — brokers then forward along the repaired trees instead
-  /// of holding copies toward dead links forever.  The fabric must be the
-  /// one the brokers route with, built with repair enabled, and outlive
-  /// the simulator.
-  RoutingFabric* repair_fabric = nullptr;
-  /// Serialize the processing stage: a broker processes one message at a
-  /// time (each takes PD), arrivals wait in the fig. 2 *input queue*.  The
-  /// paper ignores the input queue (footnote 2: processing outruns the
-  /// network); turning this on lets that claim be checked rather than
-  /// assumed — see SimResult::max_input_queue.
-  bool serialize_processing = false;
-  /// Optional worker pool for per-neighbour dispatch: at a link-free
-  /// instant a broker's output queues are independent, so high-degree
-  /// fan-outs (>= Broker::kParallelDispatchThreshold sendable neighbours)
-  /// purge + pick in parallel.  RNG sampling and event pushes stay serial
-  /// and ordered, so results are bitwise identical to the serial path.
-  /// The pool must outlive the simulator.
-  ThreadPool* dispatch_pool = nullptr;
-  /// Event-lane count for the sharded engine (sim/parallel/).  0 (default)
-  /// selects the sequential engine; >= 1 makes experiment/runner drive the
-  /// run through ParallelSimulator with this many shards (clamped to the
-  /// broker count).  Collector output is bitwise identical either way.
-  std::size_t shards = 0;
-};
 
 class Simulator {
  public:
@@ -117,91 +48,27 @@ class Simulator {
 
   TimeMs now() const { return now_; }
   const Collector& collector() const { return collector_; }
-  const Broker& broker(BrokerId id) const { return brokers_[id]; }
+  const Broker& broker(BrokerId id) const { return core_.brokers[id]; }
 
   /// Online estimator for a directed link of the *true* graph, by edge id;
   /// nullptr when online_estimation is off, the id is out of range, or the
   /// link never carried a send.
-  const RateEstimator* estimator(EdgeId edge) const;
+  const RateEstimator* estimator(EdgeId edge) const {
+    return core_.estimator(edge);
+  }
 
  private:
-  void trace(TraceEventKind kind, const Message& message, BrokerId broker,
-             BrokerId neighbor = kNoBroker, SubscriberId subscriber = -1,
-             bool valid = false);
-  void trace_id(TraceEventKind kind, MessageId message, BrokerId broker,
-                BrokerId neighbor);
+  struct Effects;
 
-  // Handlers take the popped event by mutable reference so terminal uses
-  // can move the message payload onward instead of bumping its refcount.
-  void handle_publish(Event& event);
-  void handle_arrival(Event& event);
-  void handle_processed(Event& event);
-  void handle_send_complete(Event& event);
-  void handle_link_failure(const Event& event);
-  /// Applies one compiled fault batch: broker crashes (queues wiped), edge
-  /// downs (hold semantics), recoveries (idle non-empty queues kick), and
-  /// the optional incremental routing repair — in a canonical order both
-  /// engines share.
-  void handle_fault(const Event& event);
-  /// Purges + picks each live (non-dead-link) slot queue (in parallel for
-  /// high-degree fan-outs when options_.dispatch_pool is set), then
-  /// serially samples send durations and pushes completion events in slot
-  /// order.
-  void start_sends(BrokerId broker, std::span<const Broker::QueueSlot> slots);
-  /// Drops every queued copy on the (now dead) queue; counts losses.
-  void drain_dead_queue(BrokerId broker, BrokerId neighbor);
-  void drain_dead_slot(BrokerId broker, Broker::QueueSlot slot);
-
-  const Topology* topology_;
-  /// The graph scheduling beliefs were constructed from; also the online
-  /// estimator's prior.
-  const Graph* believed_;
-  const RoutingFabric* fabric_;
-  SimulatorOptions options_;
-  /// One independent RNG stream per true directed edge, derived from the
-  /// constructor's link_rng by repeated split().  The k-th send on an edge
-  /// consumes the k-th sample of that edge's stream no matter how sends on
-  /// *other* links interleave — the stream discipline that lets the sharded
-  /// engine (sim/parallel/) reproduce this engine's output bit for bit.
-  std::vector<Rng> link_rngs_;
-
-  std::vector<Broker> brokers_;
+  BrokerStep core_;
   EventQueue events_;
   Collector collector_;
   TimeMs now_ = 0.0;
-
-  /// true_edge_by_slot_[broker][slot]: id of the *true* directed link
-  /// behind that broker's queue slot, resolved once at construction — the
-  /// bridge from broker-local slots to the flat per-edge state below.
-  std::vector<std::vector<EdgeId>> true_edge_by_slot_;
-  /// Start time of the in-flight send per link (to compute its duration on
-  /// completion without widening the Event struct); online estimation only.
-  EdgeMap<TimeMs> send_started_;
-  /// Per-link online estimators + which of them ever saw a send.
-  EdgeMap<RateEstimator> estimators_;
-  EdgeFlags estimator_live_;
-  /// Links killed by failure injection (directed bits; a failure sets both
+  TraceSink* trace_ = nullptr;
+  /// Links killed by `failures` (directed bits; a failure sets both
   /// directions).
   EdgeFlags dead_;
-  /// Fault-timeline state (sized only when options_.faults is non-empty):
-  /// currently-down directed edges (hold semantics — queues keep their
-  /// copies, unlike dead_), currently-crashed brokers, and the start time
-  /// of the in-flight send per edge (the (s, c] mid-flight cut test).
-  bool has_faults_ = false;
-  EdgeFlags down_;
-  std::vector<std::uint8_t> broker_down_;
-  EdgeMap<TimeMs> send_begin_;
-  /// Per-broker set of already-processed message ids (dedup_arrivals).
-  std::vector<FlatIdSet> seen_;
-  /// Input queues (serialize_processing): pending arrivals per broker plus
-  /// the busy flag of the single processing unit.
-  std::vector<std::deque<std::shared_ptr<const Message>>> input_queues_;
-  std::vector<bool> processing_busy_;
-  TraceSink* trace_ = nullptr;
-  /// Scratch reused across dispatches: the live (non-dead-link) subset of a
-  /// fan-out and the per-queue take_next results.
-  std::vector<Broker::QueueSlot> live_slots_;
-  std::vector<Broker::Dispatch> dispatch_;
+  StepScratch scratch_;
 };
 
 }  // namespace bdps

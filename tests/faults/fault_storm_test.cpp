@@ -13,19 +13,18 @@
 //     event order in both engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "experiment/paper.h"
-#include "experiment/runner.h"
-#include "routing/fabric.h"
+#include "../sim/equivalence_rig.h"
 #include "sim/faults/plan.h"
-#include "sim/parallel/parallel_simulator.h"
-#include "sim/simulator.h"
 
 namespace bdps {
 namespace {
+
+using equivalence::expect_same_result;
 
 std::shared_ptr<const CompiledFaults> compile_plan(const FaultPlan& plan,
                                                    const Graph& graph,
@@ -226,25 +225,6 @@ TEST(FaultStorm, RepairRoutesAroundTheOutage) {
 
 // The same storm scenarios through run_simulation must produce an exactly
 // identical SimResult at every shard count.
-void expect_same_result(const SimResult& sequential, const SimResult& sharded,
-                        const std::string& label) {
-  EXPECT_EQ(sequential.published, sharded.published) << label;
-  EXPECT_EQ(sequential.receptions, sharded.receptions) << label;
-  EXPECT_EQ(sequential.deliveries, sharded.deliveries) << label;
-  EXPECT_EQ(sequential.valid_deliveries, sharded.valid_deliveries) << label;
-  EXPECT_EQ(sequential.total_interested, sharded.total_interested) << label;
-  EXPECT_EQ(sequential.delivery_rate, sharded.delivery_rate) << label;
-  EXPECT_EQ(sequential.earning, sharded.earning) << label;
-  EXPECT_EQ(sequential.potential_earning, sharded.potential_earning) << label;
-  EXPECT_EQ(sequential.purged_expired, sharded.purged_expired) << label;
-  EXPECT_EQ(sequential.purged_hopeless, sharded.purged_hopeless) << label;
-  EXPECT_EQ(sequential.lost_copies, sharded.lost_copies) << label;
-  EXPECT_EQ(sequential.max_input_queue, sharded.max_input_queue) << label;
-  EXPECT_EQ(sequential.mean_valid_delay_ms, sharded.mean_valid_delay_ms)
-      << label;
-  EXPECT_EQ(sequential.end_time, sharded.end_time) << label;
-}
-
 TEST(FaultStormEquivalence, StormConfigGrid) {
   std::vector<std::pair<std::string, SimConfig>> configs;
 
@@ -332,6 +312,10 @@ TEST(FaultStormEquivalence, StormConfigGrid) {
     sequential_config.shards = 0;
     const SimResult sequential = run_simulation(sequential_config);
     EXPECT_GT(sequential.published, 0u) << name;
+    EXPECT_GT(sequential.fault_batches, 0u) << name;
+    if (base.repair_routing) {
+      EXPECT_GT(sequential.repaired_rows, 0u) << name;
+    }
     for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
       SimConfig sharded_config = base;
       sharded_config.shards = shards;
@@ -342,47 +326,8 @@ TEST(FaultStormEquivalence, StormConfigGrid) {
   }
 }
 
-/// Ring overlay driven directly so both engines can carry a MemoryTrace
-/// through a storm.
-struct StormRing {
-  Topology topo;
-  std::unique_ptr<RoutingFabric> fabric;
-  std::unique_ptr<const Strategy> strategy = make_strategy(StrategyKind::kEbpc);
-
-  explicit StormRing(std::size_t brokers = 8) {
-    topo.graph.resize(brokers);
-    for (std::size_t b = 0; b < brokers; ++b) {
-      topo.graph.add_bidirectional(
-          static_cast<BrokerId>(b), static_cast<BrokerId>((b + 1) % brokers),
-          LinkParams{40.0 + 5.0 * (b % 3), 8.0});
-    }
-    topo.publisher_edges = {0, static_cast<BrokerId>(brokers / 2)};
-    std::vector<Subscription> subs;
-    for (std::size_t b = 0; b < brokers; ++b) {
-      topo.subscriber_homes.push_back(static_cast<BrokerId>(b));
-      Subscription sub;
-      sub.subscriber = static_cast<SubscriberId>(b);
-      sub.home = static_cast<BrokerId>(b);
-      sub.allowed_delay = minutes(2.0);
-      sub.price = 1.0 + static_cast<double>(b % 4);
-      subs.push_back(sub);
-    }
-    fabric = std::make_unique<RoutingFabric>(topo, std::move(subs));
-  }
-
-  std::vector<std::shared_ptr<const Message>> make_messages() const {
-    std::vector<std::shared_ptr<const Message>> messages;
-    for (MessageId i = 0; i < 40; ++i) {
-      messages.push_back(std::make_shared<Message>(
-          i, static_cast<PublisherId>(i % 2), 250.0 * static_cast<double>(i),
-          30.0 + static_cast<double>(i % 5), std::vector<Attribute>{}));
-    }
-    return messages;
-  }
-};
-
 TEST(FaultStormEquivalence, TraceStreamsMatchUnderStorm) {
-  const StormRing rig;
+  const equivalence::TraceRing rig;
   FaultPlan plan;
   RegionStorm storm;
   storm.at = 2000.0;
@@ -399,53 +344,55 @@ TEST(FaultStormEquivalence, TraceStreamsMatchUnderStorm) {
   options.online_estimation = true;
   options.faults = compile_plan(plan, rig.topo.graph, /*seed=*/17);
 
-  MemoryTrace sequential_trace;
-  Simulator sequential(&rig.topo, &rig.topo.graph, rig.fabric.get(),
-                       rig.strategy.get(), options, Rng(99));
-  sequential.set_trace(&sequential_trace);
-  run_with(sequential, rig.make_messages());
-  EXPECT_GT(sequential.collector().deliveries(), 0u);
+  equivalence::TracedRun sequential;
+  equivalence::expect_same_traces(rig, options, sequential);
+  EXPECT_GT(sequential.collector.deliveries(), 0u);
+  EXPECT_EQ(sequential.collector.fault_batches(),
+            options.faults->batches().size());
+}
 
-  for (const std::size_t shards : {2u, 3u, 7u}) {
-    SimulatorOptions sharded_options = options;
-    sharded_options.shards = shards;
-    MemoryTrace parallel_trace;
-    ParallelSimulator parallel(&rig.topo, &rig.topo.graph, rig.fabric.get(),
-                               rig.strategy.get(), sharded_options, Rng(99));
-    parallel.set_trace(&parallel_trace);
-    for (auto& message : rig.make_messages()) {
-      parallel.schedule_publish(std::move(message));
-    }
-    parallel.run();
+// Serialized processing plus a broker crash: the crash batch drops the
+// broker's input queue, and those losses are traced inside the batch.
+TEST(FaultStormEquivalence, TraceStreamsMatchWhenACrashDropsInputQueues) {
+  const equivalence::TraceRing rig;
+  FaultPlan plan;
+  plan.broker_outages.push_back(BrokerOutage{3100.0, 6000.0, 1});
+  plan.broker_outages.push_back(BrokerOutage{5300.0, 8000.0, 5});
 
-    EXPECT_EQ(parallel.now(), sequential.now()) << shards;
-    EXPECT_EQ(parallel.collector().earning(), sequential.collector().earning())
-        << shards;
-    EXPECT_EQ(parallel.collector().lost_copies(),
-              sequential.collector().lost_copies())
-        << shards;
-    ASSERT_EQ(parallel_trace.size(), sequential_trace.size()) << shards;
-    for (std::size_t i = 0; i < sequential_trace.size(); ++i) {
-      const TraceEvent& want = sequential_trace.events()[i];
-      const TraceEvent& got = parallel_trace.events()[i];
-      ASSERT_EQ(got.time, want.time) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.kind, want.kind) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.message, want.message) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.broker, want.broker) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.neighbor, want.neighbor) << "event " << i;
-      ASSERT_EQ(got.subscriber, want.subscriber) << "event " << i;
-      ASSERT_EQ(got.valid, want.valid) << "event " << i;
-    }
-    for (std::size_t e = 0; e < rig.topo.graph.edge_count(); ++e) {
-      const auto* want = sequential.estimator(static_cast<EdgeId>(e));
-      const auto* got = parallel.estimator(static_cast<EdgeId>(e));
-      ASSERT_EQ(want == nullptr, got == nullptr) << e;
-      if (want != nullptr) {
-        EXPECT_EQ(got->sample_count(), want->sample_count()) << e;
-        EXPECT_EQ(got->samples().mean(), want->samples().mean()) << e;
-      }
-    }
-  }
+  SimulatorOptions options;
+  options.serialize_processing = true;
+  options.processing_delay = 400.0;  // Slower than the arrivals: queues.
+  options.faults = compile_plan(plan, rig.topo.graph);
+
+  equivalence::TracedRun sequential;
+  equivalence::expect_same_traces(rig, options, sequential);
+  EXPECT_GT(sequential.collector.max_input_queue(), 0u);
+  // An input-queue loss is the only loss traced without a neighbour at a
+  // crash instant.
+  const auto& events = sequential.trace.events();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(), [](const auto& e) {
+    return e.kind == TraceEventKind::kLoss && e.neighbor == kNoBroker &&
+           (e.time == 3100.0 || e.time == 5300.0);
+  }));
+}
+
+// A repairable fabric with repair_fabric set: an unrecovered ring cut is
+// routed around, and the rows the repair rewrites match in both engines.
+TEST(FaultStormEquivalence, TraceStreamsMatchUnderRoutingRepair) {
+  const equivalence::TraceRing rig(/*repairable_fabric=*/true);
+  FaultPlan plan;
+  plan.link_outages.push_back(LinkOutage{1200.0, kNoDeadline, 1, 2});
+  plan.link_outages.push_back(LinkOutage{4000.0, 7500.0, 5, 6});
+  plan.flaps.push_back(LinkFlap{3, 4, 2500.0, 2000.0, 300.0, 2});
+
+  SimulatorOptions options;
+  options.online_estimation = true;
+  options.faults = compile_plan(plan, rig.topo.graph);
+
+  equivalence::TracedRun sequential;
+  equivalence::expect_same_traces(rig, options, sequential);
+  EXPECT_GT(sequential.collector.repaired_rows(), 0u);
+  EXPECT_GT(sequential.collector.deliveries(), 0u);
 }
 
 }  // namespace

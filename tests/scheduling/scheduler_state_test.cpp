@@ -5,17 +5,13 @@
 // queue got into its current shape — across randomized interleavings of
 // enqueue, arbitrary removal, purge and tick at advancing (and
 // occasionally regressing) clocks, over SSD and PSD target shapes and
-// depths 1..4096.  Also pins the parallel per-neighbour Broker::take_next
-// to its serial twin: fanning queue dispatch across a thread pool must not
-// change a single choice.
+// depths 1..4096.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 
 #include "broker/broker.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "scheduling/purge.h"
 #include "scheduling/scheduler.h"
 
@@ -239,113 +235,6 @@ TEST(SchedulerStateEquivalence, DeepQueuesMatchReference) {
         take_at(queue, got);
       }
     }
-  }
-}
-
-// ---- Parallel per-neighbour dispatch determinism ---------------------------
-
-/// Star around broker 0 with `arms` downstream neighbours, one subscriber
-/// behind each, deadlines tight enough that purges fire mid-run.
-struct WideStarRig {
-  Topology topo;
-  std::vector<Subscription> subs;
-  std::unique_ptr<RoutingFabric> fabric;
-  Strategy strategy;
-
-  WideStarRig(std::size_t arms, StrategyKind kind)
-      : strategy(kind, 0.5) {
-    topo.graph.resize(arms + 1);
-    for (std::size_t a = 1; a <= arms; ++a) {
-      topo.graph.add_bidirectional(0, static_cast<BrokerId>(a),
-                                   LinkParams{50.0 + 5.0 * a, 10.0});
-    }
-    topo.publisher_edges = {0};
-    for (std::size_t a = 1; a <= arms; ++a) {
-      topo.subscriber_homes.push_back(static_cast<BrokerId>(a));
-      Subscription sub;
-      sub.subscriber = static_cast<SubscriberId>(a - 1);
-      sub.home = static_cast<BrokerId>(a);
-      sub.allowed_delay = seconds(5.0 + 3.0 * a);
-      sub.price = 1.0 + (a % 3);
-      subs.push_back(sub);
-    }
-    fabric = std::make_unique<RoutingFabric>(topo, subs);
-  }
-
-  /// Feeds the same message stream into a fresh broker.
-  Broker make_loaded_broker(std::size_t messages) const {
-    Broker broker(0, fabric.get(), &topo.graph, &strategy, 2.0);
-    Rng rng(42);
-    for (std::size_t m = 0; m < messages; ++m) {
-      const TimeMs published = 100.0 * static_cast<double>(m);
-      broker.process(
-          std::make_shared<Message>(static_cast<MessageId>(m), 0, published,
-                                    20.0 + rng.uniform(0.0, 60.0),
-                                    std::vector<Attribute>{}),
-          published + 2.0);
-    }
-    return broker;
-  }
-};
-
-TEST(ParallelDispatch, MatchesSerialTakeNextChoiceForChoice) {
-  constexpr std::size_t kArms = 8;
-  for (const StrategyKind kind : kAllKinds) {
-    const WideStarRig rig(kArms, kind);
-    Broker serial = rig.make_loaded_broker(40);
-    Broker parallel = rig.make_loaded_broker(40);
-    ThreadPool pool(4);
-
-    // take_next works in queue-slot space: arm a = neighbour a = slot a-1.
-    std::vector<Broker::QueueSlot> slots;
-    for (std::size_t a = 0; a < kArms; ++a) {
-      slots.push_back(static_cast<Broker::QueueSlot>(a));
-    }
-    ASSERT_GE(slots.size(), Broker::kParallelDispatchThreshold);
-
-    std::vector<Broker::Dispatch> serial_out;
-    std::vector<Broker::Dispatch> parallel_out;
-    PurgePolicy policy;
-    // Drain both brokers in lockstep instants; every instant's choices,
-    // purge counts and purge id sets must agree.
-    for (int round = 0; round < 50; ++round) {
-      const TimeMs now = 4000.0 + 400.0 * round;
-      serial.take_next(slots, now, policy, serial_out, nullptr, true);
-      parallel.take_next(slots, now, policy, parallel_out, &pool, true);
-      ASSERT_EQ(serial_out.size(), parallel_out.size());
-      for (std::size_t i = 0; i < serial_out.size(); ++i) {
-        const Broker::Dispatch& s = serial_out[i];
-        const Broker::Dispatch& p = parallel_out[i];
-        EXPECT_EQ(s.neighbor, p.neighbor);
-        EXPECT_EQ(s.purge.expired, p.purge.expired) << strategy_name(kind);
-        EXPECT_EQ(s.purge.hopeless, p.purge.hopeless) << strategy_name(kind);
-        EXPECT_EQ(s.purged_ids, p.purged_ids) << strategy_name(kind);
-        ASSERT_EQ(s.chosen.has_value(), p.chosen.has_value())
-            << strategy_name(kind) << " round=" << round << " arm=" << i;
-        if (s.chosen.has_value()) {
-          EXPECT_EQ(s.chosen->message->id(), p.chosen->message->id())
-              << strategy_name(kind) << " round=" << round << " arm=" << i;
-        }
-      }
-    }
-    EXPECT_TRUE(std::all_of(slots.begin(), slots.end(),
-                            [&](Broker::QueueSlot slot) {
-                              return serial.queue_at(slot).size() ==
-                                     parallel.queue_at(slot).size();
-                            }));
-  }
-}
-
-TEST(ParallelDispatch, BelowThresholdBatchesStaySerialAndCorrect) {
-  const WideStarRig rig(2, StrategyKind::kEb);
-  Broker broker = rig.make_loaded_broker(10);
-  ThreadPool pool(2);
-  const std::vector<Broker::QueueSlot> slots{0, 1};  // Neighbours 1 and 2.
-  std::vector<Broker::Dispatch> out;
-  broker.take_next(slots, 500.0, PurgePolicy{}, out, &pool, false);
-  ASSERT_EQ(out.size(), 2u);
-  for (const Broker::Dispatch& d : out) {
-    ASSERT_TRUE(d.chosen.has_value());
   }
 }
 

@@ -10,33 +10,12 @@
 //     the strongest observable of the merge order.
 #include <gtest/gtest.h>
 
-#include "experiment/paper.h"
-#include "experiment/runner.h"
-#include "routing/fabric.h"
-#include "sim/parallel/parallel_simulator.h"
-#include "sim/simulator.h"
+#include "../equivalence_rig.h"
 
 namespace bdps {
 namespace {
 
-void expect_same_result(const SimResult& sequential, const SimResult& sharded,
-                        const std::string& label) {
-  EXPECT_EQ(sequential.published, sharded.published) << label;
-  EXPECT_EQ(sequential.receptions, sharded.receptions) << label;
-  EXPECT_EQ(sequential.deliveries, sharded.deliveries) << label;
-  EXPECT_EQ(sequential.valid_deliveries, sharded.valid_deliveries) << label;
-  EXPECT_EQ(sequential.total_interested, sharded.total_interested) << label;
-  EXPECT_EQ(sequential.delivery_rate, sharded.delivery_rate) << label;
-  EXPECT_EQ(sequential.earning, sharded.earning) << label;
-  EXPECT_EQ(sequential.potential_earning, sharded.potential_earning) << label;
-  EXPECT_EQ(sequential.purged_expired, sharded.purged_expired) << label;
-  EXPECT_EQ(sequential.purged_hopeless, sharded.purged_hopeless) << label;
-  EXPECT_EQ(sequential.lost_copies, sharded.lost_copies) << label;
-  EXPECT_EQ(sequential.max_input_queue, sharded.max_input_queue) << label;
-  EXPECT_EQ(sequential.mean_valid_delay_ms, sharded.mean_valid_delay_ms)
-      << label;
-  EXPECT_EQ(sequential.end_time, sharded.end_time) << label;
-}
+using equivalence::expect_same_result;
 
 TEST(ParallelEquivalence, RandomizedConfigGrid) {
   std::vector<SimConfig> configs;
@@ -89,109 +68,22 @@ TEST(ParallelEquivalence, RandomizedConfigGrid) {
   }
 }
 
-/// Ring overlay driven directly (not through the runner) so both engines
-/// can carry a MemoryTrace.
-struct RingRig {
-  Topology topo;
-  std::unique_ptr<RoutingFabric> fabric;
-  std::unique_ptr<const Strategy> strategy = make_strategy(StrategyKind::kEbpc);
-
-  explicit RingRig(std::size_t brokers = 8) {
-    topo.graph.resize(brokers);
-    for (std::size_t b = 0; b < brokers; ++b) {
-      const auto from = static_cast<BrokerId>(b);
-      const auto to = static_cast<BrokerId>((b + 1) % brokers);
-      topo.graph.add_bidirectional(from, to,
-                                   LinkParams{40.0 + 5.0 * (b % 3), 8.0});
-    }
-    topo.publisher_edges = {0, static_cast<BrokerId>(brokers / 2)};
-    std::vector<Subscription> subs;
-    for (std::size_t b = 0; b < brokers; ++b) {
-      topo.subscriber_homes.push_back(static_cast<BrokerId>(b));
-      Subscription sub;
-      sub.subscriber = static_cast<SubscriberId>(b);
-      sub.home = static_cast<BrokerId>(b);
-      sub.allowed_delay = minutes(2.0);
-      sub.price = 1.0 + static_cast<double>(b % 4);
-      subs.push_back(sub);  // Wildcard filter: every message matches.
-    }
-    fabric = std::make_unique<RoutingFabric>(topo, std::move(subs));
-  }
-
-  std::vector<std::shared_ptr<const Message>> make_messages() const {
-    std::vector<std::shared_ptr<const Message>> messages;
-    for (MessageId i = 0; i < 40; ++i) {
-      messages.push_back(std::make_shared<Message>(
-          i, static_cast<PublisherId>(i % 2), 250.0 * static_cast<double>(i),
-          30.0 + static_cast<double>(i % 5), std::vector<Attribute>{}));
-    }
-    return messages;
-  }
-};
-
 TEST(ParallelEquivalence, TraceStreamsMatchExactly) {
-  const RingRig rig;
+  const equivalence::TraceRing rig;
   SimulatorOptions options;
   options.online_estimation = true;
   options.failures.push_back(LinkFailure{seconds(20.0), 2, 3});
-
-  MemoryTrace sequential_trace;
-  Simulator sequential(&rig.topo, &rig.topo.graph, rig.fabric.get(),
-                       rig.strategy.get(), options, Rng(99));
-  sequential.set_trace(&sequential_trace);
-  for (auto& message : rig.make_messages()) {
-    sequential.schedule_publish(std::move(message));
-  }
-  sequential.run();
-
-  for (const std::size_t shards : {2u, 3u, 7u}) {
-    SimulatorOptions sharded_options = options;
-    sharded_options.shards = shards;
-    MemoryTrace parallel_trace;
-    ParallelSimulator parallel(&rig.topo, &rig.topo.graph, rig.fabric.get(),
-                               rig.strategy.get(), sharded_options, Rng(99));
-    parallel.set_trace(&parallel_trace);
-    for (auto& message : rig.make_messages()) {
-      parallel.schedule_publish(std::move(message));
-    }
-    parallel.run();
-
-    EXPECT_EQ(parallel.now(), sequential.now()) << shards;
-    EXPECT_EQ(parallel.collector().earning(), sequential.collector().earning())
-        << shards;
-    EXPECT_EQ(parallel.collector().lost_copies(),
-              sequential.collector().lost_copies())
-        << shards;
-    ASSERT_EQ(parallel_trace.size(), sequential_trace.size()) << shards;
-    for (std::size_t i = 0; i < sequential_trace.size(); ++i) {
-      const TraceEvent& want = sequential_trace.events()[i];
-      const TraceEvent& got = parallel_trace.events()[i];
-      ASSERT_EQ(got.time, want.time) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.kind, want.kind) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.message, want.message) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.broker, want.broker) << "event " << i << " P" << shards;
-      ASSERT_EQ(got.neighbor, want.neighbor) << "event " << i;
-      ASSERT_EQ(got.subscriber, want.subscriber) << "event " << i;
-      ASSERT_EQ(got.valid, want.valid) << "event " << i;
-    }
-    // The online estimators end in the same state on every true edge.
-    for (std::size_t e = 0; e < rig.topo.graph.edge_count(); ++e) {
-      const auto* want = sequential.estimator(static_cast<EdgeId>(e));
-      const auto* got = parallel.estimator(static_cast<EdgeId>(e));
-      ASSERT_EQ(want == nullptr, got == nullptr) << e;
-      if (want != nullptr) {
-        EXPECT_EQ(got->sample_count(), want->sample_count()) << e;
-        EXPECT_EQ(got->samples().mean(), want->samples().mean()) << e;
-      }
-    }
-  }
+  equivalence::TracedRun sequential;
+  equivalence::expect_same_traces(rig, options, sequential);
+  EXPECT_GT(sequential.collector.lost_copies(), 0u);
 }
 
 TEST(ParallelEquivalence, RejectsNonPositiveMessageSizes) {
-  const RingRig rig;
+  const equivalence::TraceRing rig;
+  const auto fabric = rig.make_fabric();
   SimulatorOptions options;
   options.shards = 2;
-  ParallelSimulator parallel(&rig.topo, &rig.topo.graph, rig.fabric.get(),
+  ParallelSimulator parallel(&rig.topo, &rig.topo.graph, fabric.get(),
                              rig.strategy.get(), options, Rng(1));
   parallel.schedule_publish(std::make_shared<Message>(
       1, 0, 0.0, 0.0, std::vector<Attribute>{}));

@@ -15,7 +15,13 @@
 // (CPU clocks are immune to timeslicing); on an idle multi-core machine,
 // measured wall converges to the model minus barrier overhead.
 //
+// Exits 1 when a row did not run the configuration it claims: output
+// diverged from the sequential engine, the shard plan's count differs from
+// the requested one (clamped to [1, brokers]), or a P > 1 row ran no
+// window round or cut no edge.
+//
 //   ./build-bench/parallel_speedup [brokers=4096] [minutes=1] [shards=...]
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -151,12 +157,25 @@ int main(int argc, char** argv) {
       return 1;
     }
     const auto& stats = simulator.stats();
+    const std::size_t expected_shards =
+        std::min(std::max<std::size_t>(shards, 1), brokers);
+    const std::size_t cut_edges = simulator.plan().cut_edges().size();
+    if (simulator.plan().shard_count() != expected_shards) {
+      std::fprintf(stderr, "FATAL: P=%zu planned %zu shards, expected %zu\n",
+                   shards, simulator.plan().shard_count(), expected_shards);
+      return 1;
+    }
+    if (expected_shards > 1 && (stats.rounds == 0 || cut_edges == 0)) {
+      std::fprintf(stderr, "FATAL: P=%zu ran %zu rounds over %zu cut edges\n",
+                   shards, stats.rounds, cut_edges);
+      return 1;
+    }
     const double serial = stats.merge_ms + stats.horizon_ms;
     const double modeled = stats.critical_path_ms + serial;
     std::printf("%6zu %10.1f %10.1f %12.1f %12.1f %9zu %8zu %13.1f %13.2f\n",
                 shards, wall, stats.worker_cpu_ms, stats.critical_path_ms,
-                serial, stats.rounds, simulator.plan().cut_edges().size(),
-                modeled, sequential_wall / modeled);
+                serial, stats.rounds, cut_edges, modeled,
+                sequential_wall / modeled);
     std::printf("       bound_ms=%.1f shard_cpu=[", stats.bound_ms);
     for (const double ms : stats.shard_cpu_ms) std::printf(" %.0f", ms);
     std::printf(" ]\n");

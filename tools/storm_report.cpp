@@ -9,7 +9,11 @@
 //   * delivery rate / earning — the run's aggregate outcome,
 //   * worst-window hit-rate and max purge fraction — the storm's depth,
 //   * max p99 queue residence — how long copies sat behind dead links,
-//   * time-to-recover — the breach span at the 95% hit-rate floor.
+//   * time-to-recover — the breach span at the 95% hit-rate floor,
+//   * fault batches applied and routing rows their repair rewrote.
+//
+// Exits 1 when a storm did not take effect: a scenario with a fault plan
+// applied no batch, or a repair scenario rewrote no routing row.
 //
 //   ./build/storm_report [brokers=20] [duration_s=120] [rate=30]
 //                        [seed=31] [window_s=5]
@@ -112,7 +116,8 @@ int main(int argc, char** argv) {
 
   TextTable table({"scenario", "strategy", "delivery_rate", "earning",
                    "purged", "lost", "worst_hit", "max_purge_frac",
-                   "max_p99_ms", "ttr_s"});
+                   "max_p99_ms", "ttr_s", "batches", "repaired"});
+  int status = 0;
   std::string json = "{\n  \"window_ms\": " +
                      TextTable::fixed(seconds(window_s), 0) +
                      ",\n  \"scenarios\": [\n";
@@ -145,7 +150,18 @@ int main(int argc, char** argv) {
           TextTable::fixed(graded.worst_hit_rate, 3),
           TextTable::fixed(graded.max_purge_fraction, 3),
           TextTable::fixed(graded.max_p99_residence, 0),
-          TextTable::fixed(graded.run.time_to_recover / 1000.0, 1));
+          TextTable::fixed(graded.run.time_to_recover / 1000.0, 1),
+          r.fault_batches, r.repaired_rows);
+      if (!scenario.faults.empty() && r.fault_batches == 0) {
+        std::cerr << "FATAL: " << scenario.name << "/" << strategy_name(kind)
+                  << " applied no fault batch\n";
+        status = 1;
+      }
+      if (scenario.repair && r.repaired_rows == 0) {
+        std::cerr << "FATAL: " << scenario.name << "/" << strategy_name(kind)
+                  << " repaired no routing row\n";
+        status = 1;
+      }
 
       json += "      {\"strategy\": \"" + strategy_name(kind) + "\"";
       json += ", \"delivery_rate\": " + TextTable::fixed(r.delivery_rate, 6);
@@ -164,6 +180,8 @@ int main(int argc, char** argv) {
               TextTable::fixed(graded.max_p99_residence, 1);
       json += ", \"time_to_recover_ms\": " +
               TextTable::fixed(graded.run.time_to_recover, 0);
+      json += ", \"fault_batches\": " + std::to_string(r.fault_batches);
+      json += ", \"repaired_rows\": " + std::to_string(r.repaired_rows);
       json += "}";
       json += ki + 1 < strategies.size() ? ",\n" : "\n";
     }
@@ -174,5 +192,5 @@ int main(int argc, char** argv) {
 
   table.print(std::cout);
   std::cout << "\n" << json;
-  return 0;
+  return status;
 }

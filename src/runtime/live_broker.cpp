@@ -2,11 +2,14 @@
 
 #include <thread>
 
+#include "runtime/timer_slack.h"
+
 namespace bdps {
 
 void LiveClock::sleep_for(TimeMs sim_ms) const {
   if (sim_ms <= 0.0) return;
   const double real_ms = sim_ms / speedup_;
+  const ScopedTimerSlack exact;  // Wake at the model instant.
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(real_ms));
 }
 

@@ -36,7 +36,9 @@ class LiveClock {
     return real_ms * speedup_;
   }
 
-  /// Sleeps the calling thread for `sim_ms` simulated milliseconds.
+  /// Sleeps the calling thread for `sim_ms` simulated milliseconds, with
+  /// 1 ns timer slack for the sleep (runtime/timer_slack.h); the caller's
+  /// slack is back when it returns.
   void sleep_for(TimeMs sim_ms) const;
 
   /// The real instant at which the clock reads `sim_ms` — what the reactor

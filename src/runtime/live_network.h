@@ -172,6 +172,10 @@ class LiveNetwork {
   std::size_t worker_count() const {
     return reactor_ ? reactor_->worker_count() : 0;
   }
+  /// Reactor::worker_timer_slacks(): each worker's own timer slack reading.
+  std::vector<long> worker_timer_slacks() const {
+    return reactor_ ? reactor_->worker_timer_slacks() : std::vector<long>{};
+  }
   /// Directed subscribed links this instance serves.
   std::size_t link_count() const { return link_count_; }
 

@@ -1,11 +1,14 @@
 #include "runtime/reactor.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "broker/output_queue.h"
@@ -14,6 +17,7 @@
 #include "net/endpoint.h"
 #include "net/poller.h"
 #include "runtime/channel.h"
+#include "runtime/timer_slack.h"
 #include "scheduling/kernel.h"
 #include "sim/parallel/shard_plan.h"
 
@@ -113,6 +117,8 @@ struct Reactor::Worker {
   std::atomic<bool> parked{false};
   std::vector<Poller::Event> events;
   std::thread thread;
+  /// The slack this worker read of itself on entry (-1 before it ran).
+  std::atomic<long> timer_slack_ns{-1};
   std::vector<Inbound> drain_scratch;
   /// Worker-owned matching scratch: with the sharded engine, every worker
   /// matches lock-free against any broker it owns through one epoch slot
@@ -192,10 +198,24 @@ Reactor::~Reactor() { stop(); }
 void Reactor::start() {
   if (started_) return;
   started_ = true;
+  // Every park of a worker waits for a PD or send timer's model instant;
+  // the workers take this thread's slack while it is 1 ns.
+  const ScopedTimerSlack exact;
   for (auto& worker : workers_) {
     Worker* w = worker.get();
     w->thread = std::thread([this, w] { worker_loop(*w); });
+    const std::string name =
+        std::string(kWorkerThreadPrefix) + std::to_string(w->id);
+    pthread_setname_np(w->thread.native_handle(), name.c_str());
   }
+}
+
+std::vector<long> Reactor::worker_timer_slacks() const {
+  std::vector<long> slacks;
+  for (const auto& worker : workers_) {
+    slacks.push_back(worker->timer_slack_ns.load(std::memory_order_relaxed));
+  }
+  return slacks;
 }
 
 bool Reactor::publish(BrokerId target,
@@ -334,6 +354,7 @@ std::uint64_t Reactor::tick_ceil(TimeMs at) const {
 }
 
 void Reactor::worker_loop(Worker& worker) {
+  worker.timer_slack_ns.store(timer_slack_ns(), std::memory_order_relaxed);
   NetEndpoint* const io = worker.id == 0 ? options_.endpoint : nullptr;
   for (;;) {
     apply_commands(worker);

@@ -40,6 +40,15 @@
 // producer sees the flag or the worker sees the push — and a busy worker
 // costs its producers no syscall.
 //
+// Timer precision: start() spawns the workers under a ScopedTimerSlack
+// (timer_slack.h), and a new thread takes its creator's slack, so every
+// worker runs its whole life with 1 ns slack: a park bounded by a wheel
+// deadline wakes at that model instant instead of up to the kernel's
+// default 50 us late.  start() names each worker kWorkerThreadPrefix + id
+// before it returns, so tools and tests can find the workers in /proc, and
+// each worker records the slack it reads of itself on entry
+// (worker_timer_slacks()), which needs no capability to read.
+//
 // Socket mode: worker 0 also drives the shard's NetEndpoint (no transport
 // thread).  It parks on the endpoint's poller, so trunk sockets, its
 // doorbell, its wheel deadline and the redial backoff share one wait; it
@@ -59,6 +68,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "broker/fanout.h"
@@ -70,6 +80,9 @@
 namespace bdps {
 
 class NetEndpoint;
+
+/// Reactor worker thread names: the prefix plus the worker id.
+inline constexpr std::string_view kWorkerThreadPrefix = "bdps-w";
 
 struct ReactorOptions {
   TimeMs processing_delay = 2.0;
@@ -132,6 +145,11 @@ class Reactor {
   void stop();
 
   std::size_t worker_count() const { return workers_.size(); }
+
+  /// The timer slack each worker read of itself on entering its loop, by
+  /// worker id; -1 for a worker that has not run yet (after stop() every
+  /// started worker has).
+  std::vector<long> worker_timer_slacks() const;
 
   /// Marks one directed served link up or down (fault churn; thread-safe,
   /// applied asynchronously by the owning worker).  Down cancels the

@@ -16,8 +16,14 @@
 //
 // Output: one JSON object per line, plus a summary table on stderr.
 // `threads` is measured, not assumed: the OS threads /proc/self/task gains
-// while the mode runs.  Exits 1 when a socket row reports `completed`
-// although no copy crossed a trunk — that row measured a single shard.
+// while the mode runs.  `worker_slack_ns` is the timer slack of the mode's
+// reactor workers, read after the timed part: each worker's reading of its
+// own slack, and /proc/<tid>/timerslack_ns of every `bdps-w*` thread where
+// the kernel allows it (reading another thread's slack needs
+// CAP_SYS_NICE).  It is 1 when they wait for their timers exactly.
+// Exits 1 when a socket row reports `completed` although no copy crossed a
+// trunk — that row measured a single shard — or when any row's workers
+// report a slack other than 1 ns: those timings are not the model's.
 #include <dirent.h>
 
 #include <chrono>
@@ -31,6 +37,8 @@
 #include "common/config.h"
 #include "experiment/live.h"
 #include "routing/fabric.h"
+#include "runtime/reactor.h"
+#include "runtime/timer_slack.h"
 #include "topology/builders.h"
 
 using namespace bdps;
@@ -48,6 +56,7 @@ struct Probe {
   std::string mode;
   std::size_t workers = 0;
   std::size_t threads = 0;  // OS threads the mode ran (measured).
+  long worker_slack_ns = -1;  // What the workers' kernel timers allow.
   bool completed = false;
   std::string error;
   double wall_ms = 0.0;
@@ -80,6 +89,27 @@ std::size_t settled_task_count() {
   return count;
 }
 
+/// The timer slack of a mode's reactor workers: 1 when exactness took
+/// effect, else the first other value seen.  Checks each worker's reading
+/// of its own slack (`nets`, taken after stop) and, where the kernel lets
+/// us read it, what /proc reported for every `bdps-w*` thread while the
+/// mode ran (`seen`; another thread's slack needs CAP_SYS_NICE).
+long worker_timer_slack(const std::vector<ThreadTimerSlack>& seen,
+                        const std::vector<const LiveNetwork*>& nets) {
+  std::vector<long> slacks;
+  for (const LiveNetwork* net : nets) {
+    const std::vector<long> own = net->worker_timer_slacks();
+    slacks.insert(slacks.end(), own.begin(), own.end());
+  }
+  for (const ThreadTimerSlack& thread : seen) {
+    if (thread.slack_ns >= 0) slacks.push_back(thread.slack_ns);
+  }
+  for (const long slack : slacks) {
+    if (slack != ScopedTimerSlack::kExactNs) return slack;
+  }
+  return slacks.empty() ? -1 : ScopedTimerSlack::kExactNs;
+}
+
 LiveOptions probe_options(std::size_t workers) {
   LiveOptions opt;
   opt.processing_delay = 0.1;
@@ -104,7 +134,10 @@ Probe run_probe_reactor(const Topology& topo, const RoutingFabric& fabric,
     for (int i = 0; i < messages; ++i) net.publish(0, tick);
     net.drain();
     const auto end = std::chrono::steady_clock::now();
+    const std::vector<ThreadTimerSlack> seen =
+        thread_timer_slacks(kWorkerThreadPrefix);
     net.stop();
+    probe.worker_slack_ns = worker_timer_slack(seen, {&net});
     probe.workers = net.worker_count();
     probe.wall_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
@@ -161,6 +194,8 @@ Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
     for (int i = 0; i < messages; ++i) hub_home->publish(0, tick);
     drain_live_cluster(raw);
     const auto end = std::chrono::steady_clock::now();
+    const std::vector<ThreadTimerSlack> seen =
+        thread_timer_slacks(kWorkerThreadPrefix);
     std::size_t delivered = 0;
     std::size_t links = 0;
     for (const auto& net : nets) {
@@ -170,6 +205,7 @@ Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
       probe.workers += net->worker_count();
       probe.trunk_forwards += net->trunk_forwards_sent();
     }
+    probe.worker_slack_ns = worker_timer_slack(seen, {raw[0], raw[1]});
     probe.wall_ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     probe.completed = delivered == static_cast<std::size_t>(messages) *
@@ -201,9 +237,10 @@ void emit(const Probe& p) {
   const std::string error = escape(p.error);
   std::printf(
       "{\"links\": %zu, \"mode\": \"%s\", \"workers\": %zu, "
-      "\"threads\": %zu, \"completed\": %s, \"wall_ms\": %.1f, "
-      "\"tx_per_sec\": %.0f, \"trunk_forwards\": %llu%s%s%s}\n",
-      p.links, p.mode.c_str(), p.workers, p.threads,
+      "\"threads\": %zu, \"worker_slack_ns\": %ld, \"completed\": %s, "
+      "\"wall_ms\": %.1f, \"tx_per_sec\": %.0f, \"trunk_forwards\": "
+      "%llu%s%s%s}\n",
+      p.links, p.mode.c_str(), p.workers, p.threads, p.worker_slack_ns,
       p.completed ? "true" : "false", p.wall_ms, p.tx_per_sec,
       p.trunk_forwards, error.empty() ? "" : ", \"error\": \"", error.c_str(),
       error.empty() ? "" : "\"");
@@ -233,13 +270,30 @@ int main(int argc, char** argv) {
                messages, budget_ms / 1000.0);
   bool socket_mode_alive = true;
   bool single_shard_rows = false;
+  bool inexact_rows = false;
+  // A row whose workers did not get 1 ns slack timed the kernel's timer
+  // coalescing, not the model's delays.
+  const auto check_slack = [&inexact_rows](const Probe& probe) {
+    if (probe.threads == 0 ||
+        probe.worker_slack_ns == ScopedTimerSlack::kExactNs) {
+      return;
+    }
+    std::fprintf(stderr,
+                 "live_scaling: %s row at %zu links ran its workers with "
+                 "timer slack %ld ns, not 1 ns\n",
+                 probe.mode.c_str(), probe.links, probe.worker_slack_ns);
+    inexact_rows = true;
+  };
   for (const Row& row : rows) {
     const Topology topo =
         build_star_of_chains(row.chains, row.depth, LinkParams{0.2, 0.02});
     const RoutingFabric fabric(topo, flood_subscriptions(topo));
     const auto strategy = make_strategy(StrategyKind::kEb);
 
-    emit(run_probe_reactor(topo, fabric, *strategy, 0, messages));
+    const Probe reactor = run_probe_reactor(topo, fabric, *strategy, 0,
+                                            messages);
+    emit(reactor);
+    check_slack(reactor);
 
     if (row.reactor_only) continue;
     if (!socket_mode_alive) {
@@ -252,6 +306,7 @@ int main(int argc, char** argv) {
     }
     const Probe probe = run_probe_socket(topo, fabric, *strategy, messages);
     emit(probe);
+    check_slack(probe);
     if (probe.completed && probe.trunk_forwards == 0) {
       std::fprintf(stderr,
                    "live_scaling: socket row at %zu links completed with no "
@@ -270,8 +325,11 @@ int main(int argc, char** argv) {
     const RoutingFabric fabric(topo, flood_subscriptions(topo));
     const auto strategy = make_strategy(StrategyKind::kEb);
     for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-      emit(run_probe_reactor(topo, fabric, *strategy, workers, messages));
+      const Probe probe =
+          run_probe_reactor(topo, fabric, *strategy, workers, messages);
+      emit(probe);
+      check_slack(probe);
     }
   }
-  return single_shard_rows ? 1 : 0;
+  return single_shard_rows || inexact_rows ? 1 : 0;
 }

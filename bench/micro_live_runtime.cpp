@@ -5,20 +5,23 @@
 // `links` completed transmissions — items/s below is link-transmissions
 // per wall second.  The clock runs at 20000x with sub-millisecond link
 // times, so wall time measures runtime overhead (wakeups, locking, timer
-// dispatch — and for socket rows, the loopback trunk round trip), not
-// sleeping.
+// dispatch — and for socket rows, the trunk round trip), not sleeping.
 //
 // Reactor rows run the whole overlay in one process.  Socket rows split
 // the same overlay into a 2-shard in-process cluster: the brooms' cut
-// edges cross loopback TCP trunks (net/endpoint.h frame + cumulative-ack
-// protocol), so the reactor/socket gap at each size is the wire cost the
-// distributed daemon (tools/brokerd) pays per transmission.  The curve is
-// recorded in BENCH_pr7.json (see tools/live_scaling for the ceiling
-// probe with failure handling).
+// edges cross trunks (net/endpoint.h frame + cumulative-ack protocol), so
+// the reactor/socket gap at each size is the wire cost the distributed
+// daemon (tools/brokerd) pays per transmission.  `socket_x2` trunks use
+// the default peer hosts, i.e. local AF_UNIX sockets; `socket_x2_tcp`
+// names 127.0.0.1 for every peer, which keeps the cross-host TCP path
+// measured.  A socket row whose trunks ran over the other kind fails.
+// The curve is recorded in BENCH_pr7.json (see tools/live_scaling for the
+// ceiling probe with failure handling).
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "experiment/live.h"
@@ -84,7 +87,9 @@ void run_once_reactor(benchmark::State& state, const Rig& rig) {
   check_deliveries(state, rig, net.stats().deliveries().size());
 }
 
-void run_once_socket(benchmark::State& state, const Rig& rig) {
+/// `peer_host` is every peer's host: "" = same host (AF_UNIX trunks).
+void run_once_socket(benchmark::State& state, const Rig& rig,
+                     const std::string& peer_host) {
   std::vector<std::unique_ptr<LiveNetwork>> nets;
   std::vector<LiveNetwork*> raw;
   for (int shard = 0; shard < 2; ++shard) {
@@ -93,6 +98,7 @@ void run_once_socket(benchmark::State& state, const Rig& rig) {
     opt.net.shard = shard;
     opt.net.shard_count = 2;
     opt.net.broker_shard = rig.broker_shard;
+    opt.net.peer_hosts = {peer_host, peer_host};
     nets.push_back(std::make_unique<LiveNetwork>(
         &rig.topo, rig.fabric.get(), rig.strategy.get(), opt));
     raw.push_back(nets.back().get());
@@ -111,6 +117,11 @@ void run_once_socket(benchmark::State& state, const Rig& rig) {
   LiveNetwork* hub_home = nets[0]->serves(0) ? raw[0] : raw[1];
   for (int i = 0; i < kMessages; ++i) hub_home->publish(0, tick);
   drain_live_cluster(raw);
+  // Each shard's dialed and accepted trunk: 4 sockets, all AF_UNIX or none.
+  const int local = nets[0]->local_trunks() + nets[1]->local_trunks();
+  if (local != (peer_host.empty() ? 4 : 0)) {
+    state.SkipWithError("trunks ran over the wrong socket kind");
+  }
   std::size_t delivered = 0;
   for (const auto& net : nets) {
     net->stop();
@@ -119,14 +130,15 @@ void run_once_socket(benchmark::State& state, const Rig& rig) {
   check_deliveries(state, rig, delivered);
 }
 
-void BM_LiveRuntime(benchmark::State& state, LiveMode mode) {
+void BM_LiveRuntime(benchmark::State& state, LiveMode mode,
+                    const std::string& peer_host) {
   const auto links = static_cast<std::size_t>(state.range(0));
   const Rig& rig = rig_for(links);
   for (auto _ : state) {
     if (mode == LiveMode::kReactor) {
       run_once_reactor(state, rig);
     } else {
-      run_once_socket(state, rig);
+      run_once_socket(state, rig, peer_host);
     }
   }
   // One message = `links` completed transmissions (the flood covers every
@@ -139,7 +151,7 @@ void BM_LiveRuntime(benchmark::State& state, LiveMode mode) {
 
 // UseRealTime: the runtime spends most of its life parked in waits, so
 // CPU-time rates would flatter both modes — items/s must be wall-based.
-BENCHMARK_CAPTURE(BM_LiveRuntime, reactor, LiveMode::kReactor)
+BENCHMARK_CAPTURE(BM_LiveRuntime, reactor, LiveMode::kReactor, "")
     ->ArgName("links")
     ->Arg(64)
     ->Arg(256)
@@ -148,7 +160,17 @@ BENCHMARK_CAPTURE(BM_LiveRuntime, reactor, LiveMode::kReactor)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-BENCHMARK_CAPTURE(BM_LiveRuntime, socket_x2, LiveMode::kSocket)
+BENCHMARK_CAPTURE(BM_LiveRuntime, socket_x2, LiveMode::kSocket, "")
+    ->ArgName("links")
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+BENCHMARK_CAPTURE(BM_LiveRuntime, socket_x2_tcp, LiveMode::kSocket,
+                  "127.0.0.1")
     ->ArgName("links")
     ->Arg(64)
     ->Arg(256)

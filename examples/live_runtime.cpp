@@ -4,7 +4,7 @@
 // real concurrency, in both execution modes: the event-driven reactor
 // (N workers + hierarchical timer wheel) with the whole overlay in one
 // process, and the distributed socket runtime — here as a 2-shard
-// in-process cluster whose cut edges ride loopback TCP trunks
+// in-process cluster whose cut edges ride local AF_UNIX trunks
 // (net/endpoint.h), exactly what tools/brokerd runs one-shard-per-process.
 // The experiment/live.h harness builds a SimConfig-shaped mesh workload,
 // paces publishes to their generated instants on a scaled clock, and
@@ -68,7 +68,7 @@ int main() {
       "transmission is a timer-wheel deadline, links pop OutputQueue picks\n"
       "inline on expiry.  socket x2: the same engine split across two\n"
       "shards — a transmission completing toward a remote broker crosses a\n"
-      "loopback TCP trunk (cumulative-ack reliability, `trunked` counts\n"
+      "local socket trunk (cumulative-ack reliability, `trunked` counts\n"
       "those copies) instead of a worker mailbox.\n");
   return 0;
 }

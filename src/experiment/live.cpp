@@ -483,7 +483,7 @@ LiveRunConfig parse_live_config(const std::string& text) {
   c.bind_host = kv.get_string("net_bind_host", c.bind_host);
   if (kv.has("net_peer_hosts")) {
     // Comma list indexed by shard id; an empty value means no overrides
-    // (every trunk dials loopback).  KeyValueConfig has no string-list
+    // (every trunk dials its peer's local socket).  KeyValueConfig has no string-list
     // getter, so split here — hosts are IPv4 literals, commas never nest.
     c.peer_hosts.clear();
     const std::string flat = kv.get_string("net_peer_hosts", "");

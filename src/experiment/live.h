@@ -57,16 +57,18 @@ struct LiveRunConfig {
   std::size_t message_limit = 0;
   /// Socket-mode shard count: >= 2 partitions the brokers with
   /// ShardPlan::greedy_edge_cut and runs one LiveNetwork per shard wired
-  /// over loopback TCP; <= 1 runs a single instance.  Ignored by kReactor.
+  /// over local AF_UNIX trunks; <= 1 runs a single instance.  Ignored by
+  /// kReactor.
   std::size_t shards = 0;
   /// Trunk redial backoff (socket mode).
   double reconnect_initial_ms = 5.0;
   double reconnect_max_ms = 250.0;
   /// Socket-mode trunk addressing: IPv4 literal each shard's listener
   /// binds ("" = loopback, the in-process-cluster default) and the host
-  /// dialed per peer shard (indexed by shard id; missing/empty = loopback).
-  /// A multi-machine brokerd cluster sets bind_host="0.0.0.0" and lists
-  /// every shard's address in peer_hosts.
+  /// dialed over TCP per peer shard (indexed by shard id; a missing or
+  /// empty entry means "same host, local socket").  A multi-machine
+  /// brokerd cluster sets bind_host="0.0.0.0" and lists every shard's
+  /// address in peer_hosts.
   std::string bind_host;
   std::vector<std::string> peer_hosts;
 };

@@ -1,5 +1,7 @@
 #include "net/endpoint.h"
 
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -20,6 +22,10 @@ constexpr std::uint64_t make_key(std::uint64_t kind, std::uint64_t index) {
   return (kind << 32) | index;
 }
 
+// Listener indices under kKeyListener.
+constexpr std::uint32_t kTcpListener = 0;
+constexpr std::uint32_t kLocalListener = 1;
+
 }  // namespace
 
 NetEndpoint::NetEndpoint(const NetEndpointOptions& options,
@@ -32,7 +38,13 @@ NetEndpoint::NetEndpoint(const NetEndpointOptions& options,
       listener_(0, options.bind_host) {
   static_assert(make_key(kKeyListener, 0) != kOwnerKey);
   peers_.resize(static_cast<std::size_t>(options_.shard_count));
-  poller_.add(listener_.fd(), make_key(kKeyListener, 0), true, false);
+  poller_.add(listener_.fd(), make_key(kKeyListener, kTcpListener), true,
+              false);
+  if (accepts_loopback(options_.bind_host)) {
+    local_listener_.emplace(listener_.port());
+    poller_.add(local_listener_->fd(), make_key(kKeyListener, kLocalListener),
+                true, false);
+  }
 }
 
 NetEndpoint::~NetEndpoint() { stop(); }
@@ -69,7 +81,7 @@ void NetEndpoint::handle(const Poller::Event& event) {
   const std::uint32_t index = static_cast<std::uint32_t>(event.key);
   switch (kind) {
     case kKeyListener:
-      accept_ready();
+      accept_ready(index);
       break;
     case kKeyDial:
       handle_dial_event(static_cast<int>(index), event);
@@ -151,6 +163,7 @@ std::uint64_t NetEndpoint::stop() {
   if (stopped_) return 0;
   stopped_ = true;
   poller_.remove(listener_.fd());
+  if (local_listener_) poller_.remove(local_listener_->fd());
   std::uint64_t lost = 0;
   for (Peer& p : peers_) {
     if (!p.dial.closed()) poller_.remove(p.dial.fd());
@@ -183,6 +196,7 @@ void NetEndpoint::start_dial(int peer) {
 void NetEndpoint::on_dial_established(int peer) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
   p.backoff_ms = 0.0;
+  count_local(p.dial_local, socket_family(p.dial.fd()) == AF_UNIX);
   HelloFrame hello;
   hello.shard = static_cast<std::uint32_t>(options_.shard);
   hello.shard_count = static_cast<std::uint32_t>(options_.shard_count);
@@ -206,6 +220,7 @@ void NetEndpoint::handle_dial_down(int peer) {
   // still in `unacked` and rides the reconnect replay.
   p.dial.close_now();
   p.dial_assembler = FrameAssembler{};
+  count_local(p.dial_local, false);
   connected_count_.fetch_sub(1, std::memory_order_release);
   reconnects_.fetch_add(1, std::memory_order_relaxed);
   if (on_peer_state_) on_peer_state_(peer, false);
@@ -258,15 +273,16 @@ void NetEndpoint::handle_dial_event(int peer, const Poller::Event& event) {
 void NetEndpoint::handle_in_event(int peer) {
   Peer& p = peers_[static_cast<std::size_t>(peer)];
   if (p.in.closed()) return;
-  const bool alive = p.in.read_into(p.in_assembler);
+  p.in.read_into(p.in_assembler);  // False closes the link: EOF or error.
   try {
     process_inbound(peer, p.in_assembler);
   } catch (const WireError&) {
     p.in.close_now();
-    p.in_assembler = FrameAssembler{};
-    return;
   }
-  if (!alive) p.in_assembler = FrameAssembler{};
+  if (p.in.closed()) {
+    p.in_assembler = FrameAssembler{};
+    count_local(p.in_local, false);
+  }
 }
 
 void NetEndpoint::handle_pending_event(std::uint64_t id) {
@@ -301,11 +317,13 @@ void NetEndpoint::handle_pending_event(std::uint64_t id) {
   pending_.erase(it);
   poller_.modify(p.in.fd(), make_key(kKeyIn, static_cast<std::uint64_t>(peer)),
                  true, false);
+  count_local(p.in_local, socket_family(p.in.fd()) == AF_UNIX);
   try {
     process_inbound(peer, p.in_assembler);  // frames buffered behind the hello
   } catch (const WireError&) {
     p.in.close_now();
     p.in_assembler = FrameAssembler{};
+    count_local(p.in_local, false);
   }
 }
 
@@ -344,9 +362,11 @@ void NetEndpoint::process_inbound(int peer, FrameAssembler& assembler) {
   }
 }
 
-void NetEndpoint::accept_ready() {
+void NetEndpoint::accept_ready(std::uint32_t index) {
   for (;;) {
-    const int fd = listener_.accept_connection();
+    const int fd = index == kLocalListener
+                       ? local_listener_->accept_connection()
+                       : listener_.accept_connection();
     if (fd < 0) break;
     Pending pending;
     pending.link = std::make_unique<SocketLink>();
@@ -372,6 +392,12 @@ void NetEndpoint::flush_peer(int peer) {
                    make_key(kKeyDial, static_cast<std::uint64_t>(peer)), true,
                    want);
   }
+}
+
+void NetEndpoint::count_local(bool& counted, bool local) {
+  if (counted == local) return;
+  counted = local;
+  local_trunks_.fetch_add(local ? 1 : -1, std::memory_order_relaxed);
 }
 
 }  // namespace bdps

@@ -20,8 +20,8 @@
 // monotonic sequence number (from 1); the copy (seq, target, shared
 // message) stays in an `unacked` deque until the peer's cumulative kAck
 // covers it, and a reconnect re-encodes the whole deque in order after
-// kHello (the receiver dedups via its last-seen seq — TCP FIFO plus
-// in-order replay keep the stream contiguous).  Dropped trunks redial with
+// kHello (the receiver dedups via its last-seen seq — the stream's FIFO
+// plus in-order replay keep it contiguous).  Dropped trunks redial with
 // capped exponential backoff (next_deadline() feeds the owner's park);
 // every up/down transition of *our* dialed trunk is surfaced through
 // on_peer_state so the owner can drive set_link_state for the cut edges
@@ -36,6 +36,13 @@
 // zero while a copy is in flight — sum(outstanding) == 0 across a stable
 // re-poll is a rigorous cluster-drain barrier.  stop() returns the number
 // of still-unacked copies so the caller can settle them as losses.
+//
+// A trunk is a byte stream of either kind socket_link.h offers.  A peer
+// with an empty host is on this host: its trunk is an AF_UNIX connection
+// to the peer's LocalListener, which the listener opens next to its TCP
+// port whenever that port accepts 127.0.0.1.  A peer named by an IPv4
+// literal, 127.0.0.1 included, is dialed over TCP.  Everything above the
+// socket is the same for both.
 #pragma once
 
 #include <atomic>
@@ -64,10 +71,12 @@ struct NetEndpointOptions {
   /// Backoff ceiling.
   double reconnect_max_ms = 250.0;
   /// IPv4 literal the trunk listener binds ("" = 127.0.0.1, "0.0.0.0" =
-  /// all interfaces).  Name resolution stays outside the data plane.
+  /// all interfaces).  Name resolution stays outside the data plane.  The
+  /// three hosts that accept 127.0.0.1 also open the port's local name.
   std::string bind_host;
-  /// IPv4 literal dialed per peer shard, indexed by shard id; missing or
-  /// empty entries keep the loopback default (single-host deployments).
+  /// IPv4 literal dialed per peer shard, indexed by shard id; a missing or
+  /// empty entry means the same host, reached over the peer's local
+  /// AF_UNIX socket.
   std::vector<std::string> peer_hosts;
 };
 
@@ -89,7 +98,8 @@ class NetEndpoint {
   static constexpr std::uint64_t kOwnerKey = 0;
 
   /// Binds the trunk listener (ephemeral port on options.bind_host,
-  /// loopback by default; port() is valid immediately).
+  /// loopback by default; port() is valid immediately), and the port's
+  /// local name when that host accepts 127.0.0.1.
   NetEndpoint(const NetEndpointOptions& options, ForwardHandler on_forward,
               AckHandler on_acked, PeerStateHandler on_peer_state);
   ~NetEndpoint();
@@ -102,7 +112,8 @@ class NetEndpoint {
   /// Records every other shard's port; the owner's next service() dials
   /// them.  Call before the owner starts driving the endpoint.  `ports` is
   /// indexed by shard id (our own entry is ignored); each dial targets
-  /// options.peer_hosts[shard] when set, loopback otherwise.
+  /// options.peer_hosts[shard] over TCP when set, the peer's local name
+  /// otherwise.
   void connect(const std::vector<std::uint16_t>& ports);
 
   /// Blocks until every dialed trunk is up or the deadline passes (any
@@ -130,9 +141,9 @@ class NetEndpoint {
   bool forward_remote(int peer, BrokerId target,
                       std::shared_ptr<const Message> message);
 
-  /// Fault injection: closes our dialed trunk to `peer` (a real TCP
-  /// disconnect; on_peer_state(peer, false) fires before this returns) and
-  /// lets the normal backoff schedule heal it.
+  /// Fault injection: closes our dialed trunk to `peer` (a real socket
+  /// close the peer reads as EOF; on_peer_state(peer, false) fires before
+  /// this returns) and lets the normal backoff schedule heal it.
   void drop_peer(int peer);
 
   /// Stops serving: every socket leaves poller() (they close with the
@@ -152,6 +163,12 @@ class NetEndpoint {
   std::uint64_t reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }
+  /// Established trunk sockets, dialed and accepted, whose getsockname
+  /// family is AF_UNIX: 2 per peer when every peer is on this host and
+  /// both directions are up, 0 when every peer host is an IPv4 literal.
+  int local_trunks() const {
+    return local_trunks_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// A forward awaiting the peer's cumulative ack; re-encoded on replay.
@@ -168,6 +185,9 @@ class NetEndpoint {
     bool dial_write_interest = false;
     SocketLink in;
     FrameAssembler in_assembler;
+    /// `dial` / `in` is up and counted in local_trunks_.
+    bool dial_local = false;
+    bool in_local = false;
     std::uint16_t dial_port = 0;
     std::string dial_host;
     std::uint64_t last_seq_from = 0;
@@ -193,8 +213,10 @@ class NetEndpoint {
   void handle_in_event(int peer);
   void handle_pending_event(std::uint64_t id);
   void process_inbound(int peer, FrameAssembler& assembler);
-  void accept_ready();
+  void accept_ready(std::uint32_t index);
   void flush_peer(int peer);
+  /// Sets one of a peer's *_local flags, keeping local_trunks_ in step.
+  void count_local(bool& counted, bool local);
 
   NetEndpointOptions options_;
   ForwardHandler on_forward_;
@@ -202,6 +224,9 @@ class NetEndpoint {
   PeerStateHandler on_peer_state_;
 
   TcpListener listener_;
+  /// listener_'s port under its abstract AF_UNIX name; only when
+  /// listener_ accepts 127.0.0.1.
+  std::optional<LocalListener> local_listener_;
   Poller poller_;
 
   /// Connection and Tx-window state, indexed by shard id.
@@ -214,6 +239,7 @@ class NetEndpoint {
   std::atomic<std::uint64_t> forwards_sent_{0};
   std::atomic<std::uint64_t> forwards_received_{0};
   std::atomic<std::uint64_t> reconnects_{0};
+  std::atomic<int> local_trunks_{0};
 };
 
 }  // namespace bdps

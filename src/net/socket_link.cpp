@@ -5,9 +5,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -36,6 +39,34 @@ sockaddr_in make_addr(const std::string& host, std::uint16_t port) {
   return addr;
 }
 
+/// The abstract AF_UNIX address of a LocalListener: a leading NUL, then
+/// the name, with the length counting only the bytes used.
+struct LocalAddr {
+  sockaddr_un addr{};
+  socklen_t len = 0;
+};
+
+LocalAddr make_local_addr(std::uint16_t port) {
+  LocalAddr local;
+  local.addr.sun_family = AF_UNIX;
+  const int n = std::snprintf(local.addr.sun_path + 1,
+                              sizeof(local.addr.sun_path) - 1,
+                              "bdps-trunk-%u", static_cast<unsigned>(port));
+  local.len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 +
+                                     static_cast<std::size_t>(n));
+  return local;
+}
+
+/// Binds and listens on `addr`; closes `fd` and throws on failure.
+void bind_and_listen(int fd, const sockaddr* addr, socklen_t len) {
+  if (bind(fd, addr, len) != 0 || listen(fd, 128) != 0) {
+    const int err = errno;
+    close(fd);
+    errno = err;
+    throw_errno("bind/listen");
+  }
+}
+
 int make_tcp_socket() {
   const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket");
@@ -48,6 +79,20 @@ int make_tcp_socket() {
 
 }  // namespace
 
+bool accepts_loopback(const std::string& bind_host) {
+  return bind_host.empty() || bind_host == "127.0.0.1" ||
+         bind_host == "0.0.0.0";
+}
+
+int socket_family(int fd) {
+  sockaddr_storage addr{};
+  socklen_t len = sizeof(addr);
+  if (getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    return -1;
+  }
+  return addr.ss_family;
+}
+
 void make_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
@@ -56,33 +101,15 @@ void make_nonblocking(int fd) {
 }
 
 TcpListener::TcpListener(std::uint16_t port, const std::string& bind_host) {
-  fd_ = make_tcp_socket();
+  sockaddr_in addr = make_addr(bind_host, port);  // Throws before any fd.
+  const int fd = make_tcp_socket();
   const int one = 1;
-  setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  try {
-    addr = make_addr(bind_host, port);
-  } catch (const std::exception&) {
-    close(fd_);
-    fd_ = -1;
-    throw;
-  }
-  if (bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int err = errno;
-    close(fd_);
-    fd_ = -1;
-    errno = err;
-    throw_errno("bind");
-  }
-  if (listen(fd_, 128) != 0) {
-    const int err = errno;
-    close(fd_);
-    fd_ = -1;
-    errno = err;
-    throw_errno("listen");
-  }
+  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  bind_and_listen(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  fd_ = fd;
   socklen_t len = sizeof(addr);
   if (getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+    close_now();
     throw_errno("getsockname");
   }
   port_ = ntohs(addr.sin_port);
@@ -104,6 +131,25 @@ void TcpListener::close_now() {
     close(fd_);
     fd_ = -1;
   }
+}
+
+LocalListener::LocalListener(std::uint16_t port) {
+  const LocalAddr local = make_local_addr(port);
+  const int fd =
+      socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+  if (fd < 0) throw_errno("socket(AF_UNIX)");
+  bind_and_listen(fd, reinterpret_cast<const sockaddr*>(&local.addr),
+                  local.len);
+  fd_ = fd;
+}
+
+LocalListener::~LocalListener() {
+  if (fd_ >= 0) close(fd_);
+}
+
+int LocalListener::accept_connection() {
+  // No TCP_NODELAY: an AF_UNIX stream has no Nagle to switch off.
+  return accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC | SOCK_NONBLOCK);
 }
 
 SocketLink::SocketLink(SocketLink&& other) noexcept
@@ -134,18 +180,27 @@ SocketLink& SocketLink::operator=(SocketLink&& other) noexcept {
 
 void SocketLink::dial(std::uint16_t port, const std::string& host) {
   close_now();
-  const sockaddr_in addr = make_addr(host, port);  // Throws before any fd.
-  fd_ = make_tcp_socket();
-  make_nonblocking(fd_);
-  const int rc =
-      connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  int rc = 0;
+  if (host.empty()) {
+    const LocalAddr local = make_local_addr(port);
+    fd_ = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
+    if (fd_ < 0) throw_errno("socket(AF_UNIX)");
+    rc = connect(fd_, reinterpret_cast<const sockaddr*>(&local.addr),
+                 local.len);
+  } else {
+    const sockaddr_in addr = make_addr(host, port);  // Throws before any fd.
+    fd_ = make_tcp_socket();
+    make_nonblocking(fd_);
+    rc = connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  }
   if (rc == 0) {
     connecting_ = false;
-  } else if (errno == EINPROGRESS) {
+  } else if (errno == EINPROGRESS) {  // TCP only.
     connecting_ = true;
   } else {
-    // Synchronous refusal (no listener yet): leave the link closed; the
-    // endpoint's backoff schedule retries.
+    // Synchronous refusal (no listener yet: ECONNREFUSED; AF_UNIX backlog
+    // full: EAGAIN): leave the link closed; the endpoint's backoff
+    // schedule retries.
     close_now();
   }
 }

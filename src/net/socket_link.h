@@ -1,15 +1,21 @@
-// Non-blocking TCP primitives for the broker overlay.
+// Non-blocking stream-socket primitives for the broker overlay.
 //
-// TcpListener binds an IPv4 address (127.0.0.1 and an ephemeral port by
-// default; pass a dotted-quad literal to bind a real interface) and accepts
-// non-blocking connections.  SocketLink is one connection's state: the Tx
+// A data trunk is a byte stream over one of two socket kinds.  TcpListener
+// binds an IPv4 address (127.0.0.1 and an ephemeral port by default; pass
+// a dotted-quad literal to bind a real interface).  LocalListener binds
+// the same port's name in the abstract AF_UNIX namespace
+// ("\0bdps-trunk-<port>": no file, gone with the socket), which a
+// same-host dial reaches without running the loopback TCP stack; the
+// port already names the listener uniquely in the network namespace the
+// abstract names live in.  Both accept non-blocking connections.
+// SocketLink is one connection's state, whatever its kind: the Tx
 // half is the reactor's TxAwaitWritable state in socket form — frames are
 // encoded onto an outbound buffer, flush() pushes until EAGAIN, and
 // wants_write() tells the poller when EPOLLOUT interest is needed; the Rx
 // half reads into a scratch buffer that feeds a FrameAssembler
 // (incremental frame reassembly across arbitrary read boundaries).
 //
-// BlockingConn is the control-plane counterpart: tools/brokerd's
+// BlockingConn is the control-plane counterpart, TCP only: tools/brokerd's
 // controller <-> daemon exchanges are strictly request/reply at human
 // cadence, so plain blocking send/receive with the same wire format keeps
 // that code free of readiness bookkeeping.
@@ -27,6 +33,15 @@ namespace bdps {
 
 /// Sets O_NONBLOCK; throws std::runtime_error on failure.
 void make_nonblocking(int fd);
+
+/// True when a TCP listener bound to `bind_host` accepts 127.0.0.1 dials
+/// (an empty host, "127.0.0.1" or "0.0.0.0"): the trunk listeners that
+/// also open a LocalListener.
+bool accepts_loopback(const std::string& bind_host);
+
+/// A socket's address family per getsockname (AF_UNIX, AF_INET), -1 on
+/// error.
+int socket_family(int fd);
 
 class TcpListener {
  public:
@@ -55,6 +70,26 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
+class LocalListener {
+ public:
+  /// Binds and listens on the abstract AF_UNIX name of TCP port `port`
+  /// (the port of the TcpListener it serves next to).  Throws
+  /// std::runtime_error when the name is taken or no socket can be made.
+  explicit LocalListener(std::uint16_t port);
+  ~LocalListener();
+
+  LocalListener(const LocalListener&) = delete;
+  LocalListener& operator=(const LocalListener&) = delete;
+
+  int fd() const { return fd_; }
+
+  /// As TcpListener::accept_connection.
+  int accept_connection();
+
+ private:
+  int fd_ = -1;
+};
+
 /// Tx side of a non-blocking connection (mirrors the reactor's Tx state
 /// machine vocabulary: kIdle = buffer empty, kAwaitWritable = partial
 /// write parked on EPOLLOUT).
@@ -70,11 +105,14 @@ class SocketLink {
   SocketLink(const SocketLink&) = delete;
   SocketLink& operator=(const SocketLink&) = delete;
 
-  /// Starts a non-blocking connect to `host`:`port` (empty host =
-  /// 127.0.0.1).  The link is then `connecting` until the poller reports
-  /// writability and finish_connect() confirms; throws std::runtime_error
-  /// only when no socket can be created at all or the host is not an IPv4
-  /// literal.
+  /// Starts a non-blocking connect to `host`:`port`.  An empty host means
+  /// the same host: the link dials `port`'s LocalListener name over
+  /// AF_UNIX, which connects at once or fails at once.  Any IPv4 literal,
+  /// 127.0.0.1 included, dials TCP, and the link is then `connecting`
+  /// until the poller reports writability and finish_connect() confirms.
+  /// A refused or backlogged dial leaves the link closed; throws
+  /// std::runtime_error only when no socket can be created at all or the
+  /// host is not an IPv4 literal.
   void dial(std::uint16_t port, const std::string& host = {});
 
   /// Adopts an accepted fd (already non-blocking).

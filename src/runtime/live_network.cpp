@@ -262,6 +262,10 @@ std::uint64_t LiveNetwork::trunk_reconnects() const {
   return endpoint_ ? endpoint_->reconnects() : 0;
 }
 
+int LiveNetwork::local_trunks() const {
+  return endpoint_ ? endpoint_->local_trunks() : 0;
+}
+
 void LiveNetwork::on_trunk_forward(BrokerId target, Message&& message) {
   // Deposit at the locally served downstream broker.  The increment lands
   // *before* the endpoint acks this forward (the handler runs inline in

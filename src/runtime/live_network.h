@@ -19,8 +19,8 @@
 //   * LiveMode::kSocket — one shard of a distributed overlay.  The
 //     instance owns the brokers LiveNetOptions::broker_shard assigns to
 //     it plus every directed link *leaving* them; a transmission that
-//     completes toward a remote broker rides a TCP trunk — loopback by
-//     default, real interfaces via LiveNetOptions::bind_host/peer_hosts
+//     completes toward a remote broker rides a trunk — a local AF_UNIX
+//     socket by default, TCP to the hosts LiveNetOptions::peer_hosts names
 //     (net/endpoint.h: per-trunk cumulative-ack reliability,
 //     capped-backoff reconnect) instead of a worker mailbox.  The shard
 //     runs exactly `workers` threads: reactor worker 0 drives the
@@ -63,8 +63,8 @@ namespace bdps {
 enum class LiveMode {
   /// Reactor worker pool + timer wheel, whole overlay in-process (default).
   kReactor,
-  /// One shard of the overlay; cut edges ride TCP trunks (loopback unless
-  /// LiveNetOptions names real hosts).
+  /// One shard of the overlay; cut edges ride trunks (local AF_UNIX
+  /// sockets unless LiveNetOptions names hosts, which are dialed over TCP).
   kSocket,
 };
 
@@ -80,10 +80,11 @@ struct LiveNetOptions {
   double reconnect_max_ms = 250.0;
   /// IPv4 literal the trunk listener binds ("" = 127.0.0.1 — the
   /// single-host default; "0.0.0.0" = all interfaces for real
-  /// multi-machine deployments).
+  /// multi-machine deployments).  "", 127.0.0.1 and 0.0.0.0 also open the
+  /// listener's local AF_UNIX name for same-host peers.
   std::string bind_host;
-  /// IPv4 literal dialed per peer shard, indexed by shard id; missing or
-  /// empty entries dial loopback.
+  /// IPv4 literal dialed over TCP per peer shard, indexed by shard id; a
+  /// missing or empty entry means "same host, local socket".
   std::vector<std::string> peer_hosts;
 };
 
@@ -143,7 +144,7 @@ class LiveNetwork {
   /// Callers must bring links back up (or rely on purges) before drain(),
   /// or held copies keep it blocked.  Unknown or unserved links are
   /// ignored.  In socket mode a down cut edge also severs its trunk (a
-  /// real TCP disconnect); the trunk heals itself with capped backoff and
+  /// real socket close); the trunk heals itself with capped backoff and
   /// the edge re-enters service once both the fault is lifted *and* the
   /// trunk is re-established.
   void set_link_state(BrokerId a, BrokerId b, bool up);
@@ -199,6 +200,9 @@ class LiveNetwork {
   std::uint64_t trunk_forwards_sent() const;
   std::uint64_t trunk_forwards_received() const;
   std::uint64_t trunk_reconnects() const;
+  /// NetEndpoint::local_trunks(): established trunk sockets that are
+  /// AF_UNIX (0 unless socket mode).
+  int local_trunks() const;
 
  private:
   void on_trunk_forward(BrokerId target, Message&& message);

@@ -4,7 +4,7 @@
 // cross-process result must match the in-process reactor bit-for-bit on
 // the (subscriber, message-id) delivery multiset — the same determinism
 // the in-process socket gate pins, now across fork/exec, serialized
-// config, and loopback trunks.
+// config, and same-host trunks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,7 +67,7 @@ TEST(BrokerdCluster, FourProcessRunCompletesAndMatchesTheReactor) {
   EXPECT_DOUBLE_EQ(cluster.earning, reactor.earning);
   EXPECT_EQ(cluster.lost, 0u);
   EXPECT_EQ(cluster.delivery_log.size(), cluster.deliveries);
-  // A 4-way cut of a 16-broker mesh must push real traffic over TCP.
+  // A 4-way cut of a 16-broker mesh must push real traffic over the trunks.
   EXPECT_GT(cluster.trunk_forwards, 0u);
   EXPECT_EQ(sorted_pairs(cluster), sorted_pairs(reactor));
 }

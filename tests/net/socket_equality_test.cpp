@@ -1,4 +1,4 @@
-// The socket transport's differential gate: on loss-free loopback the
+// The socket transport's differential gate: on loss-free same-host trunks the
 // multi-shard socket cluster must produce the *identical* delivery
 // multiset as the in-process reactor — same (subscriber, message-id)
 // pairs, same valid counts — for a star flood, a SimConfig mesh workload,
@@ -151,7 +151,7 @@ TEST(SocketEquality, StarFloodMatchesReactorExactly) {
 }
 
 TEST(SocketEquality, TrunkSeverAndHealReentersService) {
-  // Downing a *cut* edge severs its TCP trunk for real; the endpoint
+  // Downing a *cut* edge severs its trunk for real; the endpoint
   // redials with capped backoff and the edge re-enters service (via the
   // same set_link_state path) once the fault lifts AND the trunk is back.
   // Copies queued toward the cut are held the whole time — loss-free.
@@ -213,7 +213,7 @@ TEST(SocketEquality, TrunkSeverAndHealReentersService) {
   }
   EXPECT_EQ(delivered, static_cast<std::size_t>(kStarMessages) *
                            rig.topo.subscriber_count());
-  // The fault really did sever TCP: at least one side redialed.
+  // The fault really did sever the trunk: at least one side redialed.
   EXPECT_GE(reconnects, 1u);
 }
 

@@ -11,7 +11,7 @@
 //
 // Runs in both modes: the reactor, and single-shard socket mode (the
 // degenerate cluster — same engine with the trunk endpoint idling).  The
-// cross-shard variant (a crash behind a TCP trunk) rides in
+// cross-shard variant (a crash behind a trunk) rides in
 // tests/net via the storm configs; here the timing must be exact.
 #include <gtest/gtest.h>
 

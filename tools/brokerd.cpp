@@ -1,5 +1,5 @@
 // brokerd — the distributed broker daemon, and the controller that spawns
-// a loopback cluster of them.
+// a same-host cluster of them.
 //
 // Controller mode (the default):
 //   ./brokerd shards=4 [config=FILE | key=value ...]

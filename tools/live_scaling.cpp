@@ -5,9 +5,10 @@
 // sustained link-transmissions per second, thread count, and whether the
 // mode completed at all.  Reactor rows run the whole overlay in one
 // process; socket rows split it into a 2-shard in-process cluster whose
-// cut edges ride loopback TCP trunks — the same transport the distributed
-// daemon (tools/brokerd) runs one-shard-per-process, so the gap between
-// the two curves is the wire cost per transmission.  Socket rows get a
+// cut edges ride same-host trunks (local AF_UNIX sockets) — the same
+// transport the distributed daemon (tools/brokerd) runs
+// one-shard-per-process, so the gap between the two curves is the wire
+// cost per transmission.  Socket rows get a
 // wall budget per row (default 120 s); once a row blows the budget or
 // fails, larger rows are marked infeasible without being attempted.
 // Reactor rows also sweep the `workers` knob at a mid scale.
@@ -21,9 +22,14 @@
 // own slack, and /proc/<tid>/timerslack_ns of every `bdps-w*` thread where
 // the kernel allows it (reading another thread's slack needs
 // CAP_SYS_NICE).  It is 1 when they wait for their timers exactly.
+// `trunk_family` (socket rows) is the socket kind the trunks ran over, per
+// getsockname: "unix" when every trunk socket of both shards was AF_UNIX,
+// "tcp" when none was, "mixed" otherwise.
 // Exits 1 when a socket row reports `completed` although no copy crossed a
-// trunk — that row measured a single shard — or when any row's workers
-// report a slack other than 1 ns: those timings are not the model's.
+// trunk — that row measured a single shard —, when a socket row's trunks
+// were not all local although every peer host is the default, or when any
+// row's workers report a slack other than 1 ns: those timings are not the
+// model's.
 #include <dirent.h>
 
 #include <chrono>
@@ -61,7 +67,8 @@ struct Probe {
   std::string error;
   double wall_ms = 0.0;
   double tx_per_sec = 0.0;
-  unsigned long long trunk_forwards = 0;  // Copies that crossed TCP.
+  unsigned long long trunk_forwards = 0;  // Copies that crossed a trunk.
+  std::string trunk_family;  // Socket rows: "unix", "tcp" or "mixed".
 };
 
 /// Threads in this process right now (entries of /proc/self/task).
@@ -156,7 +163,7 @@ Probe run_probe_reactor(const Topology& topo, const RoutingFabric& fabric,
   return probe;
 }
 
-/// 2-shard in-process cluster over loopback trunks: the socket-mode row.
+/// 2-shard in-process cluster over same-host trunks: the socket-mode row.
 Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
                        const Strategy& strategy, int messages) {
   Probe probe;
@@ -196,6 +203,10 @@ Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
     const auto end = std::chrono::steady_clock::now();
     const std::vector<ThreadTimerSlack> seen =
         thread_timer_slacks(kWorkerThreadPrefix);
+    // Each shard dials one trunk and accepts one; after the drain both
+    // directions have carried frames, so all four sockets are up.
+    const int local = nets[0]->local_trunks() + nets[1]->local_trunks();
+    probe.trunk_family = local == 4 ? "unix" : local == 0 ? "tcp" : "mixed";
     std::size_t delivered = 0;
     std::size_t links = 0;
     for (const auto& net : nets) {
@@ -234,16 +245,19 @@ std::string escape(const std::string& raw) {
 }
 
 void emit(const Probe& p) {
-  const std::string error = escape(p.error);
+  std::string extra;
+  if (!p.trunk_family.empty()) {
+    extra += ", \"trunk_family\": \"" + p.trunk_family + "\"";
+  }
+  if (!p.error.empty()) extra += ", \"error\": \"" + escape(p.error) + "\"";
   std::printf(
       "{\"links\": %zu, \"mode\": \"%s\", \"workers\": %zu, "
       "\"threads\": %zu, \"worker_slack_ns\": %ld, \"completed\": %s, "
       "\"wall_ms\": %.1f, \"tx_per_sec\": %.0f, \"trunk_forwards\": "
-      "%llu%s%s%s}\n",
+      "%llu%s}\n",
       p.links, p.mode.c_str(), p.workers, p.threads, p.worker_slack_ns,
       p.completed ? "true" : "false", p.wall_ms, p.tx_per_sec,
-      p.trunk_forwards, error.empty() ? "" : ", \"error\": \"", error.c_str(),
-      error.empty() ? "" : "\"");
+      p.trunk_forwards, extra.c_str());
   std::fflush(stdout);
   std::fprintf(stderr, "%-16s %7zu links  %6zu threads  %9.1f ms  %s\n",
                p.mode.c_str(), p.links, p.threads, p.wall_ms,
@@ -271,6 +285,7 @@ int main(int argc, char** argv) {
   bool socket_mode_alive = true;
   bool single_shard_rows = false;
   bool inexact_rows = false;
+  bool tcp_rows = false;
   // A row whose workers did not get 1 ns slack timed the kernel's timer
   // coalescing, not the model's delays.
   const auto check_slack = [&inexact_rows](const Probe& probe) {
@@ -314,6 +329,13 @@ int main(int argc, char** argv) {
                    probe.links);
       single_shard_rows = true;
     }
+    if (probe.completed && probe.trunk_family != "unix") {
+      std::fprintf(stderr,
+                   "live_scaling: socket row at %zu links ran its default-host "
+                   "trunks over %s, not local AF_UNIX sockets\n",
+                   probe.links, probe.trunk_family.c_str());
+      tcp_rows = true;
+    }
     if (!probe.completed || probe.wall_ms > budget_ms) {
       socket_mode_alive = false;  // The ceiling: stop escalating.
     }
@@ -331,5 +353,5 @@ int main(int argc, char** argv) {
       check_slack(probe);
     }
   }
-  return single_shard_rows || inexact_rows ? 1 : 0;
+  return single_shard_rows || inexact_rows || tcp_rows ? 1 : 0;
 }

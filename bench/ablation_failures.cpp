@@ -4,6 +4,10 @@
 // single-path vs multi-path forwarding under the *same* failure plan.
 // Failure injection is where multi-path finally earns its traffic premium:
 // single-path strands every subscriber behind a dead link.
+//
+// Kills compile into the fault timeline, so a run with N > 0 failures must
+// apply at least one fault batch; the bench exits 1 when a row's kills did
+// not take effect.
 #include "bench_util.h"
 
 using namespace bdps;
@@ -12,6 +16,7 @@ int main(int argc, char** argv) {
   const auto opt = bdps_bench::BenchOptions::parse(argc, argv);
   bdps_bench::banner("Ablation: random link failures (PSD, rate 6, EB)", opt);
   ThreadPool pool(opt.threads);
+  int status = 0;
 
   TextTable table({"failed links", "1-path rate(%)", "1-path lost",
                    "2-path rate(%)", "2-path lost"});
@@ -30,6 +35,12 @@ int main(int argc, char** argv) {
         SimConfig replica = config;
         replica.seed = opt.seed + r;
         const SimResult result = run_simulation(replica);
+        if (failures > 0 && result.fault_batches == 0) {
+          std::cerr << "FATAL: " << failures << " failed links ("
+                    << (multipath ? "2" : "1") << "-path, seed "
+                    << replica.seed << ") applied no fault batch\n";
+          status = 1;
+        }
         rate.add(result.delivery_rate);
         lost.add(static_cast<double>(result.lost_copies));
       }
@@ -44,5 +55,5 @@ int main(int argc, char** argv) {
                                "multi_rate", "multi_lost"},
                               opt.csv_path);
   (void)pool;
-  return 0;
+  return status;
 }

@@ -11,6 +11,8 @@
 // (golden-pinned), so the ratio is pure engine overhead vs parallelism.
 // tools/parallel_speedup runs the same configuration with the engine's
 // critical-path accounting (the honest number on busy or few-core hosts).
+// The `kills` rows add brokers/16 random terminal link kills: each kill is
+// a fault batch the sharded engine applies at a window barrier.
 #include <benchmark/benchmark.h>
 
 #include "experiment/paper.h"
@@ -49,6 +51,26 @@ void BM_ParallelDenseScaleFree(benchmark::State& state) {
                              : "P=" + std::to_string(shards));
 }
 
+void BM_ParallelDenseScaleFreeKills(benchmark::State& state) {
+  const auto brokers = static_cast<std::size_t>(state.range(0));
+  const auto shards = static_cast<std::size_t>(state.range(1));
+  SimConfig config = dense_config(brokers, shards);
+  config.random_link_failures = brokers / 16;
+  std::size_t receptions = 0;
+  std::size_t lost = 0;
+  for (auto _ : state) {
+    const SimResult r = run_simulation(config);
+    receptions += r.receptions;
+    lost += r.lost_copies;
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(receptions));
+  state.counters["lost/iter"] = benchmark::Counter(
+      static_cast<double>(lost), benchmark::Counter::kAvgIterations);
+  state.SetLabel(shards == 0 ? "sequential"
+                             : "P=" + std::to_string(shards));
+}
+
 BENCHMARK(BM_ParallelDenseScaleFree)
     ->ArgNames({"brokers", "shards"})
     ->Args({512, 0})
@@ -61,6 +83,14 @@ BENCHMARK(BM_ParallelDenseScaleFree)
     ->Args({4096, 2})
     ->Args({4096, 4})
     ->Args({4096, 8})
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
+BENCHMARK(BM_ParallelDenseScaleFreeKills)
+    ->ArgNames({"brokers", "shards"})
+    ->Args({512, 0})
+    ->Args({512, 2})
+    ->Args({512, 4})
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();

@@ -92,7 +92,14 @@ struct SimConfig {
   /// shapes stress the model-mismatch robustness.
   RateShape true_rate_shape = RateShape::kNormal;
 
-  /// Explicit failure plan: links that die mid-run (failure injection).
+  /// Terminal link kills (failure injection): each link dies for good at
+  /// its instant, both directions.  Its in-flight copy is lost, queued and
+  /// later copies toward it are dropped as losses.  Kills never reach
+  /// routing repair: routing is not moved off a link killed while up, and a
+  /// link killed inside (or at the end of) a `faults` outage never comes
+  /// back up, so with `repair_routing` its routes stay around it for good.
+  /// run_simulation compiles the kills into the fault timeline next to
+  /// `faults` (as kill batches); the live runtime ignores them.
   std::vector<LinkFailure> link_failures;
   /// Convenience: additionally kill this many *random* links, at uniform
   /// times within the publish window (drawn from a dedicated RNG stream so
@@ -103,7 +110,7 @@ struct SimConfig {
   /// region storms, flaps.  Generators are materialized against the built
   /// topology with a dedicated RNG stream (split only when the plan is
   /// non-empty, so fault-free runs are byte-identical).  Unlike
-  /// link_failures, these outages *recover*.
+  /// link_failures, these outages *hold* queued copies and *recover*.
   FaultPlan faults;
   /// Repair routing state incrementally as the fault timeline cuts and
   /// restores links: affected SPT subtrees are recomputed and subscription

@@ -84,7 +84,8 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
   options.online_estimation = config.online_estimation;
   options.dedup_arrivals = config.multipath;
   options.serialize_processing = config.serialize_processing;
-  options.failures = config.link_failures;
+  // Terminal link kills compile into the fault timeline with the plan.
+  std::vector<LinkFailure> kills = config.link_failures;
   if (config.random_link_failures > 0 && topology.graph.edge_count() > 0) {
     Rng failure_rng = root.split();
     // Undirected links are deduplicated by their canonical (min -> max)
@@ -104,20 +105,22 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
       if (canonical == kNoEdge) canonical = id;  // One-way link.
       if (chosen.test(canonical)) continue;
       chosen.set(canonical);
-      options.failures.push_back(LinkFailure{
+      kills.push_back(LinkFailure{
           failure_rng.uniform(0.0, config.workload.duration), lo, hi});
     }
   }
 
+  FaultPlan normalized;
   if (!config.faults.empty()) {
     // Fault stream split only when a plan exists, so fault-free runs draw
     // the identical sequence they always did.
     Rng fault_rng = root.split();
-    const FaultPlan normalized =
-        materialize_faults(config.faults, topology.graph, fault_rng);
-    options.faults = std::make_shared<const CompiledFaults>(
-        CompiledFaults::compile(normalized, topology.graph));
+    normalized = materialize_faults(config.faults, topology.graph, fault_rng);
     if (fabric_options.repairable) options.repair_fabric = &fabric;
+  }
+  if (!config.faults.empty() || !kills.empty()) {
+    options.faults = std::make_shared<const CompiledFaults>(
+        CompiledFaults::compile(normalized, topology.graph, kills));
   }
 
   options.shards = config.shards;

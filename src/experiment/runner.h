@@ -21,11 +21,13 @@ struct SimResult {
   double potential_earning = 0.0;  // Oracle ceiling of eq. (2).
   std::size_t purged_expired = 0;
   std::size_t purged_hopeless = 0;
-  /// Copies destroyed by injected link failures.
+  /// Copies destroyed by faults: killed links and crashed brokers.
   std::size_t lost_copies = 0;
   /// Deepest input queue observed (serialize_processing only; else 0).
   std::size_t max_input_queue = 0;
-  /// Fault batches applied, and routing rows their repair rewrote.
+  /// Fault batches applied, and routing rows their repair rewrote.  Link
+  /// kills (link_failures, random_link_failures) count too: each distinct
+  /// kill instant is a batch, merged with any plan batch at that instant.
   std::size_t fault_batches = 0;
   std::size_t repaired_rows = 0;
   double mean_valid_delay_ms = 0.0;

@@ -14,13 +14,6 @@ BrokerStep::BrokerStep(const Topology* topology_in, const Graph* believed_in,
       options(std::move(options_in)) {
   const std::size_t broker_count = topology->graph.broker_count();
   const std::size_t edge_count = topology->graph.edge_count();
-  for (const LinkFailure& failure : options.failures) {
-    const auto n = static_cast<BrokerId>(broker_count);
-    if (failure.a < 0 || failure.a >= n || failure.b < 0 || failure.b >= n) {
-      throw std::invalid_argument(
-          "link failure references a broker outside the topology");
-    }
-  }
   // One independent stream per true directed edge; the derivation order is
   // the edge-id order, so the mapping is a pure function of the seed and
   // the topology.
@@ -67,6 +60,7 @@ BrokerStep::BrokerStep(const Topology* topology_in, const Graph* believed_in,
   }
   if (has_faults) {
     down.assign(edge_count);
+    killed.assign(edge_count);
     broker_down.assign(broker_count, 0);
   }
 }

@@ -7,7 +7,9 @@
 // state both engines run on (brokers, the slot -> true-edge table, the
 // per-edge RNG streams, the online estimators, the dedup sets, the input
 // queues and the fault state) and applies one event at a time through
-// `step`.  The two engines only decide the *order* of events:
+// `step`.  Link faults of both kinds, outages and terminal kills, reach it
+// as compiled fault batches (sim/faults/timeline.h).  The two engines only
+// decide the *order* of events:
 //
 //   * Simulator pops one global (time, sequence) heap;
 //   * ParallelSimulator pops per-shard lanes inside conservative windows
@@ -16,8 +18,8 @@
 // Everything a step does beyond mutating this state goes through an
 // Effects policy, a compile-time template parameter (no virtual call and
 // no std::function on the hot path).  An Effects type provides what the
-// rules it runs call (`apply_faults` alone needs neither `interest`,
-// `claim_deposit` nor `owns`):
+// rules it runs call (`apply_faults` alone needs neither `interest` nor
+// `claim_deposit`):
 //
 //   using Event = ...;  // Event (Simulator) or LaneEvent (parallel lanes).
 //   // Collector and trace side effects: applied at once (DirectRecord),
@@ -37,8 +39,6 @@
 //   double draw_rate(EdgeId edge);    // ms/KB of the edge's next send.
 //   void send(Event completion, EdgeId edge, TimeMs start);
 //   bool claim_deposit(Event& completion);  // Arrival shipped at start?
-//   EdgeFlags& dead(BrokerId sender);  // Legacy `failures` kill flags.
-//   bool owns(BrokerId broker) const;  // May this step drain its queues?
 //   StepScratch& scratch();
 //
 // Stream discipline: the k-th send on a true edge consumes the k-th sample
@@ -88,17 +88,15 @@ struct SimulatorOptions {
   /// broker can legitimately receive a message over several links; harmless
   /// (and a no-op) under single-path routing.
   bool dedup_arrivals = false;
-  /// Failure injection: links to kill mid-run (both directions).  A send in
-  /// flight at the failure instant is lost; queued and future copies toward
-  /// a dead link are dropped and counted as losses.  Routing tables are
-  /// *not* recomputed — recovery, if any, comes from multi-path redundancy.
-  std::vector<LinkFailure> failures;
-  /// Compiled fault timeline (sim/faults/): link/broker down→up windows
-  /// applied as atomic batches at their instants.  Unlike `failures`, a
+  /// Compiled fault timeline (sim/faults/): link/broker down→up windows and
+  /// terminal link kills, applied as atomic batches at their instants.  A
   /// down link *holds* its queued copies until recovery (deadline pressure
-  /// applies at the next pick); a crashed broker drops its queues and loses
-  /// in-progress work, and restarts empty.  Shared by both engines so a
-  /// storm replays bitwise at any shard count.  nullptr/empty = no faults.
+  /// applies at the next pick); a killed link drops them as losses, loses
+  /// its in-flight copy and never recovers (routing is not repaired around
+  /// it — multi-path redundancy is the only way past).  A crashed broker
+  /// drops its queues and loses in-progress work, and restarts empty.
+  /// Shared by both engines so a run replays bitwise at any shard count.
+  /// nullptr/empty = no faults.
   std::shared_ptr<const CompiledFaults> faults;
   /// When set, fault batches additionally repair this fabric's routing
   /// state incrementally (affected-subtree SPT recompute) as links go down
@@ -163,8 +161,7 @@ class BrokerStep {
  public:
   /// Builds the shared overlay state; see Simulator's constructor for the
   /// pointer contracts.  Throws std::logic_error when a believed link has
-  /// no true counterpart and std::invalid_argument when options.failures
-  /// names a broker outside the topology.
+  /// no true counterpart.
   BrokerStep(const Topology* topology, const Graph* believed,
              const RoutingFabric* fabric, const Strategy* strategy,
              SimulatorOptions options, Rng link_rng);
@@ -175,8 +172,9 @@ class BrokerStep {
 
   /// Applies one compiled fault batch in the canonical order: broker
   /// crashes (input and output queues lost), edge downs (hold semantics),
-  /// recoveries, incremental routing repair, then a send kick on every
-  /// recovered edge whose queue held copies, in edge-id order.
+  /// recoveries, incremental routing repair, kills (queues lost), then a
+  /// send kick on every recovered edge whose queue held copies, in edge-id
+  /// order.
   template <class Fx>
   void apply_faults(Fx& fx, const FaultBatch& batch, TimeMs now);
 
@@ -226,14 +224,15 @@ class BrokerStep {
   std::vector<std::deque<std::shared_ptr<const Message>>> input_queues;
   std::vector<std::uint8_t> processing_busy;
   /// Fault-timeline state, sized only when a non-empty plan is attached:
-  /// down directed edges (hold their copies) and crashed brokers.  Only the
-  /// batch step writes them.
+  /// down directed edges (hold their copies), killed ones (also down; drop
+  /// their copies) and crashed brokers.  Only the batch step writes them.
   bool has_faults = false;
   EdgeFlags down;
+  EdgeFlags killed;
   std::vector<std::uint8_t> broker_down;
 
  private:
-  /// The link-free instant at `broker` for `slots`: drains dead-link
+  /// The link-free instant at `broker` for `slots`: drains killed-link
   /// queues, holds down ones, and purges + picks + starts a send on each
   /// live one, in slot order.
   template <class Fx>
@@ -248,8 +247,6 @@ class BrokerStep {
   void processed(Fx& fx, Ev& event);
   template <class Fx, class Ev>
   void send_complete(Fx& fx, Ev& event);
-  template <class Fx, class Ev>
-  void link_failure(Fx& fx, const Ev& event);
   /// Drops every copy queued on the slot as a loss.
   template <class Fx>
   void drain_slot(Fx& fx, BrokerId broker, Broker::QueueSlot slot,
@@ -294,9 +291,6 @@ void BrokerStep::step(Fx& fx, typename Fx::Event& event) {
       break;
     case EventType::kSendComplete:
       send_complete(fx, event);
-      break;
-    case EventType::kLinkFailure:
-      link_failure(fx, event);
       break;
     case EventType::kFault:
       apply_faults(fx, options.faults->batches()[static_cast<std::size_t>(
@@ -400,18 +394,17 @@ void BrokerStep::start_sends(Fx& fx, BrokerId broker_id,
                              std::span<const Broker::QueueSlot> slots,
                              TimeMs now) {
   const std::vector<EdgeId>& true_edges = true_edge_by_slot[broker_id];
-  const EdgeFlags& dead = fx.dead(broker_id);
   StepScratch& scratch = fx.scratch();
   std::vector<Broker::QueueSlot>& live = scratch.live_slots;
   live.clear();
-  if (dead.none() && (!has_faults || down.none())) {
+  if (!has_faults || down.none()) {
     live.assign(slots.begin(), slots.end());
   } else {
     for (const Broker::QueueSlot slot : slots) {
       const EdgeId true_edge = true_edges[slot];
-      if (!dead.none() && dead.test(true_edge)) {
+      if (killed.test(true_edge)) {
         drain_slot(fx, broker_id, slot, now);
-      } else if (has_faults && down.test(true_edge)) {
+      } else if (down.test(true_edge)) {
         // Fault-timeline outage: hold the copies; the recovery batch (or a
         // post-flap completion) kicks this queue again.
       } else {
@@ -461,23 +454,16 @@ void BrokerStep::send_complete(Fx& fx, Ev& event) {
   const Broker::QueueSlot resend[1] = {slot};
 
   const EdgeId true_edge = true_edge_by_slot[b][slot];
-  const EdgeFlags& dead = fx.dead(b);
-  if (!dead.none() && dead.test(true_edge)) {
-    // The transfer was cut mid-flight by a terminal failure: the copy is
-    // lost, and anything that queued up since is unreachable too.
-    fx.loss(1);
-    trace(fx, now, TraceEventKind::kLoss, event.message->id(), b,
-          event.neighbor);
-    drain_slot(fx, b, slot, now);
-    return;
-  }
   if (has_faults && lost_in_flight(true_edge, send_begin[true_edge], now)) {
     // The link went down mid-transfer (possibly flapping back up before
-    // the completion): the copy is lost, but the queue holds the rest.
+    // the completion): the copy is lost.  A held queue keeps the rest; a
+    // killed link's is unreachable too (what queued up behind the send).
     fx.loss(1);
     trace(fx, now, TraceEventKind::kLoss, event.message->id(), b,
           event.neighbor);
-    if (!down.test(true_edge) && !out.empty()) {
+    if (killed.test(true_edge)) {
+      drain_slot(fx, b, slot, now);
+    } else if (!down.test(true_edge) && !out.empty()) {
       start_sends(fx, b, resend, now);
     }
     return;
@@ -499,27 +485,6 @@ void BrokerStep::send_complete(Fx& fx, Ev& event) {
                            std::move(event.message)));
   }
   if (!out.empty()) start_sends(fx, b, resend, now);
-}
-
-template <class Fx, class Ev>
-void BrokerStep::link_failure(Fx& fx, const Ev& event) {
-  // Broker ids were range-checked at construction; the pair may still name
-  // a non-adjacent pair, which kills nothing.  Both directions die; queued
-  // copies are dropped now, an in-flight send is lost at its completion.
-  const BrokerId local = event.broker;
-  const BrokerId remote = event.neighbor;
-  EdgeFlags& dead = fx.dead(local);
-  const EdgeId forward = topology->graph.edge_id(local, remote);
-  if (forward != kNoEdge) dead.set(forward);
-  const EdgeId backward = topology->graph.edge_id(remote, local);
-  if (backward != kNoEdge) dead.set(backward);
-  const auto drain = [&](BrokerId from, BrokerId to) {
-    const Broker::QueueSlot slot = brokers[from].slot_of(to);
-    if (slot != Broker::kNoSlot) drain_slot(fx, from, slot, event.time);
-  };
-  drain(local, remote);
-  // A sharded engine drains the far side in the far broker's own lane.
-  if (fx.owns(remote)) drain(remote, local);
 }
 
 template <class Fx>
@@ -590,8 +555,19 @@ void BrokerStep::apply_faults(Fx& fx, const FaultBatch& batch, TimeMs now) {
         translate(batch.edges_down), translate(batch.edges_up));
   }
   fx.fault_batch(repaired_rows);
-  // 4. Each recovered edge whose queue held copies through the outage (and
-  //    whose link is idle) starts sending again, in edge-id order.
+  // 4. Kills: the link is gone for good, its queue drained as losses (an
+  //    in-flight send is doomed by the cut test).  Never repaired, never
+  //    kicked, never up again.
+  for (const EdgeId e : batch.edges_killed) {
+    down.set(e);
+    killed.set(e);
+    const Edge& edge = topology->graph.edge(e);
+    const Broker::QueueSlot slot = brokers[edge.from].slot_of(edge.to);
+    if (slot != Broker::kNoSlot) drain_slot(fx, edge.from, slot, now);
+  }
+  // 5. Each recovered edge whose queue held copies through the outage (and
+  //    whose link is idle) starts sending again, in edge-id order (a killed
+  //    edge is never in `edges_up`).
   for (const EdgeId e : batch.edges_up) {
     const Edge& edge = topology->graph.edge(e);
     const Broker::QueueSlot slot = brokers[edge.from].slot_of(edge.to);

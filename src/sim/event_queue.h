@@ -20,7 +20,6 @@ enum class EventType : std::uint8_t {
   kArrival,       // A message reaches `broker` (reception; counts traffic).
   kProcessed,     // The processing stage (PD) completed at `broker`.
   kSendComplete,  // The in-flight send `broker` -> `neighbor` finished.
-  kLinkFailure,   // The `broker` <-> `neighbor` link dies (both directions).
   kFault,         // A compiled fault batch fires (`broker` = batch index).
 };
 

@@ -1,16 +1,18 @@
 // Fault-injection plans: link/broker churn as down→up timelines.
 //
-// SimulatorOptions::failures kills a link once and forever; a production
-// overlay instead sees *windows* of unavailability — a backhoe cuts a
-// region for minutes, a flaky transceiver flaps, a broker crashes and
-// restarts with empty queues.  A FaultPlan describes such a timeline either
-// explicitly (LinkOutage / BrokerOutage windows) or through generators
-// (RegionStorm: a seeded BFS-ball kill with recovery delays; LinkFlap: a
-// periodic square wave).  `materialize_faults` expands the generators,
-// validates every reference against the overlay graph and normalizes
-// overlapping windows into disjoint ones; the result feeds
-// sim/faults/timeline.h, which compiles it into the per-instant batches
-// both simulation engines replay bitwise.
+// A LinkFailure (SimConfig::link_failures) kills a link once and forever;
+// a production overlay instead sees *windows* of unavailability — a
+// backhoe cuts a region for minutes, a flaky transceiver flaps, a broker
+// crashes and restarts with empty queues.  A FaultPlan describes such a
+// timeline either explicitly (LinkOutage / BrokerOutage windows) or
+// through generators (RegionStorm: a seeded BFS-ball kill with recovery
+// delays; LinkFlap: a periodic square wave).  `materialize_faults` expands
+// the generators, validates every reference against the overlay graph and
+// normalizes overlapping windows into disjoint ones; the result feeds
+// sim/faults/timeline.h, which compiles it, together with any terminal
+// link kills, into the per-instant batches both simulation engines replay
+// bitwise.  Kills stay out of FaultPlan and its text form: they drop
+// queued copies, which the live runtime cannot honour.
 #pragma once
 
 #include <string>

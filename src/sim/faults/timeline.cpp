@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bdps {
@@ -28,7 +29,8 @@ void merge_in_place(std::vector<Window>& windows) {
 }  // namespace
 
 CompiledFaults CompiledFaults::compile(const FaultPlan& plan,
-                                       const Graph& graph) {
+                                       const Graph& graph,
+                                       const std::vector<LinkFailure>& kills) {
   if (!plan.storms.empty() || !plan.flaps.empty()) {
     throw std::invalid_argument(
         "CompiledFaults::compile expects a materialized plan "
@@ -65,6 +67,21 @@ CompiledFaults CompiledFaults::compile(const FaultPlan& plan,
     merge_in_place(edge_windows[e]);
   }
 
+  // ---- Terminal kills: each directed edge's earliest kill instant.
+  std::vector<TimeMs> kill_at(graph.edge_count(), kNoDeadline);
+  const auto n = static_cast<BrokerId>(graph.broker_count());
+  for (const LinkFailure& kill : kills) {
+    if (kill.a < 0 || kill.a >= n || kill.b < 0 || kill.b >= n) {
+      throw std::invalid_argument(
+          "link failure references a broker outside the topology");
+    }
+    for (const auto& [from, to] :
+         {std::pair{kill.a, kill.b}, std::pair{kill.b, kill.a}}) {
+      const EdgeId e = graph.edge_id(from, to);
+      if (e != kNoEdge) kill_at[e] = std::min(kill_at[e], kill.at);
+    }
+  }
+
   // ---- Batches: group every transition instant.
   std::map<TimeMs, FaultBatch> batches;
   const auto batch_at = [&](TimeMs at) -> FaultBatch& {
@@ -81,51 +98,95 @@ CompiledFaults CompiledFaults::compile(const FaultPlan& plan,
   for (EdgeId e = 0; e < static_cast<EdgeId>(graph.edge_count()); ++e) {
     for (const Window& w : edge_windows[e]) {
       batch_at(w.first).edges_down.push_back(e);
-      if (w.second != kNoDeadline) batch_at(w.second).edges_up.push_back(e);
+      // A killed edge never comes back: recoveries at or after its kill
+      // vanish, so routing repair never sees it up again.
+      if (w.second < kill_at[e]) batch_at(w.second).edges_up.push_back(e);
+    }
+    if (kill_at[e] != kNoDeadline) {
+      batch_at(kill_at[e]).edges_killed.push_back(e);
     }
   }
+  // Ids were appended in ascending order above (check_invariants pins it).
   out.batches_.reserve(batches.size());
-  for (auto& [at, batch] : batches) {
-    // Ids are appended in ascending order above; keep the invariant
-    // explicit for future editors.
-    std::sort(batch.brokers_down.begin(), batch.brokers_down.end());
-    std::sort(batch.brokers_up.begin(), batch.brokers_up.end());
-    std::sort(batch.edges_down.begin(), batch.edges_down.end());
-    std::sort(batch.edges_up.begin(), batch.edges_up.end());
-    out.batches_.push_back(std::move(batch));
-  }
+  for (auto& [at, batch] : batches) out.batches_.push_back(std::move(batch));
 
-  // ---- CSR doom tables.
-  out.edge_offsets_.assign(graph.edge_count() + 1, 0);
-  for (std::size_t e = 0; e < graph.edge_count(); ++e) {
-    out.edge_offsets_[e + 1] =
-        out.edge_offsets_[e] +
-        static_cast<std::uint32_t>(edge_windows[e].size());
-  }
-  out.edge_down_times_.reserve(out.edge_offsets_.back());
-  for (std::size_t e = 0; e < graph.edge_count(); ++e) {
-    for (const Window& w : edge_windows[e]) {
-      out.edge_down_times_.push_back(w.first);
+  // ---- Doom rows, read off the finished batches: each edge's down and
+  // kill instants, each broker's crash instants (ascending, as the batches
+  // are).  A kill is a down-transition too: it dooms the copy in flight.
+  std::vector<std::vector<TimeMs>> edge_rows(graph.edge_count());
+  std::vector<std::vector<TimeMs>> broker_rows(graph.broker_count());
+  for (const FaultBatch& batch : out.batches_) {
+    for (const BrokerId b : batch.brokers_down) {
+      broker_rows[b].push_back(batch.at);
+    }
+    for (const EdgeId e : batch.edges_down) edge_rows[e].push_back(batch.at);
+    for (const EdgeId e : batch.edges_killed) {
+      if (edge_rows[e].empty() || edge_rows[e].back() != batch.at) {
+        edge_rows[e].push_back(batch.at);
+      }
     }
   }
-  out.broker_offsets_.assign(graph.broker_count() + 1, 0);
-  for (std::size_t b = 0; b < graph.broker_count(); ++b) {
-    out.broker_offsets_[b + 1] =
-        out.broker_offsets_[b] +
-        static_cast<std::uint32_t>(broker_windows[b].size());
-  }
-  out.broker_down_times_.reserve(out.broker_offsets_.back());
-  for (std::size_t b = 0; b < graph.broker_count(); ++b) {
-    for (const Window& w : broker_windows[b]) {
-      out.broker_down_times_.push_back(w.first);
-    }
-  }
+  out.edge_downs_ = DoomTable(edge_rows);
+  out.broker_downs_ = DoomTable(broker_rows);
+#ifndef NDEBUG
+  out.check_invariants();
+#endif
   return out;
 }
 
-bool CompiledFaults::cut_between(const std::vector<std::uint32_t>& offsets,
-                                 const std::vector<TimeMs>& times,
-                                 std::size_t key, TimeMs after, TimeMs upto) {
+void CompiledFaults::check_invariants() const {
+  const auto fail = [](const char* what) {
+    throw std::logic_error(std::string("CompiledFaults: ") + what);
+  };
+  const auto strictly_ascending = [](const auto& ids) {
+    return std::adjacent_find(ids.begin(), ids.end(), [](auto a, auto b) {
+             return a >= b;
+           }) == ids.end();
+  };
+  std::vector<TimeMs> killed_at(
+      edge_downs_.offsets.empty() ? 0 : edge_downs_.offsets.size() - 1,
+      kNoDeadline);
+  for (std::size_t i = 0; i < batches_.size(); ++i) {
+    const FaultBatch& batch = batches_[i];
+    if (i > 0 && !(batches_[i - 1].at < batch.at)) {
+      fail("batches not strictly ascending in time");
+    }
+    if (!strictly_ascending(batch.brokers_down) ||
+        !strictly_ascending(batch.brokers_up) ||
+        !strictly_ascending(batch.edges_down) ||
+        !strictly_ascending(batch.edges_up) ||
+        !strictly_ascending(batch.edges_killed)) {
+      fail("batch id list not ascending and unique");
+    }
+    for (const EdgeId e : batch.edges_killed) {
+      killed_at[e] = std::min(killed_at[e], batch.at);
+    }
+    for (const EdgeId e : batch.edges_up) {
+      if (killed_at[e] <= batch.at) fail("killed edge comes back up");
+    }
+  }
+  for (const DoomTable* table : {&edge_downs_, &broker_downs_}) {
+    for (std::size_t key = 0; key + 1 < table->offsets.size(); ++key) {
+      if (!std::is_sorted(table->times.begin() + table->offsets[key],
+                          table->times.begin() + table->offsets[key + 1])) {
+        fail("doom table row not sorted");
+      }
+    }
+  }
+}
+
+CompiledFaults::DoomTable::DoomTable(
+    const std::vector<std::vector<TimeMs>>& rows) {
+  offsets.reserve(rows.size() + 1);
+  offsets.push_back(0);
+  for (const std::vector<TimeMs>& row : rows) {
+    times.insert(times.end(), row.begin(), row.end());
+    offsets.push_back(static_cast<std::uint32_t>(times.size()));
+  }
+}
+
+bool CompiledFaults::DoomTable::cut_between(std::size_t key, TimeMs after,
+                                            TimeMs upto) const {
   if (key + 1 >= offsets.size()) return false;
   const auto begin = times.begin() + offsets[key];
   const auto end = times.begin() + offsets[key + 1];

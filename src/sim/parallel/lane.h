@@ -11,9 +11,6 @@
 //   * `seq`  — the global sequence number the sequential engine would have
 //     assigned at push time, or kUnresolvedSeq until the barrier merge
 //     derives it,
-//   * `half` — tie rank for link-failure events split across two shards
-//     (both halves share one sequence number; the a-side half replays its
-//     side effects first, like the sequential handler),
 //   * publish-precompute and deposited-arrival bookkeeping fields.
 //
 // Storage is two-level: one min-heap per broker plus an indexed min-heap
@@ -55,13 +52,11 @@ struct LaneEvent {
   std::uint64_t id = 0;
   /// Global sequence (the sequential engine's push order) once known.
   std::uint64_t seq = kUnresolvedSeq;
-  /// Link-failure tie rank: 0 = a-side half (replays first), 1 = b-side.
-  std::uint32_t half = 0;
   /// kSendComplete on a cut edge: id of the arrival event that was shipped
-  /// to the destination shard when the send started (0 = none, i.e. the
-  /// link is scheduled to die mid-flight).  The completion's barrier record
-  /// claims this id as its first child, which is where the arrival's
-  /// sequence number comes from.
+  /// to the destination shard when the send started (0 = none, i.e. a
+  /// fault batch cuts the link mid-flight).  The completion's barrier
+  /// record claims this id as its first child, which is where the
+  /// arrival's sequence number comes from.
   std::uint64_t deposited_child = 0;
   /// kPublish only: precomputed eq. (1)/(2) inputs (the global matching
   /// index is not thread-safe, so these are resolved before the rounds).

@@ -43,18 +43,6 @@ ParallelSimulator::ParallelSimulator(const Topology* topology,
   const std::size_t broker_count = topology->graph.broker_count();
   const std::size_t edge_count = topology->graph.edge_count();
 
-  death_time_.assign(edge_count, kNoDeadline);
-  for (const LinkFailure& failure : core_.options.failures) {
-    const EdgeId forward = topology->graph.edge_id(failure.a, failure.b);
-    if (forward != kNoEdge) {
-      death_time_[forward] = std::min(death_time_[forward], failure.at);
-    }
-    const EdgeId backward = topology->graph.edge_id(failure.b, failure.a);
-    if (backward != kNoEdge) {
-      death_time_[backward] = std::min(death_time_[backward], failure.at);
-    }
-  }
-
   const std::size_t shard_count = plan_.shard_count();
   is_cut_.assign(edge_count);
   for (const EdgeId e : plan_.cut_edges()) is_cut_.set(e);
@@ -101,7 +89,6 @@ ParallelSimulator::ParallelSimulator(const Topology* topology,
   for (std::size_t s = 0; s < shard_count; ++s) {
     shards_[s].index = s;
     shards_[s].id_band = (static_cast<std::uint64_t>(s) + 1) << 48;
-    shards_[s].dead.assign(edge_count);
     shards_[s].lane.bind(broker_count);
   }
   mailboxes_.resize(shard_count * shard_count);
@@ -118,37 +105,11 @@ void ParallelSimulator::schedule_publish(
 
 void ParallelSimulator::build_initial_lanes() {
   // Initial sequence order mirrors the sequential engine's push order:
-  // fault batches (constructor) first, then failures, then publishes in
-  // schedule order.  Batches never enter a lane — they are applied
-  // coordinator-side between rounds — but their sequence numbers are
-  // reserved here so every later sequence lines up bit for bit.
+  // fault batches (constructor) first, then publishes in schedule order.
+  // Batches never enter a lane — they are applied coordinator-side between
+  // rounds — but their sequence numbers are reserved here so every later
+  // sequence lines up bit for bit.
   if (core_.has_faults) next_seq_ += core_.options.faults->batches().size();
-  for (const LinkFailure& failure : core_.options.failures) {
-    const std::uint64_t seq = next_seq_++;
-    const std::uint32_t shard_a = plan_.shard_of(failure.a);
-    const std::uint32_t shard_b = plan_.shard_of(failure.b);
-    LaneEvent event;
-    event.time = failure.at;
-    event.type = EventType::kLinkFailure;
-    event.broker = failure.a;
-    event.neighbor = failure.b;
-    event.seq = seq;
-    event.half = 0;
-    event.id = next_initial_id_++;
-    shards_[shard_a].lane.push(event);
-    if (shard_b != shard_a) {
-      // The b-side half shares the failure's sequence number and replays
-      // second (half = 1), reproducing the sequential drain order.  It is
-      // anchored on *its own* broker — a lane must never hold a foreign
-      // broker's event, or the other shard's bound pass would race with
-      // this shard's lane walk over that broker's rate heap.
-      event.half = 1;
-      event.id = next_initial_id_++;
-      event.broker = failure.b;
-      event.neighbor = failure.a;
-      shards_[shard_b].lane.push(std::move(event));
-    }
-  }
   min_size_kb_ = kNoDeadline;
   for (auto& message : pending_publishes_) {
     if (plan_.shard_count() > 1 && message->size_kb() <= 0.0) {
@@ -261,9 +222,8 @@ void ParallelSimulator::compute_shard_bound(Shard& shard) {
     for (std::uint32_t i = cut_out_offset_[b]; i < cut_out_offset_[b + 1];
          ++i) {
       const EdgeId e = cut_out_edges_[i];
-      if (death_time_[e] <= base) continue;  // Dead before any send.
-      // A held (down) edge cannot start a send before the next fault batch,
-      // and rounds never span a batch instant.
+      // A down (held or killed) edge cannot start a send before the next
+      // fault batch, and rounds never span a batch instant.
       if (core_.has_faults && core_.down.test(e)) continue;
       const TimeMs candidate = base + next_rate_[e] * min_size_kb_;
       if (candidate < bound) bound = candidate;
@@ -338,9 +298,7 @@ void ParallelSimulator::merge_and_route() {
       }
       const Record& champion = shards_[best].records[merge_cursor_[best]];
       if (record.time < champion.time ||
-          (record.time == champion.time &&
-           (record.seq < champion.seq ||
-            (record.seq == champion.seq && record.half < champion.half)))) {
+          (record.time == champion.time && record.seq < champion.seq)) {
         best = s;
       }
     }
@@ -392,7 +350,6 @@ void ParallelSimulator::merge_and_route() {
         for (std::uint32_t i = cut_out_offset_[b];
              i < cut_out_offset_[b + 1]; ++i) {
           const EdgeId e = cut_out_edges_[i];
-          if (death_time_[e] <= base) continue;
           // Held until a batch.
           if (core_.has_faults && core_.down.test(e)) continue;
           deposit_bound_ = std::min(
@@ -529,10 +486,6 @@ struct ParallelSimulator::ShardEffects {
     shard->children.push_back(complete.deposited_child);
     return true;
   }
-  EdgeFlags& dead(BrokerId) { return shard->dead; }
-  bool owns(BrokerId broker) const {
-    return sim->plan_.shard_of(broker) == shard->index;
-  }
   StepScratch& scratch() { return shard->scratch; }
 };
 
@@ -563,9 +516,6 @@ struct ParallelSimulator::BarrierEffects : DirectRecord {
     sim->shards_[sim->plan_.shard_of(arrival.broker)].lane.push(
         std::move(arrival));
   }
-  EdgeFlags& dead(BrokerId broker) {
-    return sim->shards_[sim->plan_.shard_of(broker)].dead;
-  }
   StepScratch& scratch() { return sim->barrier_scratch_; }
 };
 
@@ -583,7 +533,7 @@ double ParallelSimulator::take_rate(EdgeId edge) {
 template <class Fx>
 void ParallelSimulator::ship(Fx& fx, LaneEvent complete, EdgeId edge,
                              TimeMs start) {
-  if (plan_.shard_count() > 1 && complete.time < death_time_[edge] &&
+  if (plan_.shard_count() > 1 &&
       !core_.lost_in_flight(edge, start, complete.time)) {
     // The arrival instant is already known: deposit the arrival at send
     // start — into the destination shard's mailbox for cut edges, into
@@ -751,7 +701,6 @@ void ParallelSimulator::process_shard(std::size_t shard_index,
     record.time = event.time;
     record.event_id = event.id;
     record.seq = event.seq;
-    record.half = event.half;
     record.ops_begin = static_cast<std::uint32_t>(shard.ops.size());
     record.children_begin =
         static_cast<std::uint32_t>(shard.children.size());

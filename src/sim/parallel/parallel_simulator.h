@@ -1,14 +1,13 @@
 // Sharded parallel discrete-event engine, bitwise-identical to Simulator.
 //
 // The event semantics are not here: every publish, arrival, processing
-// step, send completion, link failure and fault batch is applied by the
-// same BrokerStep (sim/broker_step.h) Simulator runs.  This engine owns the
-// *ordering* only — lanes, mailboxes, the safe horizon, the barrier merge,
-// the split of a link failure into per-shard halves and EngineStats — and
-// hands the step two Effects policies: a shard worker's, which logs every
-// collector/trace effect and child id for the merge, and the coordinator's,
-// which applies them directly at a barrier (fault batches and their
-// recovery kicks).
+// step, send completion and fault batch is applied by the same BrokerStep
+// (sim/broker_step.h) Simulator runs.  This engine owns the *ordering*
+// only — lanes, mailboxes, the safe horizon, the barrier merge and
+// EngineStats — and hands the step two Effects policies: a shard worker's,
+// which logs every collector/trace effect and child id for the merge, and
+// the coordinator's, which applies them directly at a barrier (fault
+// batches, terminal link kills included, and their recovery kicks).
 //
 // ParallelSimulator partitions the brokers into P shards (ShardPlan), gives
 // each shard its own event lane (LaneQueue) plus one SPSC mailbox per
@@ -51,14 +50,14 @@
 //   2.  Deposit-at-send-start: when a send starts, its completion instant
 //       is already known, so the arrival event is shipped immediately —
 //       through the SPSC mailbox for cut edges, into the own lane for
-//       internal ones (unless the failure plan kills the link mid-flight).
+//       internal ones (unless a fault batch cuts the link mid-flight).
 //       The safe horizon guarantees cross-shard deposits land beyond every
 //       destination's current window; the sender-side kSendComplete event
 //       keeps only the local bookkeeping (busy flag, estimator, loss
 //       handling, resend) plus the claim on the arrival's sequence slot.
 //   3.  Sequence reconstruction: every handled event produces a barrier
-//       record carrying its (time, seq, failure-half) key and the ids of the
-//       events it pushed, in push order.  The merge consumes the per-shard
+//       record carrying its (time, seq) key and the ids of the events it
+//       pushed, in push order.  The merge consumes the per-shard
 //       record logs (each already in local pop order) by ascending key,
 //       assigning fresh sequence numbers to children exactly as the
 //       sequential heap would have — records whose own seq is still pending
@@ -183,7 +182,6 @@ class ParallelSimulator {
     TimeMs time = 0.0;
     std::uint64_t event_id = 0;
     std::uint64_t seq = kUnresolvedSeq;
-    std::uint32_t half = 0;
     std::uint32_t ops_begin = 0;
     std::uint32_t ops_end = 0;
     std::uint32_t children_begin = 0;
@@ -200,9 +198,6 @@ class ParallelSimulator {
   struct Shard {
     std::size_t index = 0;
     LaneQueue lane;
-    /// Private dead-link flags: every failure half sets both directions in
-    /// its own copy, and a shard only ever tests edges its brokers send on.
-    EdgeFlags dead;
     /// Round log arenas (cleared, not freed, each round).  Trace rows live
     /// in their own arena so untraced runs pay nothing for them.
     std::vector<Record> records;
@@ -235,8 +230,8 @@ class ParallelSimulator {
   /// pre-drawn one, replaced by the next sample of the stream.
   double take_rate(EdgeId edge);
   /// A send started: pushes its completion and, when the arrival instant
-  /// is final (P > 1, no failure or cut before it), deposits the arrival
-  /// at send start.
+  /// is final (P > 1, no fault cut before it), deposits the arrival at
+  /// send start.
   template <class Fx>
   void ship(Fx& fx, LaneEvent complete, EdgeId edge, TimeMs start);
 
@@ -282,9 +277,6 @@ class ParallelSimulator {
   /// lookahead state.
   EdgeFlags is_cut_;
   EdgeMap<double> next_rate_;
-  /// Earliest failure instant covering each directed edge (+inf if none);
-  /// decides at send start whether a cut-edge arrival may be deposited.
-  EdgeMap<TimeMs> death_time_;
 
   /// Next unapplied batch in the plan.  The step's fault state (down
   /// edges, crashed brokers) is written only at barriers — fold_horizon

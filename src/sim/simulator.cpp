@@ -22,8 +22,6 @@ struct Simulator::Effects : DirectRecord {
     sim->events_.push(std::move(completion));
   }
   bool claim_deposit(Event&) { return false; }
-  EdgeFlags& dead(BrokerId) { return sim->dead_; }
-  bool owns(BrokerId) const { return true; }
   StepScratch& scratch() { return sim->scratch_; }
 };
 
@@ -32,7 +30,6 @@ Simulator::Simulator(const Topology* topology, const Graph* believed,
                      SimulatorOptions options, Rng link_rng)
     : core_(topology, believed, fabric, strategy, std::move(options),
             link_rng) {
-  dead_.assign(topology->graph.edge_count());
   // Fault batches are pushed before anything else so they take the lowest
   // sequence numbers: at an equal instant a batch fires ahead of arrivals
   // and completions pushed at construction.  An absent/empty plan pushes
@@ -47,14 +44,6 @@ Simulator::Simulator(const Topology* topology, const Graph* believed,
       event.broker = static_cast<BrokerId>(i);  // Batch index.
       events_.push(std::move(event));
     }
-  }
-  for (const LinkFailure& failure : core_.options.failures) {
-    Event event;
-    event.time = failure.at;
-    event.type = EventType::kLinkFailure;
-    event.broker = failure.a;
-    event.neighbor = failure.b;
-    events_.push(std::move(event));
   }
 }
 

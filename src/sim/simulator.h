@@ -1,7 +1,7 @@
 // Discrete-event simulator of the broker overlay (§6.1's evaluation rig).
 //
 // The event semantics — what a publish, arrival, processing step, send
-// completion, link failure or fault batch does to the overlay — live in
+// completion or fault batch does to the overlay — live in
 // BrokerStep (sim/broker_step.h), shared with the sharded engine.  This
 // class only owns the ordering: one EventQueue popped in (time, sequence)
 // order, each event handed to the step with Effects that apply collector
@@ -65,9 +65,6 @@ class Simulator {
   Collector collector_;
   TimeMs now_ = 0.0;
   TraceSink* trace_ = nullptr;
-  /// Links killed by `failures` (directed bits; a failure sets both
-  /// directions).
-  EdgeFlags dead_;
   StepScratch scratch_;
 };
 

@@ -4,9 +4,11 @@
 // through: it must reject references outside the graph and malformed
 // windows, expand storm/flap generators deterministically, and normalize
 // overlapping windows into sorted disjoint ones.  CompiledFaults turns the
-// result into per-instant batches plus the two CSR doom predicates; their
-// half-open boundary conventions are what the engines' loss accounting
-// rests on, so they are pinned here explicitly.
+// result, plus any terminal link kills, into per-instant batches and the
+// two CSR doom predicates; their half-open boundary conventions are what
+// the engines' loss accounting rests on, so they are pinned here
+// explicitly.  Every compiled timeline here also passes check_invariants,
+// including 200 seeded random plans with kills over a mesh.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -14,6 +16,7 @@
 #include "common/random.h"
 #include "sim/faults/plan.h"
 #include "sim/faults/timeline.h"
+#include "topology/builders.h"
 #include "topology/graph.h"
 
 namespace bdps {
@@ -244,6 +247,7 @@ TEST(CompiledFaultsTest, BatchesGroupInstantsInCanonicalOrder) {
   plan.broker_outages.push_back(BrokerOutage{10.0, 30.0, 4});
   const FaultPlan norm = materialize_faults(plan, graph, rng);
   const CompiledFaults compiled = CompiledFaults::compile(norm, graph);
+  EXPECT_NO_THROW(compiled.check_invariants());
 
   // One batch at 10 (downs) and one at 30 (ups); the broker outage folds
   // into its incident directed edges (3-4 and 4-3) alongside 0-1 / 1-0.
@@ -268,6 +272,7 @@ TEST(CompiledFaultsTest, DoomPredicatesUseHalfOpenBoundaries) {
   plan.broker_outages.push_back(BrokerOutage{100.0, 120.0, 2});
   const FaultPlan norm = materialize_faults(plan, graph, rng);
   const CompiledFaults compiled = CompiledFaults::compile(norm, graph);
+  EXPECT_NO_THROW(compiled.check_invariants());
   const EdgeId e01 = graph.edge_id(0, 1);
   const EdgeId e10 = graph.edge_id(1, 0);
   const EdgeId e12 = graph.edge_id(1, 2);
@@ -299,6 +304,7 @@ TEST(CompiledFaultsTest, BrokerWindowsMergeIntoIncidentEdges) {
   plan.broker_outages.push_back(BrokerOutage{20.0, 50.0, 2});
   const FaultPlan norm = materialize_faults(plan, graph, rng);
   const CompiledFaults compiled = CompiledFaults::compile(norm, graph);
+  EXPECT_NO_THROW(compiled.check_invariants());
   const EdgeId e12 = graph.edge_id(1, 2);
   EXPECT_TRUE(compiled.edge_cut_between(e12, 5.0, 15.0));
   // No transition at 20 or 30 on the merged edge window [10, 50).
@@ -311,6 +317,107 @@ TEST(CompiledFaultsTest, BrokerWindowsMergeIntoIncidentEdges) {
   EXPECT_EQ(compiled.batches()[1].brokers_down, (std::vector<BrokerId>{2}));
   EXPECT_EQ(compiled.batches()[2].at, 50.0);
   EXPECT_EQ(compiled.batches()[2].edges_up.size(), 4u);
+}
+
+TEST(CompiledFaultsTest, KillsDropLaterRecoveriesAndDoomTheFlight) {
+  const Graph graph = path_graph();
+  Rng rng(1);
+  FaultPlan plan;
+  plan.link_outages.push_back(LinkOutage{10.0, 30.0, 0, 1});
+  plan.link_outages.push_back(LinkOutage{10.0, 40.0, 1, 2});
+  const FaultPlan norm = materialize_faults(plan, graph, rng);
+  // 0-1 is killed inside its window; 1-2 at its recovery instant; 2-3 with
+  // no window at all, twice (the earliest kill wins); 0-2 is no link.
+  const CompiledFaults compiled = CompiledFaults::compile(
+      norm, graph,
+      {LinkFailure{20.0, 1, 0}, LinkFailure{40.0, 1, 2},
+       LinkFailure{60.0, 2, 3}, LinkFailure{50.0, 3, 2},
+       LinkFailure{5.0, 0, 2}});
+  EXPECT_NO_THROW(compiled.check_invariants());
+  const EdgeId e01 = graph.edge_id(0, 1);
+  const EdgeId e10 = graph.edge_id(1, 0);
+  const EdgeId e12 = graph.edge_id(1, 2);
+  const EdgeId e21 = graph.edge_id(2, 1);
+  const EdgeId e23 = graph.edge_id(2, 3);
+  const EdgeId e32 = graph.edge_id(3, 2);
+
+  // Batches at 10 (downs), 20 (kill 0-1), 40 (kill 1-2, whose recovery at
+  // the same instant is gone) and 50 (kill 2-3); 0-1's recovery at 30 is
+  // gone, and with it that batch.
+  ASSERT_EQ(compiled.batches().size(), 4u);
+  const auto& b = compiled.batches();
+  EXPECT_EQ(b[1].at, 20.0);
+  EXPECT_EQ(b[1].edges_killed, (std::vector<EdgeId>{e01, e10}));
+  EXPECT_EQ(b[2].at, 40.0);
+  EXPECT_TRUE(b[2].edges_up.empty());
+  EXPECT_EQ(b[2].edges_killed, (std::vector<EdgeId>{e12, e21}));
+  EXPECT_EQ(b[3].at, 50.0);
+  EXPECT_EQ(b[3].edges_killed, (std::vector<EdgeId>{e23, e32}));
+  EXPECT_TRUE(b[3].edges_down.empty());
+
+  // A kill is a down-transition: a send over it is cut.
+  EXPECT_TRUE(compiled.edge_cut_between(e23, 45.0, 55.0));
+  EXPECT_FALSE(compiled.edge_cut_between(e23, 50.0, 70.0));
+  EXPECT_TRUE(compiled.edge_cut_between(e10, 15.0, 20.0));
+}
+
+TEST(CompiledFaultsTest, KillOnAOneWayLinkKillsTheDirectionThatExists) {
+  Graph graph(3);
+  graph.add_edge(0, 1, LinkParams{40.0, 8.0});
+  graph.add_bidirectional(1, 2, LinkParams{40.0, 8.0});
+  const CompiledFaults compiled =
+      CompiledFaults::compile({}, graph, {LinkFailure{7.0, 1, 0}});
+  EXPECT_NO_THROW(compiled.check_invariants());
+  ASSERT_EQ(compiled.batches().size(), 1u);
+  EXPECT_EQ(compiled.batches()[0].edges_killed,
+            (std::vector<EdgeId>{graph.edge_id(0, 1)}));
+}
+
+// 200 seeded random timelines over a mesh: outages, broker crashes, storms,
+// flaps and kills (some inside windows, some at their exact instants, some
+// on non-adjacent pairs) must always compile into a timeline that passes
+// check_invariants.
+TEST(CompiledFaultsTest, RandomPlansWithKillsKeepTheInvariants) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const Graph graph =
+        build_random_mesh(rng, 12, 8, 1, 1, 20.0, 60.0, 5.0).graph;
+    const auto broker = [&] {
+      return static_cast<BrokerId>(rng.uniform_index(graph.broker_count()));
+    };
+    const auto instant = [&] {
+      return static_cast<TimeMs>(rng.uniform_index(20)) * 10.0;
+    };
+    FaultPlan plan;
+    std::vector<LinkFailure> kills;
+    for (int i = 0; i < 6; ++i) {
+      const Edge& edge = graph.edge(
+          static_cast<EdgeId>(rng.uniform_index(graph.edge_count())));
+      const TimeMs down = instant();
+      const TimeMs up =
+          rng.uniform() < 0.2 ? kNoDeadline : down + 10.0 + instant();
+      plan.link_outages.push_back(LinkOutage{down, up, edge.from, edge.to});
+      // Kills at the window's own instants and at random ones.
+      const TimeMs at = rng.uniform() < 0.3 ? up : instant();
+      kills.push_back(LinkFailure{at == kNoDeadline ? down : at, edge.from,
+                                  edge.to});
+      kills.push_back(LinkFailure{instant(), broker(), broker()});
+    }
+    plan.broker_outages.push_back(
+        BrokerOutage{instant(), instant() + 200.0, broker()});
+    RegionStorm storm;
+    storm.at = instant();
+    storm.epicenter = broker();
+    storm.recovery_delay = 50.0;
+    storm.recovery_jitter = 30.0;
+    storm.kill_brokers = rng.uniform() < 0.5;
+    plan.storms.push_back(storm);
+    const FaultPlan norm = materialize_faults(plan, graph, rng);
+    const CompiledFaults compiled =
+        CompiledFaults::compile(norm, graph, kills);
+    EXPECT_NO_THROW(compiled.check_invariants()) << "seed " << seed;
+    EXPECT_FALSE(compiled.empty()) << "seed " << seed;
+  }
 }
 
 }  // namespace

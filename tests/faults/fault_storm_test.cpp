@@ -2,9 +2,11 @@
 //
 // Three layers:
 //   * Semantics on hand-built overlays where every instant is known: a
-//     down link *holds* copies until recovery (unlike the legacy terminal
-//     failures, which drain), a crashed broker drops its queues as losses,
-//     and a flap strictly inside a transfer dooms the in-flight copy.
+//     down link *holds* copies until recovery (unlike a terminal link kill,
+//     which drains them as losses for good), a crashed broker drops its
+//     queues as losses, and a flap strictly inside a transfer dooms the
+//     in-flight copy.  The kill cases also run through the sharded engine,
+//     which applies kill batches at a window barrier.
 //   * Incremental SPT repair: with options.repair_fabric the overlay
 //     routes around an outage it would otherwise wait out forever.
 //   * Bitwise equivalence: the same storm through run_simulation at
@@ -15,6 +17,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,13 +29,13 @@ namespace {
 
 using equivalence::expect_same_result;
 
-std::shared_ptr<const CompiledFaults> compile_plan(const FaultPlan& plan,
-                                                   const Graph& graph,
-                                                   std::uint64_t seed = 7) {
+std::shared_ptr<const CompiledFaults> compile_plan(
+    const FaultPlan& plan, const Graph& graph,
+    const std::vector<LinkFailure>& kills = {}, std::uint64_t seed = 7) {
   Rng rng(seed);
   const FaultPlan normalized = materialize_faults(plan, graph, rng);
   return std::make_shared<const CompiledFaults>(
-      CompiledFaults::compile(normalized, graph));
+      CompiledFaults::compile(normalized, graph, kills));
 }
 
 /// Chain 0-1-...-(n-1) with deterministic links (stddev 0), one publisher
@@ -116,10 +119,118 @@ TEST(FaultStorm, UnrecoveredOutageStrandsWithoutLoss) {
   run_with(sim, rig.make_messages(3));
 
   // Held is not lost: the copies sit in broker 1's output queue when the
-  // event queue drains.  The legacy `failures` path would have counted
-  // three losses here.
+  // event queue drains.  A kill would have counted three losses here
+  // (KillDrainsAsLosses).
   EXPECT_EQ(sim.collector().deliveries(), 0u);
   EXPECT_EQ(sim.collector().lost_copies(), 0u);
+}
+
+// The kill mirror of the test above: the same three copies reach broker 1
+// and are dropped as losses instead of held.
+TEST(FaultStorm, KillDrainsAsLosses) {
+  ChainRig rig(3);
+  SimulatorOptions options;
+  options.faults = compile_plan({}, rig.topo.graph, {LinkFailure{0.0, 1, 2}});
+  const Collector c = equivalence::run_both_engines(
+      rig.topo, *rig.fabric, *rig.strategy, options, rig.make_messages(3));
+
+  EXPECT_EQ(c.deliveries(), 0u);
+  EXPECT_EQ(c.lost_copies(), 3u);
+  EXPECT_EQ(c.fault_batches(), 1u);
+}
+
+// A kill inside an outage window drains the copies the window held, and
+// the window's later recovery does not revive the link.
+TEST(FaultStorm, KillInsideAnOutageDrainsTheHeldCopiesForGood) {
+  FaultPlan plan;
+  plan.link_outages.push_back(LinkOutage{0.0, 5000.0, 1, 2});
+
+  ChainRig rig(3);
+  SimulatorOptions options;
+  options.faults =
+      compile_plan(plan, rig.topo.graph, {LinkFailure{2000.0, 1, 2}});
+  // Down at 0, killed at 2000; the recovery at 5000 left the timeline.
+  ASSERT_EQ(options.faults->batches().size(), 2u);
+  EXPECT_EQ(options.faults->batches()[1].at, 2000.0);
+  EXPECT_TRUE(options.faults->batches()[1].edges_up.empty());
+
+  // Copies reach broker 1 at ~200, ~1700 (held, then drained by the kill),
+  // ~3200, ~4700 (drained on arrival) and ~6200, after the old recovery
+  // instant: every one is lost.
+  const Collector c = equivalence::run_both_engines(
+      rig.topo, *rig.fabric, *rig.strategy, options,
+      rig.make_messages(5, /*first_at=*/100.0, /*spacing=*/1500.0));
+  EXPECT_EQ(c.deliveries(), 0u);
+  EXPECT_EQ(c.lost_copies(), 5u);
+  EXPECT_EQ(c.fault_batches(), 2u);
+}
+
+// Same-instant rule: a link that recovers at the exact instant it is
+// killed is killed, then not kicked.  Its held copies are all lost at that
+// instant; none starts a send (to be lost at completion) or is purged by a
+// kick's pick.
+TEST(FaultStorm, KillAtTheRecoveryInstantDrainsWithoutAKick) {
+  FaultPlan plan;
+  plan.link_outages.push_back(LinkOutage{0.0, 5000.0, 1, 2});
+
+  ChainRig rig(3);
+  SimulatorOptions options;
+  options.faults =
+      compile_plan(plan, rig.topo.graph, {LinkFailure{5000.0, 1, 2}});
+  // The batch at 5000 carries the kill; the recovery at the same instant
+  // left the timeline, so neither routing repair nor the kick sees it.
+  ASSERT_EQ(options.faults->batches().size(), 2u);
+  const FaultBatch& last = options.faults->batches()[1];
+  EXPECT_EQ(last.at, 5000.0);
+  EXPECT_TRUE(last.edges_up.empty());
+  EXPECT_EQ(last.edges_killed.size(), 2u);
+
+  MemoryTrace trace;
+  Simulator sim(&rig.topo, &rig.topo.graph, rig.fabric.get(),
+                rig.strategy.get(), options, Rng(3));
+  sim.set_trace(&trace);
+  run_with(sim, rig.make_messages(3));
+
+  EXPECT_EQ(sim.collector().deliveries(), 0u);
+  EXPECT_EQ(sim.collector().lost_copies(), 3u);
+  EXPECT_EQ(sim.collector().purges().expired, 0u);
+  EXPECT_EQ(sim.collector().purges().hopeless, 0u);
+  std::size_t losses = 0;
+  for (const TraceEvent& event : trace.events()) {
+    if (event.kind == TraceEventKind::kSendStart && event.broker == 1) {
+      EXPECT_NE(event.neighbor, 2) << "killed link kicked at " << event.time;
+    }
+    if (event.kind == TraceEventKind::kLoss) {
+      EXPECT_EQ(event.time, 5000.0);
+      ++losses;
+    }
+  }
+  EXPECT_EQ(losses, 3u);
+  equivalence::run_both_engines(rig.topo, *rig.fabric, *rig.strategy,
+                                options, rig.make_messages(3));
+}
+
+// A kill on a pair with no link between them kills nothing; one naming a
+// broker outside the overlay is rejected, directly and through the runner.
+TEST(FaultStorm, KillOnANonAdjacentPairIsANoOpAndABadBrokerThrows) {
+  ChainRig rig(3);
+  SimulatorOptions options;
+  options.faults = compile_plan({}, rig.topo.graph, {LinkFailure{0.0, 0, 2}});
+  EXPECT_TRUE(options.faults->empty());
+  const Collector c = equivalence::run_both_engines(
+      rig.topo, *rig.fabric, *rig.strategy, options, rig.make_messages(3));
+  EXPECT_EQ(c.valid_deliveries(), 3u);
+  EXPECT_EQ(c.lost_copies(), 0u);
+
+  EXPECT_THROW(compile_plan({}, rig.topo.graph, {LinkFailure{0.0, 0, 3}}),
+               std::invalid_argument);
+  EXPECT_THROW(compile_plan({}, rig.topo.graph, {LinkFailure{0.0, -1, 1}}),
+               std::invalid_argument);
+  SimConfig config =
+      paper_base_config(ScenarioKind::kSsd, 10.0, StrategyKind::kEb, 3);
+  config.workload.duration = seconds(10.0);
+  config.link_failures = {LinkFailure{1000.0, 0, 1000}};
+  EXPECT_THROW(run_simulation(config), std::invalid_argument);
 }
 
 // A broker crash drops its input and output queues as losses and dooms
@@ -342,7 +453,7 @@ TEST(FaultStormEquivalence, TraceStreamsMatchUnderStorm) {
 
   SimulatorOptions options;
   options.online_estimation = true;
-  options.faults = compile_plan(plan, rig.topo.graph, /*seed=*/17);
+  options.faults = compile_plan(plan, rig.topo.graph, {}, /*seed=*/17);
 
   equivalence::TracedRun sequential;
   equivalence::expect_same_traces(rig, options, sequential);
@@ -393,6 +504,48 @@ TEST(FaultStormEquivalence, TraceStreamsMatchUnderRoutingRepair) {
   equivalence::expect_same_traces(rig, options, sequential);
   EXPECT_GT(sequential.collector.repaired_rows(), 0u);
   EXPECT_GT(sequential.collector.deliveries(), 0u);
+}
+
+// Kills under routing repair, through both engines: a link killed inside
+// its outage window, or at the window's recovery instant, never comes back
+// up, so the rows repair moved off it at the window's start never return
+// to it and no copy is lost over it after the kill.
+TEST(FaultStormEquivalence, KilledLinksStayRoutedAroundUnderRepair) {
+  const equivalence::TraceRing rig(/*repairable_fabric=*/true);
+  struct Case {
+    const char* name;
+    LinkOutage outage;
+    TimeMs kill_at;
+  };
+  for (const Case& c : {Case{"inside", LinkOutage{1200.0, 6000.0, 1, 2},
+                             3000.0},
+                        Case{"at_recovery", LinkOutage{1200.0, 6000.0, 1, 2},
+                             6000.0}}) {
+    FaultPlan plan;
+    plan.link_outages.push_back(c.outage);
+    SimulatorOptions options;
+    options.online_estimation = true;
+    options.faults = compile_plan(
+        plan, rig.topo.graph, {LinkFailure{c.kill_at, c.outage.a, c.outage.b}});
+    for (const FaultBatch& batch : options.faults->batches()) {
+      EXPECT_TRUE(batch.edges_up.empty()) << c.name;
+    }
+
+    equivalence::TracedRun sequential;
+    equivalence::expect_same_traces(rig, options, sequential);
+    EXPECT_GT(sequential.collector.repaired_rows(), 0u) << c.name;
+    EXPECT_GT(sequential.collector.valid_deliveries(), 0u) << c.name;
+    for (const TraceEvent& event : sequential.trace.events()) {
+      const bool over_killed_link =
+          (event.broker == c.outage.a && event.neighbor == c.outage.b) ||
+          (event.broker == c.outage.b && event.neighbor == c.outage.a);
+      if (!over_killed_link || event.time <= c.kill_at) continue;
+      EXPECT_NE(event.kind, TraceEventKind::kLoss)
+          << c.name << ": loss over the killed link at " << event.time;
+      EXPECT_NE(event.kind, TraceEventKind::kSendStart)
+          << c.name << ": send over the killed link at " << event.time;
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,10 @@
 // Both engines run the same BrokerStep; these helpers check that the
 // sharded engine's ordering reproduces the sequential one exactly:
 //
-//   * expect_same_result compares every SimResult field of two runs;
+//   * expect_same_result compares every SimResult field of two runs, and
+//     expect_same_collector every Collector aggregate;
+//   * run_both_engines runs hand-built options through Simulator and
+//     ParallelSimulator at two shards and expects the same Collector;
 //   * TraceRing is an 8-broker ring driven directly (not through the
 //     runner) so both engines can carry a MemoryTrace, and
 //     expect_same_traces replays it through Simulator and through
@@ -50,6 +53,53 @@ inline void expect_same_result(const SimResult& sequential,
   EXPECT_EQ(sequential.mean_valid_delay_ms, sharded.mean_valid_delay_ms)
       << label;
   EXPECT_EQ(sequential.end_time, sharded.end_time) << label;
+}
+
+inline void expect_same_collector(const Collector& sequential,
+                                  const Collector& sharded,
+                                  const std::string& label) {
+  EXPECT_EQ(sequential.published(), sharded.published()) << label;
+  EXPECT_EQ(sequential.receptions(), sharded.receptions()) << label;
+  EXPECT_EQ(sequential.deliveries(), sharded.deliveries()) << label;
+  EXPECT_EQ(sequential.valid_deliveries(), sharded.valid_deliveries())
+      << label;
+  EXPECT_EQ(sequential.total_interested(), sharded.total_interested())
+      << label;
+  EXPECT_EQ(sequential.earning(), sharded.earning()) << label;
+  EXPECT_EQ(sequential.potential_earning(), sharded.potential_earning())
+      << label;
+  EXPECT_EQ(sequential.purges().expired, sharded.purges().expired) << label;
+  EXPECT_EQ(sequential.purges().hopeless, sharded.purges().hopeless) << label;
+  EXPECT_EQ(sequential.lost_copies(), sharded.lost_copies()) << label;
+  EXPECT_EQ(sequential.max_input_queue(), sharded.max_input_queue()) << label;
+  EXPECT_EQ(sequential.fault_batches(), sharded.fault_batches()) << label;
+  EXPECT_EQ(sequential.repaired_rows(), sharded.repaired_rows()) << label;
+  EXPECT_EQ(sequential.valid_delay().count(), sharded.valid_delay().count())
+      << label;
+  EXPECT_EQ(sequential.valid_delay().mean(), sharded.valid_delay().mean())
+      << label;
+}
+
+using Messages = std::vector<std::shared_ptr<const Message>>;
+
+/// Runs `messages` through Simulator, then through ParallelSimulator at
+/// two shards; both must leave the same Collector, which is returned.
+inline Collector run_both_engines(const Topology& topo,
+                                  const RoutingFabric& fabric,
+                                  const Strategy& strategy,
+                                  SimulatorOptions options,
+                                  const Messages& messages) {
+  Simulator sim(&topo, &topo.graph, &fabric, &strategy, options, Rng(1));
+  for (const auto& message : messages) sim.schedule_publish(message);
+  sim.run();
+  options.shards = 2;
+  ParallelSimulator parallel(&topo, &topo.graph, &fabric, &strategy, options,
+                             Rng(1));
+  for (const auto& message : messages) parallel.schedule_publish(message);
+  parallel.run();
+  expect_same_collector(sim.collector(), parallel.collector(), "P2");
+  EXPECT_EQ(sim.now(), parallel.now());
+  return sim.collector();
 }
 
 /// Ring 0-1-...-7-0 with noisy links, publishers at brokers 0 and 4 and a
@@ -147,13 +197,8 @@ inline void expect_same_traces(
     run_traced<ParallelSimulator>(rig, sharded_options, parallel);
 
     EXPECT_EQ(parallel.now, sequential.now) << shards;
-    const Collector& want_c = sequential.collector;
-    const Collector& got_c = parallel.collector;
-    EXPECT_EQ(got_c.earning(), want_c.earning()) << shards;
-    EXPECT_EQ(got_c.lost_copies(), want_c.lost_copies()) << shards;
-    EXPECT_EQ(got_c.max_input_queue(), want_c.max_input_queue()) << shards;
-    EXPECT_EQ(got_c.fault_batches(), want_c.fault_batches()) << shards;
-    EXPECT_EQ(got_c.repaired_rows(), want_c.repaired_rows()) << shards;
+    expect_same_collector(sequential.collector, parallel.collector,
+                          "P" + std::to_string(shards));
     ASSERT_EQ(parallel.trace.size(), sequential.trace.size()) << shards;
     for (std::size_t i = 0; i < sequential.trace.size(); ++i) {
       const TraceEvent& want = sequential.trace.events()[i];

@@ -1,16 +1,30 @@
 // Failure-injection semantics: dead links lose in-flight and queued
 // copies, single-path routing cannot recover, multi-path redundancy can.
+// Kills compile into the fault timeline, so every hand-built case runs
+// through both engines: ParallelSimulator at two shards applies the kill
+// batches at a window barrier and must reproduce Simulator's Collector.
 #include <gtest/gtest.h>
 
-#include "experiment/paper.h"
-#include "experiment/runner.h"
-#include "sim/simulator.h"
+#include "equivalence_rig.h"
 
 namespace bdps {
 namespace {
 
+using equivalence::Messages;
+
+/// `kills` compiled into `options`, run through both engines.
+Collector run_with_kills(const Topology& topo, const RoutingFabric& fabric,
+                         const Strategy& strategy, SimulatorOptions options,
+                         const std::vector<LinkFailure>& kills,
+                         const Messages& messages) {
+  options.faults = std::make_shared<const CompiledFaults>(
+      CompiledFaults::compile({}, topo.graph, kills));
+  return equivalence::run_both_engines(topo, fabric, strategy, options,
+                                       messages);
+}
+
 /// Line 0 - 1 - 2 (zero variance), one subscriber at 2, like
-/// simulator_test's rig but with a failure plan.
+/// simulator_test's rig but with link kills.
 struct FailLineRig {
   Topology topo;
   std::unique_ptr<RoutingFabric> fabric;
@@ -33,10 +47,10 @@ struct FailLineRig {
     options.processing_delay = 2.0;
   }
 
-  Simulator make(std::vector<LinkFailure> failures) {
-    options.failures = std::move(failures);
-    return Simulator(&topo, &topo.graph, fabric.get(), scheduler.get(),
-                     options, Rng(1));
+  Collector run(const std::vector<LinkFailure>& kills,
+                const Messages& messages) const {
+    return run_with_kills(topo, *fabric, *scheduler, options, kills,
+                          messages);
   }
 
   static std::shared_ptr<const Message> message(MessageId id, TimeMs when) {
@@ -48,10 +62,8 @@ struct FailLineRig {
 TEST(FailureInjection, InFlightSendIsLost) {
   FailLineRig rig;
   // The 0->1 send runs 2..5002 ms; kill the link at 3000 ms.
-  Simulator sim = rig.make({LinkFailure{3000.0, 0, 1}});
-  sim.schedule_publish(FailLineRig::message(0, 0.0));
-  sim.run();
-  const Collector& c = sim.collector();
+  const Collector c =
+      rig.run({LinkFailure{3000.0, 0, 1}}, {FailLineRig::message(0, 0.0)});
   EXPECT_EQ(c.deliveries(), 0u);
   EXPECT_EQ(c.receptions(), 1u);  // Injection only; B1 never receives.
   EXPECT_EQ(c.lost_copies(), 1u);
@@ -61,35 +73,32 @@ TEST(FailureInjection, QueuedCopiesAreLostToo) {
   FailLineRig rig;
   // Three back-to-back messages: one in flight, two queued when the link
   // dies.
-  Simulator sim = rig.make({LinkFailure{3000.0, 0, 1}});
+  Messages messages;
   for (MessageId i = 0; i < 3; ++i) {
-    sim.schedule_publish(FailLineRig::message(i, 0.0));
+    messages.push_back(FailLineRig::message(i, 0.0));
   }
-  sim.run();
-  EXPECT_EQ(sim.collector().deliveries(), 0u);
-  EXPECT_EQ(sim.collector().lost_copies(), 3u);
+  const Collector c = rig.run({LinkFailure{3000.0, 0, 1}}, messages);
+  EXPECT_EQ(c.deliveries(), 0u);
+  EXPECT_EQ(c.lost_copies(), 3u);
 }
 
 TEST(FailureInjection, MessagesBeforeTheFailureSurvive) {
   FailLineRig rig;
   // First message fully crosses 0->1 by 5002 ms; the failure at 6000 ms
   // only kills that first hop — the copy is already past it.
-  Simulator sim = rig.make({LinkFailure{6000.0, 0, 1}});
-  sim.schedule_publish(FailLineRig::message(0, 0.0));
-  sim.schedule_publish(FailLineRig::message(1, 5500.0));
-  sim.run();
-  const Collector& c = sim.collector();
+  const Collector c = rig.run(
+      {LinkFailure{6000.0, 0, 1}},
+      {FailLineRig::message(0, 0.0), FailLineRig::message(1, 5500.0)});
   EXPECT_EQ(c.valid_deliveries(), 1u);  // Message 0 delivered.
   EXPECT_EQ(c.lost_copies(), 1u);       // Message 1 died at broker 0.
 }
 
 TEST(FailureInjection, FailuresAfterTheRunChangeNothing) {
   FailLineRig rig;
-  Simulator sim = rig.make({LinkFailure{seconds(3600.0), 0, 1}});
-  sim.schedule_publish(FailLineRig::message(0, 0.0));
-  sim.run();
-  EXPECT_EQ(sim.collector().valid_deliveries(), 1u);
-  EXPECT_EQ(sim.collector().lost_copies(), 0u);
+  const Collector c = rig.run({LinkFailure{seconds(3600.0), 0, 1}},
+                              {FailLineRig::message(0, 0.0)});
+  EXPECT_EQ(c.valid_deliveries(), 1u);
+  EXPECT_EQ(c.lost_copies(), 0u);
 }
 
 TEST(FailureInjection, MultipathSurvivesSingleBranchFailure) {
@@ -115,19 +124,16 @@ TEST(FailureInjection, MultipathSurvivesSingleBranchFailure) {
     SimulatorOptions options;
     options.processing_delay = 2.0;
     options.dedup_arrivals = multipath;
-    options.failures = {LinkFailure{1.0, 0, 1}};  // Primary branch dies.
-    Simulator sim(&topo, &topo.graph, &fabric, scheduler.get(), options,
-                  Rng(1));
-    sim.schedule_publish(std::make_shared<Message>(
-        0, 0, 100.0, 50.0, std::vector<Attribute>{}));
-    sim.run();
+    const Collector c = run_with_kills(
+        topo, fabric, *scheduler, options,
+        {LinkFailure{1.0, 0, 1}},  // Primary branch dies.
+        {std::make_shared<Message>(0, 0, 100.0, 50.0,
+                                   std::vector<Attribute>{})});
     if (multipath) {
-      EXPECT_EQ(sim.collector().valid_deliveries(), 1u)
-          << "redundant branch must deliver";
+      EXPECT_EQ(c.valid_deliveries(), 1u) << "redundant branch must deliver";
     } else {
-      EXPECT_EQ(sim.collector().valid_deliveries(), 0u)
-          << "single path has no recovery";
-      EXPECT_EQ(sim.collector().lost_copies(), 1u);
+      EXPECT_EQ(c.valid_deliveries(), 0u) << "single path has no recovery";
+      EXPECT_EQ(c.lost_copies(), 1u);
     }
   }
 }

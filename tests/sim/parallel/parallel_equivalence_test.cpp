@@ -72,7 +72,9 @@ TEST(ParallelEquivalence, TraceStreamsMatchExactly) {
   const equivalence::TraceRing rig;
   SimulatorOptions options;
   options.online_estimation = true;
-  options.failures.push_back(LinkFailure{seconds(20.0), 2, 3});
+  options.faults =
+      std::make_shared<const CompiledFaults>(CompiledFaults::compile(
+          {}, rig.topo.graph, {LinkFailure{seconds(20.0), 2, 3}}));
   equivalence::TracedRun sequential;
   equivalence::expect_same_traces(rig, options, sequential);
   EXPECT_GT(sequential.collector.lost_copies(), 0u);

@@ -124,7 +124,8 @@ TEST(TraceAnalysis, CountsPurgedCopies) {
 
 TEST(TraceAnalysis, CountsLossesFromFailures) {
   TraceRig rig;
-  rig.options.failures = {LinkFailure{3000.0, 0, 1}};
+  rig.options.faults = std::make_shared<const CompiledFaults>(
+      CompiledFaults::compile({}, rig.topo.graph, {LinkFailure{3000.0, 0, 1}}));
   MemoryTrace trace;
   Simulator sim = rig.make();
   sim.set_trace(&trace);

@@ -63,6 +63,18 @@ Broker::Broker(BrokerId id, const RoutingFabric* fabric,
 
 Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
                                TimeMs now) {
+  fabric_->match_at(id_, *message, match_scratch_);
+  return fan_out(message, now);
+}
+
+Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
+                               TimeMs now, matching::MatchScratch& scratch) {
+  fabric_->match_at(id_, *message, scratch, match_scratch_);
+  return fan_out(message, now);
+}
+
+Broker::FanOut Broker::fan_out(const std::shared_ptr<const Message>& message,
+                               TimeMs now) {
   total_size_kb_ += message->size_kb();
   ++processed_count_;
 
@@ -71,7 +83,6 @@ Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
   // queued copy carrying exactly the subscriptions it still serves.  Group
   // slots and queue slots share the same order, so the grouping *is* the
   // queue addressing.
-  fabric_->match_at(id_, *message, match_scratch_);
   grouper_.group(match_scratch_, *message);
   result.local = grouper_.local();
 

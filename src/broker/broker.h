@@ -5,8 +5,8 @@
 // match the message against the subscription table, deliver locally, and
 // fan one copy out per downstream neighbour that still has interested
 // subscribers for this message's publisher.  Timing (processing delay,
-// send durations, link events) is driven from outside — the discrete-event
-// simulator and the threaded live runtime share this class.
+// send durations, link events) is driven from outside: BrokerStep
+// (sim/broker_step.h) runs it for both simulators and the live reactor.
 //
 // Queue storage is a flat slot vector in ascending neighbour order; the
 // QueueSlot index is the broker-local link address every caller works in
@@ -65,8 +65,13 @@ class Broker {
   /// toward each relevant downstream neighbour (entries are filtered to the
   /// message's publisher and its activation window).  Also folds the
   /// message size into the broker's running average (the basis of eq. 6's
-  /// FT).
+  /// FT).  Matches through the fabric's scratch for this broker.
   FanOut process(const std::shared_ptr<const Message>& message, TimeMs now);
+  /// Same, matching through the caller's scratch: one per thread serves
+  /// every broker (RoutingFabric::match_at), where a scratch per broker
+  /// would cost every broker an epoch slot of its own.
+  FanOut process(const std::shared_ptr<const Message>& message, TimeMs now,
+                 matching::MatchScratch& scratch);
 
   /// One per-queue purge + pick outcome of take_next.
   struct Dispatch {
@@ -118,6 +123,9 @@ class Broker {
   std::vector<BrokerId> neighbors_;
   double total_size_kb_ = 0.0;
   std::size_t processed_count_ = 0;
+  /// Groups the rows in match_scratch_ into the queues (process()'s tail).
+  FanOut fan_out(const std::shared_ptr<const Message>& message, TimeMs now);
+
   // Scratch buffers reused across process() calls (no per-message allocation
   // for the match result or the per-neighbour grouping).
   std::vector<const SubscriptionEntry*> match_scratch_;

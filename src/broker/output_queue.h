@@ -6,9 +6,9 @@
 // eq. (6) is derived — and the per-queue SchedulerState minted from the
 // run's shared Strategy.  Every queue mutation is forwarded to the state's
 // lifecycle hooks, so picks are incremental instead of full rescans.  The
-// discrete-event simulator and the threaded live runtime drive the same
-// class; one queue is driven by one thread at a time (the live runtime
-// locks per link).
+// simulators and the live reactor drive the same class through BrokerStep;
+// one queue is driven by one thread at a time (the live runtime keeps each
+// queue on its source broker's worker).
 #pragma once
 
 #include <memory>

@@ -80,4 +80,32 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
+/// The streams of one run, split from Rng(seed) in one fixed order:
+/// topology, workload, link, belief, then each optional stream in the order
+/// it is asked for with next() (run_simulation: random link kills, then the
+/// fault timeline, each only when drawn).  run_simulation, build_live_world
+/// and LiveNetwork all derive their streams here, so one seed names the
+/// same world, fault timeline and send durations in every engine.
+class RunStreams {
+ public:
+  explicit RunStreams(std::uint64_t seed)
+      : root_(seed),
+        topology(root_.split()),
+        workload(root_.split()),
+        link(root_.split()),
+        belief(root_.split()) {}
+
+  /// The next optional stream.
+  Rng next() { return root_.split(); }
+
+ private:
+  Rng root_;
+
+ public:
+  Rng topology;
+  Rng workload;
+  Rng link;
+  Rng belief;
+};
+
 }  // namespace bdps

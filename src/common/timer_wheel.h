@@ -1,11 +1,10 @@
 // Hierarchical timer wheel (Varghese & Lauck timing wheels).
 //
-// The reactor live runtime (runtime/reactor.h) replaces thread-per-link
-// sleeping with timer-driven state machines: every processing delay and
-// every in-flight transmission is one pending timer, and a worker owns
-// thousands of them.  A sorted container would pay O(log n) per operation
-// and scatter nodes across the heap; the wheel gives O(1) schedule and
-// cancel and amortised O(1) advance, with all near-term timers in a few
+// The reactor live runtime (runtime/reactor.h) sleeps every processing
+// delay and every in-flight transmission as one pending timer, and a
+// worker owns thousands of them.  A sorted container would pay O(log n)
+// per operation and scatter nodes across the heap; the wheel gives O(1)
+// schedule and amortised O(1) advance, with all near-term timers in a few
 // contiguous slot lists.
 //
 // Layout: kLevels wheels of kSlots slots each, level l covering spans of
@@ -30,10 +29,8 @@
 //     schedule instant) is <= to, in nondecreasing order of that effective
 //     tick.  Order *within* one tick is unspecified (cascading interleaves
 //     insertion orders).
-//   * cancel(id) is O(1) and idempotent: ids are generation-stamped, so a
-//     stale id (already fired or cancelled, slot reused) returns false.
-//   * fire callbacks may freely schedule() and cancel() — re-entrancy is
-//     part of the contract (a completed transmission arms the next one).
+//   * fire callbacks may freely schedule() — re-entrancy is part of the
+//     contract (a completed transmission arms the next one).
 //
 // Not thread-safe: one wheel belongs to one reactor worker.
 #pragma once
@@ -57,13 +54,6 @@ class TimerWheel {
   static constexpr int kLevels = 6;                    // Span 2^36 ticks.
   static constexpr Tick kSpan = Tick(1) << (kSlotBits * kLevels);
 
-  /// Generation-stamped handle; default-constructed ids are never valid.
-  struct TimerId {
-    std::uint32_t index = kNoIndex;
-    std::uint32_t generation = 0;
-    bool valid() const { return index != kNoIndex; }
-  };
-
   explicit TimerWheel(Tick start = 0) : current_(start) {}
 
   TimerWheel(const TimerWheel&) = delete;
@@ -74,28 +64,13 @@ class TimerWheel {
 
   /// Schedules `payload` to fire at tick `at` (see header semantics for
   /// past deadlines).  O(1).
-  TimerId schedule(Tick at, T payload) {
+  void schedule(Tick at, T payload) {
     const std::int32_t idx = alloc();
     Node& node = pool_[static_cast<std::size_t>(idx)];
     node.deadline = at;
     node.payload = std::move(payload);
     place(idx);
     ++pending_;
-    return TimerId{static_cast<std::uint32_t>(idx), node.generation};
-  }
-
-  /// Cancels a pending timer; false when it already fired, was already
-  /// cancelled, or the id was never issued.  O(1).
-  bool cancel(TimerId id) {
-    if (!id.valid() || id.index >= pool_.size()) return false;
-    Node& node = pool_[id.index];
-    if (node.list == kFreeList || node.generation != id.generation) {
-      return false;
-    }
-    unlink(static_cast<std::int32_t>(id.index));
-    release(static_cast<std::int32_t>(id.index));
-    --pending_;
-    return true;
   }
 
   /// Earliest tick at which advance() may fire something: current() when
@@ -143,7 +118,6 @@ class TimerWheel {
   }
 
  private:
-  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
   static constexpr std::int32_t kNil = -1;
   // Node list tags: 0..kLevels*kSlots-1 are wheel slots, then:
   static constexpr std::int16_t kDueList = -2;
@@ -152,7 +126,6 @@ class TimerWheel {
   struct Node {
     Tick deadline = 0;
     T payload{};
-    std::uint32_t generation = 0;
     std::int32_t prev = kNil;
     std::int32_t next = kNil;
     /// kFreeList, kDueList, or level * kSlots + slot.
@@ -174,12 +147,10 @@ class TimerWheel {
     return static_cast<std::int32_t>(pool_.size() - 1);
   }
 
-  /// Returns a node to the free list, bumping its generation so stale
-  /// TimerIds can no longer address it.
+  /// Returns a node to the free list.
   void release(std::int32_t idx) {
     Node& node = pool_[static_cast<std::size_t>(idx)];
     node.payload = T{};
-    ++node.generation;
     node.list = kFreeList;
     node.prev = kNil;
     node.next = free_head_;
@@ -270,8 +241,8 @@ class TimerWheel {
   }
 
   /// Fires and frees everything in the level-0 slot of the current tick.
-  /// Callbacks may re-enter schedule()/cancel(): the node is detached and
-  /// freed before `fire` runs, and no Node reference is held across it.
+  /// Callbacks may re-enter schedule(): the node is detached and freed
+  /// before `fire` runs, and no Node reference is held across it.
   template <typename Fire>
   void fire_slot_zero(Fire&& fire) {
     const std::int16_t list =

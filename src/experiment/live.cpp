@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/config.h"
+#include "experiment/runner.h"
 #include "sim/parallel/shard_plan.h"
 #include "workload/generator.h"
 
@@ -75,17 +76,14 @@ std::vector<Subscription> flood_subscriptions(const Topology& topology) {
 }
 
 LiveWorld build_live_world(const LiveRunConfig& config) {
-  // Same stream discipline as run_simulation, so a (seed, config) pair
-  // names the same topology and workload in both harnesses — and the same
+  // run_simulation's streams, so a (seed, config) pair names the same
+  // topology, workload and fault timeline in both harnesses — and the same
   // world in every daemon of a cluster.
-  Rng root(config.sim.seed);
-  Rng topology_rng = root.split();
-  Rng workload_rng = root.split();
-
+  RunStreams streams(config.sim.seed);
   LiveWorld world;
-  world.topology = build_topology(topology_rng, config.sim);
-  std::vector<Subscription> subscriptions =
-      generate_subscriptions(workload_rng, config.sim.workload, world.topology);
+  world.topology = build_topology(streams.topology, config.sim);
+  std::vector<Subscription> subscriptions = generate_subscriptions(
+      streams.workload, config.sim.workload, world.topology);
   FabricOptions fabric_options;
   fabric_options.engine = config.sim.sharded_matching ? MatchEngine::kSharded
                                                       : MatchEngine::kReference;
@@ -94,24 +92,16 @@ LiveWorld build_live_world(const LiveRunConfig& config) {
       world.topology, std::move(subscriptions), fabric_options);
   world.strategy = make_strategy(config.sim.strategy, config.sim.ebpc_weight);
 
-  world.messages = generate_messages(workload_rng, config.sim.workload,
+  world.messages = generate_messages(streams.workload, config.sim.workload,
                                      world.topology.publisher_count());
   if (config.message_limit != 0 &&
       world.messages.size() > config.message_limit) {
     world.messages.resize(config.message_limit);
   }
 
-  // Storm schedule: the simulator's fault vocabulary compiled into
-  // per-instant batches.  Same split discipline as experiment/runner: the
-  // fault stream is drawn only when a plan exists, so fault-free runs are
-  // byte-identical to before the knob existed.
-  if (!config.sim.faults.empty()) {
-    Rng fault_rng = root.split();
-    const FaultPlan normalized =
-        materialize_faults(config.sim.faults, world.topology.graph, fault_rng);
-    world.faults = std::make_shared<const CompiledFaults>(
-        CompiledFaults::compile(normalized, world.topology.graph));
-  }
+  // Storm schedule: the simulator's batches, without its link kills.
+  world.faults = compile_run_faults(config.sim, world.topology.graph, streams,
+                                    /*with_kills=*/false);
   return world;
 }
 

@@ -16,12 +16,15 @@
 // for tests; tools/brokerd runs one shard per OS process via the same
 // building blocks), `workers` sizes each reactor pool, `speedup` maps
 // simulated to real milliseconds.  A SimConfig fault plan (sim/faults/)
-// is honoured in the compiler's canonical batch order: broker crashes
-// wipe queues through set_broker_state, link halves churn through
-// set_edge_state (down cut edges sever their trunks for real), and
-// recovery batches re-arm both.  Features that need a believed-vs-true
-// split (belief noise, online estimation, legacy link failures,
-// multipath dedup, routing repair) are simulator-only and ignored here.
+// compiles to the simulator's batches (same streams, same order) and is
+// replayed on the scaled clock in the compiler's canonical order: each
+// broker crash, restart and link half becomes a one-entry batch that the
+// owning reactor worker applies with BrokerStep::apply_faults (down cut
+// edges also sever their trunks for real).  One rule differs on purpose:
+// live, a link-down holds its queue but never cuts the frame already on
+// the wire.  Features that need a believed-vs-true split or have no live
+// rule (belief noise, online estimation, link kills, multipath dedup,
+// routing repair) are simulator-only and ignored here.
 //
 // The LiveWorld / drive / drain helpers are the shared contract between
 // run_live and tools/brokerd: every participant rebuilds the identical
@@ -105,9 +108,9 @@ LiveRunResult run_live(const LiveRunConfig& config);
 // ---- Cluster building blocks (shared with tools/brokerd) ----
 
 /// The deterministic world every participant rebuilds from the same
-/// config: identical streams split in run_simulation's order, so a
-/// (seed, config) pair names the same topology, subscriptions, message
-/// schedule and fault timeline everywhere.
+/// config: run_simulation's streams (RunStreams) in run_simulation's
+/// order, so a (seed, config) pair names the same topology, subscriptions,
+/// message schedule and fault timeline everywhere, simulator included.
 struct LiveWorld {
   Topology topology;
   std::unique_ptr<RoutingFabric> fabric;
@@ -115,7 +118,8 @@ struct LiveWorld {
   /// Publication schedule, nondecreasing publish time, ids dense 0..n-1
   /// in that order.
   std::vector<std::shared_ptr<const Message>> messages;
-  /// Compiled fault batches (nullptr when the plan is empty).
+  /// Compiled fault batches without link kills (nullptr when the plan is
+  /// empty).
   std::shared_ptr<const CompiledFaults> faults;
 };
 

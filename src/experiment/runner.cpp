@@ -35,14 +35,50 @@ SimResult run_simulation(const SimConfig& config) {
   return run_simulation(config, nullptr);
 }
 
-SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
-  Rng root(config.seed);
-  Rng topology_rng = root.split();
-  Rng workload_rng = root.split();
-  Rng link_rng = root.split();
-  Rng belief_rng = root.split();
+std::shared_ptr<const CompiledFaults> compile_run_faults(
+    const SimConfig& config, const Graph& graph, RunStreams& streams,
+    bool with_kills) {
+  // Terminal link kills compile into the fault timeline with the plan.
+  std::vector<LinkFailure> kills = config.link_failures;
+  if (config.random_link_failures > 0 && graph.edge_count() > 0) {
+    Rng failure_rng = streams.next();
+    // Undirected links are deduplicated by their canonical (min -> max)
+    // direction's edge id — one flag bit per edge instead of a pair set.
+    EdgeFlags chosen(graph.edge_count());
+    const std::size_t limit =
+        std::min(config.random_link_failures, graph.edge_count() / 2);
+    std::size_t guard = 0;
+    while (chosen.count() < limit && ++guard < 100 * limit) {
+      const auto id =
+          static_cast<EdgeId>(failure_rng.uniform_index(graph.edge_count()));
+      const Edge& edge = graph.edge(id);
+      const BrokerId lo = std::min(edge.from, edge.to);
+      const BrokerId hi = std::max(edge.from, edge.to);
+      EdgeId canonical = graph.edge_id(lo, hi);
+      if (canonical == kNoEdge) canonical = id;  // One-way link.
+      if (chosen.test(canonical)) continue;
+      chosen.set(canonical);
+      kills.push_back(LinkFailure{
+          failure_rng.uniform(0.0, config.workload.duration), lo, hi});
+    }
+  }
+  if (!with_kills) kills.clear();
 
-  Topology topology = build_topology(topology_rng, config);
+  FaultPlan normalized;
+  if (!config.faults.empty()) {
+    // Fault stream split only when a plan exists, so fault-free runs draw
+    // the identical sequence they always did.
+    Rng fault_rng = streams.next();
+    normalized = materialize_faults(config.faults, graph, fault_rng);
+  }
+  if (config.faults.empty() && kills.empty()) return nullptr;
+  return std::make_shared<const CompiledFaults>(
+      CompiledFaults::compile(normalized, graph, kills));
+}
+
+SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
+  RunStreams streams(config.seed);
+  Topology topology = build_topology(streams.topology, config);
   if (config.true_rate_shape != RateShape::kNormal) {
     for (std::size_t e = 0; e < topology.graph.edge_count(); ++e) {
       Edge& edge = topology.graph.edge(static_cast<EdgeId>(e));
@@ -57,7 +93,7 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
   const Graph believed =
       config.belief_noise_frac > 0.0
           ? perturb_beliefs(topology.graph, config.belief_noise_frac,
-                            belief_rng)
+                            streams.belief)
           : topology.graph;
   Topology believed_topology;
   believed_topology.graph = believed;
@@ -65,7 +101,7 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
   believed_topology.subscriber_homes = topology.subscriber_homes;
 
   std::vector<Subscription> subscriptions =
-      generate_subscriptions(workload_rng, config.workload, topology);
+      generate_subscriptions(streams.workload, config.workload, topology);
   FabricOptions fabric_options;
   fabric_options.multipath = config.multipath;
   fabric_options.repairable = config.repair_routing && !config.faults.empty();
@@ -84,49 +120,15 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
   options.online_estimation = config.online_estimation;
   options.dedup_arrivals = config.multipath;
   options.serialize_processing = config.serialize_processing;
-  // Terminal link kills compile into the fault timeline with the plan.
-  std::vector<LinkFailure> kills = config.link_failures;
-  if (config.random_link_failures > 0 && topology.graph.edge_count() > 0) {
-    Rng failure_rng = root.split();
-    // Undirected links are deduplicated by their canonical (min -> max)
-    // direction's edge id — one flag bit per edge instead of a pair set.
-    EdgeFlags chosen(topology.graph.edge_count());
-    const std::size_t limit =
-        std::min(config.random_link_failures,
-                 topology.graph.edge_count() / 2);
-    std::size_t guard = 0;
-    while (chosen.count() < limit && ++guard < 100 * limit) {
-      const auto id = static_cast<EdgeId>(
-          failure_rng.uniform_index(topology.graph.edge_count()));
-      const Edge& edge = topology.graph.edge(id);
-      const BrokerId lo = std::min(edge.from, edge.to);
-      const BrokerId hi = std::max(edge.from, edge.to);
-      EdgeId canonical = topology.graph.edge_id(lo, hi);
-      if (canonical == kNoEdge) canonical = id;  // One-way link.
-      if (chosen.test(canonical)) continue;
-      chosen.set(canonical);
-      kills.push_back(LinkFailure{
-          failure_rng.uniform(0.0, config.workload.duration), lo, hi});
-    }
-  }
-
-  FaultPlan normalized;
-  if (!config.faults.empty()) {
-    // Fault stream split only when a plan exists, so fault-free runs draw
-    // the identical sequence they always did.
-    Rng fault_rng = root.split();
-    normalized = materialize_faults(config.faults, topology.graph, fault_rng);
-    if (fabric_options.repairable) options.repair_fabric = &fabric;
-  }
-  if (!config.faults.empty() || !kills.empty()) {
-    options.faults = std::make_shared<const CompiledFaults>(
-        CompiledFaults::compile(normalized, topology.graph, kills));
+  options.faults = compile_run_faults(config, topology.graph, streams);
+  if (!config.faults.empty() && fabric_options.repairable) {
+    options.repair_fabric = &fabric;
   }
 
   options.shards = config.shards;
 
   std::vector<std::shared_ptr<const Message>> messages = generate_messages(
-      workload_rng, config.workload, topology.publisher_count());
+      streams.workload, config.workload, topology.publisher_count());
 
   const auto collect = [](const Collector& collector, TimeMs end_time) {
     SimResult result;
@@ -153,7 +155,7 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
     // Sharded engine: bitwise-identical collector output (golden-pinned),
     // one event lane per shard.
     ParallelSimulator simulator(&topology, &believed_topology.graph, &fabric,
-                                strategy.get(), options, link_rng);
+                                strategy.get(), options, streams.link);
     simulator.set_trace(trace);
     for (auto& message : messages) {
       simulator.schedule_publish(std::move(message));
@@ -163,7 +165,7 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
   }
 
   Simulator simulator(&topology, &believed_topology.graph, &fabric,
-                      strategy.get(), options, link_rng);
+                      strategy.get(), options, streams.link);
   simulator.set_trace(trace);
   for (auto& message : messages) {
     simulator.schedule_publish(std::move(message));

@@ -1,6 +1,8 @@
 // One-shot simulation runner: SimConfig in, SimResult out.
 #pragma once
 
+#include <memory>
+
 #include "experiment/config.h"
 #include "sim/simulator.h"
 
@@ -42,5 +44,16 @@ SimResult run_simulation(const SimConfig& config);
 /// The sink sees the identical stream from either engine; stats/sla.h
 /// consumes it to grade per-scenario SLA series.
 SimResult run_simulation(const SimConfig& config, TraceSink* trace);
+
+/// The config's compiled fault timeline in run_simulation's stream order,
+/// drawn from `streams` after the four fixed streams: the random-kill
+/// stream first (only when random kills are asked for), then the fault
+/// stream (only when the plan is non-empty).  nullptr when there is
+/// neither.  `with_kills = false` leaves the kills out of the timeline (the
+/// live runtime has no kill rule) but still draws their stream, so the
+/// plan's batches are the simulator's.
+std::shared_ptr<const CompiledFaults> compile_run_faults(
+    const SimConfig& config, const Graph& graph, RunStreams& streams,
+    bool with_kills = true);
 
 }  // namespace bdps

@@ -36,8 +36,8 @@ class Channel {
   /// Blocks until at least one item is queued, then drains *everything* in
   /// one lock acquisition (the deque is swapped out, not popped item by
   /// item).  An empty result means closed and drained — same termination
-  /// contract as pop().  Batch consumers (the legacy receiver loop) use
-  /// this to pay one lock round-trip per burst instead of per message.
+  /// contract as pop().  Batch consumers use this to pay one lock
+  /// round-trip per burst instead of per message.
   std::deque<T> pop_all() {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] { return closed_ || !items_.empty(); });

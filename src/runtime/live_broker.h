@@ -1,11 +1,11 @@
-// Live (threaded) broker runtime — shared declarations.
+// Live broker runtime — shared declarations.
 //
-// The discrete-event simulator proves the scheduling *math*; the live
-// runtime demonstrates the same OutputQueue/SchedulerState/purge engine
-// under real concurrency, with deliveries checked against deadlines in
-// (scaled) real time.  The clock and stats here are shared by both
-// execution modes: the in-process reactor worker pool (runtime/reactor.h —
-// transmissions are timer-wheel deadlines) and the socket-backed shard
+// The discrete-event simulators prove the scheduling *math*; the live
+// runtime runs the same broker step (sim/broker_step.h) under real
+// concurrency, with deliveries checked against deadlines in (scaled) real
+// time.  The clock and stats here are shared by both execution modes: the
+// in-process reactor worker pool (runtime/reactor.h — processing delays
+// and transmissions are timer-wheel deadlines) and the socket-backed shard
 // runtime layered on top of it (net/endpoint.h trunks).
 #pragma once
 
@@ -22,14 +22,24 @@ namespace bdps {
 
 /// Scaled wall clock: `speedup` simulated milliseconds elapse per real
 /// millisecond, so the paper's multi-second transfers run in demo time.
+/// Virtual mode (start_virtual, reachable only from C++) replaces the wall
+/// with an instant the single driving thread sets: no real time passes.
 class LiveClock {
  public:
   explicit LiveClock(double speedup = 1.0) : speedup_(speedup) {}
 
   void start() { start_ = std::chrono::steady_clock::now(); }
+  /// Starts in virtual mode at instant 0; set it with set_virtual.
+  void start_virtual() {
+    virtual_ = true;
+    virtual_now_ = 0.0;
+  }
+  void set_virtual(TimeMs instant) { virtual_now_ = instant; }
+  bool is_virtual() const { return virtual_; }
 
-  /// Simulated milliseconds since start().
+  /// Simulated milliseconds since start() (virtual mode: the set instant).
   TimeMs now() const {
+    if (virtual_) return virtual_now_;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     const double real_ms =
         std::chrono::duration<double, std::milli>(elapsed).count();
@@ -56,6 +66,8 @@ class LiveClock {
  private:
   double speedup_;
   std::chrono::steady_clock::time_point start_{};
+  bool virtual_ = false;
+  TimeMs virtual_now_ = 0.0;
 };
 
 /// One message delivery observed by the live runtime.

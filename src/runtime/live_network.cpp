@@ -1,20 +1,31 @@
 #include "runtime/live_network.h"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "broker/fanout.h"
-#include "broker/output_queue.h"
-
 namespace bdps {
+
+namespace {
+
+/// The live broker step: the run's PD and purge policy, processing
+/// serialized through the fig. 2 input queue (one message per broker per
+/// PD; a recorded decision, not a knob).
+SimulatorOptions step_options(const LiveOptions& options) {
+  SimulatorOptions step;
+  step.processing_delay = options.processing_delay;
+  step.purge = options.purge;
+  step.serialize_processing = true;
+  return step;
+}
+
+}  // namespace
 
 LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
                          const Strategy* strategy, LiveOptions options)
     : topology_(topology),
-      fabric_(fabric),
-      strategy_(strategy),
       options_(options),
-      clock_(options.speedup) {
+      clock_(options.speedup),
+      step_(topology, &topology->graph, fabric, strategy,
+            step_options(options), RunStreams(options.seed).link) {
   const std::size_t n = topology_->graph.broker_count();
   const bool socket = options_.mode == LiveMode::kSocket;
 
@@ -31,69 +42,23 @@ LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
         options_.net.shard >= options_.net.shard_count) {
       throw std::invalid_argument("live network: shard out of range");
     }
+    cut_edges_of_peer_.resize(options_.net.shard_count);
   }
+  // Every link is live state: commands may take any of them down.
+  step_.allocate_fault_state();
 
-  // Which directed links some subscription routes over.
-  out_links_.resize(n);
-  std::vector<EdgeId> needed;
+  // The served links are the served brokers' queues (one per neighbour
+  // some subscription routes through).  A shard serves the full
+  // transmission of its outgoing cut edges; only the arrival crosses the
+  // trunk.
   for (std::size_t b = 0; b < n; ++b) {
-    for (const SubscriptionEntry& entry :
-         fabric_->table(static_cast<BrokerId>(b)).entries()) {
-      if (entry.is_local()) continue;
-      const EdgeId edge =
-          topology_->graph.edge_id(static_cast<BrokerId>(b), entry.next_hop);
-      if (edge == kNoEdge) {
-        throw std::invalid_argument(
-            "live network: table references missing link");
-      }
-      needed.push_back(edge);
+    if (!serves(static_cast<BrokerId>(b))) continue;
+    for (const EdgeId edge : step_.true_edge_by_slot[b]) {
+      ++link_count_;
+      const BrokerId to = topology_->graph.edge(edge).to;
+      if (!serves(to)) cut_edges_of_peer_[broker_shard_[to]].push_back(edge);
     }
   }
-  std::sort(needed.begin(), needed.end(),
-            [this](EdgeId a, EdgeId b) {
-              const Edge& ea = topology_->graph.edge(a);
-              const Edge& eb = topology_->graph.edge(b);
-              if (ea.from != eb.from) return ea.from < eb.from;
-              return ea.to < eb.to;
-            });
-  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-
-  // The engines' per-edge stream discipline: split once per *true* edge in
-  // edge-id order, whether or not the link is served, so a link's stream is
-  // a pure function of (seed, topology) — never of the subscription set,
-  // and never of the shard layout (each stream is consumed by exactly one
-  // shard, the one serving the edge).
-  Rng link_root(options_.seed);
-  std::vector<Rng> streams;
-  streams.reserve(topology_->graph.edge_count());
-  for (std::size_t e = 0; e < topology_->graph.edge_count(); ++e) {
-    streams.push_back(link_root.split());
-  }
-
-  if (socket) cut_edges_of_peer_.resize(options_.net.shard_count);
-
-  std::vector<LiveLinkSpec> specs;
-  specs.reserve(needed.size());
-  for (const EdgeId edge : needed) {
-    const Edge& e = topology_->graph.edge(edge);
-    // Links follow their *source* broker's shard; a shard serves the full
-    // transmission simulation of its outgoing cut edges and only the
-    // deposit crosses the trunk.
-    if (socket && broker_shard_[e.from] !=
-                      static_cast<std::uint32_t>(options_.net.shard)) {
-      continue;
-    }
-    specs.push_back(LiveLinkSpec{e.from, e.to, edge, e.link.params(),
-                                 streams[static_cast<std::size_t>(edge)]});
-    // (from, to)-sorted iteration makes each out_links_ row ascending by
-    // neighbour — the order FanOutGrouper::bind requires.
-    out_links_[e.from].push_back(LinkRef{e.to, edge});
-    if (socket && broker_shard_[e.to] !=
-                      static_cast<std::uint32_t>(options_.net.shard)) {
-      cut_edges_of_peer_[broker_shard_[e.to]].push_back(edge);
-    }
-  }
-  link_count_ = specs.size();
 
   if (socket) {
     edge_fault_down_.assign(topology_->graph.edge_count(), 0);
@@ -115,8 +80,6 @@ LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
   }
 
   ReactorOptions reactor_options;
-  reactor_options.processing_delay = options_.processing_delay;
-  reactor_options.purge = options_.purge;
   reactor_options.workers = options_.workers;
   reactor_options.wheel_tick_ms = options_.wheel_tick_ms;
   if (socket) {
@@ -124,13 +87,11 @@ LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
     reactor_options.shard = static_cast<std::uint32_t>(options_.net.shard);
     reactor_options.endpoint = endpoint_.get();
   }
-  reactor_ = std::make_unique<Reactor>(topology_, fabric_, strategy_,
-                                       reactor_options, &clock_, &stats_,
-                                       &outstanding_, std::move(specs),
-                                       &out_links_);
+  reactor_ = std::make_unique<Reactor>(&step_, reactor_options, &clock_,
+                                       &stats_, &outstanding_);
 
   // Cut edges start held: a trunk that is not yet established cannot carry
-  // deposits.  on_trunk_peer_state raises them as trunks come up.
+  // arrivals.  on_trunk_peer_state raises them as trunks come up.
   for (const std::vector<EdgeId>& edges : cut_edges_of_peer_) {
     for (const EdgeId edge : edges) reactor_->set_link_state(edge, false);
   }
@@ -143,6 +104,23 @@ void LiveNetwork::start() {
   started_ = true;
   clock_.start();
   reactor_->start();
+}
+
+void LiveNetwork::start_virtual() {
+  if (started_) return;
+  if (options_.mode != LiveMode::kReactor || reactor_->worker_count() != 1) {
+    throw std::logic_error(
+        "live network: the virtual clock drives one reactor worker");
+  }
+  started_ = true;
+  clock_.start_virtual();
+}
+
+void LiveNetwork::run_until(TimeMs instant) {
+  if (!clock_.is_virtual()) {
+    throw std::logic_error("live network: run_until needs start_virtual");
+  }
+  reactor_->run_until(instant);
 }
 
 void LiveNetwork::publish(PublisherId publisher,
@@ -232,7 +210,14 @@ void LiveNetwork::stop() {
   // Socket mode: reactor worker 0 stops the transport at its first pass
   // after the request and settles never-acked trunk copies as losses, so
   // the workers can observe outstanding == 0 and exit.
-  if (reactor_) reactor_->stop();
+  if (!reactor_) return;
+  reactor_->stop();
+#ifndef NDEBUG
+  // The workers are joined; with no copy left the overlay is quiescent.
+  if (outstanding_.load(std::memory_order_acquire) == 0) {
+    step_.check_invariants();
+  }
+#endif
 }
 
 std::uint16_t LiveNetwork::trunk_port() const {

@@ -1,24 +1,26 @@
 // Live broker overlay — event-driven reactor, in-process or socket-backed.
 //
-// Both modes drive the *same* engine the discrete-event simulator proves:
-// OutputQueue + SchedulerState picks, eq. (11) purges, FanOutGrouper
-// admission (publisher mask + activation-window churn filter), deadlines
-// checked in (scaled) real time against the LiveClock.  They differ only
-// in reach:
+// Both modes drive the *same* broker step the simulators run
+// (sim/broker_step.h): one BrokerStep per instance, built over the full
+// topology with the true graph as beliefs and processing serialized, so
+// OutputQueue + SchedulerState picks, eq. (11) purges, fan-out admission
+// (publisher mask + activation-window churn filter), holds and crashes are
+// the simulator's rules, with deadlines checked in (scaled) real time
+// against the LiveClock.  The modes differ only in reach:
 //
 //   * LiveMode::kReactor (default) — a fixed pool of N workers
 //     (runtime/reactor.h): brokers are assigned to workers with the
-//     sharded engine's ShardPlan, per-broker Rx and per-link Tx state
-//     machines sleep as timers in a hierarchical wheel
-//     (common/timer_wheel.h), and cross-worker handoff rides SpscQueue
-//     mailboxes plus an eventfd doorbell rung only for a parked worker.
-//     Thread count is hardware-sized, so one process serves 10k+ links.  (The old
-//     thread-per-link oracle this mode was differentially tested against
-//     is retired; the reactor is now the in-process reference the socket
-//     mode diffs against.)
+//     sharded engine's ShardPlan, processing delays and transmissions
+//     sleep as timers in a hierarchical wheel (common/timer_wheel.h), and
+//     cross-worker handoff rides SpscQueue mailboxes plus an eventfd
+//     doorbell rung only for a parked worker.  Thread count is
+//     hardware-sized, so one process serves 10k+ links.  On the virtual
+//     clock (start_virtual) one worker runs bit for bit the event order of
+//     run_simulation with serialize_processing — the sim<->live gate.
 //   * LiveMode::kSocket — one shard of a distributed overlay.  The
-//     instance owns the brokers LiveNetOptions::broker_shard assigns to
-//     it plus every directed link *leaving* them; a transmission that
+//     instance serves the brokers LiveNetOptions::broker_shard assigns to
+//     it plus every directed link *leaving* them (its BrokerStep holds the
+//     whole overlay and touches only those); a transmission that
 //     completes toward a remote broker rides a trunk — a local AF_UNIX
 //     socket by default, TCP to the hosts LiveNetOptions::peer_hosts names
 //     (net/endpoint.h: per-trunk cumulative-ack reliability,
@@ -26,15 +28,16 @@
 //     runs exactly `workers` threads: reactor worker 0 drives the
 //     endpoint inside its own event loop (one epoll park for trunk
 //     sockets, doorbell and timers), so a forward goes straight into the
-//     peer socket's buffer and an inbound copy is deposited inline.
+//     peer socket's buffer and an inbound copy arrives inline.
 //     Fault replay on a cut edge forces a real disconnect (drop_trunk)
 //     and the healed trunk re-enters through the same set_link_state path
 //     the storm engine drives.
 //
 // Transmission sampling follows the engines' per-edge RNG stream
-// discipline: one stream split from LiveOptions::seed per true EdgeId
-// (edge-id order), so a link's draw sequence is a pure function of the
-// seed and the topology — independent of worker interleaving, mode, and
+// discipline: one stream per true EdgeId, split in edge-id order from the
+// link stream of RunStreams(LiveOptions::seed) — the stream run_simulation
+// hands its engines — so a link's draw sequence is a pure function of the
+// seed and the topology, independent of worker interleaving, mode, and
 // shard layout (each stream is consumed by exactly one shard, the one
 // serving the edge).
 //
@@ -93,7 +96,8 @@ struct LiveOptions {
   PurgePolicy purge;
   /// Simulated milliseconds per real millisecond.
   double speedup = 100.0;
-  /// Seeds the per-EdgeId transmission RNG streams.
+  /// The run's seed: the per-EdgeId transmission streams are split from
+  /// RunStreams(seed).link, as run_simulation's are.
   std::uint64_t seed = 1;
   LiveMode mode = LiveMode::kReactor;
   /// Reactor worker count; 0 = hardware threads.
@@ -119,6 +123,14 @@ class LiveNetwork {
   /// Starts the clock and the reactor workers.
   void start();
 
+  /// Starts on the virtual clock instead (kReactor with one worker only;
+  /// throws std::logic_error otherwise): no worker thread runs, and
+  /// run_until drives the worker.  Publishes take the virtual instant.
+  /// drain() is for the wall clock; drive to kNoDeadline instead.
+  void start_virtual();
+  /// Virtual clock: runs everything due up to `instant` (Reactor::run_until).
+  void run_until(TimeMs instant);
+
   /// Publishes a message now (the publish timestamp is taken from the live
   /// clock; `template_message`'s head/size/deadline are kept; the id is
   /// allocated from a process-local counter).  The publisher's edge broker
@@ -139,8 +151,8 @@ class LiveNetwork {
 
   /// Fault churn: marks the undirected link (a, b) down or up in both
   /// directions (thread-safe, applied asynchronously by the owning
-  /// workers).  While down the link's queue *holds* its copies (the
-  /// in-flight transmission timer is cancelled and the copy requeued).
+  /// workers).  While down the link's queue *holds* its copies; a frame
+  /// already on the wire completes.
   /// Callers must bring links back up (or rely on purges) before drain(),
   /// or held copies keep it blocked.  Unknown or unserved links are
   /// ignored.  In socket mode a down cut edge also severs its trunk (a
@@ -154,8 +166,9 @@ class LiveNetwork {
   void set_edge_state(EdgeId edge, bool up);
 
   /// Crashes or restarts one broker with the simulator's semantics: the
-  /// input queue and every outgoing link queue are wiped (losses), and
-  /// arrivals while down are lost.  Ignored for brokers this instance
+  /// input queue and every outgoing link queue are wiped (losses), the
+  /// message in processing and a frame on the wire are lost, and arrivals
+  /// while down are lost.  Ignored for brokers this instance
   /// does not serve.  Fault compilation already folds a broker outage
   /// into its incident edges, so callers replaying CompiledFaults batches
   /// get the link-down half from set_edge_state.
@@ -164,7 +177,8 @@ class LiveNetwork {
   /// Stops and joins all threads (idempotent).  In socket mode worker 0
   /// first stops the transport and settles never-acked trunk copies as
   /// losses so the reactor workers can observe a zero outstanding count
-  /// and exit.
+  /// and exit.  Without NDEBUG, a stop that leaves no copy outstanding
+  /// asserts BrokerStep::check_invariants.
   void stop();
 
   const LiveStats& stats() const { return stats_; }
@@ -211,16 +225,13 @@ class LiveNetwork {
   int shard_of(BrokerId broker) const;
 
   const Topology* topology_;
-  const RoutingFabric* fabric_;
-  const Strategy* strategy_;
   LiveOptions options_;
 
   LiveClock clock_;
   LiveStats stats_;
 
-  /// Per-broker downstream links (ascending neighbour order): each
-  /// reactor broker's FanOutGrouper binding.
-  std::vector<std::vector<LinkRef>> out_links_;
+  /// The overlay the reactor workers drive.
+  BrokerStep step_;
   std::size_t link_count_ = 0;
 
   // ---- Socket mode ----

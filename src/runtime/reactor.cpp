@@ -11,14 +11,12 @@
 #include <string>
 #include <thread>
 
-#include "broker/output_queue.h"
 #include "common/spsc_queue.h"
 #include "common/timer_wheel.h"
 #include "net/endpoint.h"
 #include "net/poller.h"
 #include "runtime/channel.h"
 #include "runtime/timer_slack.h"
-#include "scheduling/kernel.h"
 #include "sim/parallel/shard_plan.h"
 
 namespace bdps {
@@ -36,71 +34,80 @@ constexpr std::uint64_t kWakeKey = NetEndpoint::kOwnerKey;
 
 }  // namespace
 
-/// One message crossing a worker boundary (mailbox / injector element).
-struct Reactor::Inbound {
-  BrokerId to = kNoBroker;
-  std::shared_ptr<const Message> message;
-};
+/// The live Effects of BrokerStep: children become wheel timers, worker
+/// FIFO entries, mailbox or trunk handoffs; accounting goes to LiveStats
+/// and the outstanding-copies counter.  Eq. (1)/(2) bookkeeping and traces
+/// are not kept live.
+struct Reactor::Effects {
+  using Event = bdps::Event;
+  Reactor* reactor;
+  Worker* worker;
+  /// How late the event being stepped fired after its model instant (0
+  /// for arrivals and on the virtual clock): processing_cut shifts its
+  /// window back to the instant processing started.
+  TimeMs lateness = 0.0;
 
-/// Timer-wheel payload: which state machine fires.
-struct Reactor::TimerEvent {
-  std::uint32_t index = 0;  // BrokerId (rx) or links_ index (tx).
-  bool tx = false;
-};
+  bool tracing() const { return false; }
+  void trace(const TraceEvent&) {}
+  void publish(std::size_t, double) {}
+  void reception() { reactor->stats_->on_reception(); }
+  void delivery(SubscriberId subscriber, MessageId message, TimeMs delay,
+                TimeMs deadline, double price) {
+    reactor->stats_->on_delivery(
+        LiveDelivery{subscriber, message, delay, delay <= deadline, price});
+  }
+  void fan_out(std::size_t copies) {
+    // The copies count before the processed message stops counting, so the
+    // counter never passes through zero while they live.
+    if (copies > 0) reactor->outstanding_->fetch_add(copies);
+    reactor->outstanding_->fetch_sub(1, std::memory_order_release);
+  }
+  void purge(const PurgeStats& stats) {
+    const std::size_t purged = stats.expired + stats.hopeless;
+    if (purged == 0) return;
+    reactor->stats_->on_purge(stats);
+    reactor->outstanding_->fetch_sub(purged, std::memory_order_release);
+  }
+  void loss(std::size_t copies) { reactor->settle_loss(copies); }
+  void input_depth(std::size_t) {}
+  void fault_batch(std::size_t) {}
 
-/// Broker Rx state machine + per-broker scratch.  Touched only by the
-/// owning worker, so none of it is synchronised.
-struct Reactor::BrokerState {
-  std::deque<std::shared_ptr<const Message>> input;
-  bool processing = false;  // A PD timer is pending for input.front().
-  /// The pending PD timer, so a crash can cancel it with the queue.
-  TimerWheel<TimerEvent>::TimerId rx_timer;
-  /// Crashed: queues were wiped, arrivals are lost until restart.
-  bool down = false;
-  FanOutGrouper grouper;
-  std::vector<const SubscriptionEntry*> matched;
-  // Running totals behind the eq. (6) average message size; worker-local
-  // because every outgoing link of this broker lives on the same worker.
-  double size_kb_total = 0.0;
-  std::size_t size_count = 0;
-};
-
-/// Link Tx state machine: the simulator's OutputQueue engine driven by
-/// timer callbacks instead of a dedicated sender thread.
-struct Reactor::LinkState {
-  BrokerId from;
-  BrokerId to;
-  EdgeId edge;
-  LinkModel true_link;
-  Rng rng;  // The link's per-EdgeId stream.
-  OutputQueue out;
-  /// The full queued record rides along during transmission so a link-down
-  /// can cancel the timer and put the copy *back* (targets and folded
-  /// scores intact) instead of losing it.
-  QueuedMessage in_flight;
-  TimerWheel<TimerEvent>::TimerId tx_timer;
-  bool busy = false;  // A tx timer is pending for in_flight.
-  /// Fault churn: while down the queue holds (no picks, no new timer);
-  /// link-up re-arms.  Flipped only on the owning worker.
-  bool down = false;
-
-  LinkState(const LiveLinkSpec& spec, const Strategy* strategy)
-      : from(spec.from),
-        to(spec.to),
-        edge(spec.edge),
-        true_link(spec.params),
-        rng(spec.rng),
-        out(spec.to, spec.edge, spec.params, strategy) {}
+  std::pair<std::size_t, double> interest(const Event&) { return {0, 0.0}; }
+  void push(Event child) {
+    if (child.type == EventType::kArrival) {
+      reactor->route(*worker, std::move(child));
+    } else {
+      reactor->schedule(*worker, std::move(child));
+    }
+  }
+  double draw_rate(EdgeId edge) { return reactor->step_->draw_rate(edge); }
+  void send(Event completion, EdgeId, TimeMs) {
+    reactor->schedule(*worker, std::move(completion));
+  }
+  bool claim_deposit(Event&) { return false; }
+  bool send_cut(EdgeId edge, TimeMs start, TimeMs) const {
+    const BrokerId sender = reactor->step_->topology->graph.edge(edge).from;
+    return reactor->crashed_at_[sender] > start;
+  }
+  bool processing_cut(BrokerId broker, TimeMs from, TimeMs) const {
+    return reactor->crashed_at_[broker] > from - lateness;
+  }
+  StepScratch& scratch();
 };
 
 struct Reactor::Worker {
   std::size_t id = 0;
-  TimerWheel<TimerEvent> wheel;
+  TimerWheel<Event> wheel;
+  /// The virtual clock's timers, popped in (instant, schedule order).
+  EventQueue virtual_timers;
+  /// Same-instant arrivals at this worker's brokers, run after the step
+  /// that produced them.
+  std::deque<Event> local;
   /// One SPSC mailbox per *source* worker (nullptr for self): exactly one
   /// pusher, exactly one drainer — the wait-free cross-worker path.
-  std::vector<std::unique_ptr<SpscQueue<Inbound>>> inbound;
+  std::vector<std::unique_ptr<SpscQueue<Event>>> inbound;
   /// External entry point (publish arrives from arbitrary user threads).
-  Channel<Inbound> injector;
+  Channel<Event> injector;
   /// Link, broker and trunk transitions from set_link_state /
   /// set_broker_state / drop_trunk (arbitrary threads); applied by the
   /// owning worker between drains.  Low traffic, so a plain mutex-guarded
@@ -119,22 +126,15 @@ struct Reactor::Worker {
   std::thread thread;
   /// The slack this worker read of itself on entry (-1 before it ran).
   std::atomic<long> timer_slack_ns{-1};
-  std::vector<Inbound> drain_scratch;
-  /// Worker-owned matching scratch: with the sharded engine, every worker
-  /// matches lock-free against any broker it owns through one epoch slot
-  /// (instead of one slot per broker).
-  matching::MatchScratch match_scratch;
+  std::vector<Event> drain_scratch;
+  StepScratch step_scratch;
 };
 
-Reactor::Reactor(const Topology* topology, const RoutingFabric* fabric,
-                 const Strategy* strategy, ReactorOptions options,
-                 LiveClock* clock, LiveStats* stats,
-                 std::atomic<std::size_t>* outstanding,
-                 std::vector<LiveLinkSpec> links,
-                 const std::vector<std::vector<LinkRef>>* out_links)
-    : topology_(topology),
-      fabric_(fabric),
-      strategy_(strategy),
+StepScratch& Reactor::Effects::scratch() { return worker->step_scratch; }
+
+Reactor::Reactor(BrokerStep* step, ReactorOptions options, LiveClock* clock,
+                 LiveStats* stats, std::atomic<std::size_t>* outstanding)
+    : step_(step),
       options_(options),
       clock_(clock),
       stats_(stats),
@@ -142,22 +142,9 @@ Reactor::Reactor(const Topology* topology, const RoutingFabric* fabric,
   if (!(options_.wheel_tick_ms > 0.0)) {  // Also rejects NaN.
     throw std::invalid_argument("reactor: wheel_tick_ms must be > 0");
   }
-  const std::size_t n = topology_->graph.broker_count();
-  brokers_.reserve(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    brokers_.push_back(std::make_unique<BrokerState>());
-    brokers_[b]->grouper.bind((*out_links)[b]);
-  }
-
-  link_by_edge_.assign(topology_->graph.edge_count(), -1);
-  links_of_broker_.resize(n);
-  links_.reserve(links.size());
-  for (LiveLinkSpec& spec : links) {
-    link_by_edge_[spec.edge] = static_cast<std::int32_t>(links_.size());
-    links_of_broker_[spec.from].push_back(
-        static_cast<std::uint32_t>(links_.size()));
-    links_.push_back(std::make_unique<LinkState>(spec, strategy_));
-  }
+  const Graph& graph = step_->topology->graph;
+  const std::size_t n = graph.broker_count();
+  crashed_at_.assign(n, -kNoDeadline);
 
   std::size_t worker_count =
       options_.workers != 0
@@ -167,8 +154,7 @@ Reactor::Reactor(const Topology* topology, const RoutingFabric* fabric,
 
   // The sharded engine's partitioner keeps most fan-outs worker-local;
   // links follow their source broker, so one edge cut is one mailbox hop.
-  const ShardPlan plan =
-      ShardPlan::greedy_edge_cut(topology_->graph, worker_count);
+  const ShardPlan plan = ShardPlan::greedy_edge_cut(graph, worker_count);
   owner_of_broker_.resize(n);
   for (std::size_t b = 0; b < n; ++b) {
     owner_of_broker_[b] = plan.shard_of(static_cast<BrokerId>(b));
@@ -180,7 +166,7 @@ Reactor::Reactor(const Topology* topology, const RoutingFabric* fabric,
     worker->id = w;
     worker->inbound.resize(worker_count);
     for (std::size_t src = 0; src < worker_count; ++src) {
-      if (src != w) worker->inbound[src] = std::make_unique<SpscQueue<Inbound>>();
+      if (src != w) worker->inbound[src] = std::make_unique<SpscQueue<Event>>();
     }
     if (w == 0 && options_.endpoint != nullptr) {
       worker->poller = &options_.endpoint->poller();
@@ -221,7 +207,9 @@ std::vector<long> Reactor::worker_timer_slacks() const {
 bool Reactor::publish(BrokerId target,
                       std::shared_ptr<const Message> message) {
   Worker& worker = *workers_[owner_of_broker_[target]];
-  if (!worker.injector.push(Inbound{target, std::move(message)})) {
+  if (!worker.injector.push(
+          make_event<Event>(0.0, EventType::kPublish, target,
+                            std::move(message)))) {
     return false;
   }
   wake(worker);
@@ -243,16 +231,20 @@ void Reactor::stop() {
 }
 
 void Reactor::set_link_state(EdgeId edge, bool up) {
-  if (static_cast<std::size_t>(edge) >= link_by_edge_.size()) return;
-  const std::int32_t index = link_by_edge_[edge];
-  if (index < 0) return;  // No subscription routes over this link.
-  push_command(*workers_[owner_of_broker_[links_[index]->from]],
-               Command{Command::Kind::kLink, static_cast<std::uint32_t>(index),
+  const Graph& graph = step_->topology->graph;
+  if (edge < 0 || static_cast<std::size_t>(edge) >= graph.edge_count()) {
+    return;
+  }
+  push_command(*workers_[owner_of_broker_[graph.edge(edge).from]],
+               Command{Command::Kind::kLink, static_cast<std::uint32_t>(edge),
                        up});
 }
 
 void Reactor::set_broker_state(BrokerId broker, bool up) {
-  if (static_cast<std::size_t>(broker) >= brokers_.size()) return;
+  if (broker < 0 ||
+      static_cast<std::size_t>(broker) >= owner_of_broker_.size()) {
+    return;
+  }
   push_command(*workers_[owner_of_broker_[broker]],
                Command{Command::Kind::kBroker,
                        static_cast<std::uint32_t>(broker), up});
@@ -266,7 +258,8 @@ void Reactor::drop_trunk(int peer) {
 
 void Reactor::deposit_trunk(BrokerId target,
                             std::shared_ptr<const Message> message) {
-  route(*workers_[0], target, std::move(message));
+  route(*workers_[0], make_event<Event>(clock_->now(), EventType::kArrival,
+                                        target, std::move(message)));
 }
 
 void Reactor::push_command(Worker& worker, Command command) {
@@ -285,66 +278,26 @@ void Reactor::apply_commands(Worker& worker) {
     batch.swap(worker.commands);
   }
   for (const Command& command : batch) {
-    if (command.kind == Command::Kind::kBroker) {
-      apply_broker_command(worker, static_cast<BrokerId>(command.index),
-                           command.up);
-      continue;
-    }
     if (command.kind == Command::Kind::kDropTrunk) {
       options_.endpoint->drop_peer(static_cast<int>(command.index));
       continue;
     }
-    LinkState& link = *links_[command.index];
-    if (!command.up) {
-      link.down = true;
-      if (link.busy) {
-        // Tear down the Tx machine: the wheel timer is cancelled and the
-        // copy goes back into the queue with its targets and folded
-        // scores — it competes again at the next link-free pick.
-        worker.wheel.cancel(link.tx_timer);
-        link.busy = false;
-        link.out.enqueue(std::move(link.in_flight));
-        link.in_flight = QueuedMessage{};
-      }
+    // One-entry fault batch: link down holds, link up kicks its queue, a
+    // crash wipes the broker's queues as losses, a restart brings it up.
+    const TimeMs now = clock_->now();
+    FaultBatch faults;
+    faults.at = now;
+    if (command.kind == Command::Kind::kLink) {
+      (command.up ? faults.edges_up : faults.edges_down)
+          .push_back(static_cast<EdgeId>(command.index));
+    } else if (command.up) {
+      faults.brokers_up.push_back(static_cast<BrokerId>(command.index));
     } else {
-      link.down = false;
-      if (!link.busy && !link.out.empty()) {
-        start_transmission(worker, command.index);
-      }
+      faults.brokers_down.push_back(static_cast<BrokerId>(command.index));
+      crashed_at_[command.index] = now;
     }
-  }
-}
-
-void Reactor::apply_broker_command(Worker& worker, BrokerId broker, bool up) {
-  BrokerState& state = *brokers_[broker];
-  if (up) {
-    state.down = false;  // Queues are empty; nothing to restart.
-    return;
-  }
-  if (state.down) return;
-  state.down = true;
-  // The simulator's crash semantics: every copy the broker holds — queued
-  // input, the message being processed, every outgoing OutputQueue and any
-  // transmission already on the wire — dies with it.
-  std::size_t lost = state.input.size();
-  state.input.clear();
-  if (state.processing) {
-    worker.wheel.cancel(state.rx_timer);
-    state.processing = false;
-  }
-  for (const std::uint32_t link_index : links_of_broker_[broker]) {
-    LinkState& link = *links_[link_index];
-    if (link.busy) {
-      worker.wheel.cancel(link.tx_timer);
-      link.busy = false;
-      link.in_flight = QueuedMessage{};
-      ++lost;
-    }
-    lost += link.out.clear();
-  }
-  if (lost > 0) {
-    stats_->on_loss(lost);
-    outstanding_->fetch_sub(lost, std::memory_order_release);
+    Effects fx{this, &worker};
+    step_->apply_faults(fx, faults, now);
   }
 }
 
@@ -365,12 +318,9 @@ void Reactor::worker_loop(Worker& worker) {
       if (stopping) {
         // The transport stops first: copies the peers never acked are
         // settled as losses so outstanding can reach zero; forwards after
-        // this point are refused and settled in arrive().  Idempotent.
+        // this point are refused and settled in route().  Idempotent.
         const std::uint64_t unacked = io->stop();
-        if (unacked > 0) {
-          stats_->on_loss(unacked);
-          outstanding_->fetch_sub(unacked, std::memory_order_release);
-        }
+        if (unacked > 0) settle_loss(unacked);
       }
       io->service();
     }
@@ -390,7 +340,25 @@ void Reactor::worker_loop(Worker& worker) {
   }
 }
 
+void Reactor::run_until(TimeMs instant) {
+  Worker& worker = *workers_.front();
+  for (;;) {
+    apply_commands(worker);
+    drain_inbound(worker);
+    if (worker.virtual_timers.empty() ||
+        worker.virtual_timers.top().time > instant) {
+      break;
+    }
+    Event event = worker.virtual_timers.pop();
+    clock_->set_virtual(event.time);
+    const TimeMs due = event.time;
+    run(worker, std::move(event), due);
+  }
+  if (instant > clock_->now()) clock_->set_virtual(instant);
+}
+
 void Reactor::drain_inbound(Worker& worker) {
+  drain_local(worker);  // Trunk copies taken in outside a step.
   auto& batch = worker.drain_scratch;
   batch.clear();
   for (auto& mailbox : worker.inbound) {
@@ -399,8 +367,15 @@ void Reactor::drain_inbound(Worker& worker) {
   // try_drain reuses the scratch vector: the empty-injector poll (the
   // common case every loop iteration) costs one lock, no allocation.
   worker.injector.try_drain(batch);
-  for (Inbound& in : batch) {
-    arrive(worker, in.to, std::move(in.message));
+  for (Event& event : batch) {
+    if (remote(event.broker)) {  // Worker 0: a copy bound for the trunk.
+      route(worker, std::move(event));
+      continue;
+    }
+    // A handed-over copy arrives when its worker takes it in.
+    const TimeMs now = clock_->now();
+    event.time = now;
+    run(worker, std::move(event), now);
   }
   batch.clear();
 }
@@ -408,18 +383,39 @@ void Reactor::drain_inbound(Worker& worker) {
 void Reactor::advance_wheel(Worker& worker) {
   const std::uint64_t now_tick = static_cast<std::uint64_t>(
       std::max(0.0, clock_->now()) / options_.wheel_tick_ms);
-  worker.wheel.advance(now_tick,
-                       [this, &worker](std::uint64_t, TimerEvent event) {
-                         if (event.tx) {
-                           on_tx_done(worker, event.index);
-                         } else {
-                           on_rx_done(worker,
-                                      static_cast<BrokerId>(event.index));
-                         }
-                       });
+  worker.wheel.advance(now_tick, [this, &worker](std::uint64_t, Event event) {
+    const TimeMs due = event.time;
+    event.time = clock_->now();
+    run(worker, std::move(event), due);
+  });
+}
+
+void Reactor::run(Worker& worker, Event event, TimeMs due) {
+  Effects fx{this, &worker, event.time - due};
+  step_->step(fx, event);
+  drain_local(worker);
+}
+
+void Reactor::drain_local(Worker& worker) {
+  Effects fx{this, &worker};
+  while (!worker.local.empty()) {
+    Event next = std::move(worker.local.front());
+    worker.local.pop_front();
+    step_->step(fx, next);
+  }
+}
+
+void Reactor::schedule(Worker& worker, Event event) {
+  if (clock_->is_virtual()) {
+    worker.virtual_timers.push(std::move(event));
+  } else {
+    const std::uint64_t tick = tick_ceil(event.time);
+    worker.wheel.schedule(tick, std::move(event));
+  }
 }
 
 bool Reactor::has_pending(Worker& worker) {
+  if (!worker.local.empty()) return true;
   for (const auto& mailbox : worker.inbound) {
     if (mailbox && !mailbox->empty()) return true;
   }
@@ -480,152 +476,36 @@ bool Reactor::remote(BrokerId broker) const {
          (*options_.broker_shard)[broker] != options_.shard;
 }
 
-void Reactor::route(Worker& from, BrokerId to,
-                    std::shared_ptr<const Message> message) {
+void Reactor::route(Worker& from, Event arrival) {
+  const BrokerId to = arrival.broker;
+  if (remote(to) && from.id == 0) {
+    // The downstream broker lives in another process.  A true return
+    // transfers the copy's outstanding increment to the transport (held
+    // until the peer's cumulative ack); false means the transport is
+    // stopped and the copy dies here.
+    const int peer = static_cast<int>((*options_.broker_shard)[to]);
+    if (options_.endpoint == nullptr ||
+        !options_.endpoint->forward_remote(peer, to,
+                                           std::move(arrival.message))) {
+      settle_loss(1);
+    }
+    return;
+  }
   // Copies leaving the shard all go through worker 0, the endpoint's
   // only caller.
   const std::uint32_t owner = remote(to) ? 0 : owner_of_broker_[to];
   if (owner == from.id) {
-    arrive(from, to, std::move(message));
+    from.local.push_back(std::move(arrival));
     return;
   }
   Worker& target = *workers_[owner];
-  target.inbound[from.id]->push(Inbound{to, std::move(message)});
+  target.inbound[from.id]->push(std::move(arrival));
   wake(target);
 }
 
-void Reactor::arrive(Worker& worker, BrokerId to,
-                     std::shared_ptr<const Message> message) {
-  if (!remote(to)) {
-    deposit(worker, to, std::move(message));
-    return;
-  }
-  // The downstream broker lives in another process.  A true return
-  // transfers the copy's outstanding increment to the transport (held
-  // until the peer's cumulative ack); false means the transport is
-  // stopped and the copy dies here.
-  const int peer = static_cast<int>((*options_.broker_shard)[to]);
-  if (options_.endpoint == nullptr ||
-      !options_.endpoint->forward_remote(peer, to, std::move(message))) {
-    stats_->on_loss(1);
-    outstanding_->fetch_sub(1, std::memory_order_release);
-  }
-}
-
-void Reactor::deposit(Worker& worker, BrokerId broker,
-                      std::shared_ptr<const Message> message) {
-  BrokerState& state = *brokers_[broker];
-  if (state.down) {  // Arrival at a crashed broker: the copy is lost.
-    stats_->on_loss(1);
-    outstanding_->fetch_sub(1, std::memory_order_release);
-    return;
-  }
-  state.input.push_back(std::move(message));
-  if (!state.processing) {
-    state.processing = true;
-    schedule_rx(worker, broker);
-  }
-}
-
-void Reactor::schedule_rx(Worker& worker, BrokerId broker) {
-  brokers_[broker]->rx_timer = worker.wheel.schedule(
-      tick_ceil(clock_->now() + options_.processing_delay),
-      TimerEvent{static_cast<std::uint32_t>(broker), /*tx=*/false});
-}
-
-void Reactor::on_rx_done(Worker& worker, BrokerId broker) {
-  BrokerState& state = *brokers_[broker];
-  std::shared_ptr<const Message> message = std::move(state.input.front());
-  state.input.pop_front();
-
-  stats_->on_reception();
-  const TimeMs now = clock_->now();
-  state.size_kb_total += message->size_kb();
-  ++state.size_count;
-
-  // Same admission pipeline as the legacy receiver and the simulator
-  // broker: match scratch + sorted-slot fan-out grouping, kernel rows
-  // folded here so pick/purge callbacks never touch the table.
-  fabric_->match_at(broker, *message, worker.match_scratch, state.matched);
-  state.grouper.group(state.matched, *message);
-
-  for (const SubscriptionEntry* entry : state.grouper.local()) {
-    const TimeMs delay = message->elapsed(now);
-    const TimeMs deadline = entry->effective_deadline(*message);
-    stats_->on_delivery(LiveDelivery{entry->subscription->subscriber,
-                                     message->id(), delay, delay <= deadline,
-                                     entry->subscription->price});
-  }
-
-  for (FanOutGroup& group : state.grouper.groups()) {
-    if (group.targets.empty()) continue;
-    const std::int32_t link_index = link_by_edge_[group.edge];
-    LinkState& link = *links_[link_index];
-    QueuedMessage queued{message, now, std::move(group.targets)};
-    group.targets = {};  // Moved-from: reset to a clean empty slot.
-    precompute_scores(queued, options_.processing_delay);
-    outstanding_->fetch_add(1);
-    link.out.enqueue(std::move(queued));
-    if (!link.busy) {
-      start_transmission(worker, static_cast<std::uint32_t>(link_index));
-    }
-  }
-
-  outstanding_->fetch_sub(1, std::memory_order_release);
-
-  if (!state.input.empty()) {
-    schedule_rx(worker, broker);
-  } else {
-    state.processing = false;
-  }
-}
-
-void Reactor::start_transmission(Worker& worker, std::uint32_t link_index) {
-  LinkState& link = *links_[link_index];
-  if (link.down) {  // Held: the queue keeps its copies until link-up.
-    link.busy = false;
-    return;
-  }
-  const BrokerState& from = *brokers_[link.from];
-  const double average_kb =
-      from.size_count == 0
-          ? 0.0
-          : from.size_kb_total / static_cast<double>(from.size_count);
-  const SchedulingContext context{clock_->now(), options_.processing_delay,
-                                  link.out.head_of_line_estimate(average_kb)};
-
-  PurgeStats purge_stats;
-  auto taken = link.out.take_next(context, options_.purge, &purge_stats);
-  stats_->on_purge(purge_stats);
-  if (purge_stats.expired + purge_stats.hopeless > 0) {
-    outstanding_->fetch_sub(purge_stats.expired + purge_stats.hopeless,
-                            std::memory_order_release);
-  }
-  if (!taken.has_value()) {
-    link.busy = false;
-    return;
-  }
-
-  link.busy = true;
-  const TimeMs duration = link.true_link.sample_send_time(
-      link.rng, taken->message->size_kb());
-  link.in_flight = std::move(*taken);
-  link.tx_timer =
-      worker.wheel.schedule(tick_ceil(clock_->now() + duration),
-                            TimerEvent{link_index, /*tx=*/true});
-}
-
-void Reactor::on_tx_done(Worker& worker, std::uint32_t link_index) {
-  LinkState& link = *links_[link_index];
-  std::shared_ptr<const Message> message = std::move(link.in_flight.message);
-  link.in_flight = QueuedMessage{};
-
-  route(worker, link.to, std::move(message));
-
-  // The link is free at this instant: pop the next pick inline (or go
-  // idle) — the event-driven equivalent of the sender loop's next
-  // iteration.
-  start_transmission(worker, link_index);
+void Reactor::settle_loss(std::size_t copies) {
+  stats_->on_loss(copies);
+  outstanding_->fetch_sub(copies, std::memory_order_release);
 }
 
 }  // namespace bdps

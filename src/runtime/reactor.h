@@ -1,35 +1,32 @@
 // Event-driven live runtime: reactor worker pool + timer wheel.
 //
-// The thread-per-link runtime demonstrates the scheduling engine under real
-// concurrency but sleeps an OS thread through every processing delay and
-// every transmission — topology size dictates thread count, and a few
-// hundred links is the practical ceiling.  The reactor inverts that: a
-// fixed pool of N workers (N = hardware threads, not topology size) owns
-// per-broker and per-link *state machines*, and every delay is a pending
-// timer in a hierarchical wheel (common/timer_wheel.h) over the scaled
-// LiveClock.
-//
-// State machines:
-//   * Broker Rx: RxIdle -> Processing.  A deposited message on an idle
-//     broker arms a PD timer; the timer's expiry runs the match + fan-out
-//     (the same FanOutGrouper/precompute_scores path the simulator broker
-//     and the legacy receiver use) and re-arms while input remains —
-//     brokers process one message per PD, exactly like the legacy
-//     receiver's pop/sleep loop.
-//   * Link Tx: TxIdle -> Transmitting.  Enqueueing into an idle link's
-//     OutputQueue starts a send inline: purge + take_next under no lock
-//     (the owning worker is the only toucher), a sampled duration from the
-//     link's per-edge RNG stream, one wheel timer.  The timer's expiry
-//     delivers to the downstream broker and pops the next message.
+// The reactor is the third driver of BrokerStep (sim/broker_step.h): the
+// per-broker rules — reception, processing, the eq. (11) purge and the
+// EB/PC/EBPC pick at each link-free instant, holds, crashes — are the ones
+// both simulators run, applied through a live Effects policy.  The reactor
+// only orders events on the scaled LiveClock: a fixed pool of N workers
+// (N = hardware threads, not topology size) owns the brokers, and every
+// processing delay and every transmission is one pending timer in a
+// hierarchical wheel (common/timer_wheel.h).  A timer's event runs at the
+// clock reading when it fires, so delivery delays measure real lateness.
+// Processing is serialized (one message per broker per PD, arrivals wait
+// in the fig. 2 input queue): a recorded decision, not a knob.
 //
 // Placement and handoff: brokers are assigned to workers with the sharded
 // engine's ShardPlan (greedy edge cut — most fan-outs stay worker-local);
 // each directed link lives with its *source* broker's worker, so enqueue,
-// pick and purge are always same-worker.  A transmission that completes
-// toward a broker on another worker crosses through the (source worker,
-// destination worker) SpscQueue mailbox — the only synchronisation in
-// steady state; there are no per-broker blocking channels and no per-link
-// locks.
+// pick and purge are always same-worker.  A same-instant arrival runs
+// after the current step from a worker-local FIFO, or crosses to the
+// destination broker's worker through the (source worker, destination
+// worker) SpscQueue mailbox — the only synchronisation in steady state;
+// there are no per-broker blocking channels and no per-link locks.
+//
+// Faults: set_link_state and set_broker_state become one-entry fault
+// batches that the owning worker applies with BrokerStep::apply_faults.
+// A link-down holds the queue and never cuts (the frame on the wire
+// completes); a crash wipes the broker's queues as losses and cuts the
+// copy it was processing or sending (the cut tests read the broker's
+// last-crash instant, written by its worker).
 //
 // Park and wake: every worker parks in one place, an epoll wait (Poller)
 // on its own eventfd doorbell, bounded by its timer wheel's next deadline
@@ -49,20 +46,25 @@
 // each worker records the slack it reads of itself on entry
 // (worker_timer_slacks()), which needs no capability to read.
 //
+// Virtual clock (run_until): no worker thread runs; the caller drives the
+// single worker up to an instant, the clock reads each timer's exact model
+// instant, and due timers run in (instant, schedule order) — the order
+// Simulator's heap pops, which the wheel leaves unspecified within a tick.
+//
 // Socket mode: worker 0 also drives the shard's NetEndpoint (no transport
 // thread).  It parks on the endpoint's poller, so trunk sockets, its
 // doorbell, its wheel deadline and the redial backoff share one wait; it
-// dispatches trunk events inline (an inbound copy lands in its broker's
-// input on worker 0, or in the owner's mailbox) and flushes each trunk
-// once per pass.  A copy that another worker sends out of the shard
-// reaches worker 0 through worker 0's SPSC mailbox from that worker, so
-// forward_remote runs on exactly one thread.
+// dispatches trunk events inline (an inbound copy arrives at its broker
+// on worker 0, or in the owner's mailbox) and flushes each trunk once per
+// pass.  A copy that another worker sends out of the shard reaches worker
+// 0 through worker 0's SPSC mailbox from that worker, so forward_remote
+// runs on exactly one thread.
 //
 // Drain/stop share LiveNetwork's outstanding-copies counter: workers exit
 // once stop() was requested and no copy remains in flight, finishing
-// queued work first (the legacy semantics).  Worker 0 stops the endpoint
-// at the first pass that sees the request and settles its never-acked
-// copies as losses, so the counter can reach zero.
+// queued work first.  Worker 0 stops the endpoint at the first pass that
+// sees the request and settles its never-acked copies as losses, so the
+// counter can reach zero.
 #pragma once
 
 #include <atomic>
@@ -71,11 +73,8 @@
 #include <string_view>
 #include <vector>
 
-#include "broker/fanout.h"
 #include "runtime/live_broker.h"
-#include "routing/fabric.h"
-#include "scheduling/purge.h"
-#include "topology/edge_map.h"
+#include "sim/broker_step.h"
 
 namespace bdps {
 
@@ -85,8 +84,6 @@ class NetEndpoint;
 inline constexpr std::string_view kWorkerThreadPrefix = "bdps-w";
 
 struct ReactorOptions {
-  TimeMs processing_delay = 2.0;
-  PurgePolicy purge;
   /// Worker count; 0 = std::thread::hardware_concurrency().  Clamped to
   /// [1, broker count] (the shard plan needs a non-empty shard each).
   std::size_t workers = 0;
@@ -106,28 +103,14 @@ struct ReactorOptions {
   NetEndpoint* endpoint = nullptr;
 };
 
-/// One directed overlay link the runtime serves: resolved by LiveNetwork
-/// from the routing tables, with the link's dedicated RNG stream (split
-/// from LiveOptions::seed once per true EdgeId — the engines' discipline).
-struct LiveLinkSpec {
-  BrokerId from = kNoBroker;
-  BrokerId to = kNoBroker;
-  EdgeId edge = kNoEdge;
-  LinkParams params;
-  Rng rng;
-};
-
 class Reactor {
  public:
-  /// All referenced objects must outlive the reactor.  `out_links` is the
-  /// per-broker ascending LinkRef rows the fan-out groupers bind to;
-  /// `outstanding` is LiveNetwork's in-flight copy counter (shared so
-  /// drain() sees both modes identically).
-  Reactor(const Topology* topology, const RoutingFabric* fabric,
-          const Strategy* strategy, ReactorOptions options, LiveClock* clock,
-          LiveStats* stats, std::atomic<std::size_t>* outstanding,
-          std::vector<LiveLinkSpec> links,
-          const std::vector<std::vector<LinkRef>>* out_links);
+  /// All referenced objects must outlive the reactor.  `step` is the
+  /// overlay the workers drive (fault state allocated, processing
+  /// serialized); `outstanding` is LiveNetwork's in-flight copy counter
+  /// (shared so drain() sees both modes identically).
+  Reactor(BrokerStep* step, ReactorOptions options, LiveClock* clock,
+          LiveStats* stats, std::atomic<std::size_t>* outstanding);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
@@ -135,9 +118,14 @@ class Reactor {
 
   void start();
 
+  /// Virtual clock only (`clock` in virtual mode, one worker, start() never
+  /// called): runs every command, inbound copy and timer due up to
+  /// `instant`, timers in (instant, schedule order) with the clock reading
+  /// each one's exact instant, then leaves the clock at `instant`.
+  void run_until(TimeMs instant);
+
   /// Hands a published message to its edge broker's worker; false once
-  /// stopped (the caller unwinds its outstanding increment, mirroring the
-  /// closed-channel contract of the legacy mode).
+  /// stopped (the caller unwinds its outstanding increment).
   bool publish(BrokerId target, std::shared_ptr<const Message> message);
 
   /// Requests shutdown and joins the workers; pending copies are finished
@@ -151,11 +139,10 @@ class Reactor {
   /// started worker has).
   std::vector<long> worker_timer_slacks() const;
 
-  /// Marks one directed served link up or down (fault churn; thread-safe,
-  /// applied asynchronously by the owning worker).  Down cancels the
-  /// pending transmission timer and requeues the in-flight copy — the
-  /// frame was cut mid-wire — and the queue then *holds* until link-up
-  /// re-arms it.  Unknown or unserved edges are ignored.
+  /// Marks one directed link up or down (fault churn; thread-safe, applied
+  /// asynchronously by the worker owning its source broker).  A frame on
+  /// the wire completes; the queue then *holds* until link-up kicks it.
+  /// Unknown edges are ignored.
   void set_link_state(EdgeId edge, bool up);
 
   /// Socket mode, worker 0 only (the endpoint's on_forward handler): lands
@@ -169,66 +156,59 @@ class Reactor {
   void drop_trunk(int peer);
 
   /// Crashes or restarts one broker (thread-safe, applied asynchronously
-  /// by the owning worker).  A crash is the simulator's semantics: the
-  /// input queue and every outgoing OutputQueue are wiped (copies counted
-  /// as losses), the pending rx/tx timers die with them, and later
-  /// arrivals are lost until the broker comes back up.  The *links* of a
-  /// crashed broker are governed separately via set_link_state — fault
-  /// compilation folds a broker outage into its incident edges.
+  /// by the owning worker) with BrokerStep's crash rule: the input queue
+  /// and every output queue are wiped (copies counted as losses), the
+  /// message in processing and a frame on the wire are lost when their
+  /// timers fire, and arrivals are lost until the broker comes back up.
+  /// The *links* of a crashed broker are governed separately via
+  /// set_link_state — fault compilation folds a broker outage into its
+  /// incident edges.
   void set_broker_state(BrokerId broker, bool up);
 
  private:
-  struct Inbound;
-  struct TimerEvent;
-  struct BrokerState;
-  struct LinkState;
+  struct Effects;
   struct Worker;
   struct Command {
     enum class Kind : std::uint8_t { kLink, kBroker, kDropTrunk };
     Kind kind = Kind::kLink;
-    /// links_ index (kLink), BrokerId (kBroker) or peer shard (kDropTrunk).
+    /// EdgeId (kLink), BrokerId (kBroker) or peer shard (kDropTrunk).
     std::uint32_t index = 0;
     bool up = false;
   };
 
   void push_command(Worker& worker, Command command);
   void apply_commands(Worker& worker);
-  void apply_broker_command(Worker& worker, BrokerId broker, bool up);
 
   std::uint64_t tick_ceil(TimeMs at) const;
   void worker_loop(Worker& worker);
   void drain_inbound(Worker& worker);
   void advance_wheel(Worker& worker);
+  /// Steps `event` (its timer was due at `due`), then every same-instant
+  /// arrival it queued on this worker.
+  void run(Worker& worker, Event event, TimeMs due);
+  void drain_local(Worker& worker);
+  void schedule(Worker& worker, Event event);
   bool has_pending(Worker& worker);
   void park(Worker& worker);
   void wake(Worker& worker);
   bool remote(BrokerId broker) const;
-  void route(Worker& from, BrokerId to, std::shared_ptr<const Message> message);
-  void arrive(Worker& worker, BrokerId to,
-              std::shared_ptr<const Message> message);
-  void deposit(Worker& worker, BrokerId broker,
-               std::shared_ptr<const Message> message);
-  void schedule_rx(Worker& worker, BrokerId broker);
-  void on_rx_done(Worker& worker, BrokerId broker);
-  void start_transmission(Worker& worker, std::uint32_t link_index);
-  void on_tx_done(Worker& worker, std::uint32_t link_index);
+  /// Hands an arrival to its broker's worker: this worker's FIFO, the
+  /// owner's mailbox, or worker 0's trunk when the broker is remote.
+  void route(Worker& from, Event arrival);
+  /// Counts `copies` lost and releases their outstanding increments.
+  void settle_loss(std::size_t copies);
 
-  const Topology* topology_;
-  const RoutingFabric* fabric_;
-  const Strategy* strategy_;
+  BrokerStep* step_;
   ReactorOptions options_;
   LiveClock* clock_;
   LiveStats* stats_;
   std::atomic<std::size_t>* outstanding_;
 
-  std::vector<std::unique_ptr<BrokerState>> brokers_;
-  std::vector<std::unique_ptr<LinkState>> links_;
-  /// Flat per-edge index into links_ (-1 where no subscription routes).
-  EdgeMap<std::int32_t> link_by_edge_;
-  /// Served links grouped by their source broker (crash wipes walk this).
-  std::vector<std::vector<std::uint32_t>> links_of_broker_;
   /// ShardPlan assignment: which worker owns each broker (and its links).
   std::vector<std::uint32_t> owner_of_broker_;
+  /// Clock reading of each broker's last crash (-inf before any), written
+  /// and read only by the broker's worker: the live cut tests.
+  std::vector<TimeMs> crashed_at_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   std::atomic<bool> stopping_{false};

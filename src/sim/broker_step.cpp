@@ -1,6 +1,7 @@
 #include "sim/broker_step.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace bdps {
 
@@ -44,13 +45,10 @@ BrokerStep::BrokerStep(const Topology* topology_in, const Graph* believed_in,
       edges.push_back(true_edge);
     }
   }
-  has_faults = options.faults != nullptr && !options.faults->empty();
   if (options.online_estimation) {
     estimators.assign(edge_count,
                       RateEstimator(options.estimator_min_samples));
     estimator_live.assign(edge_count, 0);
-  }
-  if (options.online_estimation || has_faults) {
     send_begin.assign(edge_count, 0.0);
   }
   if (options.dedup_arrivals) seen.resize(broker_count);
@@ -58,10 +56,40 @@ BrokerStep::BrokerStep(const Topology* topology_in, const Graph* believed_in,
     input_queues.resize(broker_count);
     processing_busy.assign(broker_count, 0);
   }
-  if (has_faults) {
-    down.assign(edge_count);
-    killed.assign(edge_count);
-    broker_down.assign(broker_count, 0);
+  if (options.faults != nullptr && !options.faults->empty()) {
+    allocate_fault_state();
+  }
+}
+
+void BrokerStep::allocate_fault_state() {
+  const std::size_t edge_count = topology->graph.edge_count();
+  has_faults = true;
+  send_begin.assign(edge_count, 0.0);
+  down.assign(edge_count, 0);
+  killed.assign(edge_count, 0);
+  broker_down.assign(topology->graph.broker_count(), 0);
+}
+
+void BrokerStep::check_invariants() const {
+  const auto fail = [](const char* what) {
+    throw std::logic_error(std::string("BrokerStep: ") + what);
+  };
+  for (std::size_t b = 0; b < brokers.size(); ++b) {
+    const std::vector<OutputQueue>& queues = brokers[b].queues();
+    for (std::size_t slot = 0; slot < queues.size(); ++slot) {
+      if (queues[slot].link_busy()) fail("a link is busy at quiescence");
+      const EdgeId edge = true_edge_by_slot[b][slot];
+      if (!queues[slot].empty() &&
+          !(has_faults && (down[edge] != 0 || killed[edge] != 0))) {
+        fail("copies queued on a link that is up");
+      }
+    }
+  }
+  for (const std::uint8_t busy : processing_busy) {
+    if (busy != 0) fail("a broker is processing at quiescence");
+  }
+  for (const auto& pending : input_queues) {
+    if (!pending.empty()) fail("an input queue holds messages");
   }
 }
 

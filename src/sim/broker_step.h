@@ -1,34 +1,40 @@
-// One broker step: the event semantics both simulation engines share.
+// One broker step: the event semantics every engine shares.
 //
 // The paper's results come from one per-broker rule: at each link-free
 // instant a broker purges hopeless copies (eq. 11), then picks one with
 // EB/PC/EBPC (eqs. 3-10).  That rule, and the fault, cut and hold rules
 // around it, are written here exactly once.  BrokerStep owns the overlay
-// state both engines run on (brokers, the slot -> true-edge table, the
+// state the engines run on (brokers, the slot -> true-edge table, the
 // per-edge RNG streams, the online estimators, the dedup sets, the input
 // queues and the fault state) and applies one event at a time through
 // `step`.  Link faults of both kinds, outages and terminal kills, reach it
-// as compiled fault batches (sim/faults/timeline.h).  The two engines only
-// decide the *order* of events:
+// as fault batches (sim/faults/timeline.h).  The three drivers only decide
+// the *order* of events:
 //
 //   * Simulator pops one global (time, sequence) heap;
 //   * ParallelSimulator pops per-shard lanes inside conservative windows
-//     and merges the shards' logs back into the global order at barriers.
+//     and merges the shards' logs back into the global order at barriers;
+//   * the live Reactor (runtime/reactor.h) fires timer-wheel deadlines on
+//     the scaled wall clock, each broker on the worker that owns it, and
+//     turns live link/broker commands into one-entry batches.
 //
 // Everything a step does beyond mutating this state goes through an
 // Effects policy, a compile-time template parameter (no virtual call and
 // no std::function on the hot path).  An Effects type provides what the
-// rules it runs call (`apply_faults` alone needs neither `interest` nor
-// `claim_deposit`):
+// rules it runs call (`apply_faults` alone needs neither `interest`,
+// `claim_deposit` nor the cut tests):
 //
-//   using Event = ...;  // Event (Simulator) or LaneEvent (parallel lanes).
+//   using Event = ...;  // Event (Simulator, Reactor) or LaneEvent (lanes).
 //   // Collector and trace side effects: applied at once (DirectRecord),
-//   // or logged by a shard worker for the barrier replay.
+//   // logged by a shard worker for the barrier replay, or counted live.
 //   bool tracing() const;
 //   void trace(const TraceEvent&);
 //   void publish(std::size_t interested, double potential);
 //   void reception();
-//   void delivery(TimeMs delay, TimeMs deadline, double price);
+//   void delivery(SubscriberId subscriber, MessageId message, TimeMs delay,
+//                 TimeMs deadline, double price);
+//   void fan_out(std::size_t copies);  // A processed message became
+//                                      // `copies` queued copies.
 //   void purge(const PurgeStats&);
 //   void loss(std::size_t copies);
 //   void input_depth(std::size_t depth);
@@ -40,11 +46,20 @@
 //   void send(Event completion, EdgeId edge, TimeMs start);
 //   bool claim_deposit(Event& completion);  // Arrival shipped at start?
 //   StepScratch& scratch();
+//   // Fault cuts, asked only while fault state is allocated (has_faults):
+//   // is the copy on the wire over (start, end] lost, and is the message
+//   // in processing over (from, to] lost?  The simulators answer from the
+//   // compiled plan (lost_in_flight / lost_in_processing).  Live answers
+//   // with one rule: a link-down never cuts (the frame completes and the
+//   // queue holds), a crash of the sending or processing broker does.
+//   bool send_cut(EdgeId edge, TimeMs start, TimeMs end);
+//   bool processing_cut(BrokerId broker, TimeMs from, TimeMs to);
 //
 // Stream discipline: the k-th send on a true edge consumes the k-th sample
 // of that edge's RNG stream however sends on other links interleave, so an
-// engine may draw lazily (Simulator) or one send ahead (the sharded
-// engine's lookahead) and still compute the same durations bit for bit.
+// engine may draw lazily (Simulator, Reactor) or one send ahead (the
+// sharded engine's lookahead) and still compute the same durations bit
+// for bit.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +81,7 @@
 
 namespace bdps {
 
-/// Options of one simulation run; both engines take the same struct.
+/// Options of one run; every engine takes the same struct.
 struct SimulatorOptions {
   /// Per-broker processing delay PD (§3.2; paper default 2 ms).
   TimeMs processing_delay = 2.0;
@@ -118,11 +133,14 @@ struct SimulatorOptions {
   std::size_t shards = 0;
 };
 
-/// Per-thread dispatch scratch reused across link-free instants: the live
-/// (sendable) subset of a fan-out and the per-queue take_next results.
+/// Per-thread scratch reused across steps: the live (sendable) subset of a
+/// fan-out, the per-queue take_next results, and the thread's match
+/// scratch (one epoch slot per thread, whatever broker it processes).
 struct StepScratch {
   std::vector<Broker::QueueSlot> live_slots;
   std::vector<Broker::Dispatch> dispatch;
+  std::unique_ptr<matching::MatchScratch> match =
+      std::make_unique<matching::MatchScratch>();
 };
 
 /// Record half of an Effects policy that applies every side effect at
@@ -138,9 +156,11 @@ struct DirectRecord {
     collector->on_publish(interested, potential);
   }
   void reception() { collector->on_reception(); }
-  void delivery(TimeMs delay, TimeMs deadline, double price) {
+  void delivery(SubscriberId, MessageId, TimeMs delay, TimeMs deadline,
+                double price) {
     collector->on_delivery(delay, deadline, price);
   }
+  void fan_out(std::size_t) {}
   void purge(const PurgeStats& stats) { collector->on_purge(stats); }
   void loss(std::size_t copies) { collector->on_loss(copies); }
   void input_depth(std::size_t depth) {
@@ -189,10 +209,29 @@ class BrokerStep {
   }
 
   /// True when a send on `edge` over (start, end] is cut by a fault
-  /// down-transition (the copy is lost even if the link is back up).
+  /// down-transition of the plan (the copy is lost even if the link is
+  /// back up).
   bool lost_in_flight(EdgeId edge, TimeMs start, TimeMs end) const {
     return has_faults && options.faults->edge_cut_between(edge, start, end);
   }
+
+  /// True when the plan crashes `broker` in (from, to]: the message it was
+  /// processing over that span is lost, even if the broker restarted.
+  bool lost_in_processing(BrokerId broker, TimeMs from, TimeMs to) const {
+    return has_faults && options.faults->broker_cut_between(broker, from, to);
+  }
+
+  /// Allocates the fault state (down/killed edges, crashed brokers, send
+  /// start instants) and sets has_faults.  The constructor calls it for a
+  /// non-empty plan; the live runtime always does, since its commands can
+  /// take any link or broker down.
+  void allocate_fault_state();
+
+  /// Quiescence invariants of a run that drained on its own (not one cut
+  /// off at a horizon): no link is busy, no broker is processing, every
+  /// input queue is empty and every non-empty output queue sits on a down
+  /// or killed edge.  Throws std::logic_error naming the first violation.
+  void check_invariants() const;
 
   /// Online estimator of a true-graph link; nullptr when online estimation
   /// is off, the id is out of range, or the link never carried a send.
@@ -223,12 +262,14 @@ class BrokerStep {
   /// (serialize_processing); uint8, not vector<bool>, for the same reason.
   std::vector<std::deque<std::shared_ptr<const Message>>> input_queues;
   std::vector<std::uint8_t> processing_busy;
-  /// Fault-timeline state, sized only when a non-empty plan is attached:
-  /// down directed edges (hold their copies), killed ones (also down; drop
-  /// their copies) and crashed brokers.  Only the batch step writes them.
+  /// Fault state, allocated by allocate_fault_state (a non-empty plan, or
+  /// the live runtime): down directed edges (hold their copies), killed
+  /// ones (also down; drop their copies) and crashed brokers.  Only the
+  /// batch step writes them.  Byte flags, not bits: live, the owners of
+  /// two edges' source brokers may be different workers.
   bool has_faults = false;
-  EdgeFlags down;
-  EdgeFlags killed;
+  EdgeMap<std::uint8_t> down;
+  EdgeMap<std::uint8_t> killed;
   std::vector<std::uint8_t> broker_down;
 
  private:
@@ -345,8 +386,7 @@ void BrokerStep::processed(Fx& fx, Ev& event) {
   const BrokerId b = event.broker;
   const Message& message = *event.message;
   if (has_faults &&
-      options.faults->broker_cut_between(
-          b, now - options.processing_delay, now)) {
+      fx.processing_cut(b, now - options.processing_delay, now)) {
     // The broker crashed while this message was in its processing stage —
     // the in-progress work is gone even if the broker already restarted.
     // The crash also cleared the busy flag and the input queue, so the
@@ -357,14 +397,18 @@ void BrokerStep::processed(Fx& fx, Ev& event) {
   }
   Broker& broker = brokers[b];
   trace(fx, now, TraceEventKind::kProcessed, message.id(), b);
-  const Broker::FanOut fanout = broker.process(event.message, now);
+  const Broker::FanOut fanout =
+      broker.process(event.message, now, *fx.scratch().match);
 
+  fx.fan_out(fanout.enqueued.size());
   for (const SubscriptionEntry* entry : fanout.local) {
     const TimeMs delay = message.elapsed(now);
     const TimeMs deadline = entry->effective_deadline(message);
-    fx.delivery(delay, deadline, entry->subscription->price);
+    const SubscriberId subscriber = entry->subscription->subscriber;
+    fx.delivery(subscriber, message.id(), delay, deadline,
+                entry->subscription->price);
     trace(fx, now, TraceEventKind::kDeliver, message.id(), b, kNoBroker,
-          entry->subscription->subscriber, delay <= deadline);
+          subscriber, delay <= deadline);
   }
   if (fx.tracing()) {
     for (const Broker::QueueSlot slot : fanout.enqueued) {
@@ -397,14 +441,14 @@ void BrokerStep::start_sends(Fx& fx, BrokerId broker_id,
   StepScratch& scratch = fx.scratch();
   std::vector<Broker::QueueSlot>& live = scratch.live_slots;
   live.clear();
-  if (!has_faults || down.none()) {
+  if (!has_faults) {
     live.assign(slots.begin(), slots.end());
   } else {
     for (const Broker::QueueSlot slot : slots) {
       const EdgeId true_edge = true_edges[slot];
-      if (killed.test(true_edge)) {
+      if (killed[true_edge] != 0) {
         drain_slot(fx, broker_id, slot, now);
-      } else if (down.test(true_edge)) {
+      } else if (down[true_edge] != 0) {
         // Fault-timeline outage: hold the copies; the recovery batch (or a
         // post-flap completion) kicks this queue again.
       } else {
@@ -454,16 +498,16 @@ void BrokerStep::send_complete(Fx& fx, Ev& event) {
   const Broker::QueueSlot resend[1] = {slot};
 
   const EdgeId true_edge = true_edge_by_slot[b][slot];
-  if (has_faults && lost_in_flight(true_edge, send_begin[true_edge], now)) {
+  if (has_faults && fx.send_cut(true_edge, send_begin[true_edge], now)) {
     // The link went down mid-transfer (possibly flapping back up before
     // the completion): the copy is lost.  A held queue keeps the rest; a
     // killed link's is unreachable too (what queued up behind the send).
     fx.loss(1);
     trace(fx, now, TraceEventKind::kLoss, event.message->id(), b,
           event.neighbor);
-    if (killed.test(true_edge)) {
+    if (killed[true_edge] != 0) {
       drain_slot(fx, b, slot, now);
-    } else if (!down.test(true_edge) && !out.empty()) {
+    } else if (down[true_edge] == 0 && !out.empty()) {
       start_sends(fx, b, resend, now);
     }
     return;
@@ -529,10 +573,10 @@ void BrokerStep::apply_faults(Fx& fx, const FaultBatch& batch, TimeMs now) {
   // 2. Edge downs: hold semantics — queued copies wait for recovery (the
   //    purge policy applies deadline pressure at the next pick); an
   //    in-flight send is doomed by the (s, c] cut test at its completion.
-  for (const EdgeId e : batch.edges_down) down.set(e);
+  for (const EdgeId e : batch.edges_down) down[e] = 1;
   // 3. Recoveries: brokers restart (empty queues), edges clear.
   for (const BrokerId b : batch.brokers_up) broker_down[b] = 0;
-  for (const EdgeId e : batch.edges_up) down.reset(e);
+  for (const EdgeId e : batch.edges_up) down[e] = 0;
   // 3b. Incremental routing repair: re-point subscription rows around the
   //     new link state.  Edge ids are translated into the fabric's believed
   //     graph (identity unless the ids diverge); copies already queued keep
@@ -559,8 +603,8 @@ void BrokerStep::apply_faults(Fx& fx, const FaultBatch& batch, TimeMs now) {
   //    in-flight send is doomed by the cut test).  Never repaired, never
   //    kicked, never up again.
   for (const EdgeId e : batch.edges_killed) {
-    down.set(e);
-    killed.set(e);
+    down[e] = 1;
+    killed[e] = 1;
     const Edge& edge = topology->graph.edge(e);
     const Broker::QueueSlot slot = brokers[edge.from].slot_of(edge.to);
     if (slot != Broker::kNoSlot) drain_slot(fx, edge.from, slot, now);

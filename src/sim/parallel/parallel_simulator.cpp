@@ -224,7 +224,7 @@ void ParallelSimulator::compute_shard_bound(Shard& shard) {
       const EdgeId e = cut_out_edges_[i];
       // A down (held or killed) edge cannot start a send before the next
       // fault batch, and rounds never span a batch instant.
-      if (core_.has_faults && core_.down.test(e)) continue;
+      if (core_.has_faults && core_.down[e] != 0) continue;
       const TimeMs candidate = base + next_rate_[e] * min_size_kb_;
       if (candidate < bound) bound = candidate;
     }
@@ -351,7 +351,7 @@ void ParallelSimulator::merge_and_route() {
              i < cut_out_offset_[b + 1]; ++i) {
           const EdgeId e = cut_out_edges_[i];
           // Held until a batch.
-          if (core_.has_faults && core_.down.test(e)) continue;
+          if (core_.has_faults && core_.down[e] != 0) continue;
           deposit_bound_ = std::min(
               deposit_bound_, base + next_rate_[e] * min_size_kb_);
         }
@@ -440,9 +440,11 @@ struct ParallelSimulator::ShardEffects {
     log(LoggedOp::Kind::kPublish, interested, potential);
   }
   void reception() { log(LoggedOp::Kind::kReception); }
-  void delivery(TimeMs delay, TimeMs deadline, double price) {
+  void delivery(SubscriberId, MessageId, TimeMs delay, TimeMs deadline,
+                double price) {
     log(LoggedOp::Kind::kDelivery, 0, delay, deadline, price);
   }
+  void fan_out(std::size_t) {}
   void purge(const PurgeStats& stats) {
     if (stats.expired == 0 && stats.hopeless == 0) return;
     log(LoggedOp::Kind::kPurge, stats.expired, 0.0, 0.0, 0.0,
@@ -485,6 +487,12 @@ struct ParallelSimulator::ShardEffects {
     assert(complete.deposited_child != 0);
     shard->children.push_back(complete.deposited_child);
     return true;
+  }
+  bool send_cut(EdgeId edge, TimeMs start, TimeMs end) const {
+    return sim->core_.lost_in_flight(edge, start, end);
+  }
+  bool processing_cut(BrokerId broker, TimeMs from, TimeMs to) const {
+    return sim->core_.lost_in_processing(broker, from, to);
   }
   StepScratch& scratch() { return shard->scratch; }
 };
@@ -573,6 +581,16 @@ bool ParallelSimulator::apply_due_batch() {
 
 void ParallelSimulator::run() {
   build_initial_lanes();
+  // A run that drained on its own (not cut off at the horizon) must leave
+  // the overlay quiescent.
+  const auto check_drained = [this] {
+#ifndef NDEBUG
+    if (std::all_of(shards_.begin(), shards_.end(),
+                    [](const Shard& shard) { return shard.lane.empty(); })) {
+      core_.check_invariants();
+    }
+#endif
+  };
   const std::size_t shard_count = plan_.shard_count();
   if (shard_count == 1) {
     // One lane: the window is unbounded (up to the next fault batch) and
@@ -593,6 +611,7 @@ void ParallelSimulator::run() {
       merge_and_route();
       stats_.merge_ms += thread_cpu_ms() - merge_start;
     }
+    check_drained();
     return;
   }
 
@@ -683,6 +702,7 @@ void ParallelSimulator::run() {
   for (std::thread& worker : workers) worker.join();
   for (const Shard& shard : shards_) stats_.bound_ms += shard.bound_cpu_ms;
   if (worker_error_) std::rethrow_exception(worker_error_);
+  check_drained();
 }
 
 // ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@ struct Simulator::Effects : DirectRecord {
     sim->events_.push(std::move(completion));
   }
   bool claim_deposit(Event&) { return false; }
+  bool send_cut(EdgeId edge, TimeMs start, TimeMs end) const {
+    return sim->core_.lost_in_flight(edge, start, end);
+  }
+  bool processing_cut(BrokerId broker, TimeMs from, TimeMs to) const {
+    return sim->core_.lost_in_processing(broker, from, to);
+  }
   StepScratch& scratch() { return sim->scratch_; }
 };
 
@@ -68,6 +74,9 @@ void Simulator::run() {
     now_ = event.time;
     core_.step(fx, event);
   }
+#ifndef NDEBUG
+  if (events_.empty()) core_.check_invariants();
+#endif
 }
 
 }  // namespace bdps

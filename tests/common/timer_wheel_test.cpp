@@ -89,33 +89,6 @@ TEST(TimerWheel, WrapAroundAtFullSpanBoundary) {
   EXPECT_EQ(fired[2].payload, 3);
 }
 
-TEST(TimerWheel, CancelEveryLevelAndStaleIds) {
-  Wheel wheel;
-  const auto due = wheel.schedule(0, 0);       // Due list (deadline <= now).
-  const auto l0 = wheel.schedule(10, 1);       // Level 0.
-  const auto l1 = wheel.schedule(1000, 2);     // Level 1.
-  const auto l3 = wheel.schedule(1 << 20, 3);  // Level 3.
-  const auto keep = wheel.schedule(20, 4);
-  EXPECT_TRUE(wheel.cancel(due));
-  EXPECT_TRUE(wheel.cancel(l0));
-  EXPECT_TRUE(wheel.cancel(l1));
-  EXPECT_TRUE(wheel.cancel(l3));
-  EXPECT_FALSE(wheel.cancel(l0)) << "double cancel must fail";
-  EXPECT_EQ(wheel.pending(), 1u);
-
-  const auto fired = advance_to(wheel, 1 << 21);
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].payload, 4);
-  EXPECT_FALSE(wheel.cancel(keep)) << "cancel after fire must fail";
-
-  // Node reuse must not resurrect stale ids: the new timer likely reuses
-  // keep's pool slot, but its generation differs.
-  const auto fresh = wheel.schedule((1 << 21) + 5, 5);
-  EXPECT_FALSE(wheel.cancel(keep));
-  EXPECT_EQ(wheel.pending(), 1u);
-  EXPECT_TRUE(wheel.cancel(fresh));
-}
-
 TEST(TimerWheel, NextDueIsAConservativeConvergingBound) {
   Wheel wheel;
   EXPECT_FALSE(wheel.next_due().has_value());
@@ -136,7 +109,7 @@ TEST(TimerWheel, NextDueIsAConservativeConvergingBound) {
   EXPECT_EQ(fired[0].deadline, deadline);
 }
 
-TEST(TimerWheel, CallbacksMayScheduleAndCancelReentrantly) {
+TEST(TimerWheel, CallbacksMayScheduleReentrantly) {
   Wheel wheel;
   std::vector<Tick> fired;
   // A chain: each firing schedules the next, 1 tick later, five times.
@@ -175,13 +148,11 @@ TEST(TimerWheel, FuzzAgainstSortedMultimapModel) {
   for (std::uint64_t seed : {11ull, 222ull, 3333ull}) {
     Rng rng(seed);
     Wheel wheel;
-    std::map<int, Wheel::TimerId> live_ids;   // payload -> id
-    std::map<int, ModelTimer> model;          // payload -> timer
+    std::map<int, ModelTimer> model;  // payload -> timer
     int next_payload = 0;
 
     for (int op = 0; op < 4000; ++op) {
-      const std::uint64_t choice = rng.uniform_index(10);
-      if (choice < 5) {
+      if (rng.uniform_index(10) < 6) {
         // Schedule with a delta spanning every level, past deadlines and
         // beyond-span futures included.
         static constexpr Tick kDeltas[] = {0,    1,     63,     64,
@@ -196,19 +167,9 @@ TEST(TimerWheel, FuzzAgainstSortedMultimapModel) {
           at = wheel.current() > back ? wheel.current() - back : 0;
         }
         const int payload = next_payload++;
-        live_ids[payload] = wheel.schedule(at, payload);
+        wheel.schedule(at, payload);
         model[payload] =
             ModelTimer{payload, at, std::max(at, wheel.current())};
-      } else if (choice < 7) {
-        if (live_ids.empty()) continue;
-        // Cancel a random live timer.
-        auto it = live_ids.begin();
-        std::advance(it,
-                     static_cast<long>(rng.uniform_index(live_ids.size())));
-        EXPECT_TRUE(wheel.cancel(it->second));
-        EXPECT_FALSE(wheel.cancel(it->second));
-        model.erase(it->first);
-        live_ids.erase(it);
       } else {
         // Advance by a delta that exercises slot walks, level crossings
         // and big skips.
@@ -227,13 +188,12 @@ TEST(TimerWheel, FuzzAgainstSortedMultimapModel) {
         Tick last_key = 0;
         for (const Fired& f : fired) {
           auto it = model.find(f.payload);
-          ASSERT_NE(it, model.end()) << "fired unknown/cancelled timer";
+          ASSERT_NE(it, model.end()) << "fired unknown timer";
           EXPECT_EQ(f.deadline, it->second.deadline);
           EXPECT_GE(it->second.key, last_key)
               << "fire order must be nondecreasing in effective tick";
           last_key = it->second.key;
           got[it->second.key].insert(f.payload);
-          live_ids.erase(f.payload);
           model.erase(it);
         }
         EXPECT_EQ(got, expected) << "advance to " << to;
@@ -244,83 +204,6 @@ TEST(TimerWheel, FuzzAgainstSortedMultimapModel) {
     // Drain everything left and check it all comes out.
     const auto fired = advance_to(wheel, ~Tick(0));
     EXPECT_EQ(fired.size(), model.size());
-    EXPECT_EQ(wheel.pending(), 0u);
-  }
-}
-
-// Mass-cancel during advance: the live runtime's link-down teardown fires
-// one timer (the down notification) and, from inside the callback, cancels
-// a batch of still-pending tx timers while the wheel is mid-cascade.  Only
-// timers strictly beyond the advance target are torn down, so the expected
-// fire set is unambiguous: exactly the pre-advance population with
-// effective tick <= to, regardless of when the cancels land.
-TEST(TimerWheel, FuzzMassCancelDuringAdvance) {
-  for (std::uint64_t seed : {7ull, 77ull, 777ull}) {
-    Rng rng(seed);
-    Wheel wheel;
-    std::map<int, Wheel::TimerId> live;  // payload -> id
-    std::map<int, ModelTimer> model;     // payload -> timer
-    int next_payload = 0;
-    const auto schedule_at = [&](Tick at) {
-      const int payload = next_payload++;
-      live[payload] = wheel.schedule(at, payload);
-      model[payload] = ModelTimer{payload, at, std::max(at, wheel.current())};
-    };
-    // Dense population spread across every wheel level.
-    for (int i = 0; i < 1500; ++i) {
-      schedule_at(rng.uniform_index(Tick(1) << 22));
-    }
-
-    for (int round = 0; round < 40 && !model.empty(); ++round) {
-      const Tick to = wheel.current() + 1 + rng.uniform_index(Tick(1) << 17);
-      std::map<Tick, std::multiset<int>> expected;
-      for (const auto& [payload, timer] : model) {
-        if (timer.key <= to) expected[timer.key].insert(payload);
-      }
-
-      std::vector<Fired> fired;
-      wheel.advance(to, [&](Tick deadline, int payload) {
-        fired.push_back(Fired{deadline, payload});
-        if (rng.uniform_index(4) == 0) {
-          // Tear down up to 64 timers that are all due after `to`.
-          int cancelled = 0;
-          for (auto it = live.begin(); it != live.end() && cancelled < 64;) {
-            const auto m = model.find(it->first);
-            if (m != model.end() && m->second.key > to) {
-              EXPECT_TRUE(wheel.cancel(it->second));
-              model.erase(m);
-              it = live.erase(it);
-              ++cancelled;
-            } else {
-              ++it;
-            }
-          }
-        }
-        if (rng.uniform_index(8) == 0) {
-          // Re-arm replacements past the advance target (link back up).
-          schedule_at(to + 1 + rng.uniform_index(100'000));
-        }
-      });
-
-      std::map<Tick, std::multiset<int>> got;
-      Tick last_key = 0;
-      for (const Fired& f : fired) {
-        const auto it = model.find(f.payload);
-        ASSERT_NE(it, model.end()) << "fired unknown/cancelled timer";
-        EXPECT_EQ(f.deadline, it->second.deadline);
-        EXPECT_GE(it->second.key, last_key);
-        last_key = it->second.key;
-        got[it->second.key].insert(f.payload);
-        live.erase(f.payload);
-        model.erase(it);
-      }
-      EXPECT_EQ(got, expected) << "advance to " << to;
-      EXPECT_EQ(wheel.pending(), model.size());
-    }
-
-    // Whatever survived the churn still drains exactly once.
-    const auto rest = advance_to(wheel, ~Tick(0));
-    EXPECT_EQ(rest.size(), model.size());
     EXPECT_EQ(wheel.pending(), 0u);
   }
 }

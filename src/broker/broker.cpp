@@ -68,7 +68,8 @@ Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
 }
 
 Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
-                               TimeMs now, matching::MatchScratch& scratch) {
+                               TimeMs now,
+                               SubscriptionIndex::Scratch& scratch) {
   fabric_->match_at(id_, *message, scratch, match_scratch_);
   return fan_out(message, now);
 }

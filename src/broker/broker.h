@@ -65,13 +65,14 @@ class Broker {
   /// toward each relevant downstream neighbour (entries are filtered to the
   /// message's publisher and its activation window).  Also folds the
   /// message size into the broker's running average (the basis of eq. 6's
-  /// FT).  Matches through the fabric's scratch for this broker.
+  /// FT).  Matches through the scratch of this broker's table index, so
+  /// concurrent calls are safe only for distinct brokers.
   FanOut process(const std::shared_ptr<const Message>& message, TimeMs now);
   /// Same, matching through the caller's scratch: one per thread serves
-  /// every broker (RoutingFabric::match_at), where a scratch per broker
-  /// would cost every broker an epoch slot of its own.
+  /// every broker (RoutingFabric::match_at), so any thread may process for
+  /// any broker it owns, and several threads may share a broker's table.
   FanOut process(const std::shared_ptr<const Message>& message, TimeMs now,
-                 matching::MatchScratch& scratch);
+                 SubscriptionIndex::Scratch& scratch);
 
   /// One per-queue purge + pick outcome of take_next.
   struct Dispatch {

@@ -78,13 +78,9 @@ struct SimConfig {
   /// message id, and the first delivery per subscriber counts.
   bool multipath = false;
 
-  /// Back match_at with the sharded, snapshot-published, covering-
-  /// compressed matching fabric (src/matching/) instead of one mutable
-  /// counting index per broker.  Both engines emit identical row sets in
-  /// identical order — results are bitwise-equal (golden-matrix pinned) —
-  /// so this only changes scaling behaviour.
-  bool sharded_matching = true;
-  /// Covering/equivalence merging inside the sharded engine.
+  /// Read by nothing: broker tables are counting indexes, which do not
+  /// merge covered filters.  Kept while perfbench/cpp/sim_storm.cpp
+  /// assigns it.
   bool match_covering = true;
 
   /// Distribution family the *true* per-send rates are drawn from (the

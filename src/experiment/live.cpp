@@ -84,12 +84,8 @@ LiveWorld build_live_world(const LiveRunConfig& config) {
   world.topology = build_topology(streams.topology, config.sim);
   std::vector<Subscription> subscriptions = generate_subscriptions(
       streams.workload, config.sim.workload, world.topology);
-  FabricOptions fabric_options;
-  fabric_options.engine = config.sim.sharded_matching ? MatchEngine::kSharded
-                                                      : MatchEngine::kReference;
-  fabric_options.covering = config.sim.match_covering;
-  world.fabric = std::make_unique<RoutingFabric>(
-      world.topology, std::move(subscriptions), fabric_options);
+  world.fabric = std::make_unique<RoutingFabric>(world.topology,
+                                                 std::move(subscriptions));
   world.strategy = make_strategy(config.sim.strategy, config.sim.ebpc_weight);
 
   world.messages = generate_messages(streams.workload, config.sim.workload,
@@ -282,8 +278,6 @@ std::string format_live_config(const LiveRunConfig& c) {
   out << "purge_epsilon=" << hexf(c.sim.purge.epsilon) << '\n';
   out << "purge_drop_expired=" << (c.sim.purge.drop_expired ? 1 : 0) << '\n';
   out << "processing_delay=" << hexf(c.sim.processing_delay) << '\n';
-  out << "sharded_matching=" << (c.sim.sharded_matching ? 1 : 0) << '\n';
-  out << "match_covering=" << (c.sim.match_covering ? 1 : 0) << '\n';
 
   const WorkloadConfig& w = c.sim.workload;
   out << "scenario=" << scenario_name(w.scenario) << '\n';
@@ -384,9 +378,6 @@ LiveRunConfig parse_live_config(const std::string& text) {
       kv.get_bool("purge_drop_expired", c.sim.purge.drop_expired);
   c.sim.processing_delay =
       kv.get_double("processing_delay", c.sim.processing_delay);
-  c.sim.sharded_matching =
-      kv.get_bool("sharded_matching", c.sim.sharded_matching);
-  c.sim.match_covering = kv.get_bool("match_covering", c.sim.match_covering);
 
   WorkloadConfig& w = c.sim.workload;
   w.scenario = parse_scenario(kv.get_string("scenario", scenario_name(w.scenario)));

@@ -105,9 +105,6 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
   FabricOptions fabric_options;
   fabric_options.multipath = config.multipath;
   fabric_options.repairable = config.repair_routing && !config.faults.empty();
-  fabric_options.engine = config.sharded_matching ? MatchEngine::kSharded
-                                                  : MatchEngine::kReference;
-  fabric_options.covering = config.match_covering;
   RoutingFabric fabric(believed_topology, std::move(subscriptions),
                        fabric_options);
 

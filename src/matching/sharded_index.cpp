@@ -58,7 +58,6 @@ MatchFabric::MatchFabric(MatchFabricOptions options, EpochDomain* domain)
     options_.rebuild_cap = options_.rebuild_min;
   }
   if (options_.compile_min_members == 0) options_.compile_min_members = 1;
-  active_hash_shards_ = options_.promote_rows == 0 ? options_.shards : 1;
   if (domain == nullptr) {
     owned_domain_ = std::make_unique<EpochDomain>();
     domain = owned_domain_.get();
@@ -73,10 +72,9 @@ MatchFabric::MatchFabric(MatchFabricOptions options, EpochDomain* domain)
 MatchFabric::~MatchFabric() = default;
 
 std::size_t MatchFabric::shard_of(const FilterSignature& sig) const {
-  // Callers hold rows_mu_ (active_hash_shards_ is promoted under it).
   const std::string& attr = sig.selective_attribute();
   if (attr.empty()) return 0;  // Fallback shard.
-  return 1 + std::hash<std::string>{}(attr) % active_hash_shards_;
+  return 1 + std::hash<std::string>{}(attr) % options_.shards;
 }
 
 std::size_t MatchFabric::overlay_threshold(std::size_t core_size) const {
@@ -97,15 +95,6 @@ RowId MatchFabric::add(const Filter& filter,
   // Published (release) before any shard publishes a snapshot that can
   // emit this row, so readers always see a bound covering what they match.
   row_bound_.store(rows_.size(), std::memory_order_release);
-
-  // Row-count shard promotion: the row that crosses promote_rows (and all
-  // later ones) already fans across the full shard count.  Existing units
-  // stay where they were installed — match order is row-ascending
-  // regardless of placement, so the flip never changes a match set.
-  if (active_hash_shards_ < options_.shards &&
-      rows_.size() > options_.promote_rows) {
-    active_hash_shards_ = options_.shards;
-  }
 
   // shard_of must be sequenced before the std::move below — as call
   // arguments the two are indeterminately sequenced, and a moved-from
@@ -518,8 +507,8 @@ const std::vector<RowId>& MatchFabric::match(const Message& message,
     vm_batch_evals_.fetch_add(batch_evals, std::memory_order_relaxed);
   }
 
-  // Canonical match order: ascending row id (shared with RoutingFabric's
-  // reference engine so the two are byte-comparable downstream).
+  // Canonical match order: ascending row id (shared with SubscriptionIndex
+  // so the two are byte-comparable).
   std::sort(scratch.result_.begin(), scratch.result_.end());
   return scratch.result_;
 }
@@ -529,7 +518,7 @@ MatchFabric::Stats MatchFabric::stats() const {
   std::lock_guard<std::mutex> lock(rows_mu_);
   stats.total_rows = rows_.size();
   stats.live_rows = live_rows_;
-  stats.active_shards = active_hash_shards_;
+  stats.active_shards = options_.shards;
   stats.vm_member_evals = vm_member_evals_.load(std::memory_order_relaxed);
   stats.vm_fallback_evals =
       vm_fallback_evals_.load(std::memory_order_relaxed);

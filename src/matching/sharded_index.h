@@ -62,9 +62,15 @@
 //     precomputed name hashes), and the programs' inner loops run on the
 //     runtime-dispatched SIMD kernels (program/simd.h).
 //
-// match() returns row ids in ascending order — the fabric's (and
-// RoutingFabric's) canonical match order, so reference and sharded engines
-// are byte-comparable.
+// match() returns row ids in ascending order — the canonical match order
+// SubscriptionIndex emits too, so the two are byte-comparable.
+//
+// Users: the fabric is the single million-row matching store, judged alone
+// by perfbench's match_churn, tools/match_scaling and the micro benches.
+// RoutingFabric's per-broker tables do not use it: they hold at most about
+// a thousand rows and never churn, where one finalized counting index per
+// table matches and builds faster (PERF.md, "Routing tables on the counting
+// index").
 //
 // Thread-safety: match() is lock-free and safe from any number of threads,
 // each with its own MatchScratch.  add()/remove() serialise on internal
@@ -127,14 +133,6 @@ struct MatchFabricOptions {
   /// interpreter: below the crossover the per-hit program dispatch costs
   /// more than the member walk it replaces (bench/micro_filter_program).
   std::size_t compile_min_members = 4;
-  /// Row-count shard promotion: with a value N > 0 the fabric routes every
-  /// indexable filter to ONE hash shard until more than N rows have been
-  /// issued, then fans new filters across all `shards` (existing units
-  /// stay put — match results are shard-layout independent).  Per-broker
-  /// tables hold tens to thousands of rows, where every extra shard is one
-  /// more index walk per match; the full fan-out only pays once writers
-  /// contend and rebuilds grow.  0 = fully sharded from the first row.
-  std::size_t promote_rows = 0;
 };
 
 class MatchFabric;
@@ -181,7 +179,7 @@ class MatchFabric {
     std::size_t overlay_units = 0;
     std::size_t rebuilds = 0;
     std::size_t publications = 0;
-    /// Hash shards new filters currently fan across (promote_rows).
+    /// Hash shards filters fan across (always MatchFabricOptions::shards).
     std::size_t active_shards = 0;
     /// Live units per shard, by shard index ([0] is the fallback shard).
     std::vector<std::size_t> shard_units;
@@ -207,9 +205,9 @@ class MatchFabric {
     }
   };
 
-  /// `domain` may be shared across fabrics (e.g. one per-RoutingFabric
-  /// domain so a multi-broker match pins once); the fabric owns a private
-  /// domain when none is given.
+  /// `domain` may be shared across fabrics (their readers then draw epoch
+  /// slots from one pool); the fabric owns a private domain when none is
+  /// given.
   explicit MatchFabric(MatchFabricOptions options = {},
                        EpochDomain* domain = nullptr);
   ~MatchFabric();
@@ -349,10 +347,6 @@ class MatchFabric {
   std::vector<std::vector<std::pair<std::uint32_t, Unit*>>> rows_;
   std::size_t live_rows_ = 0;
   std::atomic<std::size_t> row_bound_{0};
-  /// Hash shards shard_of currently routes to (rows_mu_; see
-  /// MatchFabricOptions::promote_rows).  All shards_ slots exist from
-  /// construction, so promotion never reallocates under readers.
-  std::size_t active_hash_shards_ = 1;
   /// Reader-side tier tallies (one relaxed add per counter per match).
   mutable std::atomic<std::uint64_t> vm_member_evals_{0};
   mutable std::atomic<std::uint64_t> vm_fallback_evals_{0};

@@ -48,22 +48,7 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   }
   const std::size_t n = topology.graph.broker_count();
   tables_.resize(n);
-  if (options_.engine == MatchEngine::kReference) {
-    broker_indexes_.resize(n);
-  } else {
-    matching::MatchFabricOptions match_options;
-    match_options.shards = options_.match_shards;
-    match_options.covering = options_.covering;
-    match_options.promote_rows = options_.match_promote_rows;
-    match_options.compile_hot_hits = options_.match_compile_hot_hits;
-    broker_fabrics_.resize(n);
-    broker_scratches_.resize(n);
-    for (std::size_t b = 0; b < n; ++b) {
-      broker_fabrics_[b] = std::make_unique<matching::MatchFabric>(
-          match_options, &match_domain_);
-      broker_scratches_[b] = std::make_unique<matching::MatchScratch>();
-    }
-  }
+  broker_indexes_.resize(n);
   if (options_.repairable) {
     graph_ = topology.graph;
     publisher_edges_ = topology.publisher_edges;
@@ -153,8 +138,7 @@ RoutingFabric::RoutingFabric(const Topology& topology,
         rows_by_sub_[si].push_back(RowRef{
             broker, static_cast<std::uint32_t>(tables_[broker].size())});
       }
-      tables_[broker].add(entry);
-      install_match_row(broker, sub);
+      install_row(broker, entry);
 
       const auto alt_it = alt_hops.find(broker);
       if (alt_it != alt_hops.end()) {
@@ -166,8 +150,7 @@ RoutingFabric::RoutingFabric(const Topology& topology,
           alt_entry.next_hop = alt;
           alt_entry.next_hop_edge = topology.graph.edge_id(broker, alt);
           alt_entry.path = alt_stats;
-          tables_[broker].add(alt_entry);
-          install_match_row(broker, sub);
+          install_row(broker, alt_entry);
         }
       }
     }
@@ -179,22 +162,19 @@ RoutingFabric::RoutingFabric(const Topology& topology,
       global_index_.add_disjunct(id, f);
     }
   }
+  global_index_.finalize();
+  for (SubscriptionIndex& index : broker_indexes_) index.finalize();
 }
 
-void RoutingFabric::install_match_row(BrokerId broker,
-                                      const Subscription& sub) {
-  if (options_.engine == MatchEngine::kReference) {
-    const auto id = broker_indexes_[broker].add(sub.filter);
-    for (const Filter& f : sub.or_filters) {
-      broker_indexes_[broker].add_disjunct(id, f);
-    }
-    return;
-  }
-  const matching::RowId row =
-      broker_fabrics_[broker]->add(sub.filter, sub.or_filters);
-  (void)row;
-  assert(row + 1 == tables_[broker].size() &&
-         "matching row ids must mirror table row indices");
+void RoutingFabric::install_row(BrokerId broker,
+                                const SubscriptionEntry& entry) {
+  const Subscription& sub = *entry.subscription;
+  SubscriptionIndex& index = broker_indexes_[broker];
+  const auto id = index.add(sub.filter);
+  for (const Filter& f : sub.or_filters) index.add_disjunct(id, f);
+  tables_[broker].add(entry);
+  assert(id + 1 == tables_[broker].size() &&
+         "index ids must mirror table row indices");
 }
 
 std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
@@ -207,29 +187,21 @@ std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
 void RoutingFabric::match_at(
     BrokerId broker, const Message& message,
     std::vector<const SubscriptionEntry*>& out) const {
-  if (options_.engine == MatchEngine::kReference) {
-    out.clear();
-    const SubscriptionTable& table = tables_[broker];
-    for (const auto id : broker_indexes_[broker].match(message)) {
-      out.push_back(&table.entries()[id]);
-    }
-    return;
+  out.clear();
+  const SubscriptionTable& table = tables_[broker];
+  for (const auto id : broker_indexes_[broker].match(message)) {
+    out.push_back(&table.entries()[id]);
   }
-  match_at(broker, message, *broker_scratches_[broker], out);
 }
 
 void RoutingFabric::match_at(
-    BrokerId broker, const Message& message, matching::MatchScratch& scratch,
+    BrokerId broker, const Message& message,
+    SubscriptionIndex::Scratch& scratch,
     std::vector<const SubscriptionEntry*>& out) const {
-  if (options_.engine == MatchEngine::kReference) {
-    match_at(broker, message, out);
-    return;
-  }
   out.clear();
   const SubscriptionTable& table = tables_[broker];
-  for (const matching::RowId row :
-       broker_fabrics_[broker]->match(message, scratch)) {
-    out.push_back(&table.entries()[row]);
+  for (const auto id : broker_indexes_[broker].match(message, scratch)) {
+    out.push_back(&table.entries()[id]);
   }
 }
 
@@ -264,6 +236,7 @@ std::size_t RoutingFabric::apply_link_state(
       rewritten += reinstall(si, tree, changed_flags);
     }
   }
+  for (SubscriptionIndex& index : broker_indexes_) index.finalize();
   return rewritten;
 }
 
@@ -317,8 +290,7 @@ std::size_t RoutingFabric::reinstall(
     }
     rows.push_back(RowRef{
         broker, static_cast<std::uint32_t>(tables_[broker].size())});
-    tables_[broker].add(entry);
-    install_match_row(broker, sub);
+    install_row(broker, entry);
   }
   return installed.size();
 }

@@ -7,35 +7,23 @@
 // path tree toward H, so they are publisher-independent (see
 // routing/spt.h on suffix consistency).
 //
-// The fabric also owns the per-broker matching indexes (message/index.h)
-// and a global index used by the metrics to compute ts_i of eq. (1).
+// The fabric also owns one counting index per broker table (message/index.h;
+// index id == table row) and a global index used by the metrics to compute
+// ts_i of eq. (1).  Tables hold tens to about a thousand rows and never
+// churn — repair only appends — which is where the counting index beats the
+// sharded MatchFabric on both match and build time (PERF.md, "Routing tables
+// on the counting index").
 #pragma once
 
 #include <map>
-#include <memory>
 #include <vector>
 
-#include "matching/sharded_index.h"
-#include "matching/snapshot.h"
 #include "message/index.h"
 #include "routing/spt.h"
 #include "routing/subscription.h"
 #include "topology/builders.h"
 
 namespace bdps {
-
-/// Which per-broker matching engine backs match_at.
-enum class MatchEngine {
-  /// One mutable counting index per broker (message/index.h) — the
-  /// original engine, kept as the differential oracle.  Concurrent
-  /// match_at calls are safe only for distinct brokers.
-  kReference,
-  /// Sharded, snapshot-published, covering-compressed fabric per broker
-  /// (matching/sharded_index.h) — the scaling engine and the default.
-  /// match_at is lock-free and safe from any number of threads, for any
-  /// brokers, when each caller brings its own matching::MatchScratch.
-  kSharded,
-};
 
 struct FabricOptions {
   /// Single-path routing (§3.3, the paper's choice) when false.  When true,
@@ -50,27 +38,10 @@ struct FabricOptions {
   /// incrementally as links fail and recover mid-run.  Incompatible with
   /// multipath (alternate rows are not repaired).
   bool repairable = false;
-  /// Per-broker matching engine.  Both emit identical row sets in the
-  /// canonical ascending-row order (golden-matrix pinned), so this only
-  /// trades mutation/concurrency behaviour against memory layout.
-  MatchEngine engine = MatchEngine::kSharded;
-  /// kSharded tuning: covering/equivalence merging and hash shard count
-  /// (plus the fabric's fallback shard; see MatchFabricOptions).
-  /// Per-broker tables promote from ONE hash shard to match_shards once
-  /// they exceed match_promote_rows rows: small tables pay for every
-  /// extra shard with one more index walk per match (throughput is flat
-  /// in shard count even at 100k rows — BENCH_pr8.json shard_sweep),
-  /// while million-row tables need the fan-out for writer contention and
-  /// rebuild cost.  The promotion is a pure layout change — match sets
-  /// and their canonical order never depend on it — so scaled-clock
-  /// verifies stay deterministic.  Million-row single-fabric
-  /// constructions (bench/tools) size MatchFabricOptions directly.
+  /// Read by nothing: per-broker tables are counting indexes, which do
+  /// not merge covered filters.  Kept while perfbench/cpp/sim_storm.cpp
+  /// assigns it.
   bool covering = true;
-  std::size_t match_shards = 8;
-  std::size_t match_promote_rows = 8192;
-  /// Hot-root compile threshold forwarded to
-  /// MatchFabricOptions::compile_hot_hits (0 disables the compile tier).
-  std::size_t match_compile_hot_hits = 4;
 };
 
 class RoutingFabric {
@@ -78,13 +49,13 @@ class RoutingFabric {
   /// Builds tables for `topology` with the given subscriptions.  The fabric
   /// keeps its own copy of the subscriptions; entry pointers refer into it.
   ///
-  /// Thread-safety: after construction the fabric is logically const.  The
-  /// scratch-less match_at overload uses per-broker scratch state, so
-  /// concurrent calls are safe only for *different* broker ids (the live
-  /// runtime's broker-ownership layout) under either engine; with
-  /// MatchEngine::kSharded the scratch-taking overload is additionally
-  /// safe for the *same* broker from many threads (each caller its own
-  /// scratch).  match_all must not race with itself.
+  /// Thread-safety: after construction the fabric is logically const and
+  /// every broker index is finalized.  The scratch-less match_at overloads
+  /// use the broker index's own scratch, so concurrent calls are safe only
+  /// for *different* broker ids (the live runtime's broker-ownership
+  /// layout); the scratch-taking overload is safe for any broker from any
+  /// number of threads, each caller its own scratch.  match_all must not
+  /// race with itself.
   RoutingFabric(const Topology& topology,
                 std::vector<Subscription> subscriptions,
                 FabricOptions options = {});
@@ -104,7 +75,7 @@ class RoutingFabric {
   }
 
   /// Table rows of `broker` whose filters match `message`, in ascending
-  /// row order (the canonical match order of both engines).
+  /// row order (the canonical match order every consumer reduces in).
   std::vector<const SubscriptionEntry*> match_at(BrokerId broker,
                                                  const Message& message) const;
 
@@ -113,11 +84,10 @@ class RoutingFabric {
   void match_at(BrokerId broker, const Message& message,
                 std::vector<const SubscriptionEntry*>& out) const;
 
-  /// Fully concurrent variant (kSharded): lock-free for any broker set as
-  /// long as each caller owns `scratch`.  Under kReference the scratch is
-  /// ignored and the distinct-brokers contract applies.
+  /// Fully concurrent variant: a pure read of the finalized index for any
+  /// broker set, as long as each caller owns `scratch`.
   void match_at(BrokerId broker, const Message& message,
-                matching::MatchScratch& scratch,
+                SubscriptionIndex::Scratch& scratch,
                 std::vector<const SubscriptionEntry*>& out) const;
 
   /// Indices (into subscription(i)) of all subscriptions in the system
@@ -133,15 +103,6 @@ class RoutingFabric {
 
   bool repairable() const { return options_.repairable; }
 
-  /// The kSharded matching fabric behind `broker`'s table — compile-tier
-  /// and shard-promotion statistics for tools and tests.  Null under
-  /// MatchEngine::kReference.
-  const matching::MatchFabric* match_fabric(BrokerId broker) const {
-    return static_cast<std::size_t>(broker) < broker_fabrics_.size()
-               ? broker_fabrics_[broker].get()
-               : nullptr;
-  }
-
   /// The graph routing was computed over (repairable fabrics only; engines
   /// with a differently-id'd true graph translate edge ids through it).
   const Graph& graph() const { return graph_; }
@@ -154,8 +115,9 @@ class RoutingFabric {
   /// get their table rows rewritten: stale rows are disabled in place —
   /// copies already queued keep following them — and replacements appended,
   /// each paired with a fresh matching-index filter so row-id alignment
-  /// holds.  Single-threaded callers only (the engines invoke it between
-  /// events / at window barriers); returns the number of rows rewritten.
+  /// holds; the touched indexes are finalized again before it returns.
+  /// Single-threaded callers only (the engines invoke it between events /
+  /// at window barriers); returns the number of rows rewritten.
   std::size_t apply_link_state(const std::vector<EdgeId>& edges_down,
                                const std::vector<EdgeId>& edges_up);
 
@@ -166,10 +128,9 @@ class RoutingFabric {
   std::size_t reinstall(std::size_t sub_index, const ShortestPathTree& tree,
                         const std::vector<std::uint8_t>& changed);
 
-  /// Registers `sub`'s filters as the next matching row of `broker` under
-  /// the active engine; the returned/implied row id always equals the
-  /// broker table's row index (row-id alignment).
-  void install_match_row(BrokerId broker, const Subscription& sub);
+  /// Appends `entry` to `broker`'s table and its filters to the broker's
+  /// index, so the index id equals the table row (row-id alignment).
+  void install_row(BrokerId broker, const SubscriptionEntry& entry);
 
   FabricOptions options_;
   std::vector<Subscription> subscriptions_;
@@ -177,17 +138,6 @@ class RoutingFabric {
   std::vector<SubscriptionIndex> broker_indexes_;
   SubscriptionIndex global_index_;
   std::map<BrokerId, ShortestPathTree> trees_;
-
-  // ---- kSharded engine state ----
-  /// One epoch domain shared by every broker fabric: a reader slot pins
-  /// once per match regardless of broker, and retired snapshots from all
-  /// brokers share one reclamation scan.
-  matching::EpochDomain match_domain_;
-  std::vector<std::unique_ptr<matching::MatchFabric>> broker_fabrics_;
-  /// Backing scratches for the scratch-less match_at overload (the
-  /// per-broker concurrency contract); unused when callers bring theirs.
-  mutable std::vector<std::unique_ptr<matching::MatchScratch>>
-      broker_scratches_;
 
   // ---- Repairable-fabric state (unused unless options_.repairable) ----
   /// Position of one live table row of a subscription: tables_[broker]'s

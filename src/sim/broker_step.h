@@ -135,12 +135,12 @@ struct SimulatorOptions {
 
 /// Per-thread scratch reused across steps: the live (sendable) subset of a
 /// fan-out, the per-queue take_next results, and the thread's match
-/// scratch (one epoch slot per thread, whatever broker it processes).
+/// scratch for the brokers' table indexes (one per thread, whatever broker
+/// it processes: RoutingFabric::match_at's caller-scratch overload).
 struct StepScratch {
   std::vector<Broker::QueueSlot> live_slots;
   std::vector<Broker::Dispatch> dispatch;
-  std::unique_ptr<matching::MatchScratch> match =
-      std::make_unique<matching::MatchScratch>();
+  SubscriptionIndex::Scratch match;
 };
 
 /// Record half of an Effects policy that applies every side effect at
@@ -398,7 +398,7 @@ void BrokerStep::processed(Fx& fx, Ev& event) {
   Broker& broker = brokers[b];
   trace(fx, now, TraceEventKind::kProcessed, message.id(), b);
   const Broker::FanOut fanout =
-      broker.process(event.message, now, *fx.scratch().match);
+      broker.process(event.message, now, fx.scratch().match);
 
   fx.fan_out(fanout.enqueued.size());
   for (const SubscriptionEntry* entry : fanout.local) {

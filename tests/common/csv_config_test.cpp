@@ -3,6 +3,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "common/config.h"
 #include "common/csv.h"
@@ -19,7 +22,12 @@ std::string read_file(const std::string& path) {
 
 class CsvWriterTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "bdps_csv_test.csv";
+  // Named after the test and the process, so cases running in parallel
+  // (ctest -j) never share a file or delete each other's.
+  std::string path_ =
+      ::testing::TempDir() + "bdps_csv_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(::getpid()) + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

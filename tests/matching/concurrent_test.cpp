@@ -9,12 +9,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "matching/sharded_index.h"
 #include "routing/fabric.h"
+#include "table_oracle.h"
 #include "workload/generator.h"
 
 namespace bdps::matching {
@@ -209,20 +211,22 @@ TEST(MatchFabricConcurrent, ManyScratchesShareOneDomainSlotPool) {
   for (std::thread& t : threads) t.join();
 }
 
-/// Satellite: concurrent match_at from distinct brokers (the reactor's
-/// broker-ownership layout) — and, under kSharded, from the *same* broker
-/// with caller scratches — is race-free and agrees with the sequential
-/// answer.
-TEST(RoutingFabricConcurrent, MatchAtFromDistinctBrokersIsRaceFree) {
-  // Star-of-chains topology: publisher at the hub, subscribers spread over
-  // every chain so most brokers carry rows.
+/// Star of kBrokers - 1 spokes around hub 0, plus a ring through the spokes
+/// so a downed spoke link has a detour; the publisher sits at the hub and
+/// every spoke hosts subscribers.
+std::unique_ptr<RoutingFabric> hub_ring_fabric(bool repairable) {
+  constexpr std::size_t kBrokers = 16;
   Rng rng(3);
   Topology topo;
-  constexpr std::size_t kBrokers = 16;
   topo.graph.resize(kBrokers);
   for (std::size_t b = 1; b < kBrokers; ++b) {
     topo.graph.add_bidirectional(0, static_cast<BrokerId>(b),
                                  LinkParams{50.0 + 2.0 * b, 10.0});
+  }
+  for (std::size_t b = 1; b < kBrokers; ++b) {
+    const auto next = static_cast<BrokerId>(b % (kBrokers - 1) + 1);
+    topo.graph.add_bidirectional(static_cast<BrokerId>(b), next,
+                                 LinkParams{120.0, 10.0});
   }
   topo.publisher_edges = {0};
   std::vector<Subscription> subs;
@@ -237,11 +241,13 @@ TEST(RoutingFabricConcurrent, MatchAtFromDistinctBrokersIsRaceFree) {
     sub.filter = std::move(f);
     subs.push_back(std::move(sub));
   }
-
   FabricOptions options;
-  options.engine = MatchEngine::kSharded;
-  const RoutingFabric fabric(topo, std::move(subs), options);
+  options.repairable = repairable;
+  return std::make_unique<RoutingFabric>(topo, std::move(subs), options);
+}
 
+std::vector<Message> fabric_probes() {
+  Rng rng(4);
   std::vector<Message> probes;
   for (int i = 0; i < 24; ++i) {
     probes.emplace_back(i, 0, 0.0, 1.0,
@@ -249,16 +255,42 @@ TEST(RoutingFabricConcurrent, MatchAtFromDistinctBrokersIsRaceFree) {
                             {"A1", Value(rng.uniform(0.0, 10.0))},
                             {"A2", Value(rng.uniform(0.0, 10.0))}});
   }
+  return probes;
+}
 
-  // Sequential ground truth, then the racing replay.
+/// Races match_at against the brute-force answer: first four threads on
+/// broker 1, each with its own caller scratch, then one thread per broker
+/// on the table-scratch overload (the reactor's broker-ownership layout).
+/// The caller-scratch race runs first, so it reads the indexes exactly as
+/// the constructor or the last repair batch left them.
+void race_match_at(const RoutingFabric& fabric,
+                   const std::vector<Message>& probes) {
+  const auto brokers = static_cast<BrokerId>(fabric.broker_count());
   std::vector<std::vector<std::vector<const SubscriptionEntry*>>> expect(
-      kBrokers);
-  for (BrokerId b = 0; b < static_cast<BrokerId>(kBrokers); ++b) {
-    for (const Message& m : probes) expect[b].push_back(fabric.match_at(b, m));
+      brokers);
+  for (BrokerId b = 0; b < brokers; ++b) {
+    for (const Message& m : probes) {
+      expect[b].push_back(brute_force_match_at(fabric, b, m));
+    }
   }
 
+  std::vector<std::thread> same_broker;
+  for (int t = 0; t < 4; ++t) {
+    same_broker.emplace_back([&] {
+      SubscriptionIndex::Scratch scratch;
+      std::vector<const SubscriptionEntry*> out;
+      for (int round = 0; round < 40; ++round) {
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          fabric.match_at(1, probes[i], scratch, out);
+          ASSERT_EQ(out, expect[1][i]);
+        }
+      }
+    });
+  }
+  for (std::thread& t : same_broker) t.join();
+
   std::vector<std::thread> threads;
-  for (BrokerId b = 0; b < static_cast<BrokerId>(kBrokers); ++b) {
+  for (BrokerId b = 0; b < brokers; ++b) {
     threads.emplace_back([&, b] {
       std::vector<const SubscriptionEntry*> out;
       for (int round = 0; round < 20; ++round) {
@@ -270,22 +302,24 @@ TEST(RoutingFabricConcurrent, MatchAtFromDistinctBrokersIsRaceFree) {
     });
   }
   for (std::thread& t : threads) t.join();
+}
 
-  // Same broker, many threads, caller-owned scratches (kSharded only).
-  std::vector<std::thread> same_broker;
-  for (int t = 0; t < 4; ++t) {
-    same_broker.emplace_back([&] {
-      MatchScratch scratch;
-      std::vector<const SubscriptionEntry*> out;
-      for (int round = 0; round < 40; ++round) {
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-          fabric.match_at(1, probes[i], scratch, out);
-          ASSERT_EQ(out, expect[1][i]);
-        }
-      }
-    });
-  }
-  for (std::thread& t : same_broker) t.join();
+/// Satellite: concurrent match_at from distinct brokers, and from the
+/// *same* broker with caller scratches, is race-free and agrees with brute
+/// force.
+TEST(RoutingFabricConcurrent, MatchAtFromDistinctBrokersIsRaceFree) {
+  const auto fabric = hub_ring_fabric(/*repairable=*/false);
+  race_match_at(*fabric, fabric_probes());
+}
+
+/// The same races after a repair batch appended rows to the tables: the
+/// batch must leave every index finalized, so readers never sort lazily.
+TEST(RoutingFabricConcurrent, MatchAtAfterRepairBatchIsRaceFree) {
+  const auto fabric = hub_ring_fabric(/*repairable=*/true);
+  // Down the hub's links to spokes 1 and 2 (edge ids 0..3): their
+  // subscriptions re-route around the ring and get fresh rows.
+  ASSERT_GT(fabric->apply_link_state({0, 1, 2, 3}, {}), 0u);
+  race_match_at(*fabric, fabric_probes());
 }
 
 }  // namespace

@@ -200,50 +200,9 @@ TEST(MatchFabric, RebuildFoldsTombstonesAndKeepsMatching) {
   EXPECT_GT(stats.publications, stats.rebuilds);
 }
 
-TEST(MatchFabric, PromotesFromOneShardExactlyAboveTheRowThreshold) {
-  // promote_rows > 0 starts every table on one hash shard; the N+1th row
-  // flips routing to the configured shard count.  The promotion is a pure
-  // layout change: rows installed before it stay in their shard (no
-  // reallocation under readers) and match sets are unaffected.
-  constexpr std::size_t kThreshold = 24;
-  MatchFabricOptions options;
-  options.shards = 8;
-  options.promote_rows = kThreshold;
-  MatchFabric fabric(options);
-  MatchScratch scratch;
-
-  std::vector<RowId> rows;
-  for (std::size_t i = 0; i < kThreshold; ++i) {
-    rows.push_back(
-        fabric.add(where("Z" + std::to_string(i % 5), Op::kGe, Value(0.0))));
-  }
-  EXPECT_EQ(fabric.stats().active_shards, 1u);  // At the boundary: single.
-
-  rows.push_back(fabric.add(where("Z0", Op::kGe, Value(0.0))));
-  EXPECT_EQ(fabric.stats().active_shards, 8u);  // One past: promoted.
-
-  // Post-promotion rows route by attribute hash; pre-promotion rows stay
-  // where they were — the match set is the full ascending row list either
-  // way.
-  for (std::size_t i = 0; i < 40; ++i) {
-    rows.push_back(
-        fabric.add(where("Z" + std::to_string(i % 5), Op::kGe, Value(0.0))));
-  }
-  std::vector<Attribute> head;
-  for (int a = 0; a < 5; ++a) {
-    head.push_back(Attribute{"Z" + std::to_string(a), Value(1.0)});
-  }
-  EXPECT_EQ(match(fabric, scratch, make_message(head)), rows);
-
-  // Removes do not demote (hysteresis: the promotion is one-way).
-  fabric.remove(rows.back());
-  EXPECT_EQ(fabric.stats().active_shards, 8u);
-}
-
-TEST(MatchFabric, PromoteRowsZeroKeepsAllShardsFromTheStart) {
+TEST(MatchFabric, ActiveShardsEqualShardCountFromTheStart) {
   MatchFabricOptions options;
   options.shards = 4;
-  options.promote_rows = 0;
   MatchFabric fabric(options);
   fabric.add(where("A", Op::kGe, Value(0.0)));
   EXPECT_EQ(fabric.stats().active_shards, 4u);
@@ -370,7 +329,6 @@ TEST(MatchFabric, MultiAttributeLoadReachesEveryHashShard) {
   // shard.  Matches stay exact either way, so only occupancy shows it.
   MatchFabricOptions options;
   options.shards = 8;
-  options.promote_rows = 0;
   MatchFabric fabric(options);
   ChurnWorkloadConfig config;
   config.seed = 3;

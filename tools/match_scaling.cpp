@@ -20,10 +20,14 @@
 // sensitivity rows at 100k.
 //
 // Output: one JSON object per line on stdout (errors JSON-escaped), plus a
-// summary table on stderr.  Exits non-zero when a sharded row's fabric is
-// not the configuration the row claims: fewer active shards than
-// configured, or (with more than one shard) units in fewer than two hash
-// shards — the signature of routing that collapsed onto one shard.
+// summary table on stderr headed by the dispatched SIMD kernel.  Exits
+// non-zero when a sharded row's fabric is not the configuration the row
+// claims: fewer active shards than configured, (with more than one shard)
+// units in fewer than two hash shards — the signature of routing that
+// collapsed onto one shard — a compile-on covering row that ends its probes
+// with no compiled root, or a compile-off row that compiled anything.
+// Covering-off rows are exempt from the first compile check: the tier
+// compiles a root's covered members, and without covering there are none.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -126,8 +130,9 @@ void time_matches(Probe& p, ChurnWorkload& workload, std::size_t probes,
       static_cast<double>(total_matches) / static_cast<double>(probes);
 }
 
-/// Why the fabric is not the `shards`-way layout the row claims, or "".
-std::string placement_error(const Probe& p, std::size_t shards) {
+/// Why the fabric is not the `shards`-way layout, with the compile tier on
+/// or off, that the row claims; "" when it is.
+std::string configuration_error(const Probe& p, std::size_t shards) {
   if (p.active_shards != shards) {
     return "active_shards " + std::to_string(p.active_shards) +
            " != configured " + std::to_string(shards);
@@ -135,6 +140,14 @@ std::string placement_error(const Probe& p, std::size_t shards) {
   if (shards > 1 && p.occupied_shards < 2) {
     return "units occupy " + std::to_string(p.occupied_shards) + " of " +
            std::to_string(shards) + " hash shards";
+  }
+  if (p.compile_hits > 0 && p.covering && p.compiled_roots == 0) {
+    return "compile tier on (hits=" + std::to_string(p.compile_hits) +
+           ") but no root compiled";
+  }
+  if (p.compile_hits == 0 && (p.compiled_roots > 0 || p.compiles > 0)) {
+    return "compile tier off but " + std::to_string(p.compiles) +
+           " programs compiled";
   }
   return "";
 }
@@ -213,7 +226,7 @@ Probe run_sharded(std::size_t subs, std::size_t shards, bool covering,
     for (std::size_t s = 1; s < stats.shard_units.size(); ++s) {
       p.occupied_shards += stats.shard_units[s] > 0 ? 1 : 0;
     }
-    p.error = placement_error(p, shards);
+    p.error = configuration_error(p, shards);
     p.misconfigured = !p.error.empty();
     p.completed = !p.misconfigured;
   } catch (const std::exception& e) {
@@ -322,8 +335,9 @@ int main(int argc, char** argv) {
 
   std::fprintf(stderr,
                "match-scaling probe (max %zu subs, %zu probes, %zu churn "
-               "ops, budget %.0f s)\n",
-               max_subs, probes, churn_ops, budget_ms / 1000.0);
+               "ops, budget %.0f s, simd kernel %s)\n",
+               max_subs, probes, churn_ops, budget_ms / 1000.0,
+               matching::program::simd::active_kernel_name());
 
   bool misconfigured = false;
   const auto report = [&misconfigured](const Probe& p) {

@@ -2,7 +2,7 @@
 //
 // Runs the same OutputQueue + SchedulerState engine as the simulator under
 // real concurrency, in both execution modes: the event-driven reactor
-// (N workers + hierarchical timer wheel) with the whole overlay in one
+// (N workers, each with one timer heap) with the whole overlay in one
 // process, and the distributed socket runtime — here as a 2-shard
 // in-process cluster whose cut edges ride local AF_UNIX trunks
 // (net/endpoint.h), exactly what tools/brokerd runs one-shard-per-process.
@@ -65,8 +65,8 @@ int main() {
   }
   std::printf(
       "\nreactor: brokers ride N hardware-sized workers; every PD and\n"
-      "transmission is a timer-wheel deadline, links pop OutputQueue picks\n"
-      "inline on expiry.  socket x2: the same engine split across two\n"
+      "transmission is a timer in its worker's heap, links pop OutputQueue\n"
+      "picks inline on expiry.  socket x2: the same engine split across two\n"
       "shards — a transmission completing toward a remote broker crosses a\n"
       "local socket trunk (cumulative-ack reliability, `trunked` counts\n"
       "those copies) instead of a worker mailbox.\n");

@@ -121,7 +121,6 @@ LiveOptions live_options_for(const LiveRunConfig& config, int shard,
   options.seed = config.sim.seed;
   options.mode = config.mode;
   options.workers = config.workers;
-  options.wheel_tick_ms = config.wheel_tick_ms;
   options.net.shard = shard;
   options.net.shard_count = shard_count < 1 ? 1 : shard_count;
   options.net.broker_shard = std::move(broker_shard);
@@ -334,7 +333,6 @@ std::string format_live_config(const LiveRunConfig& c) {
   out << "mode=" << mode_name(c.mode) << '\n';
   out << "workers=" << c.workers << '\n';
   out << "speedup=" << hexf(c.speedup) << '\n';
-  out << "wheel_tick_ms=" << hexf(c.wheel_tick_ms) << '\n';
   out << "message_limit=" << c.message_limit << '\n';
   out << "shards=" << c.shards << '\n';
   out << "reconnect_initial_ms=" << hexf(c.reconnect_initial_ms) << '\n';
@@ -455,7 +453,6 @@ LiveRunConfig parse_live_config(const std::string& text) {
   c.mode = parse_mode(kv.get_string("mode", mode_name(c.mode)));
   c.workers = get_size("workers", c.workers);
   c.speedup = kv.get_double("speedup", c.speedup);
-  c.wheel_tick_ms = kv.get_double("wheel_tick_ms", c.wheel_tick_ms);
   c.message_limit = get_size("message_limit", c.message_limit);
   c.shards = get_size("shards", c.shards);
   c.reconnect_initial_ms =

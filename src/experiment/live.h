@@ -54,6 +54,8 @@ struct LiveRunConfig {
   std::size_t workers = 0;
   /// Simulated milliseconds per real millisecond.
   double speedup = 500.0;
+  /// Inert (reactor timers fire at their exact instants); kept while
+  /// perfbench/cpp/live_trunk.cpp assigns it.
   TimeMs wheel_tick_ms = 0.25;
   /// Cap on published messages (0 = the full generated workload) — benches
   /// bound wall time with it.

@@ -9,7 +9,7 @@
 // The endpoint is passive: it owns its sockets and a Poller but no thread.
 // One owner thread drives it — in a live shard that is reactor worker 0,
 // which parks on poller() next to its own wake doorbell (key kOwnerKey)
-// and timer-wheel deadline, hands every other ready event to handle(), and
+// and earliest timer, hands every other ready event to handle(), and
 // calls service() once per pass.  Everything below the "owner thread"
 // line runs on that thread only, so the endpoint takes no lock: a forward
 // is encoded straight into the peer socket's outbound buffer, an inbound

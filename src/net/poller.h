@@ -3,8 +3,8 @@
 // Registered fds carry a caller-chosen u64 key (an index into the owner's
 // connection table); wait() decodes epoll events into (key, readable,
 // writable, hangup) records.  The timeout has nanosecond resolution
-// (epoll_pwait2), so a worker parked on its timer wheel's next deadline
-// wakes on time even when that deadline is microseconds away.  WakeFd is
+// (epoll_pwait2), so a worker parked on its earliest timer wakes on time
+// even when that timer is microseconds away.  WakeFd is
 // the cross-thread doorbell — an eventfd registered like any other fd, so
 // work pushed by another thread interrupts an idle wait without a pipe
 // pair or signal games.

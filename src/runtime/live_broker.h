@@ -5,8 +5,9 @@
 // concurrency, with deliveries checked against deadlines in (scaled) real
 // time.  The clock and stats here are shared by both execution modes: the
 // in-process reactor worker pool (runtime/reactor.h — processing delays
-// and transmissions are timer-wheel deadlines) and the socket-backed shard
-// runtime layered on top of it (net/endpoint.h trunks).
+// and transmissions are timers in a per-worker heap) and the
+// socket-backed shard runtime layered on top of it (net/endpoint.h
+// trunks).
 #pragma once
 
 #include <atomic>
@@ -51,12 +52,11 @@ class LiveClock {
   /// slack is back when it returns.
   void sleep_for(TimeMs sim_ms) const;
 
-  /// The real instant at which the clock reads `sim_ms` — what the reactor
-  /// hands to wait_until so a parked worker wakes exactly when its next
-  /// timer-wheel deadline arrives.
+  /// The real instant at which the clock reads `sim_ms`, rounded up to
+  /// the next clock tick — what a parked reactor worker waits for, so it
+  /// never wakes before its earliest timer is due.
   std::chrono::steady_clock::time_point real_time_at(TimeMs sim_ms) const {
-    return start_ + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
+    return start_ + std::chrono::ceil<std::chrono::steady_clock::duration>(
                         std::chrono::duration<double, std::milli>(
                             sim_ms / speedup_));
   }

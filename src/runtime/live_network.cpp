@@ -81,7 +81,6 @@ LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
 
   ReactorOptions reactor_options;
   reactor_options.workers = options_.workers;
-  reactor_options.wheel_tick_ms = options_.wheel_tick_ms;
   if (socket) {
     reactor_options.broker_shard = &broker_shard_;
     reactor_options.shard = static_cast<std::uint32_t>(options_.net.shard);
@@ -216,6 +215,7 @@ void LiveNetwork::stop() {
   // The workers are joined; with no copy left the overlay is quiescent.
   if (outstanding_.load(std::memory_order_acquire) == 0) {
     step_.check_invariants();
+    reactor_->check_invariants();
   }
 #endif
 }
@@ -252,6 +252,14 @@ int LiveNetwork::local_trunks() const {
 }
 
 void LiveNetwork::on_trunk_forward(BrokerId target, Message&& message) {
+  // The target comes off the wire: one off the topology or served by
+  // another shard is refused as a loss, before it counts outstanding.
+  if (target < 0 ||
+      static_cast<std::size_t>(target) >= topology_->graph.broker_count() ||
+      !serves(target)) {
+    stats_.on_loss(1);
+    return;
+  }
   // Deposit at the locally served downstream broker.  The increment lands
   // *before* the endpoint acks this forward (the handler runs inline in
   // worker 0's read batch), so the sender's release of its own increment

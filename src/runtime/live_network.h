@@ -11,7 +11,7 @@
 //   * LiveMode::kReactor (default) — a fixed pool of N workers
 //     (runtime/reactor.h): brokers are assigned to workers with the
 //     sharded engine's ShardPlan, processing delays and transmissions
-//     sleep as timers in a hierarchical wheel (common/timer_wheel.h), and
+//     sleep as timers in each worker's EventQueue (sim/event_queue.h), and
 //     cross-worker handoff rides SpscQueue mailboxes plus an eventfd
 //     doorbell rung only for a parked worker.  Thread count is
 //     hardware-sized, so one process serves 10k+ links.  On the virtual
@@ -64,7 +64,8 @@
 namespace bdps {
 
 enum class LiveMode {
-  /// Reactor worker pool + timer wheel, whole overlay in-process (default).
+  /// Reactor worker pool + per-worker timer heap, whole overlay in-process
+  /// (default).
   kReactor,
   /// One shard of the overlay; cut edges ride trunks (local AF_UNIX
   /// sockets unless LiveNetOptions names hosts, which are dialed over TCP).
@@ -102,8 +103,6 @@ struct LiveOptions {
   LiveMode mode = LiveMode::kReactor;
   /// Reactor worker count; 0 = hardware threads.
   std::size_t workers = 0;
-  /// Reactor timer resolution in simulated milliseconds.
-  TimeMs wheel_tick_ms = 0.25;
   /// Socket-mode shard layout (ignored by kReactor).
   LiveNetOptions net;
 };
@@ -178,7 +177,7 @@ class LiveNetwork {
   /// first stops the transport and settles never-acked trunk copies as
   /// losses so the reactor workers can observe a zero outstanding count
   /// and exit.  Without NDEBUG, a stop that leaves no copy outstanding
-  /// asserts BrokerStep::check_invariants.
+  /// asserts BrokerStep::check_invariants and Reactor::check_invariants.
   void stop();
 
   const LiveStats& stats() const { return stats_; }

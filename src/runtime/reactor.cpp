@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -12,7 +11,6 @@
 #include <thread>
 
 #include "common/spsc_queue.h"
-#include "common/timer_wheel.h"
 #include "net/endpoint.h"
 #include "net/poller.h"
 #include "runtime/channel.h"
@@ -34,7 +32,42 @@ constexpr std::uint64_t kWakeKey = NetEndpoint::kOwnerKey;
 
 }  // namespace
 
-/// The live Effects of BrokerStep: children become wheel timers, worker
+struct Reactor::Worker {
+  std::size_t id = 0;
+  /// Pending PD expiries and send completions, popped in (instant,
+  /// schedule order) on either clock — the simulators' heap.
+  EventQueue timers;
+  /// Same-instant arrivals at this worker's brokers, run after the step
+  /// that produced them.
+  std::deque<Event> local;
+  /// One SPSC mailbox per *source* worker (nullptr for self): exactly one
+  /// pusher, exactly one drainer — the wait-free cross-worker path.
+  std::vector<std::unique_ptr<SpscQueue<Event>>> inbound;
+  /// External entry point (publish arrives from arbitrary user threads).
+  Channel<Event> injector;
+  /// Link, broker and trunk transitions from set_link_state /
+  /// set_broker_state / drop_trunk (arbitrary threads); applied by the
+  /// owning worker between drains.  Low traffic, so a plain mutex-guarded
+  /// vector suffices.
+  std::mutex command_mutex;
+  std::vector<Command> commands;
+  /// Park (see the header): the worker waits on `poller` — its own, or the
+  /// endpoint's for worker 0 in socket mode — with `wake` registered under
+  /// kWakeKey.  `parked` is raised before the final re-check and tells
+  /// producers whether a push needs the doorbell.
+  std::unique_ptr<Poller> own_poller;
+  Poller* poller = nullptr;
+  WakeFd wake;
+  std::atomic<bool> parked{false};
+  std::vector<Poller::Event> events;
+  std::thread thread;
+  /// The slack this worker read of itself on entry (-1 before it ran).
+  std::atomic<long> timer_slack_ns{-1};
+  std::vector<Event> drain_scratch;
+  StepScratch step_scratch;
+};
+
+/// The live Effects of BrokerStep: children become worker timers, worker
 /// FIFO entries, mailbox or trunk handoffs; accounting goes to LiveStats
 /// and the outstanding-copies counter.  Eq. (1)/(2) bookkeeping and traces
 /// are not kept live.
@@ -77,12 +110,12 @@ struct Reactor::Effects {
     if (child.type == EventType::kArrival) {
       reactor->route(*worker, std::move(child));
     } else {
-      reactor->schedule(*worker, std::move(child));
+      worker->timers.push(std::move(child));
     }
   }
   double draw_rate(EdgeId edge) { return reactor->step_->draw_rate(edge); }
   void send(Event completion, EdgeId, TimeMs) {
-    reactor->schedule(*worker, std::move(completion));
+    worker->timers.push(std::move(completion));
   }
   bool claim_deposit(Event&) { return false; }
   bool send_cut(EdgeId edge, TimeMs start, TimeMs) const {
@@ -92,45 +125,8 @@ struct Reactor::Effects {
   bool processing_cut(BrokerId broker, TimeMs from, TimeMs) const {
     return reactor->crashed_at_[broker] > from - lateness;
   }
-  StepScratch& scratch();
+  StepScratch& scratch() { return worker->step_scratch; }
 };
-
-struct Reactor::Worker {
-  std::size_t id = 0;
-  TimerWheel<Event> wheel;
-  /// The virtual clock's timers, popped in (instant, schedule order).
-  EventQueue virtual_timers;
-  /// Same-instant arrivals at this worker's brokers, run after the step
-  /// that produced them.
-  std::deque<Event> local;
-  /// One SPSC mailbox per *source* worker (nullptr for self): exactly one
-  /// pusher, exactly one drainer — the wait-free cross-worker path.
-  std::vector<std::unique_ptr<SpscQueue<Event>>> inbound;
-  /// External entry point (publish arrives from arbitrary user threads).
-  Channel<Event> injector;
-  /// Link, broker and trunk transitions from set_link_state /
-  /// set_broker_state / drop_trunk (arbitrary threads); applied by the
-  /// owning worker between drains.  Low traffic, so a plain mutex-guarded
-  /// vector suffices.
-  std::mutex command_mutex;
-  std::vector<Command> commands;
-  /// Park (see the header): the worker waits on `poller` — its own, or the
-  /// endpoint's for worker 0 in socket mode — with `wake` registered under
-  /// kWakeKey.  `parked` is raised before the final re-check and tells
-  /// producers whether a push needs the doorbell.
-  std::unique_ptr<Poller> own_poller;
-  Poller* poller = nullptr;
-  WakeFd wake;
-  std::atomic<bool> parked{false};
-  std::vector<Poller::Event> events;
-  std::thread thread;
-  /// The slack this worker read of itself on entry (-1 before it ran).
-  std::atomic<long> timer_slack_ns{-1};
-  std::vector<Event> drain_scratch;
-  StepScratch step_scratch;
-};
-
-StepScratch& Reactor::Effects::scratch() { return worker->step_scratch; }
 
 Reactor::Reactor(BrokerStep* step, ReactorOptions options, LiveClock* clock,
                  LiveStats* stats, std::atomic<std::size_t>* outstanding)
@@ -139,9 +135,6 @@ Reactor::Reactor(BrokerStep* step, ReactorOptions options, LiveClock* clock,
       clock_(clock),
       stats_(stats),
       outstanding_(outstanding) {
-  if (!(options_.wheel_tick_ms > 0.0)) {  // Also rejects NaN.
-    throw std::invalid_argument("reactor: wheel_tick_ms must be > 0");
-  }
   const Graph& graph = step_->topology->graph;
   const std::size_t n = graph.broker_count();
   crashed_at_.assign(n, -kNoDeadline);
@@ -230,6 +223,19 @@ void Reactor::stop() {
   }
 }
 
+void Reactor::check_invariants() const {
+  const auto fail = [](const char* what) {
+    throw std::logic_error(std::string("Reactor: ") + what);
+  };
+  for (const auto& worker : workers_) {
+    if (!worker->timers.empty()) fail("a timer is pending at quiescence");
+    if (!worker->local.empty()) fail("a local FIFO holds arrivals");
+    for (const auto& mailbox : worker->inbound) {
+      if (mailbox && !mailbox->empty()) fail("a mailbox holds arrivals");
+    }
+  }
+}
+
 void Reactor::set_link_state(EdgeId edge, bool up) {
   const Graph& graph = step_->topology->graph;
   if (edge < 0 || static_cast<std::size_t>(edge) >= graph.edge_count()) {
@@ -301,18 +307,13 @@ void Reactor::apply_commands(Worker& worker) {
   }
 }
 
-std::uint64_t Reactor::tick_ceil(TimeMs at) const {
-  if (at <= 0.0) return 0;
-  return static_cast<std::uint64_t>(std::ceil(at / options_.wheel_tick_ms));
-}
-
 void Reactor::worker_loop(Worker& worker) {
   worker.timer_slack_ns.store(timer_slack_ns(), std::memory_order_relaxed);
   NetEndpoint* const io = worker.id == 0 ? options_.endpoint : nullptr;
   for (;;) {
     apply_commands(worker);
     drain_inbound(worker);
-    advance_wheel(worker);
+    fire_due(worker, clock_->now());
     const bool stopping = stopping_.load(std::memory_order_acquire);
     if (io != nullptr) {
       if (stopping) {
@@ -342,18 +343,11 @@ void Reactor::worker_loop(Worker& worker) {
 
 void Reactor::run_until(TimeMs instant) {
   Worker& worker = *workers_.front();
-  for (;;) {
-    apply_commands(worker);
-    drain_inbound(worker);
-    if (worker.virtual_timers.empty() ||
-        worker.virtual_timers.top().time > instant) {
-      break;
-    }
-    Event event = worker.virtual_timers.pop();
-    clock_->set_virtual(event.time);
-    const TimeMs due = event.time;
-    run(worker, std::move(event), due);
-  }
+  // Commands and publishes come from this thread between calls, and a step
+  // only adds timers and same-worker arrivals: one drain covers the run.
+  apply_commands(worker);
+  drain_inbound(worker);
+  fire_due(worker, instant);
   if (instant > clock_->now()) clock_->set_virtual(instant);
 }
 
@@ -380,14 +374,14 @@ void Reactor::drain_inbound(Worker& worker) {
   batch.clear();
 }
 
-void Reactor::advance_wheel(Worker& worker) {
-  const std::uint64_t now_tick = static_cast<std::uint64_t>(
-      std::max(0.0, clock_->now()) / options_.wheel_tick_ms);
-  worker.wheel.advance(now_tick, [this, &worker](std::uint64_t, Event event) {
+void Reactor::fire_due(Worker& worker, TimeMs limit) {
+  while (!worker.timers.empty() && worker.timers.top().time <= limit) {
+    Event event = worker.timers.pop();
     const TimeMs due = event.time;
-    event.time = clock_->now();
+    if (clock_->is_virtual()) clock_->set_virtual(due);
+    event.time = clock_->now();  // The firing reading; lateness = now - due.
     run(worker, std::move(event), due);
-  });
+  }
 }
 
 void Reactor::run(Worker& worker, Event event, TimeMs due) {
@@ -405,15 +399,6 @@ void Reactor::drain_local(Worker& worker) {
   }
 }
 
-void Reactor::schedule(Worker& worker, Event event) {
-  if (clock_->is_virtual()) {
-    worker.virtual_timers.push(std::move(event));
-  } else {
-    const std::uint64_t tick = tick_ceil(event.time);
-    worker.wheel.schedule(tick, std::move(event));
-  }
-}
-
 bool Reactor::has_pending(Worker& worker) {
   if (!worker.local.empty()) return true;
   for (const auto& mailbox : worker.inbound) {
@@ -428,10 +413,9 @@ void Reactor::park(Worker& worker) {
   const bool stopping = stopping_.load(std::memory_order_acquire);
   const auto now = std::chrono::steady_clock::now();
   auto deadline = now + (stopping ? kStopPark : kMaxPark);
-  if (const auto next = worker.wheel.next_due()) {
-    deadline = std::min(
-        deadline, clock_->real_time_at(static_cast<TimeMs>(*next) *
-                                       options_.wheel_tick_ms));
+  if (!worker.timers.empty()) {
+    deadline =
+        std::min(deadline, clock_->real_time_at(worker.timers.top().time));
   }
   if (worker.id == 0 && options_.endpoint != nullptr) {
     if (const auto redial = options_.endpoint->next_deadline()) {

@@ -1,4 +1,4 @@
-// Event-driven live runtime: reactor worker pool + timer wheel.
+// Event-driven live runtime: reactor worker pool + per-worker timer heap.
 //
 // The reactor is the third driver of BrokerStep (sim/broker_step.h): the
 // per-broker rules — reception, processing, the eq. (11) purge and the
@@ -6,9 +6,10 @@
 // both simulators run, applied through a live Effects policy.  The reactor
 // only orders events on the scaled LiveClock: a fixed pool of N workers
 // (N = hardware threads, not topology size) owns the brokers, and every
-// processing delay and every transmission is one pending timer in a
-// hierarchical wheel (common/timer_wheel.h).  A timer's event runs at the
-// clock reading when it fires, so delivery delays measure real lateness.
+// processing delay and every transmission is one pending timer in its
+// worker's EventQueue, the (instant, schedule order) heap the simulators
+// pop.  A timer's event runs at the clock reading when it fires, so
+// delivery delays measure real lateness.
 // Processing is serialized (one message per broker per PD, arrivals wait
 // in the fig. 2 input queue): a recorded decision, not a knob.
 //
@@ -29,31 +30,34 @@
 // last-crash instant, written by its worker).
 //
 // Park and wake: every worker parks in one place, an epoll wait (Poller)
-// on its own eventfd doorbell, bounded by its timer wheel's next deadline
-// at nanosecond resolution.  A producer pushes, then rings the doorbell
-// only if the worker has raised its `parked` flag; the worker raises the
-// flag, then re-checks its mailboxes, injector and command list before it
-// waits.  Every write to the flag is an acq_rel exchange, so either the
-// producer sees the flag or the worker sees the push — and a busy worker
-// costs its producers no syscall.
+// on its own eventfd doorbell, bounded by its earliest timer's instant
+// (rounded up to the next nanosecond, so it never wakes before the timer
+// is due).  A producer pushes, then rings the doorbell only if the worker
+// has raised its `parked` flag; the worker raises the flag, then
+// re-checks its mailboxes, injector and command list before it waits.
+// Every write to the flag is an acq_rel exchange, so either the producer
+// sees the flag or the worker sees the push — and a busy worker costs its
+// producers no syscall.
 //
 // Timer precision: start() spawns the workers under a ScopedTimerSlack
 // (timer_slack.h), and a new thread takes its creator's slack, so every
-// worker runs its whole life with 1 ns slack: a park bounded by a wheel
-// deadline wakes at that model instant instead of up to the kernel's
-// default 50 us late.  start() names each worker kWorkerThreadPrefix + id
-// before it returns, so tools and tests can find the workers in /proc, and
-// each worker records the slack it reads of itself on entry
+// worker runs its whole life with 1 ns slack: a park bounded by a timer
+// wakes at that model instant instead of up to the kernel's default 50 us
+// late.  start() names each worker kWorkerThreadPrefix + id before it
+// returns, so tools and tests can find the workers in /proc, and each
+// worker records the slack it reads of itself on entry
 // (worker_timer_slacks()), which needs no capability to read.
 //
+// Both clocks fire timers through one loop (fire_due): every timer due at
+// or before a limit, in heap order.  The wall loop's limit is the clock
+// reading, and an event is stamped with the reading at which it fires.
 // Virtual clock (run_until): no worker thread runs; the caller drives the
-// single worker up to an instant, the clock reads each timer's exact model
-// instant, and due timers run in (instant, schedule order) — the order
-// Simulator's heap pops, which the wheel leaves unspecified within a tick.
+// single worker up to an instant, and the clock is set to each timer's
+// exact model instant before it fires — Simulator's event order.
 //
 // Socket mode: worker 0 also drives the shard's NetEndpoint (no transport
 // thread).  It parks on the endpoint's poller, so trunk sockets, its
-// doorbell, its wheel deadline and the redial backoff share one wait; it
+// doorbell, its earliest timer and the redial backoff share one wait; it
 // dispatches trunk events inline (an inbound copy arrives at its broker
 // on worker 0, or in the owner's mailbox) and flushes each trunk once per
 // pass.  A copy that another worker sends out of the shard reaches worker
@@ -87,10 +91,6 @@ struct ReactorOptions {
   /// Worker count; 0 = std::thread::hardware_concurrency().  Clamped to
   /// [1, broker count] (the shard plan needs a non-empty shard each).
   std::size_t workers = 0;
-  /// Timer-wheel resolution in *simulated* milliseconds.  Deadline checks
-  /// use the exact clock, so resolution only quantises when callbacks run;
-  /// 0.25 sim ms is far below any PD/transmission scale the paper uses.
-  TimeMs wheel_tick_ms = 0.25;
   /// Cross-process serving (socket mode): shard id of every broker in the
   /// full topology (nullptr = everything is local) and the trunk transport
   /// worker 0 drives.  A transmission whose downstream broker lives in
@@ -165,6 +165,12 @@ class Reactor {
   /// incident edges.
   void set_broker_state(BrokerId broker, bool up);
 
+  /// Quiescence invariants, for a reactor whose workers are joined (or
+  /// never started) with no copy outstanding: every worker's timer queue,
+  /// local FIFO and mailboxes are empty.  Throws std::logic_error naming
+  /// the first violation.
+  void check_invariants() const;
+
  private:
   struct Effects;
   struct Worker;
@@ -179,15 +185,15 @@ class Reactor {
   void push_command(Worker& worker, Command command);
   void apply_commands(Worker& worker);
 
-  std::uint64_t tick_ceil(TimeMs at) const;
   void worker_loop(Worker& worker);
   void drain_inbound(Worker& worker);
-  void advance_wheel(Worker& worker);
+  /// Fires every timer due at or before `limit`, in (instant, schedule
+  /// order); on the virtual clock the clock first reads each one's instant.
+  void fire_due(Worker& worker, TimeMs limit);
   /// Steps `event` (its timer was due at `due`), then every same-instant
   /// arrival it queued on this worker.
   void run(Worker& worker, Event event, TimeMs due);
   void drain_local(Worker& worker);
-  void schedule(Worker& worker, Event event);
   bool has_pending(Worker& worker);
   void park(Worker& worker);
   void wake(Worker& worker);

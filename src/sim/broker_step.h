@@ -14,9 +14,9 @@
 //   * Simulator pops one global (time, sequence) heap;
 //   * ParallelSimulator pops per-shard lanes inside conservative windows
 //     and merges the shards' logs back into the global order at barriers;
-//   * the live Reactor (runtime/reactor.h) fires timer-wheel deadlines on
-//     the scaled wall clock, each broker on the worker that owns it, and
-//     turns live link/broker commands into one-entry batches.
+//   * the live Reactor (runtime/reactor.h) pops a per-worker heap of the
+//     same order on the scaled clock, each broker on the worker that owns
+//     it, and turns live link/broker commands into one-entry batches.
 //
 // Everything a step does beyond mutating this state goes through an
 // Effects policy, a compile-time template parameter (no virtual call and

@@ -204,15 +204,6 @@ TEST(LiveNetwork, ReactorIsTheDefaultModeAndSizesItsPool) {
   EXPECT_EQ(net.stats().deliveries().size(), 2u);
 }
 
-TEST(LiveNetwork, ReactorRejectsNonPositiveWheelTick) {
-  LiveRig rig;
-  LiveOptions opt;
-  opt.wheel_tick_ms = 0.0;
-  EXPECT_THROW(LiveNetwork(&rig.topo, rig.fabric.get(), rig.scheduler.get(),
-                           opt),
-               std::invalid_argument);
-}
-
 TEST(LiveNetwork, ReactorWorkerKnobClampsToBrokerCount) {
   LiveRig rig;
   LiveOptions opt;

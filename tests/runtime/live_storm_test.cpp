@@ -98,8 +98,9 @@ TEST_P(LiveStormModes, ChurnWhileTransmittingLosesNothing) {
   net.start();
 
   // Rapid flapping racing live traffic: whatever instant the down lands —
-  // queue idle, pick pending, frame mid-wire (the reactor's cancel/requeue
-  // path) — every copy must survive to delivery once the link settles up.
+  // queue idle, pick pending, frame mid-wire (a down never cuts it; the
+  // queue holds behind it) — every copy must survive to delivery once the
+  // link settles up.
   for (int round = 0; round < 10; ++round) {
     net.publish(0, StormRig::message_template());
     net.set_link_state(1, 2, /*up=*/false);

@@ -1,6 +1,7 @@
 #include "broker/broker.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -57,8 +58,7 @@ Broker::Broker(BrokerId id, const RoutingFabric* fabric,
                          strategy);
     neighbors_.push_back(link.neighbor);
   }
-  // One reusable grouping slot per link; grouper slot i == queue slot i.
-  grouper_.bind(std::move(links));
+  slot_targets_.resize(links.size());
 }
 
 Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
@@ -80,22 +80,37 @@ Broker::FanOut Broker::fan_out(const std::shared_ptr<const Message>& message,
   ++processed_count_;
 
   FanOut result;
-  // Group the matched rows by downstream neighbour; each group becomes one
-  // queued copy carrying exactly the subscriptions it still serves.  Group
-  // slots and queue slots share the same order, so the grouping *is* the
-  // queue addressing.
-  grouper_.group(match_scratch_, *message);
-  result.local = grouper_.local();
+  // Admit each matched row (retired by routing repair, serving another
+  // publisher, or inactive at the publish instant: dropped) into the local
+  // list or its next hop's slot; rows arrive ascending, so every list
+  // keeps row order.
+  const PublisherId publisher = message->publisher();
+  const TimeMs published_at = message->publish_time();
+  for (const SubscriptionEntry* entry : match_scratch_) {
+    if (entry->disabled) continue;
+    if (!entry->serves_publisher(publisher)) continue;
+    if (!entry->subscription->active_at(published_at)) continue;
+    if (entry->is_local()) {
+      // One allocation: at most every matched row is local.
+      if (result.local.empty()) result.local.reserve(match_scratch_.size());
+      result.local.push_back(entry);
+    } else {
+      const QueueSlot slot = slot_of(entry->next_hop);
+      assert(slot != kNoSlot);
+      slot_targets_[slot].push_back(entry);
+    }
+  }
 
-  std::vector<FanOutGroup>& groups = grouper_.groups();
-  for (QueueSlot slot = 0; slot < static_cast<QueueSlot>(groups.size());
+  // Each non-empty slot becomes one queued copy carrying exactly the rows
+  // it still serves.
+  for (QueueSlot slot = 0; slot < static_cast<QueueSlot>(queues_.size());
        ++slot) {
-    FanOutGroup& group = groups[slot];
-    if (group.targets.empty()) continue;
+    std::vector<const SubscriptionEntry*>& targets = slot_targets_[slot];
+    if (targets.empty()) continue;
     OutputQueue& out = queues_[slot];
     const bool was_startable = !out.link_busy();
-    QueuedMessage queued{message, now, std::move(group.targets)};
-    group.targets = {};  // Moved-from: reset to a clean empty slot.
+    QueuedMessage queued{message, now, std::move(targets)};
+    targets = {};  // Moved-from: reset to a clean empty slot.
     // Fold the time-invariant scoring constants now, while the rows are
     // cache-hot, so picks and purges never touch the subscription table.
     precompute_scores(queued, processing_delay_);

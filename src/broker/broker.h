@@ -4,16 +4,19 @@
 // its subscription table) and implements the message-processing step:
 // match the message against the subscription table, deliver locally, and
 // fan one copy out per downstream neighbour that still has interested
-// subscribers for this message's publisher.  Timing (processing delay,
-// send durations, link events) is driven from outside: BrokerStep
-// (sim/broker_step.h) runs it for both simulators and the live reactor.
+// subscribers for this message's publisher.  The fan-out admits a matched
+// row only when routing repair has not disabled it, it serves the
+// message's publisher, and its subscription was active at the publish
+// instant; admitted rows go to the local list or to their next hop's slot
+// in ascending row order.  Timing (processing delay, send durations, link
+// events) is driven from outside: BrokerStep (sim/broker_step.h) runs it
+// for both simulators and the live reactor.
 //
 // Queue storage is a flat slot vector in ascending neighbour order; the
 // QueueSlot index is the broker-local link address every caller works in
 // (FanOut, Dispatch, take_next).  Each queue also names its EdgeId for
-// global flat per-edge state.  There is no BrokerId-keyed access anymore:
-// resolve a neighbour once with `slot_of` and stay in slot space (the PR 3
-// wrapper shims `queue(id)` / `has_queue(id)` / `context(id, …)` are gone).
+// global flat per-edge state.  There is no BrokerId-keyed access: resolve a
+// neighbour once with `slot_of` and stay in slot space.
 #pragma once
 
 #include <memory>
@@ -21,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "broker/fanout.h"
 #include "broker/output_queue.h"
 #include "routing/fabric.h"
 
@@ -127,10 +129,11 @@ class Broker {
   /// Groups the rows in match_scratch_ into the queues (process()'s tail).
   FanOut fan_out(const std::shared_ptr<const Message>& message, TimeMs now);
 
-  // Scratch buffers reused across process() calls (no per-message allocation
-  // for the match result or the per-neighbour grouping).
+  // Scratch buffers reused across process() calls: the match result, and
+  // per slot (aligned with queues_) the rows of the copy being built; a
+  // slot's vector moves into its queued copy.
   std::vector<const SubscriptionEntry*> match_scratch_;
-  FanOutGrouper grouper_;
+  std::vector<std::vector<const SubscriptionEntry*>> slot_targets_;
 };
 
 }  // namespace bdps

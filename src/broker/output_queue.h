@@ -48,7 +48,6 @@ class OutputQueue {
 
   BrokerId neighbor() const { return neighbor_; }
   EdgeId edge() const { return edge_; }
-  const LinkParams& believed_link() const { return believed_link_; }
   /// Rate-estimate update (§3.2 measurement loop).  Affects only the FT the
   /// caller derives into future contexts; scheduler-state score bounds are
   /// FT-independent, so no invalidation is needed.

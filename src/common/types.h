@@ -36,10 +36,9 @@ inline constexpr BrokerId kNoBroker = -1;
 using EdgeId = std::int32_t;
 inline constexpr EdgeId kNoEdge = -1;
 
-/// A directed link named both ways: by downstream neighbour and by edge id.
-/// Produced wherever a neighbour id is minted (routing tables, fan-out
-/// groups) so consumers can index flat per-edge state without re-resolving
-/// the link.
+/// A directed link named both ways: by downstream neighbour and by edge id,
+/// so consumers can index flat per-edge state without re-resolving the
+/// link (Broker binds its queue slots from these).
 struct LinkRef {
   BrokerId neighbor = kNoBroker;
   EdgeId edge = kNoEdge;

@@ -1,5 +1,5 @@
 // Compiled predicate programs: batch evaluation of one message against a
-// covering root's member disjuncts.
+// covering root's member filters.
 //
 // The matching fabric's read-side cost at scale is covered-member
 // re-evaluation: every hit on a hot covering root walks its member list
@@ -120,7 +120,6 @@ class PredicateProgram {
   /// Members evaluated via Filter::matches instead of compiled tests.
   std::size_t fallback_count() const { return fallbacks_.size(); }
   std::size_t interval_test_count() const { return iv_lo_.size(); }
-  std::size_t string_test_count() const { return str_id_.size(); }
   std::size_t slot_count() const { return slots_.size(); }
 
   /// Evaluates every member against `message` in one pass; afterwards

@@ -41,28 +41,18 @@ MatchScratch::~MatchScratch() {
 
 void MatchScratch::bind(EpochDomain& domain) {
   if (slot_ != nullptr) {
-    assert(domain_ == &domain &&
-           "a MatchScratch binds to a single EpochDomain for its lifetime");
+    assert(domain_ == &domain && "a MatchScratch serves a single fabric");
     return;
   }
   domain_ = &domain;
   slot_ = domain.acquire_slot();
 }
 
-MatchFabric::MatchFabric(MatchFabricOptions options, EpochDomain* domain)
-    : options_(options) {
+MatchFabric::MatchFabric(MatchFabricOptions options) : options_(options) {
   if (options_.shards == 0) options_.shards = 1;
   if (options_.rebuild_divisor == 0) options_.rebuild_divisor = 1;
   if (options_.rebuild_min == 0) options_.rebuild_min = 1;
-  if (options_.rebuild_cap < options_.rebuild_min) {
-    options_.rebuild_cap = options_.rebuild_min;
-  }
   if (options_.compile_min_members == 0) options_.compile_min_members = 1;
-  if (domain == nullptr) {
-    owned_domain_ = std::make_unique<EpochDomain>();
-    domain = owned_domain_.get();
-  }
-  domain_ = domain;
   shards_.reserve(options_.shards + 1);
   for (std::size_t i = 0; i < options_.shards + 1; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -78,67 +68,54 @@ std::size_t MatchFabric::shard_of(const FilterSignature& sig) const {
 }
 
 std::size_t MatchFabric::overlay_threshold(std::size_t core_size) const {
-  std::size_t t = core_size / options_.rebuild_divisor;
-  if (t < options_.rebuild_min) t = options_.rebuild_min;
-  if (t > options_.rebuild_cap) t = options_.rebuild_cap;
-  return t;
+  // The floor wins over the cap when rebuild_min exceeds it.
+  return std::max(options_.rebuild_min,
+                  std::min(kRebuildCap, core_size / options_.rebuild_divisor));
 }
 
-RowId MatchFabric::add(const Filter& filter) { return add(filter, {}); }
-
-RowId MatchFabric::add(const Filter& filter,
-                       const std::vector<Filter>& or_filters) {
+RowId MatchFabric::add(const Filter& filter) {
   std::lock_guard<std::mutex> lock(rows_mu_);
   const RowId row = rows_.size();
-  rows_.emplace_back();
-  ++live_rows_;
-  // Published (release) before any shard publishes a snapshot that can
-  // emit this row, so readers always see a bound covering what they match.
-  row_bound_.store(rows_.size(), std::memory_order_release);
-
   // shard_of must be sequenced before the std::move below — as call
   // arguments the two are indeterminately sequenced, and a moved-from
   // signature has an empty selective attribute, which routes every unit
   // to the fallback shard.
   FilterSignature sig = FilterSignature::of(filter);
   const std::size_t target = shard_of(sig);
-  install_unit(target, filter, std::move(sig), row, rows_[row]);
-  for (const Filter& f : or_filters) {
-    FilterSignature s = FilterSignature::of(f);
-    const std::size_t or_target = shard_of(s);
-    install_unit(or_target, f, std::move(s), row, rows_[row]);
-  }
+  rows_.emplace_back(static_cast<std::uint32_t>(target), nullptr);
+  ++live_rows_;
+  // Published (release) before the shard publishes a snapshot that can
+  // emit this row, so readers always see a bound covering what they match.
+  row_bound_.store(rows_.size(), std::memory_order_release);
+  rows_[row].second = install_unit(target, filter, std::move(sig), row);
   return row;
 }
 
 void MatchFabric::remove(RowId row) {
   std::lock_guard<std::mutex> lock(rows_mu_);
   if (row >= rows_.size()) return;
-  bool removed_any = false;
-  for (auto& [shard_index, unit] : rows_[row]) {
-    Shard& shard = *shards_[shard_index];
-    std::lock_guard<std::mutex> shard_lock(shard.mu);
-    if (!unit->alive.load(std::memory_order_relaxed)) continue;
-    removed_any = true;
-    // Tombstone: matches stop emitting the unit immediately; its index
-    // footprint is folded away by the next rebuild.
-    unit->alive.store(false, std::memory_order_relaxed);
-    --shard.live_units;
-    ++shard.dead_since_rebuild;
-    const ShardSnapshot* cur = shard.owner.get();
-    const std::size_t core_size =
-        cur != nullptr && cur->core != nullptr ? cur->core->roots.size() : 0;
-    if (shard.dead_since_rebuild > overlay_threshold(core_size)) {
-      rebuild_locked(shard);
-    }
+  const auto [shard_index, unit] = rows_[row];
+  Shard& shard = *shards_[shard_index];
+  std::lock_guard<std::mutex> shard_lock(shard.mu);
+  if (!unit->alive.load(std::memory_order_relaxed)) return;
+  // Tombstone: matches stop emitting the unit immediately; its index
+  // footprint is folded away by the next rebuild.
+  unit->alive.store(false, std::memory_order_relaxed);
+  --live_rows_;
+  --shard.live_units;
+  ++shard.dead_since_rebuild;
+  const ShardSnapshot* cur = shard.owner.get();
+  const std::size_t core_size =
+      cur != nullptr && cur->core != nullptr ? cur->core->roots.size() : 0;
+  if (shard.dead_since_rebuild > overlay_threshold(core_size)) {
+    rebuild_locked(shard);
   }
-  if (removed_any) --live_rows_;
 }
 
 std::int32_t MatchFabric::find_root(const Shard& shard,
                                     const std::vector<CoreRoot>& roots,
                                     const FilterSignature& sig,
-                                    std::size_t max_probe, bool* equal) {
+                                    bool* equal) {
   *equal = false;
   const auto eq = shard.roots_by_hash.find(sig.hash());
   if (eq != shard.roots_by_hash.end()) {
@@ -155,7 +132,7 @@ std::int32_t MatchFabric::find_root(const Shard& shard,
     const auto it = shard.roots_by_anchor.find(anchor);
     if (it == shard.roots_by_anchor.end()) return false;
     for (const std::uint32_t k : it->second) {
-      if (probes++ >= max_probe) return true;  // Give up, stay a root.
+      if (probes++ >= kMaxCoverProbe) return true;  // Give up, stay a root.
       if (roots[k].unit->sig.covers(sig)) {
         found = static_cast<std::int32_t>(k);
         return true;
@@ -176,15 +153,14 @@ std::int32_t MatchFabric::find_root(const Shard& shard,
   return found;
 }
 
-void MatchFabric::install_unit(
-    std::size_t shard_index, const Filter& filter, FilterSignature sig,
-    RowId row, std::vector<std::pair<std::uint32_t, Unit*>>& placed) {
+MatchFabric::Unit* MatchFabric::install_unit(std::size_t shard_index,
+                                             const Filter& filter,
+                                             FilterSignature sig, RowId row) {
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.units.emplace_back(filter, std::move(sig), row);
   Unit* unit = &shard.units.back();
   ++shard.live_units;
-  placed.emplace_back(static_cast<std::uint32_t>(shard_index), unit);
 
   const ShardSnapshot* cur = shard.owner.get();
   const std::size_t core_size =
@@ -192,14 +168,13 @@ void MatchFabric::install_unit(
   const std::size_t overlay_len = (cur != nullptr ? cur->overlay_len : 0) + 1;
   if (overlay_len > overlay_threshold(core_size)) {
     rebuild_locked(shard);  // Folds the new unit in with everything else.
-    return;
+    return unit;
   }
 
   std::int32_t core_root = -1;
   bool equal = false;
   if (options_.covering && cur != nullptr && cur->core != nullptr) {
-    core_root = find_root(shard, cur->core->roots, unit->sig,
-                          options_.max_cover_probe, &equal);
+    core_root = find_root(shard, cur->core->roots, unit->sig, &equal);
   }
   auto node = std::make_shared<OverlayNode>();
   node->next = cur != nullptr ? cur->overlay : nullptr;
@@ -212,6 +187,7 @@ void MatchFabric::install_unit(
   snapshot->overlay_len = overlay_len;
   snapshot->programs = cur != nullptr ? cur->programs : nullptr;
   publish_locked(shard, std::move(snapshot));
+  return unit;
 }
 
 void MatchFabric::rebuild_locked(Shard& shard) {
@@ -225,8 +201,7 @@ void MatchFabric::rebuild_locked(Shard& shard) {
     std::int32_t root = -1;
     bool equal = false;
     if (options_.covering) {
-      root = find_root(shard, core->roots, unit.sig, options_.max_cover_probe,
-                       &equal);
+      root = find_root(shard, core->roots, unit.sig, &equal);
     }
     if (root >= 0) {
       core->roots[static_cast<std::size_t>(root)].members.push_back(
@@ -351,23 +326,17 @@ void MatchFabric::publish_locked(
   std::shared_ptr<const ShardSnapshot> old = std::move(shard.owner);
   shard.owner = std::move(snapshot);
   ++shard.publications;
-  domain_->retire(std::move(old));
+  domain_.retire(std::move(old));
 }
 
 const std::vector<RowId>& MatchFabric::match(const Message& message,
                                              MatchScratch& scratch) const {
-  scratch.bind(*domain_);
-  ++scratch.row_generation_;
-  if (scratch.row_generation_ == 0) {
-    std::fill(scratch.row_gen_.begin(), scratch.row_gen_.end(), 0u);
-    scratch.row_generation_ = 1;
-  }
-  const std::uint32_t row_generation = scratch.row_generation_;
+  scratch.bind(domain_);
   scratch.result_.clear();
 
   // Pinned for the whole fan-out: every shard snapshot loaded below stays
   // alive until the pin drops, however long the match takes.
-  EpochDomain::Pin pin(*domain_, *scratch.slot_);
+  EpochDomain::Pin pin(domain_, *scratch.slot_);
 
   const std::uint32_t hot_hits =
       static_cast<std::uint32_t>(options_.compile_hot_hits);
@@ -381,17 +350,14 @@ const std::vector<RowId>& MatchFabric::match(const Message& message,
   // slot (the batch entry point of program.h).
   bool slots_resolved = false;
 
+  // A snapshot holds each unit once and a row is one unit, so no row can
+  // be emitted twice.
   auto emit = [&](const Unit* unit, bool needs_eval) {
     if (!unit->alive.load(std::memory_order_relaxed)) return;
-    if (scratch.row_gen_.size() <= unit->row) {
-      scratch.row_gen_.resize(unit->row + 1, 0u);
-    }
-    if (scratch.row_gen_[unit->row] == row_generation) return;
     if (needs_eval) {
       ++interp_evals;
       if (!unit->filter.matches(message)) return;
     }
-    scratch.row_gen_[unit->row] = row_generation;
     scratch.result_.push_back(unit->row);
   };
 

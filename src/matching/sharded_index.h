@@ -1,10 +1,10 @@
 // Sharded, snapshot-published, covering-compressed matching fabric.
 //
-// A broker carrying ~10^6 subscriptions cannot serve them from one mutable
+// A store of ~10^6 subscriptions under churn cannot live in one mutable
 // counting index: every add re-sorts shared predicate runs, every match
 // races every add, and near-duplicate filters (the common case — popular
-// attributes draw popular thresholds) each pay full index freight.  The
-// fabric splits the problem three ways:
+// attributes draw popular thresholds) each pay full index freight.  Each
+// row is one conjunctive filter.  The fabric splits the problem three ways:
 //
 //   * SHARDING — filters are partitioned by hash of their most selective
 //     indexed attribute (FilterSignature::selective_attribute); filters
@@ -13,14 +13,14 @@
 //     shards reusing one caller-owned scratch.
 //
 //   * SNAPSHOT READS — each shard publishes an immutable ShardSnapshot
-//     through an atomic pointer guarded by an EpochDomain (snapshot.h).
-//     Readers pin an epoch once per match and never take a lock; writers
-//     rebuild or extend off the read path and swap.  A snapshot is a
-//     finalized core counting index over *covering roots* plus a small
-//     persistent-list overlay of recent adds; when the overlay outgrows
-//     max(rebuild_min, min(rebuild_cap, core/rebuild_divisor)) the writer
-//     folds everything into a fresh core (amortised O(1) index work per
-//     add).  Removals tombstone the unit's atomic alive flag — visible
+//     through an atomic pointer guarded by the fabric's EpochDomain
+//     (snapshot.h).  Readers pin an epoch once per match and never take a
+//     lock; writers rebuild or extend off the read path and swap.  A
+//     snapshot is a finalized core counting index over *covering roots*
+//     plus a small persistent-list overlay of recent adds; when the
+//     overlay outgrows max(rebuild_min, min(kRebuildCap,
+//     core/rebuild_divisor)) the writer folds everything into a fresh core
+//     (amortised O(1) index work per add).  Removals tombstone the unit's atomic alive flag — visible
 //     immediately, reclaimed at the next rebuild.
 //
 //   * COVERING/MERGING — a new filter provably implied by an existing
@@ -31,9 +31,8 @@
 //     members are emitted on a root hit with no re-evaluation at all;
 //     strictly-covered members are direct-evaluated only when their root
 //     hits.  Because every member still emits its own RowId, merging is
-//     loss-free for row-exact consumers (the kernel's per-row scoring, the
-//     golden matrices) and therefore safe fabric-wide, not just per next
-//     hop; the compression shows up as index entries per live row.
+//     loss-free for row-exact consumers; the compression shows up as index
+//     entries per live row.
 //
 //   * TIERED COMPILATION — covered members are the read-side cost at
 //     scale: every hit on a popular root re-evaluates its member list
@@ -62,8 +61,9 @@
 //     precomputed name hashes), and the programs' inner loops run on the
 //     runtime-dispatched SIMD kernels (program/simd.h).
 //
-// match() returns row ids in ascending order — the canonical match order
-// SubscriptionIndex emits too, so the two are byte-comparable.
+// match() returns row ids in ascending order, each once (a row is one unit,
+// and a snapshot holds each unit in exactly one place) — the canonical
+// match order SubscriptionIndex emits too, so the two are byte-comparable.
 //
 // Users: the fabric is the single million-row matching store, judged alone
 // by perfbench's match_churn, tools/match_scaling and the micro benches.
@@ -106,21 +106,12 @@ struct MatchFabricOptions {
   /// Enables covering/equivalence merging; off, every filter is its own
   /// index root (the differential-testing configuration).
   bool covering = true;
-  /// Root candidates inspected per cover probe before conservatively
-  /// giving up (a missed cover only costs compression, never correctness).
-  std::size_t max_cover_probe = 32;
   /// Overlay length that triggers a core rebuild:
-  /// max(rebuild_min, min(rebuild_cap, core_size / rebuild_divisor)).
+  /// max(rebuild_min, min(kRebuildCap, core_size / rebuild_divisor)).
   /// rebuild_min bounds rebuild churn for small shards, rebuild_divisor
-  /// keeps total rebuild work O(divisor * adds), rebuild_cap bounds the
-  /// per-match overlay walk for huge shards.  The cap is the scale knob
-  /// that matters at 10^6 rows: once it clamps the geometric threshold
-  /// (core > cap * divisor per shard), total rebuild work degrades from
-  /// O(divisor * adds) to O(adds^2 / cap) — 16384 defers that onset to
-  /// ~10M subscriptions at the default shard count, and the longer
-  /// overlay it admits is cheap to walk (root-mark gated; see match()).
+  /// keeps total rebuild work O(divisor * adds), kRebuildCap bounds the
+  /// per-match overlay walk for huge shards.
   std::size_t rebuild_min = 64;
-  std::size_t rebuild_cap = 16384;
   std::size_t rebuild_divisor = 8;
   /// Compile tier: a core root whose hit counter reaches this many match
   /// hits gets its evaluated members lowered into a PredicateProgram
@@ -135,12 +126,24 @@ struct MatchFabricOptions {
   std::size_t compile_min_members = 4;
 };
 
+/// Root candidates inspected per cover probe before conservatively giving
+/// up (a missed cover only costs compression, never correctness).
+inline constexpr std::size_t kMaxCoverProbe = 32;
+/// Upper clamp of the overlay length that triggers a core rebuild (see
+/// MatchFabricOptions::rebuild_min).  It matters at 10^6 rows: once it
+/// clamps the geometric threshold (core > cap * divisor per shard), total
+/// rebuild work degrades from O(divisor * adds) to O(adds^2 / cap) — 16384
+/// defers that onset to ~10M subscriptions at the default shard count, and
+/// the longer overlay it admits is cheap to walk (root-mark gated; see
+/// match()).
+inline constexpr std::size_t kRebuildCap = 16384;
+
 class MatchFabric;
 
 /// Caller-owned (one per reader thread) match state: the per-shard index
-/// scratch, row/root deduplication marks, the result buffer, and this
-/// reader's epoch slot.  Binds to a fabric's EpochDomain on first use and
-/// must not outlive that domain.
+/// scratch, root hit marks, the result buffer, and this reader's epoch
+/// slot.  Binds to the first fabric it matches against, serves only that
+/// fabric, and must not outlive it.
 class MatchScratch {
  public:
   MatchScratch() = default;
@@ -154,8 +157,6 @@ class MatchScratch {
   void bind(EpochDomain& domain);
 
   SubscriptionIndex::Scratch index_scratch_;
-  std::vector<std::uint32_t> row_gen_;   // Dedupe rows across shards/units.
-  std::uint32_t row_generation_ = 0;
   std::vector<std::uint32_t> root_gen_;  // Hit roots, per shard visit.
   std::uint32_t root_generation_ = 0;
   std::vector<RowId> result_;
@@ -172,7 +173,7 @@ class MatchFabric {
   struct Stats {
     std::size_t live_rows = 0;
     std::size_t total_rows = 0;       // Ids ever issued.
-    std::size_t live_units = 0;       // Disjunct conjunctions alive.
+    std::size_t live_units = 0;       // Units alive (one per live row).
     std::size_t index_roots = 0;      // Core roots + standalone overlay.
     std::size_t equal_members = 0;    // Merged with zero eval cost.
     std::size_t covered_members = 0;  // Evaluated only on root hits.
@@ -205,19 +206,14 @@ class MatchFabric {
     }
   };
 
-  /// `domain` may be shared across fabrics (their readers then draw epoch
-  /// slots from one pool); the fabric owns a private domain when none is
-  /// given.
-  explicit MatchFabric(MatchFabricOptions options = {},
-                       EpochDomain* domain = nullptr);
+  explicit MatchFabric(MatchFabricOptions options = {});
   ~MatchFabric();
   MatchFabric(const MatchFabric&) = delete;
   MatchFabric& operator=(const MatchFabric&) = delete;
 
-  /// Registers a subscription (a conjunctive filter plus optional extra
-  /// disjuncts); returns a dense RowId.  Ids are never reused.
+  /// Registers a subscription (one conjunctive filter); returns a dense
+  /// RowId.  Ids are never reused.
   RowId add(const Filter& filter);
-  RowId add(const Filter& filter, const std::vector<Filter>& or_filters);
 
   /// Tombstones a row: it stops matching immediately; its storage is
   /// folded away by the owning shards' next rebuilds.  Idempotent.
@@ -234,8 +230,6 @@ class MatchFabric {
                                   MatchScratch& scratch) const;
 
   Stats stats() const;
-
-  EpochDomain& domain() { return *domain_; }
 
  private:
   struct Unit {
@@ -315,11 +309,10 @@ class MatchFabric {
   /// constrained attributes (plus "" for wildcard roots).  -1 when none.
   static std::int32_t find_root(const Shard& shard,
                                 const std::vector<CoreRoot>& roots,
-                                const FilterSignature& sig,
-                                std::size_t max_probe, bool* equal);
-  void install_unit(std::size_t shard_index, const Filter& filter,
-                    FilterSignature sig, RowId row,
-                    std::vector<std::pair<std::uint32_t, Unit*>>& placed);
+                                const FilterSignature& sig, bool* equal);
+  /// Appends the row's unit to its shard and publishes it; returns the unit.
+  Unit* install_unit(std::size_t shard_index, const Filter& filter,
+                     FilterSignature sig, RowId row);
   void rebuild_locked(Shard& shard);
   /// Root is hot enough and big enough to pay for a program.
   bool wants_program(const CoreRoot& root) const;
@@ -338,13 +331,15 @@ class MatchFabric {
   std::size_t overlay_threshold(std::size_t core_size) const;
 
   MatchFabricOptions options_;
-  std::unique_ptr<EpochDomain> owned_domain_;
-  EpochDomain* domain_;
+  /// Declared before the shards, so it outlives every snapshot they hold.
+  /// Mutable: the const match() binds reader slots to it, and its compile
+  /// handoff retires snapshots.
+  mutable EpochDomain domain_;
   std::vector<std::unique_ptr<Shard>> shards_;  // [0] is the fallback.
 
   mutable std::mutex rows_mu_;
-  /// Row -> owning (shard, unit) pairs; one entry per disjunct.
-  std::vector<std::vector<std::pair<std::uint32_t, Unit*>>> rows_;
+  /// Row -> its (shard, unit).
+  std::vector<std::pair<std::uint32_t, Unit*>> rows_;
   std::size_t live_rows_ = 0;
   std::atomic<std::size_t> row_bound_{0};
   /// Reader-side tier tallies (one relaxed add per counter per match).

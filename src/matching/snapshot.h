@@ -1,9 +1,9 @@
 // Epoch-based snapshot publication (the matching fabric's RCU).
 //
 // The sharded matching fabric wants a read path with *zero* shared writes:
-// a million-subscription broker matches on every processed message, and a
-// reader-side lock — or even a contended shared_ptr refcount — serialises
-// all reactor workers on one cache line.  Instead, writers publish
+// a million-subscription store is matched from many reader threads at
+// once, and a reader-side lock — or even a contended shared_ptr refcount —
+// serialises every reader on one cache line.  Instead, writers publish
 // immutable snapshots through a raw atomic pointer and readers pin an
 // *epoch* before dereferencing it:
 //

@@ -8,12 +8,12 @@
 // same-host dial reaches without running the loopback TCP stack; the
 // port already names the listener uniquely in the network namespace the
 // abstract names live in.  Both accept non-blocking connections.
-// SocketLink is one connection's state, whatever its kind: the Tx
-// half is the reactor's TxAwaitWritable state in socket form — frames are
-// encoded onto an outbound buffer, flush() pushes until EAGAIN, and
-// wants_write() tells the poller when EPOLLOUT interest is needed; the Rx
-// half reads into a scratch buffer that feeds a FrameAssembler
-// (incremental frame reassembly across arbitrary read boundaries).
+// SocketLink is one connection's state, whatever its kind: on the Tx
+// side frames are encoded onto an outbound buffer, flush() pushes until
+// EAGAIN, and wants_write() tells the poller when EPOLLOUT interest is
+// needed; the Rx side reads into a scratch buffer that feeds a
+// FrameAssembler (incremental frame reassembly across arbitrary read
+// boundaries).
 //
 // BlockingConn is the control-plane counterpart, TCP only: tools/brokerd's
 // controller <-> daemon exchanges are strictly request/reply at human
@@ -90,11 +90,6 @@ class LocalListener {
   int fd_ = -1;
 };
 
-/// Tx side of a non-blocking connection (mirrors the reactor's Tx state
-/// machine vocabulary: kIdle = buffer empty, kAwaitWritable = partial
-/// write parked on EPOLLOUT).
-enum class SocketTxState { kIdle, kAwaitWritable };
-
 class SocketLink {
  public:
   SocketLink() = default;
@@ -140,10 +135,6 @@ class SocketLink {
   /// caller via `assembler.next()`.
   bool read_into(FrameAssembler& assembler);
 
-  SocketTxState tx_state() const {
-    return buffer_.empty() ? SocketTxState::kIdle
-                           : SocketTxState::kAwaitWritable;
-  }
   bool wants_write() const { return connecting() || !buffer_.empty(); }
   std::size_t buffered_bytes() const { return buffer_.size() - offset_; }
 

@@ -121,7 +121,7 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// ---- Value / filter / message ----------------------------------------------
+// ---- Value / message -------------------------------------------------------
 
 enum class ValueTag : std::uint8_t { kDouble = 0, kInt = 1, kString = 2 };
 
@@ -148,39 +148,6 @@ Value read_value(Reader& r) {
       return Value(r.string());
   }
   throw WireError("wire: bad value tag");
-}
-
-void put_filter(std::vector<std::uint8_t>& out, const Filter& filter) {
-  if (filter.size() > kMaxPredicates) {
-    throw WireError("wire: filter too large");
-  }
-  put_u16(out, static_cast<std::uint16_t>(filter.size()));
-  for (const Predicate& p : filter.predicates()) {
-    put_string(out, p.attribute);
-    put_u8(out, static_cast<std::uint8_t>(p.op));
-    put_value(out, p.operand);
-    put_value(out, p.operand2);
-  }
-}
-
-Filter read_filter(Reader& r) {
-  const std::uint16_t count = r.u16();
-  if (count > kMaxPredicates) throw WireError("wire: filter too large");
-  std::vector<Predicate> predicates;
-  predicates.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    Predicate p;
-    p.attribute = r.string();
-    const std::uint8_t op = r.u8();
-    if (op > static_cast<std::uint8_t>(Op::kInRange)) {
-      throw WireError("wire: bad predicate op");
-    }
-    p.op = static_cast<Op>(op);
-    p.operand = read_value(r);
-    p.operand2 = read_value(r);
-    predicates.push_back(std::move(p));
-  }
-  return Filter(std::move(predicates));
 }
 
 void put_message(std::vector<std::uint8_t>& out, const Message& m) {
@@ -254,20 +221,6 @@ bool message_equal(const Message& a, const Message& b) {
   return true;
 }
 
-bool filter_equal(const Filter& a, const Filter& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const Predicate& pa = a.predicates()[i];
-    const Predicate& pb = b.predicates()[i];
-    if (pa.attribute != pb.attribute || pa.op != pb.op ||
-        !value_equal(pa.operand, pb.operand) ||
-        !value_equal(pa.operand2, pb.operand2)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // ---- Per-frame payload codecs ----------------------------------------------
 
 void encode_payload(const Frame& frame, std::vector<std::uint8_t>& out) {
@@ -280,18 +233,6 @@ void encode_payload(const Frame& frame, std::vector<std::uint8_t>& out) {
           put_u8(out, static_cast<std::uint8_t>(f.role));
         } else if constexpr (std::is_same_v<T, AckFrame>) {
           put_u64(out, f.seq);
-        } else if constexpr (std::is_same_v<T, SubscribeFrame>) {
-          put_i32(out, f.subscriber);
-          put_i32(out, f.home);
-          put_f64(out, f.allowed_delay);
-          put_f64(out, f.price);
-          put_filter(out, f.filter);
-        } else if constexpr (std::is_same_v<T, LinkStateFrame>) {
-          put_i32(out, f.edge);
-          put_bool(out, f.up);
-        } else if constexpr (std::is_same_v<T, BrokerStateFrame>) {
-          put_i32(out, f.broker);
-          put_bool(out, f.up);
         } else if constexpr (std::is_same_v<T, ConfigFrame>) {
           put_string(out, f.text);
         } else if constexpr (std::is_same_v<T, PortsFrame>) {
@@ -365,27 +306,6 @@ FramePayload parse_payload(FrameType type, Reader& r) {
     }
     case FrameType::kAck:
       return AckFrame{r.u64()};
-    case FrameType::kSubscribe: {
-      SubscribeFrame f;
-      f.subscriber = r.i32();
-      f.home = r.i32();
-      f.allowed_delay = r.f64();
-      f.price = r.f64();
-      f.filter = read_filter(r);
-      return f;
-    }
-    case FrameType::kLinkState: {
-      LinkStateFrame f;
-      f.edge = r.i32();
-      f.up = r.boolean();
-      return f;
-    }
-    case FrameType::kBrokerState: {
-      BrokerStateFrame f;
-      f.broker = r.i32();
-      f.up = r.boolean();
-      return f;
-    }
     case FrameType::kConfig:
       return ConfigFrame{r.string()};
     case FrameType::kPorts: {
@@ -447,6 +367,7 @@ FramePayload parse_payload(FrameType type, Reader& r) {
     case FrameType::kError:
       return ErrorFrame{r.string()};
   }
+  // The retired numbers 4-6 land here too.
   throw WireError("wire: unknown frame type");
 }
 
@@ -480,12 +401,6 @@ bool ForwardFrame::operator==(const ForwardFrame& other) const {
          message_equal(message, other.message);
 }
 
-bool SubscribeFrame::operator==(const SubscribeFrame& other) const {
-  return subscriber == other.subscriber && home == other.home &&
-         f64_equal(allowed_delay, other.allowed_delay) &&
-         f64_equal(price, other.price) && filter_equal(filter, other.filter);
-}
-
 bool DeliveryFrame::operator==(const DeliveryFrame& other) const {
   return subscriber == other.subscriber && message == other.message &&
          f64_equal(delay, other.delay) && valid == other.valid &&
@@ -493,18 +408,9 @@ bool DeliveryFrame::operator==(const DeliveryFrame& other) const {
 }
 
 FrameType Frame::type() const {
-  // FramePayload's alternative order mirrors the FrameType numbering
-  // (kHello = 1 is index 0, ..., kError = 17 is index 16); the static
-  // asserts pin the correspondence so a reordered variant cannot silently
-  // mislabel frames.
-  static_assert(std::is_same_v<std::variant_alternative_t<0, FramePayload>,
-                               HelloFrame>);
-  static_assert(std::is_same_v<
-                std::variant_alternative_t<
-                    static_cast<std::size_t>(FrameType::kError) - 1,
-                    FramePayload>,
-                ErrorFrame>);
-  return static_cast<FrameType>(payload.index() + 1);
+  return std::visit(
+      [](const auto& f) { return std::decay_t<decltype(f)>::kType; },
+      payload);
 }
 
 void encode_forward(std::uint64_t seq, BrokerId target, const Message& message,

@@ -17,15 +17,15 @@
 // round-trip-decimal detour would already be unacceptable drift.
 // kNoDeadline (infinity) survives unchanged for the same reason.
 //
-// The vocabulary covers the three planes of tools/brokerd:
+// The vocabulary covers the two planes of tools/brokerd:
 //   * data      — kForward (a publication copy crossing a cut edge, with a
-//                 per-trunk sequence number), kAck (cumulative receipt),
-//                 kSubscribe (dynamic membership, reserved: the fabric is
-//                 static configuration today but the frame round-trips);
-//   * fault     — kLinkState / kBrokerState (replayed storm transitions);
+//                 per-trunk sequence number), kAck (cumulative receipt);
 //   * control   — kHello, kConfig, kPorts/kPortReply, kStart,
 //                 kStatus/kStatusReply, kDump/kDelivery/kSummary,
 //                 kShutdown, kError.
+// Type numbers are the protocol and never move: 4-6 belonged to frames no
+// process sent (subscribe, link state, broker state) and stay unassigned,
+// so a peer that sends one gets a WireError.
 //
 // parse_frame(encode_frame(f)) == f for every well-formed frame (the fuzz
 // suite in tests/net/wire_test.cpp feeds truncations, oversizes, bad
@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "message/filter.h"
 #include "message/message.h"
 
 namespace bdps {
@@ -56,7 +55,6 @@ inline constexpr std::size_t kWireHeaderBytes = 8;
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
 /// Caps on repeated substructures (validated before allocation).
 inline constexpr std::size_t kMaxAttributes = 4096;
-inline constexpr std::size_t kMaxPredicates = 4096;
 inline constexpr std::size_t kMaxPorts = 4096;
 
 class WireError : public std::runtime_error {
@@ -68,9 +66,6 @@ enum class FrameType : std::uint8_t {
   kHello = 1,
   kForward = 2,
   kAck = 3,
-  kSubscribe = 4,
-  kLinkState = 5,
-  kBrokerState = 6,
   kConfig = 7,
   kPorts = 8,
   kPortReply = 9,
@@ -88,6 +83,7 @@ enum class FrameType : std::uint8_t {
 enum class PeerRole : std::uint8_t { kPeer = 0, kController = 1 };
 
 struct HelloFrame {
+  static constexpr FrameType kType = FrameType::kHello;
   std::uint32_t shard = 0;
   std::uint32_t shard_count = 1;
   PeerRole role = PeerRole::kPeer;
@@ -98,6 +94,7 @@ struct HelloFrame {
 /// monotonic sequence number (starting at 1) the ack/resend protocol runs
 /// on; `target` is the downstream broker the copy is deposited at.
 struct ForwardFrame {
+  static constexpr FrameType kType = FrameType::kForward;
   std::uint64_t seq = 0;
   BrokerId target = kNoBroker;
   Message message;
@@ -106,58 +103,39 @@ struct ForwardFrame {
 
 /// Cumulative receipt: every kForward with seq <= `seq` has been deposited.
 struct AckFrame {
+  static constexpr FrameType kType = FrameType::kAck;
   std::uint64_t seq = 0;
   bool operator==(const AckFrame&) const = default;
 };
 
-/// Dynamic membership (reserved): a subscription joining at runtime.  The
-/// filter is encoded structurally (predicate list, operands bit-exact) —
-/// the text syntax renders doubles at stream precision and would not
-/// round-trip.
-struct SubscribeFrame {
-  SubscriberId subscriber = 0;
-  BrokerId home = kNoBroker;
-  TimeMs allowed_delay = kNoDeadline;
-  double price = 1.0;
-  Filter filter;
-  bool operator==(const SubscribeFrame& other) const;
-};
-
-struct LinkStateFrame {
-  EdgeId edge = kNoEdge;
-  bool up = false;
-  bool operator==(const LinkStateFrame&) const = default;
-};
-
-struct BrokerStateFrame {
-  BrokerId broker = kNoBroker;
-  bool up = false;
-  bool operator==(const BrokerStateFrame&) const = default;
-};
-
 /// The serialized run description (experiment/live.h format_live_config).
 struct ConfigFrame {
+  static constexpr FrameType kType = FrameType::kConfig;
   std::string text;
   bool operator==(const ConfigFrame&) const = default;
 };
 
 /// Trunk listen ports of every shard, indexed by shard id.
 struct PortsFrame {
+  static constexpr FrameType kType = FrameType::kPorts;
   std::vector<std::uint16_t> ports;
   bool operator==(const PortsFrame&) const = default;
 };
 
 struct PortReplyFrame {
+  static constexpr FrameType kType = FrameType::kPortReply;
   std::uint32_t shard = 0;
   std::uint16_t port = 0;
   bool operator==(const PortReplyFrame&) const = default;
 };
 
 struct StartFrame {
+  static constexpr FrameType kType = FrameType::kStart;
   bool operator==(const StartFrame&) const = default;
 };
 
 struct StatusFrame {
+  static constexpr FrameType kType = FrameType::kStatus;
   bool operator==(const StatusFrame&) const = default;
 };
 
@@ -165,6 +143,7 @@ struct StatusFrame {
 /// quiescent when every shard reports driver_done and outstanding == 0
 /// across two stable polls.
 struct StatusReplyFrame {
+  static constexpr FrameType kType = FrameType::kStatusReply;
   std::uint32_t shard = 0;
   std::uint64_t outstanding = 0;
   std::uint64_t forwards_sent = 0;
@@ -179,11 +158,13 @@ struct StatusReplyFrame {
 };
 
 struct DumpFrame {
+  static constexpr FrameType kType = FrameType::kDump;
   bool operator==(const DumpFrame&) const = default;
 };
 
 /// One delivery record streamed in response to kDump.
 struct DeliveryFrame {
+  static constexpr FrameType kType = FrameType::kDelivery;
   SubscriberId subscriber = 0;
   MessageId message = 0;
   TimeMs delay = 0.0;
@@ -195,6 +176,7 @@ struct DeliveryFrame {
 /// Terminates a kDump stream; `delivery_count` must equal the number of
 /// kDelivery frames that preceded it.
 struct SummaryFrame {
+  static constexpr FrameType kType = FrameType::kSummary;
   std::uint32_t shard = 0;
   std::uint64_t delivery_count = 0;
   std::uint64_t receptions = 0;
@@ -206,17 +188,19 @@ struct SummaryFrame {
 };
 
 struct ShutdownFrame {
+  static constexpr FrameType kType = FrameType::kShutdown;
   bool operator==(const ShutdownFrame&) const = default;
 };
 
 struct ErrorFrame {
+  static constexpr FrameType kType = FrameType::kError;
   std::string what;
   bool operator==(const ErrorFrame&) const = default;
 };
 
+/// Each alternative names its wire number as `kType`.
 using FramePayload =
-    std::variant<HelloFrame, ForwardFrame, AckFrame, SubscribeFrame,
-                 LinkStateFrame, BrokerStateFrame, ConfigFrame, PortsFrame,
+    std::variant<HelloFrame, ForwardFrame, AckFrame, ConfigFrame, PortsFrame,
                  PortReplyFrame, StartFrame, StatusFrame, StatusReplyFrame,
                  DumpFrame, DeliveryFrame, SummaryFrame, ShutdownFrame,
                  ErrorFrame>;

@@ -58,15 +58,6 @@ class Channel {
     return true;
   }
 
-  /// Non-blocking variant; nullopt when empty (even if open).
-  std::optional<T> try_pop() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   void close() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);

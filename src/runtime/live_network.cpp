@@ -96,7 +96,9 @@ LiveNetwork::LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
   }
 }
 
-LiveNetwork::~LiveNetwork() { stop(); }
+LiveNetwork::~LiveNetwork() {
+  if (reactor_) reactor_->stop();
+}
 
 void LiveNetwork::start() {
   if (started_) return;

@@ -114,6 +114,8 @@ class LiveNetwork {
   /// call connect_trunks() with every shard's port before start().
   LiveNetwork(const Topology* topology, const RoutingFabric* fabric,
               const Strategy* strategy, LiveOptions options);
+  /// Joins the threads without the quiescence checks: a destructor must
+  /// not throw, so only an explicit stop() reports a broken invariant.
   ~LiveNetwork();
 
   LiveNetwork(const LiveNetwork&) = delete;

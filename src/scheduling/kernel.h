@@ -75,13 +75,13 @@ struct QueuedMessage {
   std::vector<const SubscriptionEntry*> targets;
 
   // Precomputed kernel state, parallel to `targets`.  Built eagerly at
-  // enqueue (Broker::process / the live receiver loop) and lazily healed by
-  // ensure_scored() when absent or folded with a different PD, so queues
-  // assembled by hand (tests, benches) keep working unchanged.  Mutable
-  // because pick() takes the queue const; the same thread-safety contract
-  // as the matching index applies: one queue is scored by one thread at a
-  // time (the simulator is single-threaded, the live runtime scores under
-  // the owning sender's lock).
+  // enqueue (Broker::process) and lazily healed by ensure_scored() when
+  // absent or folded with a different PD, so queues assembled by hand
+  // (tests, benches) keep working unchanged.  Mutable because pick() takes
+  // the queue const; the same thread-safety contract as the matching index
+  // applies: one queue is scored by one thread at a time (the simulators
+  // are single-threaded per broker, the live runtime keeps each queue on
+  // its source broker's worker).
   mutable std::vector<ScoredTarget> scored;
   mutable TimeMs scored_pd = std::numeric_limits<double>::quiet_NaN();
   /// Sum of finite expiries and their count (O(1) mean remaining lifetime).

@@ -19,8 +19,8 @@
 //     (dead links, membership) → `EdgeFlags`.
 //   * Hot paths should carry the EdgeId alongside the neighbour id
 //     (`LinkRef`, common/types.h) instead of re-resolving: subscription
-//     table rows expose `next_hop_edge`, fan-out groups expose `edge`, and
-//     `OutputQueue::edge()` names its link.
+//     table rows expose `next_hop_edge` and `OutputQueue::edge()` names
+//     its link.
 #pragma once
 
 #include <cstddef>

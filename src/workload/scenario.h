@@ -80,11 +80,6 @@ struct WorkloadConfig {
   /// default) consumes no extra randomness, so burst-free runs are
   /// byte-identical to before the knob existed.
   std::vector<PublishBurst> bursts;
-
-  /// Expected number of messages one publisher emits over the duration.
-  double expected_messages_per_publisher() const {
-    return publishing_rate_per_min * (duration / 60000.0);
-  }
 };
 
 }  // namespace bdps

@@ -65,23 +65,6 @@ TEST(MatchFabric, ResultsAscendEvenAcrossShards) {
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
 }
 
-TEST(MatchFabric, DisjunctsEmitTheRowOnce) {
-  MatchFabric fabric;
-  MatchScratch scratch;
-  const RowId row = fabric.add(
-      where("A", Op::kLt, Value(5.0)),
-      {where("B", Op::kGt, Value(0.0)), where("A", Op::kGt, Value(8.0))});
-  // Two disjuncts match this head; the row appears once.
-  const Message both =
-      make_message({{"A", Value(2.0)}, {"B", Value(1.0)}});
-  EXPECT_EQ(match(fabric, scratch, both), (std::vector<RowId>{row}));
-  const Message neither = make_message({{"A", Value(6.0)}});
-  EXPECT_TRUE(match(fabric, scratch, neither).empty());
-  // Removing the row kills every disjunct.
-  fabric.remove(row);
-  EXPECT_TRUE(match(fabric, scratch, both).empty());
-}
-
 TEST(MatchFabric, WildcardAndOpaqueFiltersLandInFallbackShard) {
   MatchFabricOptions options;
   options.shards = 8;
@@ -206,28 +189,6 @@ TEST(MatchFabric, ActiveShardsEqualShardCountFromTheStart) {
   MatchFabric fabric(options);
   fabric.add(where("A", Op::kGe, Value(0.0)));
   EXPECT_EQ(fabric.stats().active_shards, 4u);
-}
-
-TEST(MatchFabric, ScratchIsReusableAcrossFabricsOfOneDomain) {
-  EpochDomain domain;
-  MatchFabric a(MatchFabricOptions{}, &domain);
-  MatchFabric b(MatchFabricOptions{}, &domain);
-  MatchScratch scratch;
-  const RowId ra = a.add(where("A", Op::kLt, Value(5.0)));
-  const RowId rb = b.add(where("A", Op::kLt, Value(5.0)));
-  const Message m = make_message({{"A", Value(1.0)}});
-  EXPECT_EQ(match(a, scratch, m), (std::vector<RowId>{ra}));
-  EXPECT_EQ(match(b, scratch, m), (std::vector<RowId>{rb}));
-  EXPECT_EQ(&a.domain(), &domain);
-}
-
-TEST(MatchFabric, StatsCountDisjunctUnitsSeparately) {
-  MatchFabric fabric;
-  fabric.add(where("A", Op::kLt, Value(5.0)),
-             {where("B", Op::kGt, Value(0.0))});
-  const MatchFabric::Stats stats = fabric.stats();
-  EXPECT_EQ(stats.live_rows, 1u);
-  EXPECT_EQ(stats.live_units, 2u);
 }
 
 /// A 4-shard fabric that rebuilds on every second add and compiles on the

@@ -23,7 +23,6 @@ namespace {
 
 struct BruteRow {
   Filter filter;
-  std::vector<Filter> ors;
   bool alive = true;
 };
 
@@ -31,13 +30,7 @@ std::vector<RowId> brute_force(const std::vector<BruteRow>& rows,
                                const Message& m) {
   std::vector<RowId> out;
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (!rows[i].alive) continue;
-    bool hit = rows[i].filter.matches(m);
-    for (const Filter& f : rows[i].ors) {
-      if (hit) break;
-      hit = f.matches(m);
-    }
-    if (hit) out.push_back(i);
+    if (rows[i].alive && rows[i].filter.matches(m)) out.push_back(i);
   }
   return out;
 }
@@ -72,8 +65,8 @@ TEST_P(MatchFabricFuzz, AgreesWithBruteForceUnderChurn) {
   options.rebuild_min = rebuild_min;
   options.compile_hot_hits = compile_hits;
   // Compile even two-member roots so programs carry as much of the match
-  // as possible when the tier is on (or_filters, opaque remainders and
-  // boundary folds all route through evaluate()).
+  // as possible when the tier is on (opaque remainders and boundary folds
+  // all route through evaluate()).
   options.compile_min_members = compile_hits > 0 ? 1 : 4;
   MatchFabric fabric(options);
   MatchScratch scratch;
@@ -84,7 +77,6 @@ TEST_P(MatchFabricFuzz, AgreesWithBruteForceUnderChurn) {
   config.threshold_pool = 8;
   config.message_attributes = 5;
   ChurnWorkload workload(config);
-  Rng aux(seed ^ 0x9e3779b97f4a7c15ULL);  // Disjunct/probe decisions.
 
   std::vector<BruteRow> rows;
   std::vector<RowId> live;  // Row ids alive, for victim lookup.
@@ -97,14 +89,10 @@ TEST_P(MatchFabricFuzz, AgreesWithBruteForceUnderChurn) {
       fabric.remove(victim);
       rows[victim].alive = false;
     } else {
-      BruteRow row;
-      row.filter = op.filter;
-      // Occasional disjuncts so OR rows ride the same churn schedule.
-      if (aux.uniform() < 0.15) row.ors.push_back(workload.next_filter());
-      const RowId id = fabric.add(row.filter, row.ors);
+      const RowId id = fabric.add(op.filter);
       ASSERT_EQ(id, rows.size());
       live.push_back(id);
-      rows.push_back(std::move(row));
+      rows.push_back(BruteRow{op.filter});
     }
 
     // Probe after every mutation burst; every probe compares the full

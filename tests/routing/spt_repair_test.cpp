@@ -264,8 +264,8 @@ std::vector<Subscription> one_wildcard_sub_at(BrokerId home) {
 }
 
 /// match_at deliberately returns retired rows too (queued copies keep
-/// following them); the fan-out grouper is the layer that skips
-/// `disabled`.  Tests assert on the enabled view.
+/// following them); Broker's fan-out is the layer that skips `disabled`.
+/// Tests assert on the enabled view.
 std::vector<const SubscriptionEntry*> enabled_rows(const RoutingFabric& fabric,
                                                    BrokerId broker,
                                                    const Message& message) {

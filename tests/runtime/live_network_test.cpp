@@ -156,7 +156,9 @@ TEST_P(LiveNetworkModes, PublishRacingStopNeverStrandsCopies) {
                     rig.options(GetParam()));
     net.start();
     std::atomic<bool> go{false};
-    std::thread publisher([&] {
+    // Joins on unwind too, so a stop() that throws fails this test
+    // instead of ending the whole binary.
+    std::jthread publisher([&] {
       while (!go.load()) {
       }
       for (int i = 0; i < 30; ++i) {

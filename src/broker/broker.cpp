@@ -59,44 +59,65 @@ Broker::Broker(BrokerId id, const RoutingFabric* fabric,
     neighbors_.push_back(link.neighbor);
   }
   slot_targets_.resize(links.size());
+  row_entry_.reserve(fabric->table(id).size());
+  row_slot_.reserve(fabric->table(id).size());
+  cache_rows();
+}
+
+void Broker::cache_rows() {
+  const std::deque<SubscriptionEntry>& rows = fabric_->table(id_).entries();
+  for (std::size_t r = row_entry_.size(); r < rows.size(); ++r) {
+    const SubscriptionEntry& entry = rows[r];
+    QueueSlot slot = kNoSlot;
+    if (!entry.is_local()) {
+      slot = slot_of(entry.next_hop);
+      if (slot == kNoSlot) {
+        throw std::logic_error(
+            "subscription table row toward a neighbour without a queue "
+            "(routing repair needs queues_for_all_links)");
+      }
+    }
+    row_entry_.push_back(&entry);
+    row_slot_.push_back(slot);
+  }
 }
 
 Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
                                TimeMs now) {
-  fabric_->match_at(id_, *message, match_scratch_);
-  return fan_out(message, now);
+  return process(message, now, scratch_);
 }
 
 Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
                                TimeMs now,
                                SubscriptionIndex::Scratch& scratch) {
-  fabric_->match_at(id_, *message, scratch, match_scratch_);
-  return fan_out(message, now);
+  return fan_out(message, now,
+                 fabric_->match_for(id_, *message, message->publisher(),
+                                    scratch));
 }
 
-Broker::FanOut Broker::fan_out(const std::shared_ptr<const Message>& message,
-                               TimeMs now) {
+Broker::FanOut Broker::fan_out(
+    const std::shared_ptr<const Message>& message, TimeMs now,
+    const std::vector<SubscriptionIndex::EntryId>& rows) {
   total_size_kb_ += message->size_kb();
   ++processed_count_;
+  if (row_entry_.size() < fabric_->table(id_).size()) cache_rows();
 
   FanOut result;
-  // Admit each matched row (retired by routing repair, serving another
-  // publisher, or inactive at the publish instant: dropped) into the local
-  // list or its next hop's slot; rows arrive ascending, so every list
-  // keeps row order.
-  const PublisherId publisher = message->publisher();
+  // The match admitted only enabled rows serving this publisher; drop the
+  // rows whose subscription was inactive at the publish instant and send
+  // the rest to the local list or their next hop's slot.  Rows arrive
+  // ascending, so every list keeps row order.
   const TimeMs published_at = message->publish_time();
-  for (const SubscriptionEntry* entry : match_scratch_) {
-    if (entry->disabled) continue;
-    if (!entry->serves_publisher(publisher)) continue;
+  for (const SubscriptionIndex::EntryId row : rows) {
+    const SubscriptionEntry* entry = row_entry_[row];
+    assert(!entry->disabled && entry->serves_publisher(message->publisher()));
     if (!entry->subscription->active_at(published_at)) continue;
-    if (entry->is_local()) {
+    const QueueSlot slot = row_slot_[row];
+    if (slot == kNoSlot) {
       // One allocation: at most every matched row is local.
-      if (result.local.empty()) result.local.reserve(match_scratch_.size());
+      if (result.local.empty()) result.local.reserve(rows.size());
       result.local.push_back(entry);
     } else {
-      const QueueSlot slot = slot_of(entry->next_hop);
-      assert(slot != kNoSlot);
       slot_targets_[slot].push_back(entry);
     }
   }

@@ -4,11 +4,13 @@
 // its subscription table) and implements the message-processing step:
 // match the message against the subscription table, deliver locally, and
 // fan one copy out per downstream neighbour that still has interested
-// subscribers for this message's publisher.  The fan-out admits a matched
-// row only when routing repair has not disabled it, it serves the
-// message's publisher, and its subscription was active at the publish
-// instant; admitted rows go to the local list or to their next hop's slot
-// in ascending row order.  Timing (processing delay, send durations, link
+// subscribers for this message's publisher.  The match
+// (RoutingFabric::match_for) already returns only rows that routing repair
+// has not disabled and that serve the message's publisher, ascending; the
+// fan-out applies the one remaining filter, the subscription's activation
+// window at the publish instant, and sends each surviving row to the local
+// list or to its next hop's slot, read from row-aligned caches of entry
+// pointers and slots.  Timing (processing delay, send durations, link
 // events) is driven from outside: BrokerStep (sim/broker_step.h) runs it
 // for both simulators and the live reactor.
 //
@@ -67,12 +69,11 @@ class Broker {
   /// toward each relevant downstream neighbour (entries are filtered to the
   /// message's publisher and its activation window).  Also folds the
   /// message size into the broker's running average (the basis of eq. 6's
-  /// FT).  Matches through the scratch of this broker's table index, so
-  /// concurrent calls are safe only for distinct brokers.
+  /// FT).  Matches through a scratch this broker owns.
   FanOut process(const std::shared_ptr<const Message>& message, TimeMs now);
   /// Same, matching through the caller's scratch: one per thread serves
-  /// every broker (RoutingFabric::match_at), so any thread may process for
-  /// any broker it owns, and several threads may share a broker's table.
+  /// every broker (RoutingFabric::match_for).  Either way a broker has a
+  /// single owner at a time — its queues and row caches are unguarded.
   FanOut process(const std::shared_ptr<const Message>& message, TimeMs now,
                  SubscriptionIndex::Scratch& scratch);
 
@@ -126,13 +127,23 @@ class Broker {
   std::vector<BrokerId> neighbors_;
   double total_size_kb_ = 0.0;
   std::size_t processed_count_ = 0;
-  /// Groups the rows in match_scratch_ into the queues (process()'s tail).
-  FanOut fan_out(const std::shared_ptr<const Message>& message, TimeMs now);
+  /// Groups the admitted table rows `rows` into the queues (process()'s
+  /// tail).
+  FanOut fan_out(const std::shared_ptr<const Message>& message, TimeMs now,
+                 const std::vector<SubscriptionIndex::EntryId>& rows);
+  /// Extends the row caches over table rows appended since (routing repair
+  /// grows tables); throws std::logic_error on a non-local row toward a
+  /// neighbour without a queue.
+  void cache_rows();
 
-  // Scratch buffers reused across process() calls: the match result, and
-  // per slot (aligned with queues_) the rows of the copy being built; a
-  // slot's vector moves into its queued copy.
-  std::vector<const SubscriptionEntry*> match_scratch_;
+  // Row caches aligned with the table: each row's entry and its queue slot
+  // (kNoSlot for a local row), resolved once per row.
+  std::vector<const SubscriptionEntry*> row_entry_;
+  std::vector<QueueSlot> row_slot_;
+  // Scratch buffers reused across process() calls: the scratch-less
+  // overload's match state, and per slot (aligned with queues_) the rows of
+  // the copy being built; a slot's vector moves into its queued copy.
+  SubscriptionIndex::Scratch scratch_;
   std::vector<std::vector<const SubscriptionEntry*>> slot_targets_;
 };
 

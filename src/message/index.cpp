@@ -1,6 +1,7 @@
 #include "message/index.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -145,36 +146,35 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match(
     const Message& message) const {
   ensure_sorted();
   rebuild_direct_only_cache();
-  return match_core(message, scratch_);
+  return match_core(message, scratch_, nullptr);
 }
 
 const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match(
-    const Message& message, Scratch& scratch) const {
+    const Message& message, Scratch& scratch,
+    const std::uint64_t* admit) const {
   // The const overload must never fall back to the lazy (mutating) cache
   // rebuilds — finalize() is the builder's hand-off point to readers.
   assert(finalized() &&
          "SubscriptionIndex::match(message, scratch) requires finalize()");
-  return match_core(message, scratch);
+  return match_core(message, scratch, admit);
 }
 
 const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
-    const Message& message, Scratch& scratch) const {
+    const Message& message, Scratch& scratch,
+    const std::uint64_t* admit) const {
   // Adapt the scratch to this index (grow-only; a fresh generation makes
-  // any stale state unreadable) and start a new generation.  Counters and
-  // external marks are reset lazily on first touch.
+  // stale counters unreadable, and hit words are zero between calls) and
+  // start a new generation.  Counters are reset lazily on first touch.
+  const std::size_t words = (external_count_ + 63) / 64;
   if (scratch.counter_gen.size() < entries_.size()) {
     scratch.counter_gen.resize(entries_.size(), 0);
   }
-  if (scratch.external_generation.size() < external_count_) {
-    scratch.external_generation.resize(external_count_, 0);
-  }
+  if (scratch.hits.size() < words) scratch.hits.resize(words, 0);
   ++scratch.generation;
   if (scratch.generation == 0) {
     // Wrapped around: hard-reset so stale generations cannot alias.
     std::fill(scratch.counter_gen.begin(), scratch.counter_gen.end(),
               std::uint64_t{0});
-    std::fill(scratch.external_generation.begin(),
-              scratch.external_generation.end(), 0u);
     scratch.generation = 1;
   }
   const std::uint32_t generation = scratch.generation;
@@ -196,12 +196,11 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
     }
   };
 
-  // Emits an external id into the (reused) result buffer at most once per
-  // match — generation marks replace the former sort + unique pass.
-  auto emit = [&](EntryId external) {
-    if (scratch.external_generation[external] == generation) return;
-    scratch.external_generation[external] = generation;
-    scratch.result.push_back(external);
+  // Marks an external id hit; a second disjunct of the same id sets the
+  // same bit, so the scan below writes each id once.
+  std::uint64_t* const hits = scratch.hits.data();
+  auto emit = [hits](EntryId external) {
+    hits[external / 64] |= std::uint64_t{1} << (external % 64);
   };
 
   for (const auto& attribute : message.head()) {
@@ -265,12 +264,24 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
     }
   }
 
-  // Canonical ascending-id order.  Matched ids feed order-sensitive
-  // floating-point reductions (kernel scoring sums, the simulator's
-  // matched-price totals), so every matching engine — this index, the
-  // sharded fabric — must emit in one agreed order to stay bitwise
-  // comparable.
-  std::sort(scratch.result.begin(), scratch.result.end());
+  // Canonical ascending-id order, read off the hit bitmap word by word
+  // (each word is zeroed as it is read, so the scratch leaves clean).
+  // Matched ids feed order-sensitive floating-point reductions (kernel
+  // scoring sums, the simulator's matched-price totals), so every matching
+  // engine — this index, the sharded fabric — must emit in one agreed
+  // order to stay bitwise comparable.
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = hits[w];
+    if (word == 0) continue;
+    hits[w] = 0;
+    if (admit != nullptr) word &= admit[w];
+    const EntryId base = w * 64;
+    while (word != 0) {
+      scratch.result.push_back(base +
+                               static_cast<EntryId>(std::countr_zero(word)));
+      word &= word - 1;
+    }
+  }
 
   return scratch.result;
 }

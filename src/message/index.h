@@ -15,9 +15,14 @@
 // Hot-path layout: attribute lookup is a hash probe (heterogeneous
 // string_view keys, no per-match allocation), the satisfied runs are flat
 // id arrays scanned branch-free (inclusive bounds are folded into the
-// sorted keys via nextafter at insert time), the result buffer is reused
-// across match() calls, and duplicate disjunct hits are suppressed by
-// generation marks on external ids instead of a final sort + unique.
+// sorted keys via nextafter at insert time), and the result buffer is
+// reused across match() calls.  A match sets one bit per hit external id
+// in the scratch's hit bitmap — a disjunct that fires twice sets the same
+// bit — and one scan over ceil(size/64) words then writes the ids in
+// ascending order, zeroing each word it reads, so no sort and no dedup
+// pass run.  That scan can AND each word with a caller's admit bitmap
+// (the routing fabric's per-publisher row guard), so rows the caller
+// would drop are never written out.
 //
 // Filters with non-indexable pieces (ranges over mixed types, non-finite
 // operands, etc.) fall back to direct evaluation, so the index is exactly
@@ -58,13 +63,15 @@ class SubscriptionIndex {
   /// Caller-owned match state, for concurrent readers over one *finalized*
   /// index (snapshot matching: many reactor workers share an immutable
   /// index, each bringing its own Scratch).  A Scratch adapts to any index
-  /// it is handed — arrays grow on demand and the per-call generation bump
-  /// makes stale state from another index (or a previous call) unreadable —
-  /// so one Scratch can serve every shard of a sharded fabric in turn.
+  /// it is handed — arrays grow on demand, the per-call generation bump
+  /// makes stale counters from another index (or a previous call)
+  /// unreadable, and every match leaves `hits` all zero — so one Scratch
+  /// can serve indexes of any size in turn.
   struct Scratch {
     std::vector<std::uint64_t> counter_gen;
-    std::vector<std::uint32_t> external_generation;
     std::vector<std::uint32_t> candidates;
+    /// One bit per external id; all zero between match() calls.
+    std::vector<std::uint64_t> hits;
     std::vector<EntryId> result;
     std::uint32_t generation = 0;
   };
@@ -101,10 +108,12 @@ class SubscriptionIndex {
 
   /// Pure-read variant against caller-owned scratch: requires finalized().
   /// Touches no index state, so any number of threads may match the same
-  /// index concurrently as long as each brings its own Scratch.  Returns a
-  /// reference to scratch.result.
-  const std::vector<EntryId>& match(const Message& message,
-                                    Scratch& scratch) const;
+  /// index concurrently as long as each brings its own Scratch.  A non-null
+  /// `admit` keeps only the ids whose bit is set in it (bit i of word i/64
+  /// admits id i; at least ceil(size()/64) words), still ascending.
+  /// Returns a reference to scratch.result.
+  const std::vector<EntryId>& match(const Message& message, Scratch& scratch,
+                                    const std::uint64_t* admit = nullptr) const;
 
   /// Direct evaluation of one registered id across its disjuncts (used by
   /// tests and fallback paths); only this id's filters are consulted.
@@ -155,8 +164,10 @@ class SubscriptionIndex {
   void rebuild_direct_only_cache() const;
   void rebuild_entry_map() const;
   void ensure_sorted() const;
+  /// `admit` null admits every id.
   const std::vector<EntryId>& match_core(const Message& message,
-                                         Scratch& scratch) const;
+                                         Scratch& scratch,
+                                         const std::uint64_t* admit) const;
 
   std::size_t external_count_ = 0;
 

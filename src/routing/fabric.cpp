@@ -1,9 +1,11 @@
 #include "routing/fabric.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 namespace bdps {
 
@@ -49,6 +51,8 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   const std::size_t n = topology.graph.broker_count();
   tables_.resize(n);
   broker_indexes_.resize(n);
+  admit_.resize(n);
+  admit_classes_ = topology.publisher_edges.size() + 1;
   if (options_.repairable) {
     graph_ = topology.graph;
     publisher_edges_ = topology.publisher_edges;
@@ -164,6 +168,35 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   }
   global_index_.finalize();
   for (SubscriptionIndex& index : broker_indexes_) index.finalize();
+  for (std::size_t b = 0; b < n; ++b) build_admit(static_cast<BrokerId>(b));
+}
+
+void RoutingFabric::build_admit(BrokerId broker) {
+  const std::deque<SubscriptionEntry>& rows = tables_[broker].entries();
+  AdmitBitmaps& admit = admit_[broker];
+  admit.words = (rows.size() + 63) / 64;
+  admit.bits.assign(admit_classes_ * admit.words, 0);
+  // Publisher p's class is mask bit p; the last class holds the rows
+  // serving every publisher.
+  const std::size_t publishers = admit_classes_ - 1;
+  const std::uint64_t publisher_bits =
+      publishers == 64 ? ~0ULL : (1ULL << publishers) - 1;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].disabled) continue;
+    const std::uint64_t bit = 1ULL << (r % 64);
+    std::uint64_t* const word = admit.bits.data() + r / 64;
+    const std::uint64_t mask = rows[r].publisher_mask;
+    for (std::uint64_t m = mask & publisher_bits; m != 0; m &= m - 1) {
+      word[static_cast<std::size_t>(std::countr_zero(m)) * admit.words] |=
+          bit;
+    }
+    if (mask == ~0ULL) word[publishers * admit.words] |= bit;
+  }
+}
+
+std::size_t RoutingFabric::admit_class(PublisherId publisher) const {
+  // A negative id converts to a huge one and lands in the last class too.
+  return std::min(static_cast<std::size_t>(publisher), admit_classes_ - 1);
 }
 
 void RoutingFabric::install_row(BrokerId broker,
@@ -205,6 +238,15 @@ void RoutingFabric::match_at(
   }
 }
 
+const std::vector<SubscriptionIndex::EntryId>& RoutingFabric::match_for(
+    BrokerId broker, const Message& message, PublisherId publisher,
+    SubscriptionIndex::Scratch& scratch) const {
+  const AdmitBitmaps& admit = admit_[broker];
+  return broker_indexes_[broker].match(
+      message, scratch,
+      admit.bits.data() + admit_class(publisher) * admit.words);
+}
+
 const std::vector<std::size_t>& RoutingFabric::match_all(
     const Message& message) const {
   return global_index_.match(message);
@@ -226,6 +268,7 @@ std::size_t RoutingFabric::apply_link_state(
 
   std::size_t rewritten = 0;
   std::vector<std::uint8_t> changed_flags(tables_.size(), 0);
+  std::vector<std::uint8_t> touched(tables_.size(), 0);
   for (auto& [home, tree] : trees_) {
     const std::vector<BrokerId> changed = repair_tree_toward(
         graph_, incoming_, link_down_, edges_down, edges_up, tree);
@@ -233,16 +276,66 @@ std::size_t RoutingFabric::apply_link_state(
     std::fill(changed_flags.begin(), changed_flags.end(), 0);
     for (const BrokerId b : changed) changed_flags[b] = 1;
     for (const std::size_t si : subs_by_home_.at(home)) {
-      rewritten += reinstall(si, tree, changed_flags);
+      rewritten += reinstall(si, tree, changed_flags, touched);
     }
   }
-  for (SubscriptionIndex& index : broker_indexes_) index.finalize();
+  for (std::size_t b = 0; b < tables_.size(); ++b) {
+    if (touched[b] == 0) continue;
+    broker_indexes_[b].finalize();
+    build_admit(static_cast<BrokerId>(b));
+  }
   return rewritten;
+}
+
+void RoutingFabric::check_invariants() const {
+  const auto fail = [](const std::string& what) {
+    throw std::logic_error("RoutingFabric: " + what);
+  };
+  for (std::size_t b = 0; b < tables_.size(); ++b) {
+    const std::deque<SubscriptionEntry>& rows = tables_[b].entries();
+    const std::string at = " at broker " + std::to_string(b);
+    if (broker_indexes_[b].size() != rows.size()) {
+      fail("table and index sizes differ" + at);
+    }
+    const AdmitBitmaps& admit = admit_[b];
+    if (admit.words != (rows.size() + 63) / 64 ||
+        admit.bits.size() != admit_classes_ * admit.words) {
+      fail("admit bitmaps do not cover the table" + at);
+    }
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const SubscriptionEntry& entry = rows[r];
+      for (PublisherId p = 0; p < 64; ++p) {
+        const bool admitted =
+            (admit.bits[admit_class(p) * admit.words + r / 64] >> (r % 64)) &
+            1ULL;
+        if (admitted != (!entry.disabled && entry.serves_publisher(p))) {
+          fail("admit bit of row " + std::to_string(r) + ", publisher " +
+               std::to_string(p) + " disagrees with the row" + at);
+        }
+      }
+      if (options_.repairable && !entry.disabled && !entry.is_local() &&
+          entry.next_hop !=
+              trees_.at(entry.subscription->home).next_hop[b]) {
+        fail("row " + std::to_string(r) + " is off its subscription tree" +
+             at);
+      }
+    }
+  }
+  if (!options_.repairable) return;
+  for (const std::vector<RowRef>& refs : rows_by_sub_) {
+    for (const RowRef& ref : refs) {
+      if (tables_[ref.broker].entries()[ref.row].disabled) {
+        fail("a live row is disabled at broker " +
+             std::to_string(ref.broker));
+      }
+    }
+  }
 }
 
 std::size_t RoutingFabric::reinstall(
     std::size_t sub_index, const ShortestPathTree& tree,
-    const std::vector<std::uint8_t>& changed) {
+    const std::vector<std::uint8_t>& changed,
+    std::vector<std::uint8_t>& touched) {
   const Subscription& sub = subscriptions_[sub_index];
   // Desired install set from the repaired tree — the constructor's
   // publisher-path union (single-path; repairable excludes multipath).
@@ -274,6 +367,7 @@ std::size_t RoutingFabric::reinstall(
 
   for (const RowRef& r : rows) {
     tables_[r.broker].entry_at(r.row).disabled = true;
+    touched[r.broker] = 1;
   }
   rows.clear();
   for (const auto& [broker, mask] : installed) {
@@ -291,6 +385,7 @@ std::size_t RoutingFabric::reinstall(
     rows.push_back(RowRef{
         broker, static_cast<std::uint32_t>(tables_[broker].size())});
     install_row(broker, entry);
+    touched[broker] = 1;
   }
   return installed.size();
 }

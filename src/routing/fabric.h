@@ -13,6 +13,16 @@
 // churn — repair only appends — which is where the counting index beats the
 // sharded MatchFabric on both match and build time (PERF.md, "Routing tables
 // on the counting index").
+//
+// Beside each index sits one admit bitmap per publisher (plus one for ids
+// outside the publisher range): bit r is set iff row r is enabled and its
+// publisher_mask names that publisher.  The
+// broker's match_for ANDs the index's hit words with it, so the rows that
+// routing repair retired or that serve another publisher are never written
+// out, and the survivors come back ascending without a sort (PERF.md,
+// "Match straight into fan-out groups").  The bitmaps are built in one pass
+// per broker at the end of construction and of every repair batch that
+// touched the broker's table.
 #pragma once
 
 #include <map>
@@ -53,9 +63,9 @@ class RoutingFabric {
   /// every broker index is finalized.  The scratch-less match_at overloads
   /// use the broker index's own scratch, so concurrent calls are safe only
   /// for *different* broker ids (the live runtime's broker-ownership
-  /// layout); the scratch-taking overload is safe for any broker from any
-  /// number of threads, each caller its own scratch.  match_all must not
-  /// race with itself.
+  /// layout); the scratch-taking overloads (and match_for) are safe for any
+  /// broker from any number of threads, each caller its own scratch.
+  /// match_all must not race with itself.
   RoutingFabric(const Topology& topology,
                 std::vector<Subscription> subscriptions,
                 FabricOptions options = {});
@@ -90,6 +100,17 @@ class RoutingFabric {
                 SubscriptionIndex::Scratch& scratch,
                 std::vector<const SubscriptionEntry*>& out) const;
 
+  /// The broker's hot path: row ids (table rows of `broker`) whose filters
+  /// match `message`, that are not disabled and that serve `publisher` —
+  /// match_at filtered through the publisher's admit bitmap — ascending.
+  /// Activation windows are the caller's to apply.  Returns a reference to
+  /// scratch.result; same thread-safety as the scratch match_at overload.
+  /// Any id outside [0, publisher count) — a decoded frame's publisher is
+  /// not validated — admits only the rows serving every publisher.
+  const std::vector<SubscriptionIndex::EntryId>& match_for(
+      BrokerId broker, const Message& message, PublisherId publisher,
+      SubscriptionIndex::Scratch& scratch) const;
+
   /// Indices (into subscription(i)) of all subscriptions in the system
   /// matching `message`, ascending; defines ts_i in eq. (1) and the
   /// earning ceiling of eq. (2).  Returns a reference into a scratch
@@ -115,27 +136,56 @@ class RoutingFabric {
   /// get their table rows rewritten: stale rows are disabled in place —
   /// copies already queued keep following them — and replacements appended,
   /// each paired with a fresh matching-index filter so row-id alignment
-  /// holds; the touched indexes are finalized again before it returns.
+  /// holds; the touched indexes are finalized again, and their admit
+  /// bitmaps rebuilt, before it returns.
   /// Single-threaded callers only (the engines invoke it between events /
   /// at window barriers); returns the number of rows rewritten.
   std::size_t apply_link_state(const std::vector<EdgeId>& edges_down,
                                const std::vector<EdgeId>& edges_up);
 
+  /// Throws std::logic_error unless: every broker's table and index have
+  /// the same size; every admit bit equals `!disabled && publisher_mask`
+  /// bit for every publisher id in [0, 64); and, on repairable fabrics, no
+  /// registered live row is disabled and every enabled non-local row's
+  /// next hop is its subscription tree's next hop at that broker.
+  void check_invariants() const;
+
  private:
   /// One re-pointed subscription: disable its current rows, install the
-  /// desired set from the repaired tree.  No-op (returning 0) when nothing
-  /// it depends on changed.
+  /// desired set from the repaired tree, flagging every broker whose table
+  /// it touched in `touched`.  No-op (returning 0) when nothing it depends
+  /// on changed.
   std::size_t reinstall(std::size_t sub_index, const ShortestPathTree& tree,
-                        const std::vector<std::uint8_t>& changed);
+                        const std::vector<std::uint8_t>& changed,
+                        std::vector<std::uint8_t>& touched);
+
+  /// Rebuilds `broker`'s admit bitmaps from its table in one pass.
+  void build_admit(BrokerId broker);
+
+  /// Admit bitmap class of a publisher id: ids outside the topology's
+  /// publisher range share the last class, the rows serving every
+  /// publisher (the local ones).  check_invariants pins that this equals
+  /// publisher_mask's answer for every id from the publisher count to 63.
+  std::size_t admit_class(PublisherId publisher) const;
 
   /// Appends `entry` to `broker`'s table and its filters to the broker's
   /// index, so the index id equals the table row (row-id alignment).
   void install_row(BrokerId broker, const SubscriptionEntry& entry);
 
+  /// One broker's admit bitmaps: `classes` bitmaps of `words` words each,
+  /// class-major (class c's word w at bits[c * words + w]).
+  struct AdmitBitmaps {
+    std::size_t words = 0;
+    std::vector<std::uint64_t> bits;
+  };
+
   FabricOptions options_;
   std::vector<Subscription> subscriptions_;
   std::vector<SubscriptionTable> tables_;
   std::vector<SubscriptionIndex> broker_indexes_;
+  std::vector<AdmitBitmaps> admit_;
+  /// Publisher count + 1 (see admit_class).
+  std::size_t admit_classes_ = 1;
   SubscriptionIndex global_index_;
   std::map<BrokerId, ShortestPathTree> trees_;
 

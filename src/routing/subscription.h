@@ -83,8 +83,8 @@ struct SubscriptionEntry {
   /// place instead of erasing them: erasure would renumber rows and break
   /// the row-id alignment with the broker's matching index, and copies
   /// already queued keep pointing at their original entry.  Disabled rows
-  /// are skipped by Broker's fan-out, so they stop attracting new copies
-  /// the instant the repair lands.
+  /// leave their broker's admit bitmaps (RoutingFabric::match_for), so they
+  /// stop attracting new copies the instant the repair lands.
   bool disabled = false;
 
   bool is_local() const { return next_hop == kNoBroker; }

@@ -136,7 +136,7 @@ struct SimulatorOptions {
 /// Per-thread scratch reused across steps: the live (sendable) subset of a
 /// fan-out, the per-queue take_next results, and the thread's match
 /// scratch for the brokers' table indexes (one per thread, whatever broker
-/// it processes: RoutingFabric::match_at's caller-scratch overload).
+/// it processes: RoutingFabric::match_for).
 struct StepScratch {
   std::vector<Broker::QueueSlot> live_slots;
   std::vector<Broker::Dispatch> dispatch;
@@ -597,6 +597,9 @@ void BrokerStep::apply_faults(Fx& fx, const FaultBatch& batch, TimeMs now) {
     };
     repaired_rows = options.repair_fabric->apply_link_state(
         translate(batch.edges_down), translate(batch.edges_up));
+#ifndef NDEBUG
+    options.repair_fabric->check_invariants();
+#endif
   }
   fx.fault_batch(repaired_rows);
   // 4. Kills: the link is gone for good, its queue drained as losses (an

@@ -319,6 +319,7 @@ TEST(RoutingFabricConcurrent, MatchAtAfterRepairBatchIsRaceFree) {
   // Down the hub's links to spokes 1 and 2 (edge ids 0..3): their
   // subscriptions re-route around the ring and get fresh rows.
   ASSERT_GT(fabric->apply_link_state({0, 1, 2, 3}, {}), 0u);
+  fabric->check_invariants();
   race_match_at(*fabric, fabric_probes());
 }
 

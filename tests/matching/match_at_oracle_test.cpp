@@ -1,8 +1,10 @@
 // Brute-force oracle for RoutingFabric::match_at: every overload must emit
 // exactly the table rows whose filter (or any or_filter) matches, in
-// ascending row order, on a static fabric and on a repairable one after a
-// repair batch appended rows.  The simulator's FP reductions run in that
-// order, so this is the property the golden matrix leans on.
+// ascending row order, on a static fabric and on a repairable one after
+// each repair batch.  The simulator's FP reductions run in that order, so
+// this is the property the golden matrix leans on.  match_for, the
+// broker's path, must emit the same rows less the disabled ones and those
+// serving another publisher, still ascending.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -82,6 +84,23 @@ void expect_oracle(const RoutingFabric& fabric, const char* label) {
                              << probe << " (table scratch)";
       ASSERT_EQ(fabric.match_at(b, m), expect)
           << label << " broker " << b << " probe " << probe << " (by value)";
+      // Publishers 0 and 1 exist; 2 and 63 stand for ids past the
+      // topology's publishers, which only local rows serve.
+      for (const PublisherId publisher : {0, 1, 2, 63}) {
+        std::vector<const SubscriptionEntry*> admitted;
+        for (const SubscriptionEntry* entry : expect) {
+          if (!entry->disabled && entry->serves_publisher(publisher)) {
+            admitted.push_back(entry);
+          }
+        }
+        out.clear();
+        for (const auto row : fabric.match_for(b, m, publisher, scratch)) {
+          out.push_back(&fabric.table(b).entries()[row]);
+        }
+        ASSERT_EQ(out, admitted) << label << " broker " << b << " probe "
+                                 << probe << " (match_for, publisher "
+                                 << publisher << ")";
+      }
     }
     std::vector<std::size_t> interested;
     for (std::size_t i = 0; i < fabric.subscription_count(); ++i) {
@@ -99,6 +118,7 @@ TEST(MatchAtOracle, MatchesBruteForceRowForRow) {
   std::vector<Subscription> subs;
   const Topology topo = mesh_topology(rng, 12, &subs, 96);
   const RoutingFabric fabric(topo, std::move(subs));
+  fabric.check_invariants();
   expect_oracle(fabric, "static");
 }
 
@@ -120,12 +140,19 @@ TEST(MatchAtOracle, MatchesBruteForceAfterRepairBatch) {
   const std::size_t rewritten =
       fabric.apply_link_state({0, 1, 2, 3, 4, 5}, {});
   ASSERT_GT(rewritten, 0u);
+  fabric.check_invariants();
   std::size_t rows_after = 0;
   for (BrokerId b = 0; b < static_cast<BrokerId>(fabric.broker_count()); ++b) {
     rows_after += fabric.table(b).size();
   }
   ASSERT_EQ(rows_after, rows_before + rewritten);
   expect_oracle(fabric, "repaired");
+
+  // A second batch brings the links back: routes return, the first
+  // batch's rows are disabled in turn and more rows are appended.
+  ASSERT_GT(fabric.apply_link_state({}, {0, 1, 2, 3, 4, 5}), 0u);
+  fabric.check_invariants();
+  expect_oracle(fabric, "recovered");
 }
 
 }  // namespace

@@ -177,5 +177,81 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IndexEquivalence,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 99u, 1234u,
                                            0xdeadbeefu));
 
+/// One Scratch serves indexes of 1, 64, 65 and 1000 ids in turn, each with
+/// and without wildcards and disjuncts.  Every match, plain and through an
+/// admit bitmap, must be exact and ascending, and must leave the hit bitmap
+/// all zero for the next index.
+TEST(SubscriptionIndex, OneScratchServesIndexesOfEverySize) {
+  struct Case {
+    SubscriptionIndex index;
+    // Disjuncts of id i: its filter plus any extra ones.
+    std::vector<std::vector<Filter>> filters;
+    std::vector<std::uint64_t> admit;
+  };
+  Rng rng(7);
+  const char* attrs[] = {"A1", "A2", "A3"};
+  const auto random_filter = [&] {
+    Filter f;
+    const int predicates = 1 + static_cast<int>(rng.uniform_index(2));
+    for (int p = 0; p < predicates; ++p) {
+      const Op op = rng.uniform() < 0.5 ? Op::kLt : Op::kGe;
+      f.where(attrs[rng.uniform_index(3)], op,
+              Value(std::floor(rng.uniform(0.0, 10.0))));
+    }
+    return f;
+  };
+  std::vector<Case> cases;
+  for (const std::size_t size : {1u, 64u, 65u, 1000u}) {
+    for (const bool extras : {false, true}) {
+      Case& c = cases.emplace_back();
+      for (std::size_t i = 0; i < size; ++i) {
+        // With extras on, every 7th id is a wildcard and every 5th carries
+        // a second disjunct (which may fire together with the first).
+        const Filter f = extras && i % 7 == 3 ? Filter{} : random_filter();
+        c.filters.push_back({f});
+        ASSERT_EQ(c.index.add(f), i);
+        if (extras && i % 5 == 1) {
+          c.filters.back().push_back(random_filter());
+          c.index.add_disjunct(i, c.filters.back().back());
+        }
+      }
+      c.index.finalize();
+      c.admit.resize((size + 63) / 64);
+      for (std::uint64_t& word : c.admit) word = rng.next_u64();
+    }
+  }
+
+  SubscriptionIndex::Scratch scratch;
+  const auto hits_clear = [&] {
+    return std::all_of(scratch.hits.begin(), scratch.hits.end(),
+                       [](std::uint64_t w) { return w == 0; });
+  };
+  for (int probe = 0; probe < 60; ++probe) {
+    const Message m = make_message(
+        {{"A1", Value(std::floor(rng.uniform(0.0, 10.0)))},
+         {"A2", Value(std::floor(rng.uniform(0.0, 10.0)))},
+         {"A3", Value(std::floor(rng.uniform(0.0, 10.0)))}});
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      const Case& c = cases[(k * 5 + static_cast<std::size_t>(probe)) %
+                            cases.size()];
+      std::vector<SubscriptionIndex::EntryId> expect, admitted;
+      for (std::size_t i = 0; i < c.filters.size(); ++i) {
+        const bool hit =
+            std::any_of(c.filters[i].begin(), c.filters[i].end(),
+                        [&](const Filter& f) { return f.matches(m); });
+        if (!hit) continue;
+        expect.push_back(i);
+        if ((c.admit[i / 64] >> (i % 64)) & 1) admitted.push_back(i);
+      }
+      ASSERT_EQ(c.index.match(m, scratch), expect)
+          << "probe " << probe << " size " << c.filters.size();
+      ASSERT_TRUE(hits_clear());
+      ASSERT_EQ(c.index.match(m, scratch, c.admit.data()), admitted)
+          << "probe " << probe << " size " << c.filters.size() << " (admit)";
+      ASSERT_TRUE(hits_clear());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace bdps

@@ -264,8 +264,8 @@ std::vector<Subscription> one_wildcard_sub_at(BrokerId home) {
 }
 
 /// match_at deliberately returns retired rows too (queued copies keep
-/// following them); Broker's fan-out is the layer that skips `disabled`.
-/// Tests assert on the enabled view.
+/// following them); the broker's match_for is the path that skips
+/// `disabled`.  Tests assert on the enabled view.
 std::vector<const SubscriptionEntry*> enabled_rows(const RoutingFabric& fabric,
                                                    BrokerId broker,
                                                    const Message& message) {
@@ -296,6 +296,7 @@ TEST(FabricRepair, ApplyLinkStateRetiresRowsInPlace) {
                                     topo.graph.edge_id(3, 1)};
   const std::size_t rewritten = fabric.apply_link_state(down, {});
   EXPECT_GT(rewritten, 0u);
+  fabric.check_invariants();
 
   {
     const auto rows = enabled_rows(fabric, 0, probe);
@@ -318,6 +319,7 @@ TEST(FabricRepair, ApplyLinkStateRetiresRowsInPlace) {
 
   // Up again: routing returns to the cheap path.
   fabric.apply_link_state({}, down);
+  fabric.check_invariants();
   {
     const auto rows = enabled_rows(fabric, 0, probe);
     ASSERT_EQ(rows.size(), 1u);
@@ -336,6 +338,7 @@ TEST(FabricRepair, LocalRowsSurviveChurn) {
   const std::vector<EdgeId> down = {topo.graph.edge_id(1, 3),
                                     topo.graph.edge_id(3, 1)};
   fabric.apply_link_state(down, {});
+  fabric.check_invariants();
   // The home broker's local-delivery row is unaffected by the reroute.
   const auto rows = enabled_rows(fabric, 3, probe);
   ASSERT_EQ(rows.size(), 1u);

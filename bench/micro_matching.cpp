@@ -1,8 +1,10 @@
 // Microbenchmark: counting-index matching vs brute-force filter scans, and
 // the broker's whole processing step on a sim_storm-shaped overlay.
 //
-// The broker matches every processed message against its subscription
-// table; this is the per-message hot path the SubscriptionIndex exists for.
+// The routing fabric matches every message once against the counting
+// index over all subscriptions, where it enters the overlay; brokers then
+// select their table rows from that stamp (BM_BrokerProcess), or match on
+// the spot when the message is unstamped (BM_BrokerProcessFirstHop).
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -86,15 +88,20 @@ void BM_IndexAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexAdd)->Arg(160)->Arg(1600);
 
-/// Broker::process (match, fan-out, enqueue with score folding) at the
-/// busiest broker of sim_storm's overlay: fig. 3's layers scaled to
+/// Broker::process (row selection, fan-out, enqueue with score folding) at
+/// the busiest broker of sim_storm's overlay: fig. 3's layers scaled to
 /// 4/8/36/80 brokers, 12 SSD subscribers per edge broker, EBPC, the
 /// fabric repaired once by downing every link of the storm's layer-3
 /// epicenter, so the tables carry disabled rows.  Each iteration processes
 /// the next of the run's messages at its publish instant through a caller
 /// scratch (the engines' overload) and empties the slots it enqueued on,
-/// so queues stay one copy deep.
-void BM_BrokerProcess(benchmark::State& state) {
+/// so queues stay one copy deep.  With `stamped` the messages carry the
+/// fabric's stamp, made before timing starts, as the engines deliver them
+/// to every broker.  Without it each process first matches the message
+/// against the global index on the spot: the cost the engines pay once
+/// per message at its first hop, and the path of a message that carries
+/// no stamp of this fabric.
+void broker_process(benchmark::State& state, bool stamped) {
   using namespace bdps;
   SimConfig config =
       paper_base_config(ScenarioKind::kSsd, 9.0, StrategyKind::kEbpc, 41);
@@ -138,6 +145,9 @@ void BM_BrokerProcess(benchmark::State& state) {
   Broker broker(busiest, &fabric, &topology.graph, strategy.get(),
                 config.processing_delay, /*queues_for_all_links=*/true);
   SubscriptionIndex::Scratch scratch;
+  if (stamped) {
+    for (const auto& message : messages) fabric.stamp(*message, scratch);
+  }
   std::size_t next = 0;
   std::size_t copies = 0;
   for (auto _ : state) {
@@ -155,7 +165,16 @@ void BM_BrokerProcess(benchmark::State& state) {
   state.counters["copies_per_msg"] = benchmark::Counter(
       static_cast<double>(copies), benchmark::Counter::kAvgIterations);
 }
+
+void BM_BrokerProcess(benchmark::State& state) {
+  broker_process(state, /*stamped=*/true);
+}
 BENCHMARK(BM_BrokerProcess);
+
+void BM_BrokerProcessFirstHop(benchmark::State& state) {
+  broker_process(state, /*stamped=*/false);
+}
+BENCHMARK(BM_BrokerProcessFirstHop);
 
 }  // namespace
 

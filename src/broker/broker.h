@@ -2,17 +2,19 @@
 //
 // A Broker owns its output queues (one per downstream neighbour present in
 // its subscription table) and implements the message-processing step:
-// match the message against the subscription table, deliver locally, and
-// fan one copy out per downstream neighbour that still has interested
-// subscribers for this message's publisher.  The match
-// (RoutingFabric::match_for) already returns only rows that routing repair
-// has not disabled and that serve the message's publisher, ascending; the
-// fan-out applies the one remaining filter, the subscription's activation
-// window at the publish instant, and sends each surviving row to the local
-// list or to its next hop's slot, read from row-aligned caches of entry
-// pointers and slots.  Timing (processing delay, send durations, link
-// events) is driven from outside: BrokerStep (sim/broker_step.h) runs it
-// for both simulators and the live reactor.
+// select the subscription-table rows the message matches, deliver locally,
+// and fan one copy out per downstream neighbour that still has interested
+// subscribers for this message's publisher.  The broker does not match the
+// message itself: it arrives stamped with its one overlay-wide match
+// (message/message.h), and RoutingFabric::match_for walks the publisher's
+// admit bitmap — rows that routing repair has not disabled and that serve
+// the publisher — keeping each row whose subscription the stamp names, in
+// ascending row order.  The fan-out applies the one remaining filter, the
+// subscription's activation window at the publish instant, and sends each
+// surviving row to the local list or to its next hop's slot, read from
+// row-aligned caches of entry pointers and slots.  Timing (processing
+// delay, send durations, link events) is driven from outside: BrokerStep
+// (sim/broker_step.h) runs it for both simulators and the live reactor.
 //
 // Queue storage is a flat slot vector in ascending neighbour order; the
 // QueueSlot index is the broker-local link address every caller works in
@@ -65,15 +67,16 @@ class Broker {
     std::vector<QueueSlot> enqueued;
   };
 
-  /// Matches `message` against the subscription table and enqueues copies
-  /// toward each relevant downstream neighbour (entries are filtered to the
-  /// message's publisher and its activation window).  Also folds the
-  /// message size into the broker's running average (the basis of eq. 6's
-  /// FT).  Matches through a scratch this broker owns.
+  /// Selects the subscription-table rows `message` matches and enqueues
+  /// copies toward each relevant downstream neighbour (rows are filtered
+  /// to the message's publisher and its activation window).  Also folds
+  /// the message size into the broker's running average (the basis of
+  /// eq. 6's FT).  A message without the fabric's stamp is matched on the
+  /// spot, through a scratch this broker owns.
   FanOut process(const std::shared_ptr<const Message>& message, TimeMs now);
-  /// Same, matching through the caller's scratch: one per thread serves
-  /// every broker (RoutingFabric::match_for).  Either way a broker has a
-  /// single owner at a time — its queues and row caches are unguarded.
+  /// Same, through the caller's scratch: one per thread serves every
+  /// broker (RoutingFabric::match_for).  Either way a broker has a single
+  /// owner at a time — its queues and row caches are unguarded.
   FanOut process(const std::shared_ptr<const Message>& message, TimeMs now,
                  SubscriptionIndex::Scratch& scratch);
 
@@ -141,8 +144,9 @@ class Broker {
   std::vector<const SubscriptionEntry*> row_entry_;
   std::vector<QueueSlot> row_slot_;
   // Scratch buffers reused across process() calls: the scratch-less
-  // overload's match state, and per slot (aligned with queues_) the rows of
-  // the copy being built; a slot's vector moves into its queued copy.
+  // overload's match state (for unstamped messages), and per slot (aligned
+  // with queues_) the rows of the copy being built; a slot's vector moves
+  // into its queued copy.
   SubscriptionIndex::Scratch scratch_;
   std::vector<std::vector<const SubscriptionEntry*>> slot_targets_;
 };

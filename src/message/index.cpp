@@ -22,7 +22,6 @@ void SubscriptionIndex::add_internal(const Filter& filter, EntryId external) {
   const EntryId id = entries_.size();
   entries_.push_back(Entry{filter, 0, 0, external});
   Entry& entry = entries_.back();
-  entry_map_valid_ = false;
 
   if (filter.empty()) {
     wildcards_.push_back(id);
@@ -47,7 +46,6 @@ void SubscriptionIndex::add_internal(const Filter& filter, EntryId external) {
 void SubscriptionIndex::finalize() {
   ensure_sorted();
   rebuild_direct_only_cache();
-  rebuild_entry_map();
 }
 
 void SubscriptionIndex::ensure_sorted() const {
@@ -146,30 +144,62 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match(
     const Message& message) const {
   ensure_sorted();
   rebuild_direct_only_cache();
-  return match_core(message, scratch_, nullptr);
+  return match_core(message, scratch_);
 }
 
 const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match(
-    const Message& message, Scratch& scratch,
-    const std::uint64_t* admit) const {
-  // The const overload must never fall back to the lazy (mutating) cache
+    const Message& message, Scratch& scratch) const {
+  // The const overloads must never fall back to the lazy (mutating) cache
   // rebuilds — finalize() is the builder's hand-off point to readers.
   assert(finalized() &&
          "SubscriptionIndex::match(message, scratch) requires finalize()");
-  return match_core(message, scratch, admit);
+  return match_core(message, scratch);
+}
+
+void SubscriptionIndex::match_bits(const Message& message, Scratch& scratch,
+                                   std::vector<std::uint64_t>& bits) const {
+  assert(finalized() &&
+         "SubscriptionIndex::match_bits requires finalize()");
+  bits.assign((external_count_ + 63) / 64, 0);
+  mark(message, scratch, bits.data());
 }
 
 const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
-    const Message& message, Scratch& scratch,
-    const std::uint64_t* admit) const {
-  // Adapt the scratch to this index (grow-only; a fresh generation makes
-  // stale counters unreadable, and hit words are zero between calls) and
-  // start a new generation.  Counters are reset lazily on first touch.
+    const Message& message, Scratch& scratch) const {
   const std::size_t words = (external_count_ + 63) / 64;
+  if (scratch.hits.size() < words) scratch.hits.resize(words, 0);
+  std::uint64_t* const hits = scratch.hits.data();
+  mark(message, scratch, hits);
+
+  // Canonical ascending-id order, read off the hit bitmap word by word
+  // (each word is zeroed as it is read, so the scratch leaves clean).
+  // Matched ids feed order-sensitive floating-point reductions (kernel
+  // scoring sums, the simulator's matched-price totals), so every matching
+  // engine — this index, the sharded fabric — must emit in one agreed
+  // order to stay bitwise comparable.
+  scratch.result.clear();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = hits[w];
+    if (word == 0) continue;
+    hits[w] = 0;
+    const EntryId base = w * 64;
+    while (word != 0) {
+      scratch.result.push_back(base +
+                               static_cast<EntryId>(std::countr_zero(word)));
+      word &= word - 1;
+    }
+  }
+  return scratch.result;
+}
+
+void SubscriptionIndex::mark(const Message& message, Scratch& scratch,
+                             std::uint64_t* hits) const {
+  // Adapt the scratch to this index (grow-only; a fresh generation makes
+  // stale counters unreadable) and start a new generation.  Counters are
+  // reset lazily on first touch.
   if (scratch.counter_gen.size() < entries_.size()) {
     scratch.counter_gen.resize(entries_.size(), 0);
   }
-  if (scratch.hits.size() < words) scratch.hits.resize(words, 0);
   ++scratch.generation;
   if (scratch.generation == 0) {
     // Wrapped around: hard-reset so stale generations cannot alias.
@@ -179,7 +209,6 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
   }
   const std::uint32_t generation = scratch.generation;
   scratch.candidates.clear();
-  scratch.result.clear();
 
   // One satisfied predicate for internal entry `id`.  The per-entry word
   // packs (generation << 32 | count): a stale generation resets the count
@@ -197,8 +226,7 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
   };
 
   // Marks an external id hit; a second disjunct of the same id sets the
-  // same bit, so the scan below writes each id once.
-  std::uint64_t* const hits = scratch.hits.data();
+  // same bit, so each id reads back once.
   auto emit = [hits](EntryId external) {
     hits[external / 64] |= std::uint64_t{1} << (external % 64);
   };
@@ -263,46 +291,20 @@ const std::vector<SubscriptionIndex::EntryId>& SubscriptionIndex::match_core(
       emit(external_of_[id]);
     }
   }
-
-  // Canonical ascending-id order, read off the hit bitmap word by word
-  // (each word is zeroed as it is read, so the scratch leaves clean).
-  // Matched ids feed order-sensitive floating-point reductions (kernel
-  // scoring sums, the simulator's matched-price totals), so every matching
-  // engine — this index, the sharded fabric — must emit in one agreed
-  // order to stay bitwise comparable.
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t word = hits[w];
-    if (word == 0) continue;
-    hits[w] = 0;
-    if (admit != nullptr) word &= admit[w];
-    const EntryId base = w * 64;
-    while (word != 0) {
-      scratch.result.push_back(base +
-                               static_cast<EntryId>(std::countr_zero(word)));
-      word &= word - 1;
-    }
-  }
-
-  return scratch.result;
 }
 
 bool SubscriptionIndex::matches_entry(EntryId id,
                                       const Message& message) const {
   if (id >= external_count_) return false;
-  rebuild_entry_map();
-  for (const EntryId internal : internal_by_external_[id]) {
-    if (entries_[internal].filter.matches(message)) return true;
+  // A scan of the flat owner array finds the id's disjuncts; only those
+  // filters are evaluated.
+  for (EntryId internal = 0; internal < external_of_.size(); ++internal) {
+    if (external_of_[internal] == id &&
+        entries_[internal].filter.matches(message)) {
+      return true;
+    }
   }
   return false;
-}
-
-void SubscriptionIndex::rebuild_entry_map() const {
-  if (entry_map_valid_) return;
-  internal_by_external_.assign(external_count_, {});
-  for (EntryId internal = 0; internal < entries_.size(); ++internal) {
-    internal_by_external_[entries_[internal].external].push_back(internal);
-  }
-  entry_map_valid_ = true;
 }
 
 void SubscriptionIndex::rebuild_direct_only_cache() const {

@@ -1,9 +1,10 @@
 // Counting-based subscription matching index.
 //
-// Brokers match every processed message against their subscription table
-// (§4.2); with thousands of subscriptions a linear scan of all filters is
-// the broker's hottest loop.  This index implements the classic counting
-// algorithm (Yan & Garcia-Molina):
+// The routing fabric keeps one of these over every subscription in the
+// system and matches each message against it once, when the message
+// enters the overlay (RoutingFabric::stamp); brokers then select their
+// table rows from that one answer.  This index implements the classic
+// counting algorithm (Yan & Garcia-Molina):
 //
 //   * every (attribute, comparison) pair keeps its predicates sorted by
 //     operand, so all satisfied less-than/greater-than predicates form a
@@ -15,14 +16,12 @@
 // Hot-path layout: attribute lookup is a hash probe (heterogeneous
 // string_view keys, no per-match allocation), the satisfied runs are flat
 // id arrays scanned branch-free (inclusive bounds are folded into the
-// sorted keys via nextafter at insert time), and the result buffer is
-// reused across match() calls.  A match sets one bit per hit external id
-// in the scratch's hit bitmap — a disjunct that fires twice sets the same
-// bit — and one scan over ceil(size/64) words then writes the ids in
-// ascending order, zeroing each word it reads, so no sort and no dedup
-// pass run.  That scan can AND each word with a caller's admit bitmap
-// (the routing fabric's per-publisher row guard), so rows the caller
-// would drop are never written out.
+// sorted keys via nextafter at insert time), and the result buffers are
+// reused across calls.  A match sets one bit per hit external id in a hit
+// bitmap — a disjunct that fires twice sets the same bit.  match_bits
+// hands that bitmap to the caller (the fabric's match stamp); match reads
+// the ids off it in ascending order, zeroing each word it reads, so no
+// sort and no dedup pass run.
 //
 // Filters with non-indexable pieces (ranges over mixed types, non-finite
 // operands, etc.) fall back to direct evaluation, so the index is exactly
@@ -73,6 +72,9 @@ class SubscriptionIndex {
     /// One bit per external id; all zero between match() calls.
     std::vector<std::uint64_t> hits;
     std::vector<EntryId> result;
+    /// A whole hit bitmap kept past the call, for callers that select from
+    /// it (the routing fabric's match of an unstamped message).
+    std::vector<std::uint64_t> bits;
     std::uint32_t generation = 0;
   };
 
@@ -94,9 +96,7 @@ class SubscriptionIndex {
   /// Call after the last add when the index is handed to concurrent
   /// readers; add()/add_disjunct() invalidate it again.
   void finalize();
-  bool finalized() const {
-    return sorted_ && direct_only_cache_valid_ && entry_map_valid_;
-  }
+  bool finalized() const { return sorted_ && direct_only_cache_valid_; }
 
   /// Returns the ids of all subscriptions matching `message`, each exactly
   /// once (even when several disjuncts fire), in ascending id order (the
@@ -108,16 +108,20 @@ class SubscriptionIndex {
 
   /// Pure-read variant against caller-owned scratch: requires finalized().
   /// Touches no index state, so any number of threads may match the same
-  /// index concurrently as long as each brings its own Scratch.  A non-null
-  /// `admit` keeps only the ids whose bit is set in it (bit i of word i/64
-  /// admits id i; at least ceil(size()/64) words), still ascending.
-  /// Returns a reference to scratch.result.
-  const std::vector<EntryId>& match(const Message& message, Scratch& scratch,
-                                    const std::uint64_t* admit = nullptr) const;
+  /// index concurrently as long as each brings its own Scratch.  Returns a
+  /// reference to scratch.result.
+  const std::vector<EntryId>& match(const Message& message,
+                                    Scratch& scratch) const;
+
+  /// The same match as a bitmap: `bits` becomes ceil(size()/64) words with
+  /// bit i of word i/64 set iff id i matches.  Same contract as the
+  /// scratch match overload.
+  void match_bits(const Message& message, Scratch& scratch,
+                  std::vector<std::uint64_t>& bits) const;
 
   /// Direct evaluation of one registered id across its disjuncts (used by
-  /// tests and fallback paths); only this id's filters are consulted.
-  /// Read-only (and thus thread-safe) once finalized.
+  /// tests); only this id's filters are evaluated.  Read-only (and thus
+  /// thread-safe) once finalized.
   bool matches_entry(EntryId id, const Message& message) const;
 
  private:
@@ -162,21 +166,18 @@ class SubscriptionIndex {
                        Entry& entry);
   void add_internal(const Filter& filter, EntryId external);
   void rebuild_direct_only_cache() const;
-  void rebuild_entry_map() const;
   void ensure_sorted() const;
-  /// `admit` null admits every id.
+  /// Sets the bit of every matching id in `hits` (ceil(size()/64) words,
+  /// which must be zero on entry).
+  void mark(const Message& message, Scratch& scratch,
+            std::uint64_t* hits) const;
+  /// mark() into scratch.hits, then the ids off it ascending.
   const std::vector<EntryId>& match_core(const Message& message,
-                                         Scratch& scratch,
-                                         const std::uint64_t* admit) const;
+                                         Scratch& scratch) const;
 
   std::size_t external_count_ = 0;
 
   std::vector<Entry> entries_;
-  // Internal (disjunct) entry ids per external id; lets matches_entry touch
-  // only the queried id's filters.  Rebuilt lazily (matches_entry is a
-  // test/fallback path) so bulk adds stay allocation-light.
-  mutable std::vector<std::vector<EntryId>> internal_by_external_;
-  mutable bool entry_map_valid_ = true;
   // Hot-path SoA mirrors of entries_, indexed by internal id: the counting
   // pass and the candidate pass never touch the Filter-carrying Entry
   // structs unless a direct re-evaluation is actually required.

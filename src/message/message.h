@@ -4,8 +4,16 @@
 // match on), a payload size in kilobytes (the delay model charges
 // size * TR per link, §3.2), and optionally a publisher-specified delivery
 // deadline (the PSD scenario, §4.1).
+//
+// It also carries a match stamp: the set of subscriptions its head
+// matches, computed once when the message enters an overlay
+// (RoutingFabric::stamp) and read at every broker it then visits, so each
+// message is matched once per overlay instead of once per hop.  Whether a
+// table row matches depends only on its subscription's filter, so a broker
+// selects its rows from the stamp without matching again.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +36,16 @@ struct Attribute {
 /// this in debug builds, and tests/message/index_boundary_test.cpp pins
 /// the documented divergence.
 bool head_has_unique_attribute_names(const std::vector<Attribute>& head);
+
+/// A message's match against one subscription set: bit i of word i/64 is
+/// set iff subscription i's filter (or any of its or_filters) matches the
+/// head.  `owner` names the set that made it (a RoutingFabric's id); 0
+/// means unstamped.  A stamp is a pure function of the head and the set,
+/// so it stays valid however the set's routing tables change.
+struct MatchStamp {
+  std::uint64_t owner = 0;
+  std::vector<std::uint64_t> bits;
+};
 
 class Message {
  public:
@@ -63,6 +81,16 @@ class Message {
   /// hdl(m) from §5.1: the delay already incurred by the message.
   TimeMs elapsed(TimeMs now) const { return now - publish_time_; }
 
+  const MatchStamp& stamp() const { return stamp_; }
+
+  /// The stamp, for the one writer that makes it: the overlay entry point
+  /// (publish, trunk receipt), before the message is shared with any other
+  /// thread.  Mutable through const because engines pass messages as
+  /// shared_ptr<const Message>; the stamp is a cache of a pure function of
+  /// the head, so writing it never changes what the message means.  One
+  /// message object must not be stamped by two overlays concurrently.
+  MatchStamp& stamp_slot() const { return stamp_; }
+
  private:
   MessageId id_ = 0;
   PublisherId publisher_ = 0;
@@ -70,6 +98,7 @@ class Message {
   double size_kb_ = 0.0;
   TimeMs allowed_delay_ = kNoDeadline;
   std::vector<Attribute> head_;
+  mutable MatchStamp stamp_;
 };
 
 }  // namespace bdps

@@ -1,8 +1,8 @@
 #include "routing/fabric.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
-#include <cassert>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -10,6 +10,13 @@
 namespace bdps {
 
 namespace {
+
+/// Source of fabric ids; 0 stays the unstamped owner.
+std::atomic<std::uint64_t> next_fabric_id{1};
+
+bool bit_set(const std::uint64_t* bits, std::size_t i) {
+  return (bits[i / 64] >> (i % 64)) & 1ULL;
+}
 
 /// Second-best forwarding choice at `broker` toward the tree's destination:
 /// the out-neighbour v != primary minimising link(broker->v) + dist(v),
@@ -42,7 +49,9 @@ BrokerId second_best_next_hop(const Graph& graph, const ShortestPathTree& tree,
 RoutingFabric::RoutingFabric(const Topology& topology,
                              std::vector<Subscription> subscriptions,
                              FabricOptions options)
-    : options_(options), subscriptions_(std::move(subscriptions)) {
+    : id_(next_fabric_id.fetch_add(1, std::memory_order_relaxed)),
+      options_(options),
+      subscriptions_(std::move(subscriptions)) {
   if (options_.repairable && options_.multipath) {
     throw std::invalid_argument(
         "repairable fabric does not support multipath (alternate rows are "
@@ -50,7 +59,7 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   }
   const std::size_t n = topology.graph.broker_count();
   tables_.resize(n);
-  broker_indexes_.resize(n);
+  row_sub_.resize(n);
   admit_.resize(n);
   admit_classes_ = topology.publisher_edges.size() + 1;
   if (options_.repairable) {
@@ -167,7 +176,6 @@ RoutingFabric::RoutingFabric(const Topology& topology,
     }
   }
   global_index_.finalize();
-  for (SubscriptionIndex& index : broker_indexes_) index.finalize();
   for (std::size_t b = 0; b < n; ++b) build_admit(static_cast<BrokerId>(b));
 }
 
@@ -201,13 +209,24 @@ std::size_t RoutingFabric::admit_class(PublisherId publisher) const {
 
 void RoutingFabric::install_row(BrokerId broker,
                                 const SubscriptionEntry& entry) {
-  const Subscription& sub = *entry.subscription;
-  SubscriptionIndex& index = broker_indexes_[broker];
-  const auto id = index.add(sub.filter);
-  for (const Filter& f : sub.or_filters) index.add_disjunct(id, f);
   tables_[broker].add(entry);
-  assert(id + 1 == tables_[broker].size() &&
-         "index ids must mirror table row indices");
+  row_sub_[broker].push_back(
+      static_cast<std::uint32_t>(entry.subscription - subscriptions_.data()));
+}
+
+void RoutingFabric::stamp(const Message& message,
+                          SubscriptionIndex::Scratch& scratch) const {
+  MatchStamp& stamp = message.stamp_slot();
+  if (stamp.owner == id_) return;
+  global_index_.match_bits(message, scratch, stamp.bits);
+  stamp.owner = id_;
+}
+
+const std::vector<std::uint64_t>& RoutingFabric::matched(
+    const Message& message, SubscriptionIndex::Scratch& scratch) const {
+  if (message.stamp().owner == id_) return message.stamp().bits;
+  global_index_.match_bits(message, scratch, scratch.bits);
+  return scratch.bits;
 }
 
 std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
@@ -220,11 +239,8 @@ std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
 void RoutingFabric::match_at(
     BrokerId broker, const Message& message,
     std::vector<const SubscriptionEntry*>& out) const {
-  out.clear();
-  const SubscriptionTable& table = tables_[broker];
-  for (const auto id : broker_indexes_[broker].match(message)) {
-    out.push_back(&table.entries()[id]);
-  }
+  thread_local SubscriptionIndex::Scratch scratch;
+  match_at(broker, message, scratch, out);
 }
 
 void RoutingFabric::match_at(
@@ -232,24 +248,43 @@ void RoutingFabric::match_at(
     SubscriptionIndex::Scratch& scratch,
     std::vector<const SubscriptionEntry*>& out) const {
   out.clear();
-  const SubscriptionTable& table = tables_[broker];
-  for (const auto id : broker_indexes_[broker].match(message, scratch)) {
-    out.push_back(&table.entries()[id]);
+  const std::uint64_t* const hit = matched(message, scratch).data();
+  const std::deque<SubscriptionEntry>& rows = tables_[broker].entries();
+  const std::vector<std::uint32_t>& sub_of = row_sub_[broker];
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (bit_set(hit, sub_of[r])) out.push_back(&rows[r]);
   }
 }
 
 const std::vector<SubscriptionIndex::EntryId>& RoutingFabric::match_for(
     BrokerId broker, const Message& message, PublisherId publisher,
     SubscriptionIndex::Scratch& scratch) const {
+  const std::uint64_t* const hit = matched(message, scratch).data();
   const AdmitBitmaps& admit = admit_[broker];
-  return broker_indexes_[broker].match(
-      message, scratch,
-      admit.bits.data() + admit_class(publisher) * admit.words);
+  const std::uint64_t* const words =
+      admit.bits.data() + admit_class(publisher) * admit.words;
+  const std::uint32_t* const sub_of = row_sub_[broker].data();
+  // Admitted rows in row order, each kept when its subscription matched.
+  std::vector<SubscriptionIndex::EntryId>& rows = scratch.result;
+  rows.clear();
+  for (std::size_t w = 0; w < admit.words; ++w) {
+    for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+      const std::size_t row =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      if (bit_set(hit, sub_of[row])) rows.push_back(row);
+    }
+  }
+  return rows;
 }
 
 const std::vector<std::size_t>& RoutingFabric::match_all(
     const Message& message) const {
   return global_index_.match(message);
+}
+
+const std::vector<std::size_t>& RoutingFabric::match_all(
+    const Message& message, SubscriptionIndex::Scratch& scratch) const {
+  return global_index_.match(message, scratch);
 }
 
 const ShortestPathTree& RoutingFabric::tree_toward(BrokerId home) const {
@@ -280,9 +315,7 @@ std::size_t RoutingFabric::apply_link_state(
     }
   }
   for (std::size_t b = 0; b < tables_.size(); ++b) {
-    if (touched[b] == 0) continue;
-    broker_indexes_[b].finalize();
-    build_admit(static_cast<BrokerId>(b));
+    if (touched[b] != 0) build_admit(static_cast<BrokerId>(b));
   }
   return rewritten;
 }
@@ -294,8 +327,9 @@ void RoutingFabric::check_invariants() const {
   for (std::size_t b = 0; b < tables_.size(); ++b) {
     const std::deque<SubscriptionEntry>& rows = tables_[b].entries();
     const std::string at = " at broker " + std::to_string(b);
-    if (broker_indexes_[b].size() != rows.size()) {
-      fail("table and index sizes differ" + at);
+    const std::vector<std::uint32_t>& sub_of = row_sub_[b];
+    if (sub_of.size() != rows.size()) {
+      fail("row -> subscription array does not cover the table" + at);
     }
     const AdmitBitmaps& admit = admit_[b];
     if (admit.words != (rows.size() + 63) / 64 ||
@@ -304,6 +338,11 @@ void RoutingFabric::check_invariants() const {
     }
     for (std::size_t r = 0; r < rows.size(); ++r) {
       const SubscriptionEntry& entry = rows[r];
+      if (sub_of[r] >= subscriptions_.size() ||
+          &subscriptions_[sub_of[r]] != entry.subscription) {
+        fail("row " + std::to_string(r) +
+             " caches another subscription than its entry's" + at);
+      }
       for (PublisherId p = 0; p < 64; ++p) {
         const bool admitted =
             (admit.bits[admit_class(p) * admit.words + r / 64] >> (r % 64)) &

@@ -81,8 +81,9 @@ struct SubscriptionEntry {
   std::uint64_t publisher_mask = ~0ULL;
   /// Routing repair (RoutingFabric::apply_link_state) retires stale rows in
   /// place instead of erasing them: erasure would renumber rows and break
-  /// the row-id alignment with the broker's matching index, and copies
-  /// already queued keep pointing at their original entry.  Disabled rows
+  /// the row-aligned arrays beside the table (admit bitmaps, row ->
+  /// subscription ids, the broker's row caches), and copies already queued
+  /// keep pointing at their original entry.  Disabled rows
   /// leave their broker's admit bitmaps (RoutingFabric::match_for), so they
   /// stop attracting new copies the instant the repair lands.
   bool disabled = false;

@@ -262,10 +262,13 @@ void LiveNetwork::on_trunk_forward(BrokerId target, Message&& message) {
     stats_.on_loss(1);
     return;
   }
-  // Deposit at the locally served downstream broker.  The increment lands
-  // *before* the endpoint acks this forward (the handler runs inline in
-  // worker 0's read batch), so the sender's release of its own increment
-  // can never leave the cluster-wide sum at zero with the copy alive.
+  // The copy enters this overlay instance: stamp the decoded message in
+  // place before it is shared.  Then deposit at the locally served
+  // downstream broker.  The increment lands *before* the endpoint acks
+  // this forward (the handler runs inline in worker 0's read batch), so the
+  // sender's release of its own increment can never leave the cluster-wide
+  // sum at zero with the copy alive.
+  step_.fabric->stamp(message, trunk_scratch_);
   outstanding_.fetch_add(1);
   reactor_->deposit_trunk(target,
                           std::make_shared<const Message>(std::move(message)));

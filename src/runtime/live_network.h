@@ -248,6 +248,10 @@ class LiveNetwork {
   std::vector<char> edge_fault_down_;  // indexed by EdgeId (served cuts only)
   std::vector<char> trunk_up_;         // indexed by peer shard
 
+  /// Match scratch of on_trunk_forward, which stamps each received copy;
+  /// the endpoint runs that handler inline on reactor worker 0 only.
+  SubscriptionIndex::Scratch trunk_scratch_;
+
   std::unique_ptr<Reactor> reactor_;
 
   std::atomic<std::size_t> outstanding_{0};

@@ -70,7 +70,8 @@ struct Reactor::Worker {
 /// The live Effects of BrokerStep: children become worker timers, worker
 /// FIFO entries, mailbox or trunk handoffs; accounting goes to LiveStats
 /// and the outstanding-copies counter.  Eq. (1)/(2) bookkeeping and traces
-/// are not kept live.
+/// are not kept live; the publish step only stamps the message, on the
+/// worker that owns its edge broker.
 struct Reactor::Effects {
   using Event = bdps::Event;
   Reactor* reactor;
@@ -105,7 +106,11 @@ struct Reactor::Effects {
   void input_depth(std::size_t) {}
   void fault_batch(std::size_t) {}
 
-  std::pair<std::size_t, double> interest(const Event&) { return {0, 0.0}; }
+  std::pair<std::size_t, double> interest(const Event& publish) {
+    reactor->step_->fabric->stamp(*publish.message,
+                                  worker->step_scratch.match);
+    return {0, 0.0};
+  }
   void push(Event child) {
     if (child.type == EventType::kArrival) {
       reactor->route(*worker, std::move(child));

@@ -1,5 +1,6 @@
 #include "sim/broker_step.h"
 
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -94,14 +95,20 @@ void BrokerStep::check_invariants() const {
 }
 
 std::pair<std::size_t, double> BrokerStep::interest(
-    const Message& message) const {
+    const Message& message, SubscriptionIndex::Scratch& scratch) const {
   std::size_t interested = 0;
   double potential = 0.0;
-  for (const std::size_t index : fabric->match_all(message)) {
-    const Subscription& sub = fabric->subscription(index);
-    if (!sub.active_at(message.publish_time())) continue;
-    ++interested;
-    potential += sub.price;
+  // Ascending subscription order, as the prices must sum bit for bit.
+  const std::vector<std::uint64_t>& matched =
+      fabric->matched(message, scratch);
+  for (std::size_t w = 0; w < matched.size(); ++w) {
+    for (std::uint64_t word = matched[w]; word != 0; word &= word - 1) {
+      const Subscription& sub = fabric->subscription(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+      if (!sub.active_at(message.publish_time())) continue;
+      ++interested;
+      potential += sub.price;
+    }
   }
   return {interested, potential};
 }

@@ -40,6 +40,9 @@
 //   void input_depth(std::size_t depth);
 //   void fault_batch(std::size_t repaired_rows);
 //   // Ordering and transport:
+//   // Eq. (1)/(2) inputs of a publish.  The message enters the overlay
+//   // here, so an engine that has not stamped it yet stamps it now
+//   // (RoutingFabric::stamp) and every broker reads that stamp.
 //   std::pair<std::size_t, double> interest(const Event& publish);
 //   void push(Event child);           // A child of the event being handled.
 //   double draw_rate(EdgeId edge);    // ms/KB of the edge's next send.
@@ -135,8 +138,9 @@ struct SimulatorOptions {
 
 /// Per-thread scratch reused across steps: the live (sendable) subset of a
 /// fan-out, the per-queue take_next results, and the thread's match
-/// scratch for the brokers' table indexes (one per thread, whatever broker
-/// it processes: RoutingFabric::match_for).
+/// scratch (one per thread, whatever broker it processes): the publish
+/// step stamps messages through it, and a broker matches an unstamped
+/// message into it (RoutingFabric::stamp, match_for).
 struct StepScratch {
   std::vector<Broker::QueueSlot> live_slots;
   std::vector<Broker::Dispatch> dispatch;
@@ -199,8 +203,11 @@ class BrokerStep {
   void apply_faults(Fx& fx, const FaultBatch& batch, TimeMs now);
 
   /// Eq. (1)/(2) inputs of a publication: subscribers interested
-  /// system-wide (and active at its publish time), and their summed price.
-  std::pair<std::size_t, double> interest(const Message& message) const;
+  /// system-wide (and active at its publish time), and their summed price,
+  /// read off the message's stamp (RoutingFabric::matched; an unstamped
+  /// message is matched into `scratch`).
+  std::pair<std::size_t, double> interest(
+      const Message& message, SubscriptionIndex::Scratch& scratch) const;
 
   /// The next sample of `edge`'s stream, drawn now (ms/KB).
   double draw_rate(EdgeId edge) {

@@ -111,6 +111,7 @@ void ParallelSimulator::build_initial_lanes() {
   // sequence lines up bit for bit.
   if (core_.has_faults) next_seq_ += core_.options.faults->batches().size();
   min_size_kb_ = kNoDeadline;
+  SubscriptionIndex::Scratch scratch;
   for (auto& message : pending_publishes_) {
     if (plan_.shard_count() > 1 && message->size_kb() <= 0.0) {
       throw std::invalid_argument(
@@ -118,9 +119,10 @@ void ParallelSimulator::build_initial_lanes() {
           "transmission-time lookahead); use shards = 0");
     }
     min_size_kb_ = std::min(min_size_kb_, message->size_kb());
-    // Eq. (1)/(2) inputs come from the fabric's *global* index, whose
-    // match scratch is not thread-safe; resolve them up front.
-    const auto [interested, potential] = core_.interest(*message);
+    // Stamp each message and resolve its eq. (1)/(2) inputs up front,
+    // before the lanes share it across threads.
+    core_.fabric->stamp(*message, scratch);
+    const auto [interested, potential] = core_.interest(*message, scratch);
     LaneEvent event;
     event.time = message->publish_time();
     event.type = EventType::kPublish;

@@ -303,8 +303,8 @@ class ParallelSimulator {
   std::vector<Shard> shards_;
   std::vector<SpscQueue<LaneEvent>> mailboxes_;
 
-  /// Pending publishes until run(); drained into the lanes with their
-  /// precomputed match_all results.
+  /// Pending publishes until run(); drained into the lanes stamped, with
+  /// their eq. (1)/(2) inputs precomputed.
   std::vector<std::shared_ptr<const Message>> pending_publishes_;
   double min_size_kb_ = 0.0;
 

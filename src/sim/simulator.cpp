@@ -13,8 +13,12 @@ struct Simulator::Effects : DirectRecord {
   explicit Effects(Simulator* s)
       : DirectRecord{&s->collector_, s->trace_}, sim(s) {}
 
+  /// The publish step: the message enters the overlay, so it is stamped
+  /// here and eq. (1) reads the stamp.
   std::pair<std::size_t, double> interest(const Event& publish) {
-    return sim->core_.interest(*publish.message);
+    SubscriptionIndex::Scratch& scratch = sim->scratch_.match;
+    sim->core_.fabric->stamp(*publish.message, scratch);
+    return sim->core_.interest(*publish.message, scratch);
   }
   void push(Event child) { sim->events_.push(std::move(child)); }
   double draw_rate(EdgeId edge) { return sim->core_.draw_rate(edge); }

@@ -323,5 +323,33 @@ TEST(RoutingFabricConcurrent, MatchAtAfterRepairBatchIsRaceFree) {
   race_match_at(*fabric, fabric_probes());
 }
 
+/// match_all against caller scratches: four threads, each with its own
+/// scratch, match every probe against the global index at once and must
+/// each read the brute-force list of matching subscriptions.
+TEST(RoutingFabricConcurrent, MatchAllWithScratchIsRaceFree) {
+  const auto fabric = hub_ring_fabric(/*repairable=*/false);
+  const std::vector<Message> probes = fabric_probes();
+  std::vector<std::vector<std::size_t>> expect(probes.size());
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    for (std::size_t s = 0; s < fabric->subscription_count(); ++s) {
+      if (fabric->subscription(s).matches(probes[i])) expect[i].push_back(s);
+    }
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      SubscriptionIndex::Scratch scratch;
+      for (int round = 0; round < 40; ++round) {
+        for (std::size_t k = 0; k < probes.size(); ++k) {
+          const std::size_t i =
+              (k + static_cast<std::size_t>(t) * 5) % probes.size();
+          ASSERT_EQ(fabric->match_all(probes[i], scratch), expect[i]);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
 }  // namespace
 }  // namespace bdps::matching

@@ -1,7 +1,7 @@
 // Brute-force oracle for RoutingFabric::match_at: every row of a broker's
 // table whose subscription's filter, or any of its or_filters, matches the
 // message, in ascending row order.  Disabled rows count too — repair only
-// disables a row for fan-out, its filter stays in the table's index.
+// disables a row for fan-out, its subscription still matches.
 #pragma once
 
 #include <vector>

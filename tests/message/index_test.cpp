@@ -178,15 +178,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IndexEquivalence,
                                            0xdeadbeefu));
 
 /// One Scratch serves indexes of 1, 64, 65 and 1000 ids in turn, each with
-/// and without wildcards and disjuncts.  Every match, plain and through an
-/// admit bitmap, must be exact and ascending, and must leave the hit bitmap
+/// and without wildcards and disjuncts.  Every match, as ascending ids and
+/// as a bitmap (match_bits), must be exact, and must leave the hit bitmap
 /// all zero for the next index.
 TEST(SubscriptionIndex, OneScratchServesIndexesOfEverySize) {
   struct Case {
     SubscriptionIndex index;
     // Disjuncts of id i: its filter plus any extra ones.
     std::vector<std::vector<Filter>> filters;
-    std::vector<std::uint64_t> admit;
   };
   Rng rng(7);
   const char* attrs[] = {"A1", "A2", "A3"};
@@ -216,12 +215,11 @@ TEST(SubscriptionIndex, OneScratchServesIndexesOfEverySize) {
         }
       }
       c.index.finalize();
-      c.admit.resize((size + 63) / 64);
-      for (std::uint64_t& word : c.admit) word = rng.next_u64();
     }
   }
 
   SubscriptionIndex::Scratch scratch;
+  std::vector<std::uint64_t> bits;
   const auto hits_clear = [&] {
     return std::all_of(scratch.hits.begin(), scratch.hits.end(),
                        [](std::uint64_t w) { return w == 0; });
@@ -234,20 +232,22 @@ TEST(SubscriptionIndex, OneScratchServesIndexesOfEverySize) {
     for (std::size_t k = 0; k < cases.size(); ++k) {
       const Case& c = cases[(k * 5 + static_cast<std::size_t>(probe)) %
                             cases.size()];
-      std::vector<SubscriptionIndex::EntryId> expect, admitted;
+      std::vector<SubscriptionIndex::EntryId> expect;
+      std::vector<std::uint64_t> expect_bits((c.filters.size() + 63) / 64, 0);
       for (std::size_t i = 0; i < c.filters.size(); ++i) {
         const bool hit =
             std::any_of(c.filters[i].begin(), c.filters[i].end(),
                         [&](const Filter& f) { return f.matches(m); });
         if (!hit) continue;
         expect.push_back(i);
-        if ((c.admit[i / 64] >> (i % 64)) & 1) admitted.push_back(i);
+        expect_bits[i / 64] |= std::uint64_t{1} << (i % 64);
       }
       ASSERT_EQ(c.index.match(m, scratch), expect)
           << "probe " << probe << " size " << c.filters.size();
       ASSERT_TRUE(hits_clear());
-      ASSERT_EQ(c.index.match(m, scratch, c.admit.data()), admitted)
-          << "probe " << probe << " size " << c.filters.size() << " (admit)";
+      c.index.match_bits(m, scratch, bits);
+      ASSERT_EQ(bits, expect_bits)
+          << "probe " << probe << " size " << c.filters.size() << " (bits)";
       ASSERT_TRUE(hits_clear());
     }
   }

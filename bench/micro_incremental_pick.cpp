@@ -12,8 +12,14 @@
 //
 // Compare the same (strategy, depth, fan-out) pair across the two engines;
 // items_processed counts queue rows per pick, as micro_scheduler does.
+//
+// BM_OutputQueueTakeNextPurge times the engine's whole send step instead:
+// OutputQueue::take_next with the §5.4 purge on (paper defaults), EBPC,
+// refilled to the depth before each take with young, mostly-kept rows.
 #include <benchmark/benchmark.h>
 
+#include "broker/output_queue.h"
+#include "scheduling/purge.h"
 #include "scheduling/scheduler.h"
 
 namespace {
@@ -29,6 +35,7 @@ struct Rig {
   Rng rng{1};
   std::size_t targets_per_message;
   MessageId next_id = 0;
+  TimeMs max_age = 30000.0;
 
   explicit Rig(std::size_t targets_in) : targets_per_message(targets_in) {
     for (std::size_t t = 0; t < 64; ++t) {
@@ -44,7 +51,7 @@ struct Rig {
   }
 
   QueuedMessage make_row(TimeMs now) {
-    const TimeMs age = rng.uniform(0.0, 30000.0);
+    const TimeMs age = rng.uniform(0.0, max_age);
     auto message = std::make_shared<Message>(
         next_id++, 0, now - age, 50.0, std::vector<Attribute>{});
     QueuedMessage queued{std::move(message), now, {}};
@@ -108,6 +115,26 @@ void BM_RescanEbpc(benchmark::State& s) {
   run_cycle(s, StrategyKind::kEbpc, false);
 }
 
+void BM_OutputQueueTakeNextPurge(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  Rig rig(static_cast<std::size_t>(state.range(1)));
+  rig.max_age = 2000.0;  // Deadlines are 10-50 s: most rows are kept.
+  const Strategy strategy(StrategyKind::kEbpc, 0.5);
+  OutputQueue queue(1, 0, LinkParams{150.0, 20.0}, &strategy);
+  const PurgePolicy policy;
+  TimeMs now = 600000.0;
+  PurgeStats stats;
+  for (auto _ : state) {
+    now += 25.0;
+    while (queue.size() < depth) queue.enqueue(rig.make_row(now));
+    benchmark::DoNotOptimize(
+        queue.take_next(SchedulingContext{now, 2.0, 3750.0}, policy, &stats));
+  }
+  state.counters["purged_per_take"] = benchmark::Counter(
+      static_cast<double>(stats.expired + stats.hopeless) /
+      static_cast<double>(state.iterations()));
+}
+
 #define CYCLE_ARGS \
   ->Args({64, 10})->Args({512, 10})->Args({4096, 10})->Args({512, 40})
 BENCHMARK(BM_IncrementalFifo) CYCLE_ARGS;
@@ -118,6 +145,7 @@ BENCHMARK(BM_IncrementalEb) CYCLE_ARGS;
 BENCHMARK(BM_RescanEb) CYCLE_ARGS;
 BENCHMARK(BM_IncrementalEbpc) CYCLE_ARGS;
 BENCHMARK(BM_RescanEbpc) CYCLE_ARGS;
+BENCHMARK(BM_OutputQueueTakeNextPurge)->Args({1, 4})->Args({4, 4})->Args({64, 4});
 
 }  // namespace
 

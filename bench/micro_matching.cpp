@@ -153,7 +153,7 @@ void broker_process(benchmark::State& state, bool stamped) {
   for (auto _ : state) {
     const auto& message = messages[next];
     next = next + 1 == messages.size() ? 0 : next + 1;
-    const Broker::FanOut fan_out =
+    const Broker::FanOut& fan_out =
         broker.process(message, message->publish_time(), scratch);
     benchmark::DoNotOptimize(fan_out.local.data());
     copies += fan_out.enqueued.size();

@@ -82,27 +82,30 @@ void Broker::cache_rows() {
   }
 }
 
-Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
-                               TimeMs now) {
+const Broker::FanOut& Broker::process(
+    const std::shared_ptr<const Message>& message, TimeMs now) {
   return process(message, now, scratch_);
 }
 
-Broker::FanOut Broker::process(const std::shared_ptr<const Message>& message,
-                               TimeMs now,
-                               SubscriptionIndex::Scratch& scratch) {
+const Broker::FanOut& Broker::process(
+    const std::shared_ptr<const Message>& message, TimeMs now,
+    SubscriptionIndex::Scratch& scratch) {
   return fan_out(message, now,
                  fabric_->match_for(id_, *message, message->publisher(),
                                     scratch));
 }
 
-Broker::FanOut Broker::fan_out(
+const Broker::FanOut& Broker::fan_out(
     const std::shared_ptr<const Message>& message, TimeMs now,
     const std::vector<SubscriptionIndex::EntryId>& rows) {
   total_size_kb_ += message->size_kb();
   ++processed_count_;
   if (row_entry_.size() < fabric_->table(id_).size()) cache_rows();
 
-  FanOut result;
+  FanOut& result = fan_out_;
+  result.local.clear();
+  result.sendable.clear();
+  result.enqueued.clear();
   // The match admitted only enabled rows serving this publisher; drop the
   // rows whose subscription was inactive at the publish instant and send
   // the rest to the local list or their next hop's slot.  Rows arrive
@@ -114,8 +117,6 @@ Broker::FanOut Broker::fan_out(
     if (!entry->subscription->active_at(published_at)) continue;
     const QueueSlot slot = row_slot_[row];
     if (slot == kNoSlot) {
-      // One allocation: at most every matched row is local.
-      if (result.local.empty()) result.local.reserve(rows.size());
       result.local.push_back(entry);
     } else {
       slot_targets_[slot].push_back(entry);
@@ -130,8 +131,10 @@ Broker::FanOut Broker::fan_out(
     if (targets.empty()) continue;
     OutputQueue& out = queues_[slot];
     const bool was_startable = !out.link_busy();
-    QueuedMessage queued{message, now, std::move(targets)};
-    targets = {};  // Moved-from: reset to a clean empty slot.
+    QueuedMessage queued{
+        message, now,
+        std::vector<const SubscriptionEntry*>(targets.begin(), targets.end())};
+    targets.clear();
     // Fold the time-invariant scoring constants now, while the rows are
     // cache-hot, so picks and purges never touch the subscription table.
     precompute_scores(queued, processing_delay_);
@@ -163,6 +166,9 @@ void Broker::take_next(std::span<const QueueSlot> slots, TimeMs now,
     dispatch.chosen = queue.take_next(
         ctx, policy, &dispatch.purge,
         collect_purged_ids ? &dispatch.purged_ids : nullptr);
+#ifndef NDEBUG
+    queue.check_invariants(ctx);
+#endif
   }
 }
 

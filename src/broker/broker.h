@@ -56,7 +56,8 @@ class Broker {
 
   BrokerId id() const { return id_; }
 
-  /// Result of processing one message at this broker.
+  /// Result of processing one message at this broker.  The broker owns
+  /// one and refills it on every process() call, so its buffers are reused.
   struct FanOut {
     /// Local subscription rows matched by the message.
     std::vector<const SubscriptionEntry*> local;
@@ -72,13 +73,16 @@ class Broker {
   /// to the message's publisher and its activation window).  Also folds
   /// the message size into the broker's running average (the basis of
   /// eq. 6's FT).  A message without the fabric's stamp is matched on the
-  /// spot, through a scratch this broker owns.
-  FanOut process(const std::shared_ptr<const Message>& message, TimeMs now);
+  /// spot, through a scratch this broker owns.  The result stays valid
+  /// until the next process() call on this broker.
+  const FanOut& process(const std::shared_ptr<const Message>& message,
+                        TimeMs now);
   /// Same, through the caller's scratch: one per thread serves every
   /// broker (RoutingFabric::match_for).  Either way a broker has a single
-  /// owner at a time — its queues and row caches are unguarded.
-  FanOut process(const std::shared_ptr<const Message>& message, TimeMs now,
-                 SubscriptionIndex::Scratch& scratch);
+  /// owner at a time — its queues and row caches are unguarded.  Warmed
+  /// up, a call allocates only each queued copy's target and kernel rows.
+  const FanOut& process(const std::shared_ptr<const Message>& message,
+                        TimeMs now, SubscriptionIndex::Scratch& scratch);
 
   /// One per-queue purge + pick outcome of take_next.
   struct Dispatch {
@@ -131,9 +135,10 @@ class Broker {
   double total_size_kb_ = 0.0;
   std::size_t processed_count_ = 0;
   /// Groups the admitted table rows `rows` into the queues (process()'s
-  /// tail).
-  FanOut fan_out(const std::shared_ptr<const Message>& message, TimeMs now,
-                 const std::vector<SubscriptionIndex::EntryId>& rows);
+  /// tail), refilling fan_out_.
+  const FanOut& fan_out(const std::shared_ptr<const Message>& message,
+                        TimeMs now,
+                        const std::vector<SubscriptionIndex::EntryId>& rows);
   /// Extends the row caches over table rows appended since (routing repair
   /// grows tables); throws std::logic_error on a non-local row toward a
   /// neighbour without a queue.
@@ -143,11 +148,12 @@ class Broker {
   // (kNoSlot for a local row), resolved once per row.
   std::vector<const SubscriptionEntry*> row_entry_;
   std::vector<QueueSlot> row_slot_;
-  // Scratch buffers reused across process() calls: the scratch-less
-  // overload's match state (for unstamped messages), and per slot (aligned
-  // with queues_) the rows of the copy being built; a slot's vector moves
-  // into its queued copy.
+  // Buffers reused across process() calls: the scratch-less overload's
+  // match state (for unstamped messages), the result, and per slot
+  // (aligned with queues_) the rows of the copy being built, copied into
+  // the queued copy at their exact size.
   SubscriptionIndex::Scratch scratch_;
+  FanOut fan_out_;
   std::vector<std::vector<const SubscriptionEntry*>> slot_targets_;
 };
 

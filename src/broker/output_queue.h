@@ -9,8 +9,16 @@
 // simulators and the live reactor drive the same class through BrokerStep;
 // one queue is driven by one thread at a time (the live runtime keeps each
 // queue on its source broker's worker).
+//
+// Beside the rows the queue mirrors one keep horizon per row
+// (scheduling/purge.h, keep_horizon): an instant before which the §5.4
+// purge keeps the row for certain.  It is fixed once the row is scored, so
+// it is computed once per row, and the pre-send purge classifies only the
+// rows whose horizon has passed; a PD or purge-policy change voids every
+// horizon.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -41,6 +49,11 @@ class OutputQueue {
         believed_link_(other.believed_link_),
         strategy_(other.strategy_),
         queue_(std::move(other.queue_)),
+        keep_until_(std::move(other.keep_until_)),
+        earliest_keep_until_(other.earliest_keep_until_),
+        horizon_pd_(other.horizon_pd_),
+        horizon_policy_(other.horizon_policy_),
+        horizon_z_(other.horizon_z_),
         link_busy_(other.link_busy_) {}
   OutputQueue& operator=(OutputQueue&&) = delete;
   OutputQueue(const OutputQueue&) = delete;
@@ -60,18 +73,14 @@ class OutputQueue {
   bool link_busy() const { return link_busy_; }
   void set_link_busy(bool busy) { link_busy_ = busy; }
 
-  void enqueue(QueuedMessage queued) {
-    // Mint (and replay) the state before growing the queue, so the new row
-    // is announced exactly once.
-    SchedulerState& scheduler = state();
-    queue_.push_back(std::move(queued));
-    scheduler.on_enqueue(queue_.size() - 1);
-  }
+  void enqueue(QueuedMessage queued);
 
   /// Drops every queued message (link failure); returns how many.
   std::size_t clear() {
     const std::size_t dropped = queue_.size();
     queue_.clear();
+    keep_until_.clear();
+    earliest_keep_until_ = kNever;
     state_.reset();  // Cheaper to re-mint empty than to unwind row by row.
     return dropped;
   }
@@ -93,12 +102,35 @@ class OutputQueue {
   /// The bound per-queue scheduler state (minted on first use).
   SchedulerState& state();
 
+  /// Throws std::logic_error unless the keep horizons mirror the queue,
+  /// every computed horizon is at or before its row's exact last keep
+  /// instant (classify_purge keeps the row just before it, under the PD and
+  /// policy the horizons were computed with), the scheduler state's own
+  /// checks hold at `context` and its pick equals Strategy::reference_pick.
+  /// Runs a pick, which only refreshes score bounds: decisions are
+  /// unchanged.
+  void check_invariants(const SchedulingContext& context);
+
  private:
+  static constexpr TimeMs kNever = std::numeric_limits<double>::infinity();
+
+  /// Removes row `index` from the queue and its horizon from the mirror.
+  QueuedMessage remove_at(std::size_t index);
+
   BrokerId neighbor_;
   EdgeId edge_;
   LinkParams believed_link_;
   const Strategy* strategy_;
   std::vector<QueuedMessage> queue_;
+  /// keep_until_[i]: row i's keep horizon under horizon_pd_ and
+  /// horizon_policy_; NaN until computed.
+  std::vector<TimeMs> keep_until_;
+  /// At or below every row's horizon (-inf while any is NaN): take_next
+  /// skips the purge scan before it.
+  TimeMs earliest_keep_until_ = kNever;
+  TimeMs horizon_pd_ = std::numeric_limits<double>::quiet_NaN();
+  PurgePolicy horizon_policy_;
+  double horizon_z_ = 0.0;  // keep_horizon_z(horizon_policy_).
   std::unique_ptr<SchedulerState> state_;
   bool link_busy_ = false;
 };

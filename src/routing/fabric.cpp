@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace bdps {
 
@@ -62,16 +62,12 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   row_sub_.resize(n);
   admit_.resize(n);
   admit_classes_ = topology.publisher_edges.size() + 1;
+  incoming_ = incoming_edges(topology.graph);
+  install_.mask.assign(n, 0);
   if (options_.repairable) {
     graph_ = topology.graph;
     publisher_edges_ = topology.publisher_edges;
     link_down_.assign(graph_.edge_count());
-    incoming_.resize(n);
-    for (std::size_t b = 0; b < n; ++b) {
-      for (const EdgeId e : graph_.out_edges(static_cast<BrokerId>(b))) {
-        incoming_[graph_.edge(e).to].push_back(e);
-      }
-    }
     rows_by_sub_.resize(subscriptions_.size());
     for (std::size_t i = 0; i < subscriptions_.size(); ++i) {
       subs_by_home_[subscriptions_[i].home].push_back(i);
@@ -84,7 +80,8 @@ RoutingFabric::RoutingFabric(const Topology& topology,
       throw std::invalid_argument("subscription home outside the graph");
     }
     if (!trees_.count(sub.home)) {
-      trees_.emplace(sub.home, compute_tree_toward(topology.graph, sub.home));
+      trees_.emplace(sub.home,
+                     compute_tree_toward(topology.graph, incoming_, sub.home));
     }
   }
 
@@ -95,49 +92,49 @@ RoutingFabric::RoutingFabric(const Topology& topology,
 
   // Install each subscription on the union of chosen publisher->home paths,
   // remembering per broker *which* publishers route through it (the
-  // publisher_mask guard; see SubscriptionEntry).
+  // publisher_mask guard; see SubscriptionEntry).  Rows go in ascending
+  // broker order.
+  struct AltHop {
+    BrokerId broker;
+    BrokerId next_hop;
+    PathStats stats;
+  };
+  std::vector<AltHop> alt_hops;  // Ascending broker; multipath only.
+  std::vector<std::pair<BrokerId, std::uint64_t>> extra;
   for (std::size_t si = 0; si < subscriptions_.size(); ++si) {
     const Subscription& sub = subscriptions_[si];
     const ShortestPathTree& tree = trees_.at(sub.home);
-    std::map<BrokerId, std::uint64_t> installed;  // broker -> publisher mask
-    for (std::size_t p = 0; p < topology.publisher_edges.size(); ++p) {
-      const BrokerId publisher_edge = topology.publisher_edges[p];
-      if (!tree.reachable[publisher_edge]) continue;
-      for (const BrokerId broker : tree.path_from(publisher_edge)) {
-        installed[broker] |= 1ULL << p;
-      }
-    }
-    // The home broker always carries a local-delivery row serving every
-    // publisher (a message can only arrive there along an installed path).
-    installed[sub.home] = ~0ULL;
+    install_.build(tree, topology.publisher_edges);
 
     // Multi-path: brokers on a primary path additionally forward toward
     // their second-best neighbour — which means every broker on that
     // neighbour's own (primary) path to the home must carry entries too,
     // or redundant copies would die unrouted.  One level of redundancy:
     // alternate-path brokers get primary entries only.
-    std::map<BrokerId, BrokerId> alt_hops;  // primary broker -> alt neighbour
+    alt_hops.clear();
     if (options.multipath) {
-      std::map<BrokerId, std::uint64_t> extra;
-      for (const auto& [broker, mask] : installed) {
+      extra.clear();
+      for (const BrokerId broker : install_.brokers) {
         if (broker == sub.home) continue;
+        PathStats alt_stats;
         const BrokerId alt = second_best_next_hop(
-            topology.graph, tree, broker, tree.next_hop[broker], nullptr);
+            topology.graph, tree, broker, tree.next_hop[broker], &alt_stats);
         if (alt == kNoBroker) continue;
-        alt_hops[broker] = alt;
-        for (const BrokerId w : tree.path_from(alt)) {
-          extra[w] |= mask;
+        alt_hops.push_back(AltHop{broker, alt, alt_stats});
+        for (BrokerId w = alt;; w = tree.next_hop[w]) {
+          extra.emplace_back(w, install_.mask[broker]);
+          if (w == sub.home) break;
         }
       }
-      for (const auto& [broker, mask] : extra) {
-        installed[broker] |= mask;
-      }
+      for (const auto& [broker, mask] : extra) install_.add(broker, mask);
+      std::sort(install_.brokers.begin(), install_.brokers.end());
     }
 
-    for (const auto& [broker, mask] : installed) {
+    std::size_t next_alt = 0;
+    for (const BrokerId broker : install_.brokers) {
       SubscriptionEntry entry;
       entry.subscription = &sub;
-      entry.publisher_mask = mask;
+      entry.publisher_mask = install_.mask[broker];
       if (broker == sub.home) {
         entry.next_hop = kNoBroker;
         entry.path = kLocalPath;
@@ -153,20 +150,16 @@ RoutingFabric::RoutingFabric(const Topology& topology,
       }
       install_row(broker, entry);
 
-      const auto alt_it = alt_hops.find(broker);
-      if (alt_it != alt_hops.end()) {
-        PathStats alt_stats;
-        const BrokerId alt = second_best_next_hop(
-            topology.graph, tree, broker, entry.next_hop, &alt_stats);
-        if (alt == alt_it->second) {
-          SubscriptionEntry alt_entry = entry;
-          alt_entry.next_hop = alt;
-          alt_entry.next_hop_edge = topology.graph.edge_id(broker, alt);
-          alt_entry.path = alt_stats;
-          install_row(broker, alt_entry);
-        }
+      if (next_alt < alt_hops.size() && alt_hops[next_alt].broker == broker) {
+        const AltHop& alt = alt_hops[next_alt++];
+        SubscriptionEntry alt_entry = entry;
+        alt_entry.next_hop = alt.next_hop;
+        alt_entry.next_hop_edge = topology.graph.edge_id(broker, alt.next_hop);
+        alt_entry.path = alt.stats;
+        install_row(broker, alt_entry);
       }
     }
+    install_.clear();
   }
 
   for (const Subscription& sub : subscriptions_) {
@@ -177,6 +170,33 @@ RoutingFabric::RoutingFabric(const Topology& topology,
   }
   global_index_.finalize();
   for (std::size_t b = 0; b < n; ++b) build_admit(static_cast<BrokerId>(b));
+}
+
+void RoutingFabric::InstallSet::add(BrokerId broker, std::uint64_t bits) {
+  if (mask[broker] == 0) brokers.push_back(broker);
+  mask[broker] |= bits;
+}
+
+void RoutingFabric::InstallSet::build(
+    const ShortestPathTree& tree,
+    const std::vector<BrokerId>& publisher_edges) {
+  for (std::size_t p = 0; p < publisher_edges.size(); ++p) {
+    const BrokerId publisher_edge = publisher_edges[p];
+    if (!tree.reachable[publisher_edge]) continue;
+    for (BrokerId broker = publisher_edge;; broker = tree.next_hop[broker]) {
+      add(broker, 1ULL << p);
+      if (broker == tree.destination) break;
+    }
+  }
+  // The home broker always carries a local-delivery row serving every
+  // publisher (a message can only arrive there along an installed path).
+  add(tree.destination, ~0ULL);
+  std::sort(brokers.begin(), brokers.end());
+}
+
+void RoutingFabric::InstallSet::clear() {
+  for (const BrokerId broker : brokers) mask[broker] = 0;
+  brokers.clear();
 }
 
 void RoutingFabric::build_admit(BrokerId broker) {
@@ -361,13 +381,29 @@ void RoutingFabric::check_invariants() const {
     }
   }
   if (!options_.repairable) return;
-  for (const std::vector<RowRef>& refs : rows_by_sub_) {
-    for (const RowRef& ref : refs) {
-      if (tables_[ref.broker].entries()[ref.row].disabled) {
-        fail("a live row is disabled at broker " +
-             std::to_string(ref.broker));
+  InstallSet fresh;
+  fresh.mask.assign(tables_.size(), 0);
+  for (std::size_t si = 0; si < rows_by_sub_.size(); ++si) {
+    const std::vector<RowRef>& refs = rows_by_sub_[si];
+    const std::string of = " of subscription " + std::to_string(si);
+    fresh.build(trees_.at(subscriptions_[si].home), publisher_edges_);
+    if (refs.size() != fresh.brokers.size()) {
+      fail("the live rows" + of + " do not cover its install set");
+    }
+    for (std::size_t k = 0; k < refs.size(); ++k) {
+      const SubscriptionEntry& entry =
+          tables_[refs[k].broker].entries()[refs[k].row];
+      const std::string at = " at broker " + std::to_string(refs[k].broker);
+      if (entry.disabled) fail("a live row" + of + " is disabled" + at);
+      if (k > 0 && !(refs[k - 1].broker < refs[k].broker)) {
+        fail("the live rows" + of + " do not ascend by broker" + at);
+      }
+      if (refs[k].broker != fresh.brokers[k] ||
+          entry.publisher_mask != fresh.mask[refs[k].broker]) {
+        fail("a live row" + of + " is off its install set" + at);
       }
     }
+    fresh.clear();
   }
 }
 
@@ -378,41 +414,36 @@ std::size_t RoutingFabric::reinstall(
   const Subscription& sub = subscriptions_[sub_index];
   // Desired install set from the repaired tree — the constructor's
   // publisher-path union (single-path; repairable excludes multipath).
-  std::map<BrokerId, std::uint64_t> installed;
-  for (std::size_t p = 0; p < publisher_edges_.size(); ++p) {
-    const BrokerId publisher_edge = publisher_edges_[p];
-    if (!tree.reachable[publisher_edge]) continue;
-    for (const BrokerId broker : tree.path_from(publisher_edge)) {
-      installed[broker] |= 1ULL << p;
-    }
-  }
-  installed[sub.home] = ~0ULL;
+  install_.build(tree, publisher_edges_);
 
   // Fast path: skip the rewrite when the install set, the masks and every
   // carrying broker's tree state are untouched by this repair.
   std::vector<RowRef>& rows = rows_by_sub_[sub_index];
-  bool identical = rows.size() == installed.size();
+  bool identical = rows.size() == install_.brokers.size();
   if (identical) {
     for (const RowRef& r : rows) {
-      const auto it = installed.find(r.broker);
-      if (it == installed.end() || changed[r.broker] != 0 ||
-          tables_[r.broker].entry_at(r.row).publisher_mask != it->second) {
+      const std::uint64_t mask = install_.mask[r.broker];
+      if (mask == 0 || changed[r.broker] != 0 ||
+          tables_[r.broker].entry_at(r.row).publisher_mask != mask) {
         identical = false;
         break;
       }
     }
   }
-  if (identical) return 0;
+  if (identical) {
+    install_.clear();
+    return 0;
+  }
 
   for (const RowRef& r : rows) {
     tables_[r.broker].entry_at(r.row).disabled = true;
     touched[r.broker] = 1;
   }
   rows.clear();
-  for (const auto& [broker, mask] : installed) {
+  for (const BrokerId broker : install_.brokers) {
     SubscriptionEntry entry;
     entry.subscription = &sub;
-    entry.publisher_mask = mask;
+    entry.publisher_mask = install_.mask[broker];
     if (broker == sub.home) {
       entry.next_hop = kNoBroker;
       entry.path = kLocalPath;
@@ -426,7 +457,9 @@ std::size_t RoutingFabric::reinstall(
     install_row(broker, entry);
     touched[broker] = 1;
   }
-  return installed.size();
+  const std::size_t installed = install_.brokers.size();
+  install_.clear();
+  return installed;
 }
 
 }  // namespace bdps

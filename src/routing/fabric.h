@@ -49,10 +49,10 @@ struct FabricOptions {
   /// from multiplying.  Reproduces the traffic-vs-reliability trade-off the
   /// paper cites for preferring single-path.
   bool multipath = false;
-  /// Keeps the believed graph, its reverse adjacency and a per-subscription
-  /// row registry alive so apply_link_state can repair routing state
-  /// incrementally as links fail and recover mid-run.  Incompatible with
-  /// multipath (alternate rows are not repaired).
+  /// Keeps the believed graph and a per-subscription row registry alive so
+  /// apply_link_state can repair routing state incrementally as links fail
+  /// and recover mid-run.  Incompatible with multipath (alternate rows are
+  /// not repaired).
   bool repairable = false;
   /// Read by nothing: the fabric matches on one counting index, which
   /// does not merge covered filters.  Kept while
@@ -171,12 +171,38 @@ class RoutingFabric {
   /// Throws std::logic_error unless: every row's cached subscription id
   /// names its entry's subscription; every admit bit equals
   /// `!disabled && publisher_mask` bit for every publisher id in [0, 64);
-  /// and, on repairable fabrics, no registered live row is disabled and
+  /// and, on repairable fabrics, no registered live row is disabled,
   /// every enabled non-local row's next hop is its subscription tree's
-  /// next hop at that broker.
+  /// next hop at that broker, and each subscription's registered rows
+  /// ascend by broker and equal its install set on the current tree,
+  /// mask for mask.
   void check_invariants() const;
 
  private:
+  /// The allocation-count test calls reinstall directly.
+  friend struct RoutingFabricTestPeer;
+
+  /// One subscription's install set: every broker on a publisher's tree
+  /// path toward the home, with the mask of the publishers routed through
+  /// it, and the home serving every publisher.  `mask` is broker-indexed
+  /// and all zero between uses; `brokers` lists the nonzero entries,
+  /// ascending once build() returns.  The fabric keeps one, so a rebuild
+  /// reuses its buffers.
+  struct InstallSet {
+    std::vector<std::uint64_t> mask;
+    std::vector<BrokerId> brokers;
+
+    /// ORs `bits` into `broker`'s mask, listing the broker on first use.
+    void add(BrokerId broker, std::uint64_t bits);
+    /// Fills the set of a subscription homed at the tree's destination by
+    /// walking each publisher edge's next hops (`mask` sized to the
+    /// tree's broker count first).
+    void build(const ShortestPathTree& tree,
+               const std::vector<BrokerId>& publisher_edges);
+    /// Zeroes the listed masks and empties the list.
+    void clear();
+  };
+
   /// One re-pointed subscription: disable its current rows, install the
   /// desired set from the repaired tree, flagging every broker whose table
   /// it touched in `touched`.  No-op (returning 0) when nothing it depends
@@ -216,6 +242,10 @@ class RoutingFabric {
   std::size_t admit_classes_ = 1;
   SubscriptionIndex global_index_;
   std::map<BrokerId, ShortestPathTree> trees_;
+  /// The topology graph's reverse adjacency (spt.h), shared by every tree
+  /// computation and repair.
+  std::vector<std::vector<EdgeId>> incoming_;
+  InstallSet install_;
 
   // ---- Repairable-fabric state (unused unless options_.repairable) ----
   /// Position of one live table row of a subscription: tables_[broker]'s
@@ -227,7 +257,6 @@ class RoutingFabric {
   Graph graph_;
   std::vector<BrokerId> publisher_edges_;
   EdgeFlags link_down_;
-  std::vector<std::vector<EdgeId>> incoming_;
   std::vector<std::vector<RowRef>> rows_by_sub_;
   std::map<BrokerId, std::vector<std::size_t>> subs_by_home_;
 };

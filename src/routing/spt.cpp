@@ -21,22 +21,30 @@ std::vector<BrokerId> ShortestPathTree::path_from(BrokerId from) const {
   return path;
 }
 
+std::vector<std::vector<EdgeId>> incoming_edges(const Graph& graph) {
+  std::vector<std::vector<EdgeId>> incoming(graph.broker_count());
+  for (std::size_t b = 0; b < incoming.size(); ++b) {
+    for (const EdgeId e : graph.out_edges(static_cast<BrokerId>(b))) {
+      incoming[graph.edge(e).to].push_back(e);
+    }
+  }
+  return incoming;
+}
+
 ShortestPathTree compute_tree_toward(const Graph& graph,
                                      BrokerId destination) {
+  return compute_tree_toward(graph, incoming_edges(graph), destination);
+}
+
+ShortestPathTree compute_tree_toward(
+    const Graph& graph, const std::vector<std::vector<EdgeId>>& incoming,
+    BrokerId destination) {
   const std::size_t n = graph.broker_count();
   ShortestPathTree tree;
   tree.destination = destination;
   tree.next_hop.assign(n, kNoBroker);
   tree.stats.assign(n, PathStats{});
   tree.reachable.assign(n, false);
-
-  // Reverse adjacency: incoming edges per broker.
-  std::vector<std::vector<EdgeId>> incoming(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    for (const EdgeId e : graph.out_edges(static_cast<BrokerId>(b))) {
-      incoming[graph.edge(e).to].push_back(e);
-    }
-  }
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> dist(n, kInf);

@@ -33,7 +33,18 @@ struct ShortestPathTree {
   std::vector<BrokerId> path_from(BrokerId from) const;
 };
 
-/// Dijkstra on mean path rate toward `destination`.
+/// Reverse adjacency of `graph`: incoming edge ids per broker, in
+/// ascending source broker order (each source's out-edge order within).
+std::vector<std::vector<EdgeId>> incoming_edges(const Graph& graph);
+
+/// Dijkstra on mean path rate toward `destination`.  `incoming` is
+/// incoming_edges(graph), built once by a caller that computes many
+/// trees over one graph.
+ShortestPathTree compute_tree_toward(
+    const Graph& graph, const std::vector<std::vector<EdgeId>>& incoming,
+    BrokerId destination);
+
+/// Same, building the reverse adjacency for this one tree.
 ShortestPathTree compute_tree_toward(const Graph& graph,
                                      BrokerId destination);
 

@@ -1,6 +1,10 @@
 #include "scheduling/purge.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+
+#include "common/math.h"
 
 namespace bdps {
 
@@ -38,6 +42,46 @@ PurgeVerdict classify_purge(const QueuedMessage& queued,
     return PurgeVerdict::kHopeless;
   }
   return PurgeVerdict::kKeep;
+}
+
+double keep_horizon_z(const PurgePolicy& policy) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Near epsilon = 1 the margin's gain in Phi falls below the rounding of
+  // Phi itself, so no argument bound is safe there.
+  if (!(policy.epsilon <= 1.0 - 1e-9)) return kInf;
+  return std::max(normal_quantile(policy.epsilon), -8.0) + 1e-3;
+}
+
+TimeMs keep_horizon(const QueuedMessage& queued, TimeMs processing_delay,
+                    const PurgePolicy& policy, double z) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ensure_scored(queued, processing_delay);
+  if (queued.scored.empty()) return kInf;  // Neither rule fires.
+  TimeMs expiry_horizon = kInf;
+  if (policy.drop_expired) {
+    // Not expired while some target's expiry lies ahead.
+    expiry_horizon = -kInf;
+    for (const ScoredTarget& st : queued.scored) {
+      expiry_horizon = std::max(expiry_horizon, st.expiry);
+    }
+  }
+  TimeMs hopeless_horizon = kInf;
+  if (policy.epsilon > 0.0) {
+    // Not hopeless while some target's argument is at least z.
+    hopeless_horizon = -kInf;
+    for (const ScoredTarget& st : queued.scored) {
+      TimeMs h = st.slack_const - z / st.inv_size_sigma;
+      if (std::isnan(h)) continue;  // 0/0 or inf - inf: no safe instant.
+      if (std::isfinite(h)) {
+        // A few ulps early: slack_const - now then rounds to at least
+        // z / inv_size_sigma for every now < h.
+        h -= 4.0 * std::numeric_limits<double>::epsilon() *
+             std::max(std::fabs(h), std::fabs(st.slack_const));
+      }
+      hopeless_horizon = std::max(hopeless_horizon, h);
+    }
+  }
+  return std::min(expiry_horizon, hopeless_horizon);
 }
 
 bool should_purge(const QueuedMessage& queued,

@@ -42,6 +42,28 @@ PurgeVerdict classify_purge(const QueuedMessage& queued,
                             const SchedulingContext& context,
                             const PurgePolicy& policy);
 
+/// The z of every keep horizon under `policy`: max(Phi^-1(epsilon), -8)
+/// plus a 1e-3 margin that covers the quantile's approximation error and
+/// the rounding of scored_success, so a target whose success argument
+/// (slack_const - now) * inv_size_sigma is at least z has success >= epsilon.
+/// +inf when the rule cannot be bounded that way (epsilon within 1e-9 of 1
+/// or above), which makes every horizon -inf: such rows are classified at
+/// every pick.  Unused when epsilon is 0.
+double keep_horizon_z(const PurgePolicy& policy);
+
+/// A conservative keep-until instant of one row (eq. 11 with a fixed PD):
+/// classify_purge(queued, {t, processing_delay, any FT}, policy) is kKeep
+/// for every t < the result.  It is the minimum of the expiry rule's
+/// horizon (the row's latest target expiry) and the eq. (11) rule's (the
+/// latest target instant slack_const - z / inv_size_sigma, a few ulps
+/// early; slack_const itself on a deterministic path), each +inf when its
+/// rule is off; +inf for an empty target list, never NaN.  A row's success
+/// terms only fall as time advances, so the instant is fixed once the row
+/// is scored: OutputQueue computes it once per row and classifies a row
+/// only after its instant has passed.  `z` is keep_horizon_z(policy).
+TimeMs keep_horizon(const QueuedMessage& queued, TimeMs processing_delay,
+                    const PurgePolicy& policy, double z);
+
 /// True when eq. (11) says the queued message should be deleted.
 bool should_purge(const QueuedMessage& queued, const SchedulingContext& context,
                   const PurgePolicy& policy);

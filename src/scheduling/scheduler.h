@@ -21,7 +21,7 @@
 //                       clock updates); called by OutputQueue::take_next
 //                       before the purge scan.
 //      pick(ctx)      — index of the message to send next (queue
-//                       non-empty).
+//                       non-empty).  A one-row queue answers 0 at once.
 //
 //    FIFO and RL order by time-invariant keys, so their state is an
 //    indexed min-heap: O(log n) per enqueue/remove and O(1) per pick.
@@ -36,18 +36,12 @@
 // Every state is pick-identical to the stateless rescan: the reference
 // argmax survives as `Strategy::reference_pick`, and
 // tests/scheduling/scheduler_state_test.cpp proves equivalence across
-// randomized enqueue/remove/purge/tick interleavings.
+// randomized enqueue/remove/purge/tick interleavings, calling each state's
+// check_invariants after every operation.
 //
-// Migration notes (old `Scheduler` API → this one):
-//   * `make_scheduler(kind, r)` → `make_strategy(kind, r)`; the result is
-//     `unique_ptr<const Strategy>` — strategies are immutable and shared.
-//   * `scheduler->pick(queue, ctx)` one-shot calls → either
-//     `strategy->reference_pick(queue, ctx)` (tests, offline tooling) or a
-//     bound `SchedulerState` when the queue lives long enough to amortise
-//     (the engine path: `OutputQueue` owns the state and forwards hooks).
-//   * `OutputQueue::take_next(scheduler, ctx, ...)` no longer takes the
-//     policy per call: the queue is constructed with the Strategy and owns
-//     its state for life.
+// The engine path is `OutputQueue` (broker/output_queue.h): it is built
+// with the run's Strategy, owns its state for life and forwards every
+// hook; one-shot callers (tests, offline tooling) use `reference_pick`.
 #pragma once
 
 #include <cstddef>
@@ -105,6 +99,12 @@ class SchedulerState {
 
   /// Index of the message to send next; the bound queue is non-empty.
   virtual std::size_t pick(const SchedulingContext& context) = 0;
+
+  /// Throws std::logic_error when the state's row mirror does not match
+  /// the queue, or when a score bound that the next pick at `context`
+  /// would prune with lies below its row's exact score there.  Reads the
+  /// kernel rows (folding them with the context's PD, as a pick would).
+  virtual void check_invariants(const SchedulingContext& context) const = 0;
 
  protected:
   explicit SchedulerState(const std::vector<QueuedMessage>* queue)

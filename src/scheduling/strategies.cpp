@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace bdps {
@@ -49,6 +50,9 @@ TimeMs mean_remaining_lifetime(const QueuedMessage& queued, TimeMs now) {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Relative slack of an EBPC score bound over EB (see BoundedScanState).
+constexpr double kEbpcBoundSlack =
+    8.0 * std::numeric_limits<double>::epsilon();
 
 /// Reference argmax scan (see Strategy::reference_pick).  Exactly tied
 /// scores break through tie_break_before.
@@ -66,6 +70,10 @@ std::size_t pick_max(std::span<const QueuedMessage> queue, ScoreFn score) {
     }
   }
   return best;
+}
+
+[[noreturn]] void invariant_failed(const char* state, const std::string& what) {
+  throw std::logic_error(std::string(state) + ": " + what);
 }
 
 double rl_score(const QueuedMessage& queued, TimeMs now) {
@@ -123,6 +131,27 @@ class HeapState final : public SchedulerState {
   }
 
   std::size_t pick(const SchedulingContext&) override { return heap_.front(); }
+
+  void check_invariants(const SchedulingContext&) const override {
+    const std::size_t n = queue().size();
+    if (keys_.size() != n || pos_.size() != n || heap_.size() != n) {
+      invariant_failed("HeapState", "the heap does not mirror the queue");
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const HeapKey want = make_key(queue()[i]);
+      const HeapKey& key = keys_[i];
+      if (heap_[pos_[i]] != i || key.before(want) || want.before(key)) {
+        invariant_failed("HeapState", "row " + std::to_string(i) +
+                                          "'s key or heap slot is stale");
+      }
+    }
+    for (std::size_t slot = 1; slot < n; ++slot) {
+      if (slot_before(slot, (slot - 1) / 2)) {
+        invariant_failed("HeapState", "heap order broken at slot " +
+                                          std::to_string(slot));
+      }
+    }
+  }
 
  private:
   HeapKey make_key(const QueuedMessage& queued) const {
@@ -235,6 +264,8 @@ class BoundedScanState final : public SchedulerState {
     last_now_ = context.now;
     last_pd_ = context.processing_delay;
     const std::vector<QueuedMessage>& q = queue();
+    // A lone row wins unscored; its stale bound stays a valid upper bound.
+    if (q.size() == 1) return 0;
     std::size_t best = 0;
     double best_score = rescore(0, context);
     for (std::size_t i = 1; i < q.size(); ++i) {
@@ -254,37 +285,69 @@ class BoundedScanState final : public SchedulerState {
     return best;
   }
 
+  void check_invariants(const SchedulingContext& context) const override {
+    const std::vector<QueuedMessage>& q = queue();
+    if (bounds_.size() != q.size()) {
+      invariant_failed("BoundedScanState",
+                       "the bounds do not mirror the queue");
+    }
+    // A pick at an earlier instant or another PD voids the bounds first.
+    if (context.now < last_now_ || context.processing_delay != last_pd_) {
+      return;
+    }
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      const double score = evaluate(q[i], context).score;
+      if (bounds_[i] < score) {
+        invariant_failed("BoundedScanState",
+                         "row " + std::to_string(i) + "'s bound " +
+                             std::to_string(bounds_[i]) +
+                             " is below its score " + std::to_string(score));
+      }
+    }
+  }
+
  private:
-  /// Exact score of row `i` now; refreshes its decay bound as a side
-  /// effect (EB for the EB-dominated scores, the score itself otherwise).
-  double rescore(std::size_t i, const SchedulingContext& context) {
-    const QueuedMessage& queued = queue()[i];
+  struct Evaluation {
+    double score;
+    double bound;  // EB for the EB-dominated scores, else the score.
+  };
+
+  Evaluation evaluate(const QueuedMessage& queued,
+                      const SchedulingContext& context) const {
     switch (kind_) {
       case StrategyKind::kEb: {
         const double eb = kernel_expected_benefit(queued, context);
-        bounds_[i] = eb;
-        return eb;
+        return {eb, eb};
       }
       case StrategyKind::kLowerBound: {
         const double lb = kernel_lower_bound_benefit(queued, context);
-        bounds_[i] = lb;
-        return lb;
+        return {lb, lb};
       }
       case StrategyKind::kPc: {
         const BenefitPair pair = kernel_benefit_pair(queued, context);
-        bounds_[i] = pair.immediate;
-        return pair.immediate - pair.postponed;
+        return {pair.immediate - pair.postponed, pair.immediate};
       }
       case StrategyKind::kEbpc: {
+        // r·EB + (1 − r)(EB − EB') never exceeds EB exactly, but it can
+        // round up to 4 ulps above it; the bound carries that slack so a
+        // pruned row can never have outscored the running best.
         const BenefitPair pair = kernel_benefit_pair(queued, context);
-        bounds_[i] = pair.immediate;
-        return weight_ * pair.immediate +
-               (1.0 - weight_) * (pair.immediate - pair.postponed);
+        return {weight_ * pair.immediate +
+                    (1.0 - weight_) * (pair.immediate - pair.postponed),
+                pair.immediate + kEbpcBoundSlack * pair.immediate};
       }
       default:
         break;
     }
     throw std::logic_error("BoundedScanState: unexpected strategy kind");
+  }
+
+  /// Exact score of row `i` now; refreshes its decay bound as a side
+  /// effect.
+  double rescore(std::size_t i, const SchedulingContext& context) {
+    const Evaluation e = evaluate(queue()[i], context);
+    bounds_[i] = e.bound;
+    return e.score;
   }
 
   StrategyKind kind_;
@@ -363,6 +426,8 @@ class BoundedArgmaxState final : public SchedulerState {
       index_by_serial_[moved] = static_cast<std::int64_t>(index);
     }
     serial_by_index_.pop_back();
+    // One-row picks never walk the heap, so drop its dead entries here.
+    if (serial_by_index_.empty()) heap_.clear();
   }
 
   void on_tick(const SchedulingContext& context) override {
@@ -388,8 +453,10 @@ class BoundedArgmaxState final : public SchedulerState {
     on_tick(context);
     last_now_ = context.now;
     last_pd_ = context.processing_delay;
-    ++epoch_;
     const std::vector<QueuedMessage>& q = queue();
+    // A lone row wins unscored; its live entry keeps a valid upper bound.
+    if (q.size() == 1) return 0;
+    ++epoch_;
     constexpr std::size_t kNone = ~std::size_t{0};
     std::size_t best = kNone;
     double best_score = -kInf;
@@ -434,6 +501,39 @@ class BoundedArgmaxState final : public SchedulerState {
     return best;
   }
 
+  void check_invariants(const SchedulingContext& context) const override {
+    const std::vector<QueuedMessage>& q = queue();
+    if (serial_by_index_.size() != q.size()) {
+      invariant_failed("BoundedArgmaxState",
+                       "the serials do not mirror the queue");
+    }
+    const bool forward = !(context.now < last_now_) &&
+                         context.processing_delay == last_pd_;
+    std::vector<std::uint8_t> has_entry(bound_by_serial_.size(), 0);
+    for (const Entry& entry : heap_) {
+      if (generation_[entry.serial] == entry.generation &&
+          entry.bound == bound_by_serial_[entry.serial]) {
+        has_entry[entry.serial] = 1;
+      }
+    }
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      const std::uint32_t serial = serial_by_index_[i];
+      if (index_by_serial_[serial] != static_cast<std::int64_t>(i)) {
+        invariant_failed("BoundedArgmaxState",
+                         "row " + std::to_string(i) + "'s serial is stale");
+      }
+      if (has_entry[serial] == 0) {
+        invariant_failed("BoundedArgmaxState",
+                         "row " + std::to_string(i) + " has no live entry");
+      }
+      if (forward && bound_by_serial_[serial] < score(q[i], context)) {
+        invariant_failed("BoundedArgmaxState",
+                         "row " + std::to_string(i) +
+                             "'s bound is below its score");
+      }
+    }
+  }
+
  private:
   struct Entry {
     double bound = kInf;
@@ -470,22 +570,24 @@ class BoundedArgmaxState final : public SchedulerState {
   /// refreshed heap entry.
   double rescore(std::size_t index, const SchedulingContext& context) {
     const QueuedMessage& queued = queue()[index];
-    double score;
+    const double exact = score(queued, context);
+    const std::uint32_t serial = serial_by_index_[index];
+    bound_by_serial_[serial] = exact;
+    push_entry(serial, exact, queued);
+    return exact;
+  }
+
+  double score(const QueuedMessage& queued,
+               const SchedulingContext& context) const {
     switch (kind_) {
       case StrategyKind::kEb:
-        score = kernel_expected_benefit(queued, context);
-        break;
+        return kernel_expected_benefit(queued, context);
       case StrategyKind::kLowerBound:
-        score = kernel_lower_bound_benefit(queued, context);
-        break;
+        return kernel_lower_bound_benefit(queued, context);
       default:
-        throw std::logic_error(
-            "BoundedArgmaxState: unexpected strategy kind");
+        break;
     }
-    const std::uint32_t serial = serial_by_index_[index];
-    bound_by_serial_[serial] = score;
-    push_entry(serial, score, queued);
-    return score;
+    throw std::logic_error("BoundedArgmaxState: unexpected strategy kind");
   }
 
   StrategyKind kind_;

@@ -404,7 +404,7 @@ void BrokerStep::processed(Fx& fx, Ev& event) {
   }
   Broker& broker = brokers[b];
   trace(fx, now, TraceEventKind::kProcessed, message.id(), b);
-  const Broker::FanOut fanout =
+  const Broker::FanOut& fanout =
       broker.process(event.message, now, fx.scratch().match);
 
   fx.fan_out(fanout.enqueued.size());

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -239,6 +241,122 @@ TEST_P(SptRepairChurn, MatchesFreshComputeAcrossBatches) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SptRepairChurn,
                          ::testing::Values(1u, 7u, 23u, 61u, 97u));
+
+/// A subscription's install set the way the fabric first built it: a
+/// std::map over each publisher edge's path_from, the home serving every
+/// publisher.
+std::map<BrokerId, std::uint64_t> reference_install_set(
+    const ShortestPathTree& tree, const Topology& topo, BrokerId home) {
+  std::map<BrokerId, std::uint64_t> installed;
+  for (std::size_t p = 0; p < topo.publisher_edges.size(); ++p) {
+    for (const BrokerId broker : tree.path_from(topo.publisher_edges[p])) {
+      installed[broker] |= 1ULL << p;
+    }
+  }
+  installed[home] = ~0ULL;
+  return installed;
+}
+
+/// Every subscription's enabled rows are exactly its reference install set
+/// on the fabric's current tree: one row per broker, with the reference
+/// mask, the tree's next hop and remaining-path stats.
+void expect_tables_match_reference(const RoutingFabric& fabric,
+                                   const Topology& topo,
+                                   const std::string& label) {
+  ASSERT_NO_THROW(fabric.check_invariants()) << label;
+  std::vector<std::map<BrokerId, const SubscriptionEntry*>> live(
+      fabric.subscription_count());
+  for (std::size_t b = 0; b < fabric.broker_count(); ++b) {
+    for (const SubscriptionEntry& entry :
+         fabric.table(static_cast<BrokerId>(b)).entries()) {
+      if (entry.disabled) continue;
+      const auto si =
+          static_cast<std::size_t>(entry.subscription - &fabric.subscription(0));
+      ASSERT_TRUE(live[si].emplace(static_cast<BrokerId>(b), &entry).second)
+          << label << ": two live rows of subscription " << si
+          << " at broker " << b;
+    }
+  }
+  for (std::size_t si = 0; si < fabric.subscription_count(); ++si) {
+    const BrokerId home = fabric.subscription(si).home;
+    const ShortestPathTree& tree = fabric.tree_toward(home);
+    const auto want = reference_install_set(tree, topo, home);
+    ASSERT_EQ(live[si].size(), want.size()) << label << " sub " << si;
+    for (const auto& [broker, mask] : want) {
+      const auto it = live[si].find(broker);
+      ASSERT_NE(it, live[si].end())
+          << label << " sub " << si << " broker " << broker;
+      const SubscriptionEntry& entry = *it->second;
+      EXPECT_EQ(entry.publisher_mask, mask)
+          << label << " sub " << si << " broker " << broker;
+      if (broker == home) {
+        EXPECT_TRUE(entry.is_local()) << label << " sub " << si;
+        continue;
+      }
+      EXPECT_EQ(entry.next_hop, tree.next_hop[broker])
+          << label << " sub " << si << " broker " << broker;
+      EXPECT_TRUE(entry.path == tree.stats[broker])
+          << label << " sub " << si << " broker " << broker;
+    }
+  }
+}
+
+/// SptRepairChurn's batches applied to a repairable fabric: its tables
+/// must equal the std::map / path_from reference after construction and
+/// after every batch.
+TEST_P(SptRepairChurn, FabricTablesMatchReferenceInstallSets) {
+  Rng rng(GetParam());
+  const Topology topo =
+      build_random_mesh(rng, 24, 20, 3, 6, 50.0, 100.0, 20.0);
+  const Graph& g = topo.graph;
+  std::vector<Subscription> subs;
+  for (std::size_t h = 0; h < topo.subscriber_homes.size(); ++h) {
+    for (int copy = 0; copy < 2; ++copy) {
+      Subscription sub;
+      sub.subscriber = static_cast<SubscriberId>(subs.size());
+      sub.home = topo.subscriber_homes[h];
+      sub.allowed_delay = seconds(30.0);
+      subs.push_back(sub);
+    }
+  }
+  FabricOptions options;
+  options.repairable = true;
+  RoutingFabric fabric(topo, subs, options);
+  expect_tables_match_reference(fabric, topo, "construction");
+
+  std::vector<std::pair<BrokerId, BrokerId>> links;
+  for (std::size_t e = 0; e < g.edge_count(); ++e) {
+    const Edge& edge = g.edge(static_cast<EdgeId>(e));
+    if (edge.from < edge.to) links.emplace_back(edge.from, edge.to);
+  }
+  EdgeFlags down(g.edge_count());
+  EdgeFlags link_down(g.edge_count());
+  std::size_t rewritten = 0;
+  for (int round = 0; round < 24; ++round) {
+    std::vector<EdgeId> newly_down;
+    std::vector<EdgeId> newly_up;
+    EdgeFlags toggled(g.edge_count());
+    const std::size_t toggles = 1 + rng.uniform_index(4);
+    for (std::size_t t = 0; t < toggles; ++t) {
+      const auto& [a, b] = links[rng.uniform_index(links.size())];
+      const EdgeId canonical = g.edge_id(a, b);
+      if (toggled.test(canonical)) continue;
+      toggled.set(canonical);
+      const bool make_down = !link_down.test(canonical);
+      if (make_down) {
+        link_down.set(canonical);
+      } else {
+        link_down.reset(canonical);
+      }
+      toggle_link(g, a, b, make_down, down,
+                  make_down ? newly_down : newly_up);
+    }
+    rewritten += fabric.apply_link_state(newly_down, newly_up);
+    expect_tables_match_reference(fabric, topo,
+                                  "round " + std::to_string(round));
+  }
+  EXPECT_GT(rewritten, 0u);
+}
 
 // ---- Repairable fabric: row surgery and match routing ----
 

@@ -5,7 +5,8 @@
 // queue got into its current shape — across randomized interleavings of
 // enqueue, arbitrary removal, purge and tick at advancing (and
 // occasionally regressing) clocks, over SSD and PSD target shapes and
-// depths 1..4096.
+// depths 1..4096.  Each state's check_invariants (row mirror, heap order,
+// score bounds at or above the exact scores) runs after every operation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -138,12 +139,16 @@ void run_interleaving(StrategyKind kind, double weight, Shape shape,
       }
     }
 
+    ASSERT_NO_THROW(state->check_invariants(context))
+        << strategy.name() << " op=" << op;
     if (queue.empty()) continue;
     const std::size_t got = state->pick(context);
     const std::size_t want = strategy.reference_pick(queue, context);
     ASSERT_EQ(got, want)
         << strategy.name() << " depth=" << queue.size() << " op=" << op
         << " now=" << now;
+    ASSERT_NO_THROW(state->check_invariants(context))
+        << strategy.name() << " op=" << op << " after the pick";
   }
 }
 
@@ -206,6 +211,42 @@ TEST(SchedulerStateEquivalence, PdChangeInvalidatesCachedBounds) {
   state->on_tick(after);
   EXPECT_EQ(state->pick(after), strategy.reference_pick(queue, after));
   EXPECT_EQ(strategy.reference_pick(queue, after), 1u);
+}
+
+TEST(SchedulerStateEquivalence, EbpcBoundCoversScoresThatRoundAboveEb) {
+  // With EB' = 0 the EBPC score r·EB + (1 − r)·EB equals EB exactly, but
+  // for many (r, EB) pairs it rounds one ulp above it.  A bound of plain
+  // EB is then below the score, and the scan could prune a row that beats
+  // the running best by that ulp.
+  Subscription sub;
+  sub.allowed_delay = seconds(30.0);
+  SubscriptionEntry entry;
+  entry.subscription = &sub;
+  entry.path = PathStats{2, 150.0, 800.0};
+  std::vector<QueuedMessage> queue;
+  for (MessageId id = 0; id < 2; ++id) {
+    queue.push_back(QueuedMessage{
+        std::make_shared<Message>(id, 0, 0.0, 50.0, std::vector<Attribute>{}),
+        0.0,
+        {&entry}});
+  }
+  // A huge FT pushes every postponed success to 0.
+  const SchedulingContext context{20000.0, 2.0, 1e9};
+  const double eb = kernel_benefit_pair(queue[0], context).immediate;
+  ASSERT_EQ(kernel_benefit_pair(queue[0], context).postponed, 0.0);
+  double weight = -1.0;
+  for (int step = 1; step < 1000 && weight < 0.0; ++step) {
+    const double r = step / 1000.0;
+    if (r * eb + (1.0 - r) * (eb - 0.0) > eb) weight = r;
+  }
+  ASSERT_GT(weight, 0.0) << "no weight rounds above EB " << eb;
+
+  const Strategy strategy(StrategyKind::kEbpc, weight);
+  const auto state = strategy.make_state(&queue);
+  state->on_enqueue(0);
+  state->on_enqueue(1);
+  EXPECT_EQ(state->pick(context), strategy.reference_pick(queue, context));
+  EXPECT_NO_THROW(state->check_invariants(context));
 }
 
 TEST(SchedulerStateEquivalence, DeepQueuesMatchReference) {

@@ -28,6 +28,50 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
+// A simulated hop's event mix at a steady queue depth: each pop advances
+// the clock and pushes one child, in turn an arrival at now, a PD expiry at
+// now + PD and a send completion at now + a random duration (sim_storm's
+// 1 : 1 : 1 mix).  Items are pops.
+void BM_EventQueueHopMix(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  constexpr TimeMs kPd = 2.0;
+  Rng rng(1);
+  std::vector<double> durations(4096);
+  for (auto& d : durations) d = rng.uniform(0.5, 400.0);
+  EventQueue q;
+  for (std::size_t i = 0; i < depth; ++i) {
+    Event e;
+    e.time = durations[i % durations.size()];
+    e.type = EventType::kSendComplete;
+    q.push(std::move(e));
+  }
+  std::size_t step = 0;
+  for (auto _ : state) {
+    Event popped = q.pop();
+    const TimeMs now = popped.time;
+    benchmark::DoNotOptimize(popped);
+    Event child;
+    switch (step % 3) {
+      case 0:
+        child.time = now;
+        child.type = EventType::kArrival;
+        break;
+      case 1:
+        child.time = now + kPd;
+        child.type = EventType::kProcessed;
+        break;
+      default:
+        child.time = now + durations[step % durations.size()];
+        child.type = EventType::kSendComplete;
+        break;
+    }
+    ++step;
+    q.push(std::move(child));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHopMix)->Arg(400)->Arg(65536);
+
 void BM_NormalCdf(benchmark::State& state) {
   double z = -6.0;
   for (auto _ : state) {

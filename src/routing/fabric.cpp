@@ -244,9 +244,31 @@ void RoutingFabric::stamp(const Message& message,
 
 const std::vector<std::uint64_t>& RoutingFabric::matched(
     const Message& message, SubscriptionIndex::Scratch& scratch) const {
-  if (message.stamp().owner == id_) return message.stamp().bits;
+  if (message.stamp().owner == id_) {
+#ifndef NDEBUG
+    check_stamp(message);
+#endif
+    return message.stamp().bits;
+  }
   global_index_.match_bits(message, scratch, scratch.bits);
   return scratch.bits;
+}
+
+void RoutingFabric::check_stamp(const Message& message) const {
+  const MatchStamp& stamp = message.stamp();
+  if (stamp.owner != id_) return;
+  const std::size_t subs = subscription_count();
+  const auto fail = [&](const std::string& what) {
+    throw std::logic_error("RoutingFabric: the stamp of message " +
+                           std::to_string(message.id()) + " " + what);
+  };
+  if (stamp.bits.size() != (subs + 63) / 64) {
+    fail("has " + std::to_string(stamp.bits.size()) + " words for " +
+         std::to_string(subs) + " subscriptions");
+  }
+  if (subs % 64 != 0 && (stamp.bits.back() >> (subs % 64)) != 0) {
+    fail("sets a bit past the last subscription");
+  }
 }
 
 std::vector<const SubscriptionEntry*> RoutingFabric::match_at(
@@ -284,16 +306,26 @@ const std::vector<SubscriptionIndex::EntryId>& RoutingFabric::match_for(
   const std::uint64_t* const words =
       admit.bits.data() + admit_class(publisher) * admit.words;
   const std::uint32_t* const sub_of = row_sub_[broker].data();
-  // Admitted rows in row order, each kept when its subscription matched.
+  // Every admitted row is written in row order; the write index advances
+  // by its subscription's stamp bit, so the kept rows close up ascending
+  // with no data-dependent branch.
+  std::size_t admitted = 0;
+  for (std::size_t w = 0; w < admit.words; ++w) {
+    admitted += static_cast<std::size_t>(std::popcount(words[w]));
+  }
   std::vector<SubscriptionIndex::EntryId>& rows = scratch.result;
-  rows.clear();
+  rows.resize(admitted);
+  SubscriptionIndex::EntryId* const out = rows.data();
+  std::size_t kept = 0;
   for (std::size_t w = 0; w < admit.words; ++w) {
     for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
       const std::size_t row =
           w * 64 + static_cast<std::size_t>(std::countr_zero(word));
-      if (bit_set(hit, sub_of[row])) rows.push_back(row);
+      out[kept] = row;
+      kept += static_cast<std::size_t>(bit_set(hit, sub_of[row]));
     }
   }
+  rows.resize(kept);
   return rows;
 }
 
@@ -322,20 +354,21 @@ std::size_t RoutingFabric::apply_link_state(
   for (const EdgeId e : edges_up) link_down_.reset(e);
 
   std::size_t rewritten = 0;
-  std::vector<std::uint8_t> changed_flags(tables_.size(), 0);
-  std::vector<std::uint8_t> touched(tables_.size(), 0);
+  RepairScratch& r = repair_;
+  r.changed_flags.assign(tables_.size(), 0);
+  r.touched.assign(tables_.size(), 0);
   for (auto& [home, tree] : trees_) {
-    const std::vector<BrokerId> changed = repair_tree_toward(
-        graph_, incoming_, link_down_, edges_down, edges_up, tree);
-    if (changed.empty()) continue;
-    std::fill(changed_flags.begin(), changed_flags.end(), 0);
-    for (const BrokerId b : changed) changed_flags[b] = 1;
+    repair_tree_toward(graph_, incoming_, link_down_, edges_down, edges_up,
+                       tree, r.spt, r.changed);
+    if (r.changed.empty()) continue;
+    for (const BrokerId b : r.changed) r.changed_flags[b] = 1;
     for (const std::size_t si : subs_by_home_.at(home)) {
-      rewritten += reinstall(si, tree, changed_flags, touched);
+      rewritten += reinstall(si, tree, r.changed_flags, r.touched);
     }
+    for (const BrokerId b : r.changed) r.changed_flags[b] = 0;
   }
   for (std::size_t b = 0; b < tables_.size(); ++b) {
-    if (touched[b] != 0) build_admit(static_cast<BrokerId>(b));
+    if (r.touched[b] != 0) build_admit(static_cast<BrokerId>(b));
   }
   return rewritten;
 }

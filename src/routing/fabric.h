@@ -106,6 +106,12 @@ class RoutingFabric {
   const std::vector<std::uint64_t>& matched(
       const Message& message, SubscriptionIndex::Scratch& scratch) const;
 
+  /// Throws std::logic_error when `message` carries this fabric's stamp
+  /// and the stamp does not have ceil(subscription_count() / 64) words or
+  /// sets a bit past the last subscription; other stamps pass.  matched()
+  /// runs it on every owned stamp in builds without NDEBUG.
+  void check_stamp(const Message& message) const;
+
   /// Table rows of `broker` whose filters match `message`, disabled rows
   /// included, in ascending row order (the canonical match order every
   /// consumer reduces in).
@@ -259,6 +265,16 @@ class RoutingFabric {
   EdgeFlags link_down_;
   std::vector<std::vector<RowRef>> rows_by_sub_;
   std::map<BrokerId, std::vector<std::size_t>> subs_by_home_;
+  /// apply_link_state's buffers, reused across batches: the tree repair's,
+  /// one tree's changed brokers as a list and as broker-indexed flags (all
+  /// zero between trees), and the brokers whose tables the batch touched.
+  struct RepairScratch {
+    SptRepairScratch spt;
+    std::vector<BrokerId> changed;
+    std::vector<std::uint8_t> changed_flags;
+    std::vector<std::uint8_t> touched;
+  };
+  RepairScratch repair_;
 };
 
 }  // namespace bdps

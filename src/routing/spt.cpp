@@ -1,6 +1,7 @@
 #include "routing/spt.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 
@@ -87,13 +88,30 @@ std::vector<BrokerId> repair_tree_toward(
     const Graph& graph, const std::vector<std::vector<EdgeId>>& incoming,
     const EdgeFlags& down, const std::vector<EdgeId>& newly_down,
     const std::vector<EdgeId>& newly_up, ShortestPathTree& tree) {
+  SptRepairScratch scratch;
+  std::vector<BrokerId> changed;
+  repair_tree_toward(graph, incoming, down, newly_down, newly_up, tree,
+                     scratch, changed);
+  return changed;
+}
+
+void repair_tree_toward(const Graph& graph,
+                        const std::vector<std::vector<EdgeId>>& incoming,
+                        const EdgeFlags& down,
+                        const std::vector<EdgeId>& newly_down,
+                        const std::vector<EdgeId>& newly_up,
+                        ShortestPathTree& tree, SptRepairScratch& scratch,
+                        std::vector<BrokerId>& changed) {
   const std::size_t n = graph.broker_count();
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::uint8_t kSevered = 1;
+  constexpr std::uint8_t kIntact = 2;
 
   // The Dijkstra label of a broker is its remaining-path mean: stats are
   // accumulated by the exact additions compute_tree_toward used for dist,
   // so no separate distance array needs to be stored in the tree.
-  std::vector<double> dist(n, kInf);
+  std::vector<double>& dist = scratch.dist;
+  dist.assign(n, kInf);
   for (std::size_t b = 0; b < n; ++b) {
     if (tree.reachable[b]) dist[b] = tree.stats[b].mean_ms_per_kb;
   }
@@ -103,60 +121,59 @@ std::vector<BrokerId> repair_tree_toward(
   // Brokers outside the region keep intact — and still optimal — paths:
   // removals only delete paths, so an untouched label cannot be beaten
   // except through a newly-up edge, which the cascade below handles.
-  std::vector<std::uint8_t> affected(n, 0);
-  std::vector<BrokerId> stack;
+  std::vector<std::uint8_t>& affected = scratch.affected;
+  affected.assign(n, 0);
+  bool severed = false;
   for (const EdgeId e : newly_down) {
     const Edge& edge = graph.edge(e);
-    if (tree.reachable[edge.from] && tree.next_hop[edge.from] == edge.to &&
-        !affected[edge.from]) {
-      affected[edge.from] = 1;
-      stack.push_back(edge.from);
+    if (tree.reachable[edge.from] && tree.next_hop[edge.from] == edge.to) {
+      affected[edge.from] = kSevered;
+      severed = true;
     }
   }
-  std::vector<BrokerId> region;
-  if (!stack.empty()) {
-    std::vector<std::vector<BrokerId>> children(n);
+  // A broker is severed iff the first classified broker up its next-hop
+  // chain is: each walk classifies every broker it passes, so the pass is
+  // linear, and the region comes out ascending.
+  std::vector<BrokerId>& region = scratch.region;
+  region.clear();
+  if (severed) {
+    std::vector<BrokerId>& stack = scratch.stack;
     for (std::size_t b = 0; b < n; ++b) {
-      const auto id = static_cast<BrokerId>(b);
-      if (tree.reachable[b] && id != tree.destination) {
-        children[tree.next_hop[b]].push_back(id);
+      BrokerId u = static_cast<BrokerId>(b);
+      stack.clear();
+      while (affected[u] == 0 && tree.reachable[u] &&
+             u != tree.destination) {
+        stack.push_back(u);
+        u = tree.next_hop[u];
       }
-    }
-    while (!stack.empty()) {
-      const BrokerId u = stack.back();
-      stack.pop_back();
-      region.push_back(u);
-      for (const BrokerId w : children[u]) {
-        if (!affected[w]) {
-          affected[w] = 1;
-          stack.push_back(w);
-        }
-      }
+      const std::uint8_t verdict = affected[u] == kSevered ? kSevered : kIntact;
+      if (affected[u] == 0) affected[u] = kIntact;
+      for (const BrokerId w : stack) affected[w] = verdict;
+      if (affected[b] == kSevered) region.push_back(static_cast<BrokerId>(b));
     }
   }
-  std::sort(region.begin(), region.end());
 
-  struct Saved {
-    BrokerId next_hop;
-    PathStats stats;
-    bool reachable;
-  };
-  std::vector<Saved> saved;
-  saved.reserve(region.size());
+  std::vector<SptRepairScratch::Saved>& saved = scratch.saved;
+  saved.clear();
   for (const BrokerId a : region) {
-    saved.push_back(Saved{tree.next_hop[a], tree.stats[a],
-                          tree.reachable[a] != 0});
+    saved.push_back(SptRepairScratch::Saved{
+        tree.next_hop[a], tree.stats[a], tree.reachable[a] != 0});
     dist[a] = kInf;
     tree.next_hop[a] = kNoBroker;
     tree.stats[a] = PathStats{};
     tree.reachable[a] = false;
   }
 
-  using HeapItem = std::pair<double, BrokerId>;
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap;
+  // Min-heap on (label, broker id), through the same push_heap/pop_heap
+  // calls std::priority_queue makes.
+  std::vector<std::pair<double, BrokerId>>& heap = scratch.heap;
+  heap.clear();
+  const std::greater<> heap_later;
 
-  std::vector<std::uint8_t> touched(n, 0);
-  std::vector<BrokerId> improved;  // Brokers outside the region that moved.
+  std::vector<std::uint8_t>& touched = scratch.touched;
+  touched.assign(n, 0);
+  std::vector<BrokerId>& improved = scratch.improved;  // Moved, not severed.
+  improved.clear();
 
   // Label-correcting relaxation (labels can still improve after a push, so
   // pops carry a staleness check instead of a done set).
@@ -170,11 +187,12 @@ std::vector<BrokerId> repair_tree_toward(
     tree.next_hop[v] = parent;
     tree.stats[v] = tree.stats[parent].then_link(edge.link.params());
     tree.reachable[v] = true;
-    if (!affected[v] && !touched[v]) {
+    if (affected[v] != kSevered && !touched[v]) {
       touched[v] = 1;
       improved.push_back(v);
     }
-    heap.emplace(candidate, v);
+    heap.emplace_back(candidate, v);
+    std::push_heap(heap.begin(), heap.end(), heap_later);
   };
 
   // Seeds: each severed broker's usable edges into the intact region, plus
@@ -195,8 +213,9 @@ std::vector<BrokerId> repair_tree_toward(
   }
 
   while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), heap_later);
+    const auto [d, u] = heap.back();
+    heap.pop_back();
     if (d > dist[u]) continue;  // Stale label.
     for (const EdgeId e : incoming[u]) {
       if (down.test(e)) continue;
@@ -204,10 +223,10 @@ std::vector<BrokerId> repair_tree_toward(
     }
   }
 
-  std::vector<BrokerId> changed;
+  changed.clear();
   for (std::size_t i = 0; i < region.size(); ++i) {
     const BrokerId a = region[i];
-    const Saved& s = saved[i];
+    const SptRepairScratch::Saved& s = saved[i];
     if (s.next_hop != tree.next_hop[a] ||
         s.reachable != (tree.reachable[a] != 0) ||
         !(s.stats == tree.stats[a])) {
@@ -217,7 +236,6 @@ std::vector<BrokerId> repair_tree_toward(
   changed.insert(changed.end(), improved.begin(), improved.end());
   std::sort(changed.begin(), changed.end());
   changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
-  return changed;
 }
 
 }  // namespace bdps

@@ -9,6 +9,8 @@
 // suffices (§4.2).  Ties break on broker id for determinism.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "routing/path_stats.h"
@@ -48,6 +50,27 @@ ShortestPathTree compute_tree_toward(
 ShortestPathTree compute_tree_toward(const Graph& graph,
                                      BrokerId destination);
 
+/// Working buffers of repair_tree_toward.  A caller that repairs many trees
+/// keeps one and passes it to every call, so a warmed repair allocates
+/// nothing; the contents between calls mean nothing.
+struct SptRepairScratch {
+  /// One severed broker's routing state before the repair.
+  struct Saved {
+    BrokerId next_hop;
+    PathStats stats;
+    bool reachable;
+  };
+  std::vector<double> dist;
+  /// Per broker: 0 not yet classified, 1 severed, 2 intact.
+  std::vector<std::uint8_t> affected;
+  std::vector<std::uint8_t> touched;
+  std::vector<BrokerId> stack;
+  std::vector<BrokerId> region;
+  std::vector<Saved> saved;
+  std::vector<std::pair<double, BrokerId>> heap;
+  std::vector<BrokerId> improved;
+};
+
 /// Incremental repair of `tree` after a batch of link state changes
 /// (dynamic SPT, Ramalingam–Reps style).  `down` is the complete current
 /// down-set over `graph`'s edges (already including this batch);
@@ -65,8 +88,18 @@ ShortestPathTree compute_tree_toward(const Graph& graph,
 /// (path *costs* always agree; suffix consistency is preserved either
 /// way).
 ///
-/// Returns the brokers whose routing state (next hop, reachability or
-/// remaining-path stats) actually changed, ascending and deduplicated.
+/// Fills `changed` with the brokers whose routing state (next hop,
+/// reachability or remaining-path stats) actually changed, ascending and
+/// deduplicated.
+void repair_tree_toward(const Graph& graph,
+                        const std::vector<std::vector<EdgeId>>& incoming,
+                        const EdgeFlags& down,
+                        const std::vector<EdgeId>& newly_down,
+                        const std::vector<EdgeId>& newly_up,
+                        ShortestPathTree& tree, SptRepairScratch& scratch,
+                        std::vector<BrokerId>& changed);
+
+/// Same with fresh buffers, returning the changed brokers.
 std::vector<BrokerId> repair_tree_toward(
     const Graph& graph, const std::vector<std::vector<EdgeId>>& incoming,
     const EdgeFlags& down, const std::vector<EdgeId>& newly_down,

@@ -35,7 +35,7 @@ constexpr std::uint64_t kWakeKey = NetEndpoint::kOwnerKey;
 struct Reactor::Worker {
   std::size_t id = 0;
   /// Pending PD expiries and send completions, popped in (instant,
-  /// schedule order) on either clock — the simulators' heap.
+  /// schedule order) on either clock — the simulators' event queue.
   EventQueue timers;
   /// Same-instant arrivals at this worker's brokers, run after the step
   /// that produced them.

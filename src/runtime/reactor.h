@@ -1,4 +1,4 @@
-// Event-driven live runtime: reactor worker pool + per-worker timer heap.
+// Event-driven live runtime: reactor worker pool + per-worker timer queue.
 //
 // The reactor is the third driver of BrokerStep (sim/broker_step.h): the
 // per-broker rules — reception, processing, the eq. (11) purge and the
@@ -7,8 +7,8 @@
 // only orders events on the scaled LiveClock: a fixed pool of N workers
 // (N = hardware threads, not topology size) owns the brokers, and every
 // processing delay and every transmission is one pending timer in its
-// worker's EventQueue, the (instant, schedule order) heap the simulators
-// pop.  A timer's event runs at the clock reading when it fires, so
+// worker's EventQueue, the queue the simulators pop in (instant, schedule
+// order).  A timer's event runs at the clock reading when it fires, so
 // delivery delays measure real lateness.
 // Processing is serialized (one message per broker per PD, arrivals wait
 // in the fig. 2 input queue): a recorded decision, not a knob.
@@ -49,7 +49,7 @@
 // (worker_timer_slacks()), which needs no capability to read.
 //
 // Both clocks fire timers through one loop (fire_due): every timer due at
-// or before a limit, in heap order.  The wall loop's limit is the clock
+// or before a limit, in queue order.  The wall loop's limit is the clock
 // reading, and an event is stamped with the reading at which it fires.
 // Virtual clock (run_until): no worker thread runs; the caller drives the
 // single worker up to an instant, and the clock is set to each timer's

@@ -22,6 +22,7 @@
 // agrees with it to ~1e-12 across strategies and scenario shapes.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -132,19 +133,52 @@ inline double scored_success(const ScoredTarget& st, double t) {
   return phi_saturated((st.slack_const - t) * st.inv_size_sigma);
 }
 
-/// EB_m of eq. (3) from the kernel rows.
-inline double kernel_expected_benefit(const QueuedMessage& queued,
-                                      const SchedulingContext& context) {
-  ensure_scored(queued, context.processing_delay);
-  double total = 0.0;
-  for (const ScoredTarget& st : queued.scored) {
-    total += st.price * scored_success(st, context.now);
+/// Σ price · success over the kernel rows at each evaluation instant of
+/// `t`, in row order, all in one pass: EB_m of eq. (3) at now, EB'_m of
+/// eq. (8) at now + FT.  The one sum behind every EB and EB' the
+/// strategies compute.  A row whose (slack_const, inv_size_sigma) equals
+/// the previous row's reuses its Phi — a pure function of those two and
+/// the instant — so targets sharing a deadline and a remaining path cost
+/// one Phi, and each sum is bitwise the plain per-row loop's.
+template <std::size_t N>
+std::array<double, N> kernel_benefit_sums(
+    const std::vector<ScoredTarget>& scored, const std::array<double, N>& t) {
+  std::array<double, N> total{};
+  std::array<double, N> success{};
+  // NaN matches no row, so the first row always evaluates its Phi.
+  double slack = std::numeric_limits<double>::quiet_NaN();
+  double inv = slack;
+  for (const ScoredTarget& st : scored) {
+    if (st.slack_const != slack || st.inv_size_sigma != inv) {
+      slack = st.slack_const;
+      inv = st.inv_size_sigma;
+      for (std::size_t k = 0; k < N; ++k) {
+        success[k] = scored_success(st, t[k]);
+      }
+    }
+    for (std::size_t k = 0; k < N; ++k) total[k] += st.price * success[k];
   }
   return total;
 }
 
-/// EB_m and EB'_m (eq. 3 + 8) in a single pass over the kernel rows, so
-/// PC/EBPC evaluate each target once instead of three times.
+/// EB_m of eq. (3) from the kernel rows.
+inline double kernel_expected_benefit(const QueuedMessage& queued,
+                                      const SchedulingContext& context) {
+  ensure_scored(queued, context.processing_delay);
+  return kernel_benefit_sums<1>(queued.scored, {context.now})[0];
+}
+
+/// EB'_m of eq. (8): the benefit if the message waits one head-of-line
+/// transmission (FT).
+inline double kernel_postponed_benefit(const QueuedMessage& queued,
+                                       const SchedulingContext& context) {
+  ensure_scored(queued, context.processing_delay);
+  return kernel_benefit_sums<1>(
+      queued.scored, {context.now + context.head_of_line_estimate})[0];
+}
+
+/// EB_m and EB'_m (eq. 3 + 8) in one pass, the inputs of the PC/EBPC
+/// scores.
 struct BenefitPair {
   double immediate = 0.0;  // EB_m
   double postponed = 0.0;  // EB'_m
@@ -153,14 +187,10 @@ struct BenefitPair {
 inline BenefitPair kernel_benefit_pair(const QueuedMessage& queued,
                                        const SchedulingContext& context) {
   ensure_scored(queued, context.processing_delay);
-  BenefitPair out;
-  const double t_now = context.now;
-  const double t_post = context.now + context.head_of_line_estimate;
-  for (const ScoredTarget& st : queued.scored) {
-    out.immediate += st.price * scored_success(st, t_now);
-    out.postponed += st.price * scored_success(st, t_post);
-  }
-  return out;
+  const std::array<double, 2> sums = kernel_benefit_sums<2>(
+      queued.scored,
+      {context.now, context.now + context.head_of_line_estimate});
+  return {sums[0], sums[1]};
 }
 
 /// Lower-bound benefit from the precomputed indicator constants.

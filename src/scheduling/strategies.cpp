@@ -9,6 +9,18 @@
 
 namespace bdps {
 
+namespace {
+
+/// The PC and EBPC scores from EB and EB' — the one expression the
+/// reference metrics and BoundedScanState share, so both round alike.
+double pc_score(double eb, double eb_post) { return eb - eb_post; }
+
+double ebpc_score(double weight, double eb, double eb_post) {
+  return weight * eb + (1.0 - weight) * (eb - eb_post);
+}
+
+}  // namespace
+
 double expected_benefit(const QueuedMessage& queued,
                         const SchedulingContext& context) {
   return kernel_expected_benefit(queued, context);
@@ -16,26 +28,19 @@ double expected_benefit(const QueuedMessage& queued,
 
 double postponed_benefit(const QueuedMessage& queued,
                          const SchedulingContext& context) {
-  ensure_scored(queued, context.processing_delay);
-  const double t = context.now + context.head_of_line_estimate;
-  double total = 0.0;
-  for (const ScoredTarget& st : queued.scored) {
-    total += st.price * scored_success(st, t);
-  }
-  return total;
+  return kernel_postponed_benefit(queued, context);
 }
 
 double postponing_cost(const QueuedMessage& queued,
                        const SchedulingContext& context) {
   const BenefitPair pair = kernel_benefit_pair(queued, context);
-  return pair.immediate - pair.postponed;
+  return pc_score(pair.immediate, pair.postponed);
 }
 
 double ebpc_metric(const QueuedMessage& queued,
                    const SchedulingContext& context, double weight) {
   const BenefitPair pair = kernel_benefit_pair(queued, context);
-  return weight * pair.immediate +
-         (1.0 - weight) * (pair.immediate - pair.postponed);
+  return ebpc_score(weight, pair.immediate, pair.postponed);
 }
 
 double lower_bound_benefit(const QueuedMessage& queued,
@@ -234,11 +239,13 @@ class HeapState final : public SchedulerState {
 // bound once, skips losers with one compare, and measured ~2x faster than
 // the heap variant at depth 4096 (584us vs 1148us per dispatch cycle, see
 // BENCH_pr4.json); the heap below is reserved for the strategies whose
-// bound is the score itself.
+// bound is the score itself.  A contender's EB alone refreshes its bound,
+// and its EB' is computed only when that fresh bound still reaches the
+// running best.
 class BoundedScanState final : public SchedulerState {
  public:
   BoundedScanState(const std::vector<QueuedMessage>* queue,
-                     StrategyKind kind, double weight)
+                   StrategyKind kind, double weight)
       : SchedulerState(queue), kind_(kind), weight_(weight) {}
 
   void on_enqueue(std::size_t) override { bounds_.push_back(kInf); }
@@ -266,16 +273,23 @@ class BoundedScanState final : public SchedulerState {
     const std::vector<QueuedMessage>& q = queue();
     // A lone row wins unscored; its stale bound stays a valid upper bound.
     if (q.size() == 1) return 0;
-    std::size_t best = 0;
-    double best_score = rescore(0, context);
-    for (std::size_t i = 1; i < q.size(); ++i) {
+    // The row with the largest bound is scored in full first: it is the
+    // likeliest winner, and the higher the running best, the more of the
+    // other contenders lose on EB alone, before their EB' is computed.
+    // The winner is the argmax under (score, tie_break_before), a strict
+    // order, so it does not depend on which row is scored first.
+    const std::size_t first = static_cast<std::size_t>(
+        std::max_element(bounds_.begin(), bounds_.end()) - bounds_.begin());
+    std::size_t best = first;
+    double best_score = rescore(first, context);
+    for (std::size_t i = 0; i < q.size(); ++i) {
       // A stale bound below the running best can never win; equal to it, it
       // can at most tie — which only matters if this row wins the tie.
-      if (bounds_[i] < best_score) continue;
-      if (bounds_[i] == best_score && !tie_break_before(q[i], q[best])) {
-        continue;
-      }
-      const double s = rescore(i, context);
+      if (i == first || !may_beat(bounds_[i], i, best_score, best)) continue;
+      const double eb = kernel_expected_benefit(q[i], context);
+      bounds_[i] = bound_of(eb);
+      if (!may_beat(bounds_[i], i, best_score, best)) continue;
+      const double s = score_of(eb, kernel_postponed_benefit(q[i], context));
       if (s > best_score ||
           (s == best_score && tie_break_before(q[i], q[best]))) {
         best_score = s;
@@ -296,7 +310,8 @@ class BoundedScanState final : public SchedulerState {
       return;
     }
     for (std::size_t i = 0; i < q.size(); ++i) {
-      const double score = evaluate(q[i], context).score;
+      const BenefitPair pair = kernel_benefit_pair(q[i], context);
+      const double score = score_of(pair.immediate, pair.postponed);
       if (bounds_[i] < score) {
         invariant_failed("BoundedScanState",
                          "row " + std::to_string(i) + "'s bound " +
@@ -307,47 +322,34 @@ class BoundedScanState final : public SchedulerState {
   }
 
  private:
-  struct Evaluation {
-    double score;
-    double bound;  // EB for the EB-dominated scores, else the score.
-  };
+  /// Whether row `i` with score bound `bound` can still beat the running
+  /// best: clear it, or tie it and win the tie.
+  bool may_beat(double bound, std::size_t i, double best_score,
+                std::size_t best) const {
+    return bound > best_score ||
+           (bound == best_score &&
+            tie_break_before(queue()[i], queue()[best]));
+  }
 
-  Evaluation evaluate(const QueuedMessage& queued,
-                      const SchedulingContext& context) const {
-    switch (kind_) {
-      case StrategyKind::kEb: {
-        const double eb = kernel_expected_benefit(queued, context);
-        return {eb, eb};
-      }
-      case StrategyKind::kLowerBound: {
-        const double lb = kernel_lower_bound_benefit(queued, context);
-        return {lb, lb};
-      }
-      case StrategyKind::kPc: {
-        const BenefitPair pair = kernel_benefit_pair(queued, context);
-        return {pair.immediate - pair.postponed, pair.immediate};
-      }
-      case StrategyKind::kEbpc: {
-        // r·EB + (1 − r)(EB − EB') never exceeds EB exactly, but it can
-        // round up to 4 ulps above it; the bound carries that slack so a
-        // pruned row can never have outscored the running best.
-        const BenefitPair pair = kernel_benefit_pair(queued, context);
-        return {weight_ * pair.immediate +
-                    (1.0 - weight_) * (pair.immediate - pair.postponed),
-                pair.immediate + kEbpcBoundSlack * pair.immediate};
-      }
-      default:
-        break;
-    }
-    throw std::logic_error("BoundedScanState: unexpected strategy kind");
+  /// The score's decay bound from EB.  PC = EB − EB' never exceeds EB.
+  /// r·EB + (1 − r)(EB − EB') never exceeds EB exactly, but it can round
+  /// up to 4 ulps above it; the bound carries that slack so a pruned row
+  /// can never have outscored the running best.
+  double bound_of(double eb) const {
+    return kind_ == StrategyKind::kEbpc ? eb + kEbpcBoundSlack * eb : eb;
+  }
+
+  double score_of(double eb, double eb_post) const {
+    return kind_ == StrategyKind::kEbpc ? ebpc_score(weight_, eb, eb_post)
+                                        : pc_score(eb, eb_post);
   }
 
   /// Exact score of row `i` now; refreshes its decay bound as a side
   /// effect.
   double rescore(std::size_t i, const SchedulingContext& context) {
-    const Evaluation e = evaluate(queue()[i], context);
-    bounds_[i] = e.bound;
-    return e.score;
+    const BenefitPair pair = kernel_benefit_pair(queue()[i], context);
+    bounds_[i] = bound_of(pair.immediate);
+    return score_of(pair.immediate, pair.postponed);
   }
 
   StrategyKind kind_;

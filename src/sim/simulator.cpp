@@ -4,7 +4,7 @@
 
 namespace bdps {
 
-/// One global heap: children go straight onto it, each send's rate is
+/// One global event queue: children go straight onto it, each send's rate is
 /// drawn when it starts, and its arrival is pushed at completion.
 struct Simulator::Effects : DirectRecord {
   using Event = bdps::Event;
@@ -71,7 +71,7 @@ void Simulator::run() {
   Effects fx(this);
   while (!events_.empty()) {
     if (events_.top().time > core_.options.horizon) break;
-    // The pop moves the event (and its message ref) out of the heap; the
+    // The pop moves the event (and its message ref) out of the queue; the
     // step moves the payload onward, so routing a message through an event
     // costs no shared_ptr refcount churn.
     Event event = events_.pop();

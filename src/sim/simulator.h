@@ -6,7 +6,7 @@
 // reactor.  This class only owns the ordering: one EventQueue popped in
 // (time, sequence) order, each event handed to the step with Effects that
 // apply collector and trace effects at once, push children onto the same
-// heap and draw each send's rate when it starts.
+// queue and draw each send's rate when it starts.
 //
 // Time advances through the step's event types; sends occupy their link
 // for `size * TR` where TR is sampled per send from the *true* link model,

@@ -8,7 +8,10 @@
 //     buffers are the broker's and are reused;
 //   * RoutingFabric's reinstall of a subscription whose install set did
 //     not change allocates nothing: the install-set builder's buffers are
-//     the fabric's.
+//     the fabric's;
+//   * a warmed apply_link_state batch that repairs shortest-path trees
+//     but rewrites no table row allocates nothing: the tree repair's
+//     buffers and the batch's flag vectors are the fabric's too.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -156,6 +159,53 @@ TEST(AllocationCount, ReinstallOfAnUnchangedSubscriptionAllocatesNothing) {
     EXPECT_EQ(rewritten, 0u) << "subscription " << si;
   }
   for (const std::uint8_t t : touched) EXPECT_EQ(t, 0);
+  fabric.check_invariants();
+}
+
+TEST(AllocationCount, WarmLinkStateBatchAllocatesNothing) {
+  Rng rng(9);
+  const Topology topo = build_random_mesh(rng, 24, 20, 3, 12, 50.0, 100.0,
+                                          20.0);
+  FabricOptions options;
+  options.repairable = true;
+  const auto next_hops = [&](const RoutingFabric& fabric) {
+    std::vector<BrokerId> hops;
+    for (const BrokerId home : topo.subscriber_homes) {
+      const std::vector<BrokerId>& tree = fabric.tree_toward(home).next_hop;
+      hops.insert(hops.end(), tree.begin(), tree.end());
+    }
+    return hops;
+  };
+  // A directed link whose loss re-routes some broker's tree but no
+  // publisher's path: the batch repairs trees and rewrites no row.
+  EdgeId quiet = kNoEdge;
+  for (EdgeId e = 0; e < static_cast<EdgeId>(topo.graph.edge_count()) &&
+                     quiet == kNoEdge;
+       ++e) {
+    RoutingFabric probe(topo, wildcard_subs(topo), options);
+    const std::vector<BrokerId> before = next_hops(probe);
+    if (probe.apply_link_state({e}, {}) == 0 && next_hops(probe) != before) {
+      quiet = e;
+    }
+  }
+  ASSERT_NE(quiet, kNoEdge) << "no link re-routes a tree without a rewrite";
+
+  RoutingFabric fabric(topo, wildcard_subs(topo), options);
+  const std::vector<BrokerId> intact = next_hops(fabric);
+  // One down/up cycle warms every buffer.
+  ASSERT_EQ(fabric.apply_link_state({quiet}, {}), 0u);
+  ASSERT_EQ(fabric.apply_link_state({}, {quiet}), 0u);
+  const std::vector<EdgeId> link = {quiet};
+  const std::vector<EdgeId> none;
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    std::size_t before = allocations.load();
+    EXPECT_EQ(fabric.apply_link_state(link, none), 0u);
+    EXPECT_EQ(allocations.load() - before, 0u) << "down, cycle " << cycle;
+    EXPECT_NE(next_hops(fabric), intact);
+    before = allocations.load();
+    EXPECT_EQ(fabric.apply_link_state(none, link), 0u);
+    EXPECT_EQ(allocations.load() - before, 0u) << "up, cycle " << cycle;
+  }
   fabric.check_invariants();
 }
 

@@ -232,6 +232,40 @@ TEST(MatchOnce, StampEqualsBruteForceOverSubscriptions) {
   EXPECT_GT(disjunct_only, 0u);
 }
 
+TEST(MatchOnce, CorruptStampFailsTheStampCheck) {
+  const Topology topo = mesh();
+  const RoutingFabric fabric(topo, subscriptions(topo, 17));
+  // The last word has room for bits past the last subscription.
+  ASSERT_NE(fabric.subscription_count() % 64, 0u);
+  SubscriptionIndex::Scratch scratch;
+  const auto message = probes(1).front();
+  fabric.stamp(*message, scratch);
+  EXPECT_NO_THROW(fabric.check_stamp(*message));
+  MatchStamp& stamp = message->stamp_slot();
+  const std::vector<std::uint64_t> good = stamp.bits;
+
+  stamp.bits.back() |= 1ULL << 63;  // Past the last subscription.
+  EXPECT_THROW(fabric.check_stamp(*message), std::logic_error);
+#ifndef NDEBUG
+  // Builds with assertions check every owned stamp matched() reads.
+  EXPECT_THROW(fabric.matched(*message, scratch), std::logic_error);
+#endif
+  stamp.bits = good;
+  stamp.bits.push_back(0);  // A word too many.
+  EXPECT_THROW(fabric.check_stamp(*message), std::logic_error);
+  stamp.bits = good;
+  stamp.bits.pop_back();  // A word too few.
+  EXPECT_THROW(fabric.check_stamp(*message), std::logic_error);
+
+  stamp.bits = good;
+  EXPECT_NO_THROW(fabric.check_stamp(*message));
+  EXPECT_EQ(fabric.matched(*message, scratch), good);
+  // Another fabric's stamp is never read, so it is not checked either.
+  stamp.owner = fabric.id() + 1;
+  stamp.bits.clear();
+  EXPECT_NO_THROW(fabric.check_stamp(*message));
+}
+
 TEST(MatchOnce, ForeignStampGetsOwnFabricsBruteForceSplit) {
   const Topology topo = mesh();
   // Same topology and homes, different filters: the two fabrics' stamps

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -322,6 +323,58 @@ TEST(KernelEdgeCases, RescoringAfterProcessingDelayChange) {
   EXPECT_NEAR(with_pd2, ref_eb(q, pd2), tolerance(ref_eb(q, pd2)));
   EXPECT_NEAR(with_pd50, ref_eb(q, pd50), tolerance(ref_eb(q, pd50)));
   EXPECT_GT(with_pd2, with_pd50);  // More PD per hop can only hurt.
+}
+
+TEST(KernelEdgeCases, PhiReuseMatchesThePlainLoopBitForBit) {
+  // Targets that repeat the previous target's (slack_const,
+  // inv_size_sigma) reuse its Phi; the sums must equal a plain per-target
+  // loop exactly, prices differing or not, runs broken or not.
+  Subscription a;
+  a.allowed_delay = seconds(10.0);
+  a.price = 1.0;
+  Subscription a_pricier = a;  // Same constants, another price.
+  a_pricier.price = 3.0;
+  Subscription b;
+  b.allowed_delay = seconds(14.0);
+  b.price = 2.0;
+  Subscription unbounded;  // No deadline: slack_const is +inf.
+  const auto entry_of = [](const Subscription& sub, double variance) {
+    SubscriptionEntry entry;
+    entry.subscription = &sub;
+    entry.path = PathStats{3, 150.0, variance};
+    return entry;
+  };
+  const SubscriptionEntry ea = entry_of(a, 800.0);
+  const SubscriptionEntry ea_pricier = entry_of(a_pricier, 800.0);
+  const SubscriptionEntry eb = entry_of(b, 800.0);
+  const SubscriptionEntry e_unbounded = entry_of(unbounded, 800.0);
+  const SubscriptionEntry e_deterministic = entry_of(b, 0.0);
+  auto message = std::make_shared<Message>(
+      0, 0, 0.0, 50.0, std::vector<Attribute>{});
+  const QueuedMessage q{
+      message,
+      0.0,
+      {&ea, &ea, &ea_pricier, &eb, &ea, &e_unbounded, &e_unbounded,
+       &e_deterministic, &e_deterministic, &eb, &eb, &ea_pricier}};
+  const auto plain = [&](double t) {
+    double total = 0.0;
+    for (const ScoredTarget& st : q.scored) {
+      total += st.price * scored_success(st, t);
+    }
+    return total;
+  };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const TimeMs now : {0.0, 1500.0, 4000.0, 6000.0, 9000.0, 20000.0}) {
+    const SchedulingContext context{now, 2.0, 1800.0};
+    ensure_scored(q, context.processing_delay);
+    const BenefitPair pair = kernel_benefit_pair(q, context);
+    EXPECT_EQ(bits(pair.immediate), bits(plain(now))) << now;
+    EXPECT_EQ(bits(pair.postponed), bits(plain(now + 1800.0))) << now;
+    EXPECT_EQ(bits(expected_benefit(q, context)), bits(plain(now))) << now;
+    EXPECT_EQ(bits(postponed_benefit(q, context)),
+              bits(plain(now + 1800.0)))
+        << now;
+  }
 }
 
 }  // namespace

@@ -249,6 +249,74 @@ TEST(SchedulerStateEquivalence, EbpcBoundCoversScoresThatRoundAboveEb) {
   EXPECT_NO_THROW(state->check_invariants(context));
 }
 
+TEST(SchedulerStateEquivalence, LargestBoundFirstKeepsTheReferencePick) {
+  // Row 0 is the weakest, so after the first pick the largest bound sits
+  // further back.  Rows 1 and 2 carry identical targets: equal bounds and
+  // equal scores, and row 2 wins the tie on its earlier enqueue, so the
+  // largest-bound row scored first can be the tie's loser.  Row 3's loose
+  // deadline gives it the largest EB; at the short FT its EB' is close to
+  // it (a small PC score), at the huge FT every EB' is 0, so PC scores
+  // equal their EB bounds and the rows tie on bound and score at once.
+  // Scoring the largest bound first must not change the argmax.
+  Subscription tight;
+  tight.allowed_delay = seconds(12.0);
+  Subscription mid;
+  mid.allowed_delay = seconds(20.0);
+  mid.price = 2.0;
+  Subscription loose;
+  loose.allowed_delay = seconds(200.0);
+  loose.price = 2.0;
+  const auto entry_of = [](const Subscription& sub) {
+    SubscriptionEntry entry;
+    entry.subscription = &sub;
+    entry.path = PathStats{2, 150.0, 800.0};
+    return entry;
+  };
+  const SubscriptionEntry e_tight = entry_of(tight);
+  const SubscriptionEntry e_mid = entry_of(mid);
+  const SubscriptionEntry e_loose = entry_of(loose);
+  const auto row = [](MessageId id, TimeMs enqueue,
+                      std::vector<const SubscriptionEntry*> targets) {
+    return QueuedMessage{
+        std::make_shared<Message>(id, 0, 0.0, 50.0, std::vector<Attribute>{}),
+        enqueue, std::move(targets)};
+  };
+
+  for (const StrategyKind kind :
+       {StrategyKind::kEb, StrategyKind::kPc, StrategyKind::kEbpc}) {
+    for (const TimeMs ft : {3000.0, 1e9}) {
+      const Strategy strategy(kind, 0.5);
+      std::vector<QueuedMessage> queue;
+      queue.push_back(row(0, 0.0, {&e_tight}));
+      queue.push_back(row(1, 5.0, {&e_mid, &e_mid}));
+      queue.push_back(row(2, 1.0, {&e_mid, &e_mid}));
+      queue.push_back(row(3, 2.0, {&e_loose, &e_loose}));
+      const auto state = strategy.make_state(&queue);
+      for (std::size_t i = 0; i < queue.size(); ++i) state->on_enqueue(i);
+
+      TimeMs now = 2000.0;
+      const SchedulingContext first{now, 2.0, ft};
+      ASSERT_EQ(expected_benefit(queue[1], first),
+                expected_benefit(queue[2], first));
+      ASSERT_LT(expected_benefit(queue[0], first),
+                expected_benefit(queue[1], first));
+      ASSERT_EQ(state->pick(first), strategy.reference_pick(queue, first))
+          << strategy.name();
+      while (!queue.empty()) {
+        now += 700.0;
+        const SchedulingContext context{now, 2.0, ft};
+        state->on_tick(context);
+        const std::size_t got = state->pick(context);
+        ASSERT_EQ(got, strategy.reference_pick(queue, context))
+            << strategy.name() << " ft=" << ft << " depth=" << queue.size();
+        ASSERT_NO_THROW(state->check_invariants(context)) << strategy.name();
+        state->on_remove(got);
+        take_at(queue, got);
+      }
+    }
+  }
+}
+
 TEST(SchedulerStateEquivalence, DeepQueuesMatchReference) {
   // Depth sweep 1..4096: build up in bulk, then spot-check picks while
   // draining a slice.  The reference rescan is O(depth · targets), so deep

@@ -5,9 +5,13 @@
 // reproducible, and the sharded engine's cross-lane merge
 // (sim/parallel/parallel_simulator.cpp) reconstructs exactly this order —
 // its lanes and barrier records inherit the contract from here.  The fuzz
-// drives random interleavings of pushes and pops, with times drawn from a
-// tiny set so same-instant collisions are the norm, against a
-// stable-sort reference model.
+// drives random interleavings of pushes and pops of all five event kinds,
+// with times drawn from a tiny set so same-instant collisions are the
+// norm, against a stable-sort reference model.  The times walk forward
+// and step back at random, so every kind's FIFO lane takes in-order pushes
+// and sends out-of-order ones to the heap, and same-instant ties meet
+// across lanes and the heap.  The queue's invariants are checked after
+// every operation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +26,12 @@ namespace {
 struct ModelEvent {
   TimeMs time = 0.0;
   std::uint64_t push_index = 0;  // Identity: ties must pop in push order.
+  EventType type = EventType::kPublish;
 };
+
+constexpr EventType kKinds[] = {EventType::kPublish, EventType::kArrival,
+                                EventType::kProcessed,
+                                EventType::kSendComplete, EventType::kFault};
 
 TEST(EventQueueFifoFuzz, MatchesStableSortReference) {
   Rng rng(2026);
@@ -34,17 +43,28 @@ TEST(EventQueueFifoFuzz, MatchesStableSortReference) {
     // Few distinct instants -> ties everywhere; include negative times and
     // repeated extremes.
     const double instants[] = {-1.0, 0.0, 0.0, 1.5, 1.5, 1.5, 2.0, 8.25};
+    // The push clock: an index into `instants` that mostly holds or steps
+    // forward and now and then steps back.
+    std::size_t clock = 0;
     const std::size_t ops = 40 + rng.uniform_index(160);
     for (std::size_t op = 0; op < ops; ++op) {
       const bool push = model.empty() || rng.uniform() < 0.6;
       if (push) {
-        const TimeMs t = instants[rng.uniform_index(std::size(instants))];
+        const double step = rng.uniform();
+        if (step < 0.2) {
+          clock -= rng.uniform_index(clock + 1);
+        } else if (step < 0.5 && clock + 1 < std::size(instants)) {
+          ++clock;
+        }
+        const TimeMs t = instants[clock];
+        const EventType type = kKinds[rng.uniform_index(std::size(kKinds))];
         Event event;
         event.time = t;
+        event.type = type;
         // Smuggle the push identity through the broker field.
         event.broker = static_cast<BrokerId>(next_push);
         queue.push(std::move(event));
-        model.push_back(ModelEvent{t, next_push++});
+        model.push_back(ModelEvent{t, next_push++, type});
       } else {
         const Event event = queue.pop();
         // Reference: earliest time, FIFO within the time (stable order).
@@ -55,9 +75,12 @@ TEST(EventQueueFifoFuzz, MatchesStableSortReference) {
             });
         EXPECT_EQ(event.time, it->time);
         EXPECT_EQ(static_cast<std::uint64_t>(event.broker), it->push_index);
+        EXPECT_EQ(event.type, it->type);
         popped.push_back(*it);
         model.erase(it);
       }
+      ASSERT_NO_THROW(queue.check_invariants()) << "round " << round;
+      ASSERT_EQ(queue.size(), model.size());
     }
     // Drain; the full pop sequence must equal the stable sort of all
     // pushed events by (time, push order).
@@ -71,8 +94,10 @@ TEST(EventQueueFifoFuzz, MatchesStableSortReference) {
       ASSERT_NE(it, model.end());
       EXPECT_EQ(event.time, it->time);
       EXPECT_EQ(static_cast<std::uint64_t>(event.broker), it->push_index);
+      EXPECT_EQ(event.type, it->type);
       popped.push_back(*it);
       model.erase(it);
+      ASSERT_NO_THROW(queue.check_invariants()) << "round " << round;
     }
     EXPECT_TRUE(model.empty());
     // Cross-check the whole history against one stable_sort of the pushes:

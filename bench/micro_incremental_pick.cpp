@@ -12,6 +12,9 @@
 //
 // Compare the same (strategy, depth, fan-out) pair across the two engines;
 // items_processed counts queue rows per pick, as micro_scheduler does.
+// Each iteration advances the queue's clock, so the queue's state depends
+// on how many iterations ran: every cycle row runs a fixed count
+// (kCycleIterations), and every build times the same op sequence.
 //
 // BM_OutputQueueTakeNextPurge times the engine's whole send step instead:
 // OutputQueue::take_next with the §5.4 purge on (paper defaults), EBPC,
@@ -135,8 +138,12 @@ void BM_OutputQueueTakeNextPurge(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 
-#define CYCLE_ARGS \
-  ->Args({64, 10})->Args({512, 10})->Args({4096, 10})->Args({512, 40})
+/// Iterations of every cycle row: 25 s of simulated queue time.
+constexpr benchmark::IterationCount kCycleIterations = 1000;
+
+#define CYCLE_ARGS                                                      \
+  ->Args({64, 10})->Args({512, 10})->Args({4096, 10})->Args({512, 40}) \
+      ->Iterations(kCycleIterations)
 BENCHMARK(BM_IncrementalFifo) CYCLE_ARGS;
 BENCHMARK(BM_RescanFifo) CYCLE_ARGS;
 BENCHMARK(BM_IncrementalRl) CYCLE_ARGS;

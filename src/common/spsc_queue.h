@@ -1,7 +1,7 @@
 // Wait-free single-producer / single-consumer queue.
 //
-// The sharded simulator (sim/parallel/) routes cross-shard events through
-// one mailbox per (source shard, destination shard) pair: exactly one
+// The live reactor (runtime/reactor.h) routes cross-worker events through
+// one mailbox per (source worker, destination worker) pair: exactly one
 // worker thread pushes and exactly one thread drains, so the queue needs no
 // locks — a singly-linked list with a stub node where the producer only
 // touches the tail and the consumer only touches the head (Vyukov's
@@ -12,8 +12,7 @@
 // Contract: at most one thread calls push() at a time and at most one
 // thread calls pop()/drain()/empty() at a time (they may be different
 // threads, concurrently).  Which thread plays which role may change over
-// the queue's life only across an external synchronisation point (the
-// parallel engine hands roles over at window barriers).
+// the queue's life only across an external synchronisation point.
 #pragma once
 
 #include <atomic>

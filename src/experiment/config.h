@@ -117,12 +117,6 @@ struct SimConfig {
   /// Extra simulated time allowed past the publish window for queues to
   /// drain before the hard stop.
   TimeMs drain_grace = minutes(30.0);
-
-  /// Event-lane count for the sharded engine (sim/parallel/): 0 (default)
-  /// runs the sequential Simulator, >= 1 runs ParallelSimulator with this
-  /// many shards.  Results are bitwise identical either way (the golden
-  /// suite pins this), so the knob only trades wall-clock time.
-  std::size_t shards = 0;
 };
 
 /// Builds the topology this config describes (consuming randomness from

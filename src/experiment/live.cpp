@@ -10,7 +10,7 @@
 
 #include "common/config.h"
 #include "experiment/runner.h"
-#include "sim/parallel/shard_plan.h"
+#include "topology/shard_plan.h"
 #include "workload/generator.h"
 
 namespace bdps {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "routing/fabric.h"
-#include "sim/parallel/parallel_simulator.h"
 #include "topology/edge_map.h"
 #include "workload/generator.h"
 
@@ -122,44 +121,8 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
     options.repair_fabric = &fabric;
   }
 
-  options.shards = config.shards;
-
   std::vector<std::shared_ptr<const Message>> messages = generate_messages(
       streams.workload, config.workload, topology.publisher_count());
-
-  const auto collect = [](const Collector& collector, TimeMs end_time) {
-    SimResult result;
-    result.published = collector.published();
-    result.receptions = collector.receptions();
-    result.deliveries = collector.deliveries();
-    result.valid_deliveries = collector.valid_deliveries();
-    result.total_interested = collector.total_interested();
-    result.delivery_rate = collector.delivery_rate();
-    result.earning = collector.earning();
-    result.potential_earning = collector.potential_earning();
-    result.purged_expired = collector.purges().expired;
-    result.purged_hopeless = collector.purges().hopeless;
-    result.lost_copies = collector.lost_copies();
-    result.max_input_queue = collector.max_input_queue();
-    result.fault_batches = collector.fault_batches();
-    result.repaired_rows = collector.repaired_rows();
-    result.mean_valid_delay_ms = collector.valid_delay().mean();
-    result.end_time = end_time;
-    return result;
-  };
-
-  if (options.shards > 0) {
-    // Sharded engine: bitwise-identical collector output (golden-pinned),
-    // one event lane per shard.
-    ParallelSimulator simulator(&topology, &believed_topology.graph, &fabric,
-                                strategy.get(), options, streams.link);
-    simulator.set_trace(trace);
-    for (auto& message : messages) {
-      simulator.schedule_publish(std::move(message));
-    }
-    simulator.run();
-    return collect(simulator.collector(), simulator.now());
-  }
 
   Simulator simulator(&topology, &believed_topology.graph, &fabric,
                       strategy.get(), options, streams.link);
@@ -168,7 +131,26 @@ SimResult run_simulation(const SimConfig& config, TraceSink* trace) {
     simulator.schedule_publish(std::move(message));
   }
   simulator.run();
-  return collect(simulator.collector(), simulator.now());
+
+  const Collector& collector = simulator.collector();
+  SimResult result;
+  result.published = collector.published();
+  result.receptions = collector.receptions();
+  result.deliveries = collector.deliveries();
+  result.valid_deliveries = collector.valid_deliveries();
+  result.total_interested = collector.total_interested();
+  result.delivery_rate = collector.delivery_rate();
+  result.earning = collector.earning();
+  result.potential_earning = collector.potential_earning();
+  result.purged_expired = collector.purges().expired;
+  result.purged_hopeless = collector.purges().hopeless;
+  result.lost_copies = collector.lost_copies();
+  result.max_input_queue = collector.max_input_queue();
+  result.fault_batches = collector.fault_batches();
+  result.repaired_rows = collector.repaired_rows();
+  result.mean_valid_delay_ms = collector.valid_delay().mean();
+  result.end_time = simulator.now();
+  return result;
 }
 
 }  // namespace bdps

@@ -41,8 +41,8 @@ struct SimResult {
 SimResult run_simulation(const SimConfig& config);
 
 /// Same, with an event trace attached for the whole run (nullptr = none).
-/// The sink sees the identical stream from either engine; stats/sla.h
-/// consumes it to grade per-scenario SLA series.
+/// The stream is deterministic in config.seed; stats/sla.h consumes it to
+/// grade per-scenario SLA series.
 SimResult run_simulation(const SimConfig& config, TraceSink* trace);
 
 /// The config's compiled fault timeline in run_simulation's stream order,

@@ -32,7 +32,7 @@ struct SlaRun {
 };
 
 /// run_simulation with an SlaTracker attached (deterministic in
-/// config.seed, bitwise-stable across shard counts).
+/// config.seed).
 SlaRun run_with_sla(const SimConfig& config, TimeMs window_ms = 10000.0,
                     double hit_rate_floor = 0.95,
                     double purge_ceiling = 0.05);

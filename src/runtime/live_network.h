@@ -1,6 +1,6 @@
 // Live broker overlay — event-driven reactor, in-process or socket-backed.
 //
-// Both modes drive the *same* broker step the simulators run
+// Both modes drive the *same* broker step Simulator runs
 // (sim/broker_step.h): one BrokerStep per instance, built over the full
 // topology with the true graph as beliefs and processing serialized, so
 // OutputQueue + SchedulerState picks, eq. (11) purges, fan-out admission
@@ -9,8 +9,8 @@
 // against the LiveClock.  The modes differ only in reach:
 //
 //   * LiveMode::kReactor (default) — a fixed pool of N workers
-//     (runtime/reactor.h): brokers are assigned to workers with the
-//     sharded engine's ShardPlan, processing delays and transmissions
+//     (runtime/reactor.h): brokers are assigned to workers with a
+//     greedy-edge-cut ShardPlan, processing delays and transmissions
 //     sleep as timers in each worker's EventQueue (sim/event_queue.h), and
 //     cross-worker handoff rides SpscQueue mailboxes plus an eventfd
 //     doorbell rung only for a parked worker.  Thread count is

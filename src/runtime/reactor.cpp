@@ -15,7 +15,7 @@
 #include "net/poller.h"
 #include "runtime/channel.h"
 #include "runtime/timer_slack.h"
-#include "sim/parallel/shard_plan.h"
+#include "topology/shard_plan.h"
 
 namespace bdps {
 
@@ -35,7 +35,7 @@ constexpr std::uint64_t kWakeKey = NetEndpoint::kOwnerKey;
 struct Reactor::Worker {
   std::size_t id = 0;
   /// Pending PD expiries and send completions, popped in (instant,
-  /// schedule order) on either clock — the simulators' event queue.
+  /// schedule order) on either clock — Simulator's event queue.
   EventQueue timers;
   /// Same-instant arrivals at this worker's brokers, run after the step
   /// that produced them.
@@ -73,7 +73,6 @@ struct Reactor::Worker {
 /// are not kept live; the publish step only stamps the message, on the
 /// worker that owns its edge broker.
 struct Reactor::Effects {
-  using Event = bdps::Event;
   Reactor* reactor;
   Worker* worker;
   /// How late the event being stepped fired after its model instant (0
@@ -119,10 +118,7 @@ struct Reactor::Effects {
     }
   }
   double draw_rate(EdgeId edge) { return reactor->step_->draw_rate(edge); }
-  void send(Event completion, EdgeId, TimeMs) {
-    worker->timers.push(std::move(completion));
-  }
-  bool claim_deposit(Event&) { return false; }
+  void send(Event completion) { worker->timers.push(std::move(completion)); }
   bool send_cut(EdgeId edge, TimeMs start, TimeMs) const {
     const BrokerId sender = reactor->step_->topology->graph.edge(edge).from;
     return reactor->crashed_at_[sender] > start;
@@ -150,8 +146,8 @@ Reactor::Reactor(BrokerStep* step, ReactorOptions options, LiveClock* clock,
           : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   worker_count = std::clamp<std::size_t>(worker_count, 1, std::max<std::size_t>(1, n));
 
-  // The sharded engine's partitioner keeps most fan-outs worker-local;
-  // links follow their source broker, so one edge cut is one mailbox hop.
+  // The greedy edge cut keeps most fan-outs worker-local; links follow
+  // their source broker, so one edge cut is one mailbox hop.
   const ShardPlan plan = ShardPlan::greedy_edge_cut(graph, worker_count);
   owner_of_broker_.resize(n);
   for (std::size_t b = 0; b < n; ++b) {
@@ -205,9 +201,8 @@ std::vector<long> Reactor::worker_timer_slacks() const {
 bool Reactor::publish(BrokerId target,
                       std::shared_ptr<const Message> message) {
   Worker& worker = *workers_[owner_of_broker_[target]];
-  if (!worker.injector.push(
-          make_event<Event>(0.0, EventType::kPublish, target,
-                            std::move(message)))) {
+  if (!worker.injector.push(make_event(0.0, EventType::kPublish, target,
+                                       std::move(message)))) {
     return false;
   }
   wake(worker);
@@ -269,8 +264,8 @@ void Reactor::drop_trunk(int peer) {
 
 void Reactor::deposit_trunk(BrokerId target,
                             std::shared_ptr<const Message> message) {
-  route(*workers_[0], make_event<Event>(clock_->now(), EventType::kArrival,
-                                        target, std::move(message)));
+  route(*workers_[0], make_event(clock_->now(), EventType::kArrival, target,
+                                 std::move(message)));
 }
 
 void Reactor::push_command(Worker& worker, Command command) {

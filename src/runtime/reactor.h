@@ -1,26 +1,27 @@
 // Event-driven live runtime: reactor worker pool + per-worker timer queue.
 //
-// The reactor is the third driver of BrokerStep (sim/broker_step.h): the
+// The reactor is the second driver of BrokerStep (sim/broker_step.h): the
 // per-broker rules — reception, processing, the eq. (11) purge and the
 // EB/PC/EBPC pick at each link-free instant, holds, crashes — are the ones
-// both simulators run, applied through a live Effects policy.  The reactor
+// Simulator runs, applied through a live Effects policy.  The reactor
 // only orders events on the scaled LiveClock: a fixed pool of N workers
 // (N = hardware threads, not topology size) owns the brokers, and every
 // processing delay and every transmission is one pending timer in its
-// worker's EventQueue, the queue the simulators pop in (instant, schedule
+// worker's EventQueue, the queue Simulator pops in (instant, schedule
 // order).  A timer's event runs at the clock reading when it fires, so
 // delivery delays measure real lateness.
 // Processing is serialized (one message per broker per PD, arrivals wait
 // in the fig. 2 input queue): a recorded decision, not a knob.
 //
-// Placement and handoff: brokers are assigned to workers with the sharded
-// engine's ShardPlan (greedy edge cut — most fan-outs stay worker-local);
-// each directed link lives with its *source* broker's worker, so enqueue,
-// pick and purge are always same-worker.  A same-instant arrival runs
-// after the current step from a worker-local FIFO, or crosses to the
-// destination broker's worker through the (source worker, destination
-// worker) SpscQueue mailbox — the only synchronisation in steady state;
-// there are no per-broker blocking channels and no per-link locks.
+// Placement and handoff: brokers are assigned to workers with a ShardPlan
+// (topology/shard_plan.h; greedy edge cut — most fan-outs stay
+// worker-local); each directed link lives with its *source* broker's
+// worker, so enqueue, pick and purge are always same-worker.  A
+// same-instant arrival runs after the current step from a worker-local
+// FIFO, or crosses to the destination broker's worker through the (source
+// worker, destination worker) SpscQueue mailbox — the only synchronisation
+// in steady state; there are no per-broker blocking channels and no
+// per-link locks.
 //
 // Faults: set_link_state and set_broker_state become one-entry fault
 // batches that the owning worker applies with BrokerStep::apply_faults.

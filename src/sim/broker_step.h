@@ -1,32 +1,29 @@
-// One broker step: the event semantics every engine shares.
+// One broker step: the event semantics every driver shares.
 //
 // The paper's results come from one per-broker rule: at each link-free
 // instant a broker purges hopeless copies (eq. 11), then picks one with
 // EB/PC/EBPC (eqs. 3-10).  That rule, and the fault, cut and hold rules
 // around it, are written here exactly once.  BrokerStep owns the overlay
-// state the engines run on (brokers, the slot -> true-edge table, the
+// state the drivers run on (brokers, the slot -> true-edge table, the
 // per-edge RNG streams, the online estimators, the dedup sets, the input
 // queues and the fault state) and applies one event at a time through
 // `step`.  Link faults of both kinds, outages and terminal kills, reach it
-// as fault batches (sim/faults/timeline.h).  The three drivers only decide
+// as fault batches (sim/faults/timeline.h).  The two drivers only decide
 // the *order* of events:
 //
-//   * Simulator pops one global (time, sequence) heap;
-//   * ParallelSimulator pops per-shard lanes inside conservative windows
-//     and merges the shards' logs back into the global order at barriers;
-//   * the live Reactor (runtime/reactor.h) pops a per-worker heap of the
-//     same order on the scaled clock, each broker on the worker that owns
-//     it, and turns live link/broker commands into one-entry batches.
+//   * Simulator pops one global (time, sequence) EventQueue;
+//   * the live Reactor (runtime/reactor.h) pops a per-worker EventQueue of
+//     the same order on the scaled clock, each broker on the worker that
+//     owns it, and turns live link/broker commands into one-entry batches.
 //
 // Everything a step does beyond mutating this state goes through an
 // Effects policy, a compile-time template parameter (no virtual call and
 // no std::function on the hot path).  An Effects type provides what the
-// rules it runs call (`apply_faults` alone needs neither `interest`,
-// `claim_deposit` nor the cut tests):
+// rules it runs call (`apply_faults` alone needs neither `interest` nor the
+// cut tests):
 //
-//   using Event = ...;  // Event (Simulator, Reactor) or LaneEvent (lanes).
-//   // Collector and trace side effects: applied at once (DirectRecord),
-//   // logged by a shard worker for the barrier replay, or counted live.
+//   // Collector and trace side effects: applied at once (Simulator) or
+//   // counted live (Reactor).
 //   bool tracing() const;
 //   void trace(const TraceEvent&);
 //   void publish(std::size_t interested, double potential);
@@ -41,17 +38,16 @@
 //   void fault_batch(std::size_t repaired_rows);
 //   // Ordering and transport:
 //   // Eq. (1)/(2) inputs of a publish.  The message enters the overlay
-//   // here, so an engine that has not stamped it yet stamps it now
+//   // here, so a driver that has not stamped it yet stamps it now
 //   // (RoutingFabric::stamp) and every broker reads that stamp.
 //   std::pair<std::size_t, double> interest(const Event& publish);
 //   void push(Event child);           // A child of the event being handled.
 //   double draw_rate(EdgeId edge);    // ms/KB of the edge's next send.
-//   void send(Event completion, EdgeId edge, TimeMs start);
-//   bool claim_deposit(Event& completion);  // Arrival shipped at start?
+//   void send(Event completion);      // A send started; its completion.
 //   StepScratch& scratch();
 //   // Fault cuts, asked only while fault state is allocated (has_faults):
 //   // is the copy on the wire over (start, end] lost, and is the message
-//   // in processing over (from, to] lost?  The simulators answer from the
+//   // in processing over (from, to] lost?  Simulator answers from the
 //   // compiled plan (lost_in_flight / lost_in_processing).  Live answers
 //   // with one rule: a link-down never cuts (the frame completes and the
 //   // queue holds), a crash of the sending or processing broker does.
@@ -59,10 +55,9 @@
 //   bool processing_cut(BrokerId broker, TimeMs from, TimeMs to);
 //
 // Stream discipline: the k-th send on a true edge consumes the k-th sample
-// of that edge's RNG stream however sends on other links interleave, so an
-// engine may draw lazily (Simulator, Reactor) or one send ahead (the
-// sharded engine's lookahead) and still compute the same durations bit
-// for bit.
+// of that edge's RNG stream however sends on other links interleave, so
+// the reactor's workers, each drawing for its own brokers' links, compute
+// the durations Simulator does bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +70,6 @@
 #include "broker/broker.h"
 #include "common/flat_set.h"
 #include "common/random.h"
-#include "sim/collector.h"
 #include "sim/event_queue.h"
 #include "sim/faults/timeline.h"
 #include "stats/rate_estimator.h"
@@ -84,7 +78,7 @@
 
 namespace bdps {
 
-/// Options of one run; every engine takes the same struct.
+/// Options of one run; Simulator and the live runtime take the same struct.
 struct SimulatorOptions {
   /// Per-broker processing delay PD (§3.2; paper default 2 ms).
   TimeMs processing_delay = 2.0;
@@ -113,7 +107,6 @@ struct SimulatorOptions {
   /// its in-flight copy and never recovers (routing is not repaired around
   /// it — multi-path redundancy is the only way past).  A crashed broker
   /// drops its queues and loses in-progress work, and restarts empty.
-  /// Shared by both engines so a run replays bitwise at any shard count.
   /// nullptr/empty = no faults.
   std::shared_ptr<const CompiledFaults> faults;
   /// When set, fault batches additionally repair this fabric's routing
@@ -129,11 +122,6 @@ struct SimulatorOptions {
   /// network); turning this on lets that claim be checked rather than
   /// assumed — see SimResult::max_input_queue.
   bool serialize_processing = false;
-  /// Event-lane count for the sharded engine (sim/parallel/).  0 (default)
-  /// selects the sequential engine; >= 1 makes experiment/runner drive the
-  /// run through ParallelSimulator with this many shards (clamped to the
-  /// broker count).  Collector output is bitwise identical either way.
-  std::size_t shards = 0;
 };
 
 /// Per-thread scratch reused across steps: the live (sendable) subset of a
@@ -147,36 +135,8 @@ struct StepScratch {
   SubscriptionIndex::Scratch match;
 };
 
-/// Record half of an Effects policy that applies every side effect at
-/// once: Simulator, and the parallel coordinator at window barriers (where
-/// every earlier event has already merged).
-struct DirectRecord {
-  Collector* collector = nullptr;
-  TraceSink* sink = nullptr;
-
-  bool tracing() const { return sink != nullptr; }
-  void trace(const TraceEvent& event) { sink->record(event); }
-  void publish(std::size_t interested, double potential) {
-    collector->on_publish(interested, potential);
-  }
-  void reception() { collector->on_reception(); }
-  void delivery(SubscriberId, MessageId, TimeMs delay, TimeMs deadline,
-                double price) {
-    collector->on_delivery(delay, deadline, price);
-  }
-  void fan_out(std::size_t) {}
-  void purge(const PurgeStats& stats) { collector->on_purge(stats); }
-  void loss(std::size_t copies) { collector->on_loss(copies); }
-  void input_depth(std::size_t depth) {
-    collector->on_input_queue_depth(depth);
-  }
-  void fault_batch(std::size_t repaired_rows) {
-    collector->on_fault_batch(repaired_rows);
-  }
-};
-
-/// Rng padded to its own cache line: in the sharded engine the streams of
-/// neighbouring edge ids are drawn by different threads.
+/// Rng padded to its own cache line: live, the streams of neighbouring edge
+/// ids are drawn by different reactor workers.
 struct alignas(64) PaddedRng {
   Rng rng{0};
 };
@@ -192,7 +152,7 @@ class BrokerStep {
 
   /// Applies one event.  kFault applies batch `event.broker` of the plan.
   template <class Fx>
-  void step(Fx& fx, typename Fx::Event& event);
+  void step(Fx& fx, Event& event);
 
   /// Applies one compiled fault batch in the canonical order: broker
   /// crashes (input and output queues lost), edge downs (hold semantics),
@@ -244,7 +204,7 @@ class BrokerStep {
   /// is off, the id is out of range, or the link never carried a send.
   const RateEstimator* estimator(EdgeId edge) const;
 
-  // ---- Overlay state (read by the engines) ----
+  // ---- Overlay state (read by the drivers) ----
   const Topology* topology;
   /// The graph beliefs were built from; also the estimators' prior.
   const Graph* believed;
@@ -261,7 +221,7 @@ class BrokerStep {
   /// (s, c] mid-flight cut test); sized only when one of them is on.
   EdgeMap<TimeMs> send_begin;
   EdgeMap<RateEstimator> estimators;
-  /// Byte (not bit) liveness: bit flags would race across shards.
+  /// Byte (not bit) liveness: bit flags would race across reactor workers.
   EdgeMap<std::uint8_t> estimator_live;
   /// Already-processed message ids per broker (dedup_arrivals).
   std::vector<FlatIdSet> seen;
@@ -287,14 +247,14 @@ class BrokerStep {
   void start_sends(Fx& fx, BrokerId broker,
                    std::span<const Broker::QueueSlot> slots, TimeMs now);
 
-  template <class Fx, class Ev>
-  void publish(Fx& fx, Ev& event);
-  template <class Fx, class Ev>
-  void arrival(Fx& fx, Ev& event);
-  template <class Fx, class Ev>
-  void processed(Fx& fx, Ev& event);
-  template <class Fx, class Ev>
-  void send_complete(Fx& fx, Ev& event);
+  template <class Fx>
+  void publish(Fx& fx, Event& event);
+  template <class Fx>
+  void arrival(Fx& fx, Event& event);
+  template <class Fx>
+  void processed(Fx& fx, Event& event);
+  template <class Fx>
+  void send_complete(Fx& fx, Event& event);
   /// Drops every copy queued on the slot as a loss.
   template <class Fx>
   void drain_slot(Fx& fx, BrokerId broker, Broker::QueueSlot slot,
@@ -311,11 +271,10 @@ class BrokerStep {
   }
 };
 
-/// An event of either engine's type with the fields every rule sets.
-template <class Ev>
-Ev make_event(TimeMs time, EventType type, BrokerId broker,
-              std::shared_ptr<const Message> message) {
-  Ev event;
+/// An event with the fields every rule sets.
+inline Event make_event(TimeMs time, EventType type, BrokerId broker,
+                        std::shared_ptr<const Message> message) {
+  Event event;
   event.time = time;
   event.type = type;
   event.broker = broker;
@@ -326,7 +285,7 @@ Ev make_event(TimeMs time, EventType type, BrokerId broker,
 // ---------------------------------------------------------------------------
 
 template <class Fx>
-void BrokerStep::step(Fx& fx, typename Fx::Event& event) {
+void BrokerStep::step(Fx& fx, Event& event) {
   switch (event.type) {
     case EventType::kPublish:
       publish(fx, event);
@@ -348,19 +307,19 @@ void BrokerStep::step(Fx& fx, typename Fx::Event& event) {
   }
 }
 
-template <class Fx, class Ev>
-void BrokerStep::publish(Fx& fx, Ev& event) {
+template <class Fx>
+void BrokerStep::publish(Fx& fx, Event& event) {
   const auto [interested, potential] = fx.interest(event);
   fx.publish(interested, potential);
   trace(fx, event.time, TraceEventKind::kPublish, event.message->id(),
         event.broker);
   // Injection into the edge broker is itself a reception: arrival now.
-  fx.push(make_event<Ev>(event.time, EventType::kArrival, event.broker,
-                         std::move(event.message)));
+  fx.push(make_event(event.time, EventType::kArrival, event.broker,
+                     std::move(event.message)));
 }
 
-template <class Fx, class Ev>
-void BrokerStep::arrival(Fx& fx, Ev& event) {
+template <class Fx>
+void BrokerStep::arrival(Fx& fx, Event& event) {
   const BrokerId b = event.broker;
   fx.reception();
   trace(fx, event.time, TraceEventKind::kArrival, event.message->id(), b);
@@ -383,12 +342,12 @@ void BrokerStep::arrival(Fx& fx, Ev& event) {
     }
     processing_busy[b] = 1;
   }
-  fx.push(make_event<Ev>(event.time + options.processing_delay,
-                         EventType::kProcessed, b, std::move(event.message)));
+  fx.push(make_event(event.time + options.processing_delay,
+                     EventType::kProcessed, b, std::move(event.message)));
 }
 
-template <class Fx, class Ev>
-void BrokerStep::processed(Fx& fx, Ev& event) {
+template <class Fx>
+void BrokerStep::processed(Fx& fx, Event& event) {
   const TimeMs now = event.time;
   const BrokerId b = event.broker;
   const Message& message = *event.message;
@@ -432,9 +391,8 @@ void BrokerStep::processed(Fx& fx, Ev& event) {
     if (pending.empty()) {
       processing_busy[b] = 0;
     } else {
-      fx.push(make_event<Ev>(now + options.processing_delay,
-                             EventType::kProcessed, b,
-                             std::move(pending.front())));
+      fx.push(make_event(now + options.processing_delay, EventType::kProcessed,
+                         b, std::move(pending.front())));
       pending.pop_front();
     }
   }
@@ -485,17 +443,15 @@ void BrokerStep::start_sends(Fx& fx, BrokerId broker_id,
         dispatch.chosen->message->size_kb() * fx.draw_rate(true_edge);
     broker.queue_at(dispatch.slot).set_link_busy(true);
     if (!send_begin.empty()) send_begin[true_edge] = now;
-    typename Fx::Event complete =
-        make_event<typename Fx::Event>(now + duration,
-                                       EventType::kSendComplete, broker_id,
-                                       std::move(dispatch.chosen->message));
+    Event complete = make_event(now + duration, EventType::kSendComplete,
+                                broker_id, std::move(dispatch.chosen->message));
     complete.neighbor = dispatch.neighbor;
-    fx.send(std::move(complete), true_edge, now);
+    fx.send(std::move(complete));
   }
 }
 
-template <class Fx, class Ev>
-void BrokerStep::send_complete(Fx& fx, Ev& event) {
+template <class Fx>
+void BrokerStep::send_complete(Fx& fx, Event& event) {
   const TimeMs now = event.time;
   const BrokerId b = event.broker;
   Broker& broker = brokers[b];
@@ -531,10 +487,8 @@ void BrokerStep::send_complete(Fx& fx, Ev& event) {
     out.set_believed_link(
         estimator.estimate(believed->edge(out.edge()).link.params()));
   }
-  if (!fx.claim_deposit(event)) {
-    fx.push(make_event<Ev>(now, EventType::kArrival, event.neighbor,
-                           std::move(event.message)));
-  }
+  fx.push(make_event(now, EventType::kArrival, event.neighbor,
+                     std::move(event.message)));
   if (!out.empty()) start_sends(fx, b, resend, now);
 }
 

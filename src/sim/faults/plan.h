@@ -10,9 +10,9 @@
 // the generators, validates every reference against the overlay graph and
 // normalizes overlapping windows into disjoint ones; the result feeds
 // sim/faults/timeline.h, which compiles it, together with any terminal
-// link kills, into the per-instant batches both simulation engines replay
-// bitwise.  Kills stay out of FaultPlan and its text form: they drop
-// queued copies, which the live runtime cannot honour.
+// link kills, into the per-instant batches Simulator replays bitwise.
+// Kills stay out of FaultPlan and its text form: they drop queued copies,
+// which the live runtime cannot honour.
 #pragma once
 
 #include <string>

@@ -1,14 +1,15 @@
 // Compiled fault timeline: the engine-facing form of a FaultPlan.
 //
-// Both simulation engines consume faults as *batches* — every transition
-// sharing one instant, applied atomically in a canonical order (brokers
-// down, edges down, brokers up, edges up, edges killed; ids ascending) — so
-// a storm replays bitwise at any shard count.  Compilation folds broker
-// outages into their incident directed edges (a crashed broker cuts every
-// adjacent link both ways), merges the resulting per-edge windows, adds the
-// terminal link kills (LinkFailure: the link dies for good and its queued
-// copies are dropped, not held), and builds CSR tables of down-transition
-// instants that answer the two doom queries the engines need:
+// Simulator and the live reactor consume faults as *batches* — every
+// transition sharing one instant, applied atomically in a canonical order
+// (brokers down, edges down, brokers up, edges up, edges killed; ids
+// ascending) — so a storm replays bitwise from the seed.  Compilation
+// folds broker outages into their incident directed edges (a crashed
+// broker cuts every adjacent link both ways), merges the resulting
+// per-edge windows, adds the terminal link kills (LinkFailure: the link
+// dies for good and its queued copies are dropped, not held), and builds
+// CSR tables of down-transition instants that answer the two doom queries
+// Simulator needs:
 //
 //  * a send started at s completing at c is lost iff the edge has a
 //    down-transition in (s, c] — the transfer was cut mid-flight even if

@@ -5,13 +5,35 @@
 namespace bdps {
 
 /// One global event queue: children go straight onto it, each send's rate is
-/// drawn when it starts, and its arrival is pushed at completion.
-struct Simulator::Effects : DirectRecord {
-  using Event = bdps::Event;
+/// drawn when it starts, and its arrival is pushed at completion.  Collector
+/// and trace effects apply at once.
+struct Simulator::Effects {
   Simulator* sim;
+  Collector* collector;
+  TraceSink* sink;
 
   explicit Effects(Simulator* s)
-      : DirectRecord{&s->collector_, s->trace_}, sim(s) {}
+      : sim(s), collector(&s->collector_), sink(s->trace_) {}
+
+  bool tracing() const { return sink != nullptr; }
+  void trace(const TraceEvent& event) { sink->record(event); }
+  void publish(std::size_t interested, double potential) {
+    collector->on_publish(interested, potential);
+  }
+  void reception() { collector->on_reception(); }
+  void delivery(SubscriberId, MessageId, TimeMs delay, TimeMs deadline,
+                double price) {
+    collector->on_delivery(delay, deadline, price);
+  }
+  void fan_out(std::size_t) {}
+  void purge(const PurgeStats& stats) { collector->on_purge(stats); }
+  void loss(std::size_t copies) { collector->on_loss(copies); }
+  void input_depth(std::size_t depth) {
+    collector->on_input_queue_depth(depth);
+  }
+  void fault_batch(std::size_t repaired_rows) {
+    collector->on_fault_batch(repaired_rows);
+  }
 
   /// The publish step: the message enters the overlay, so it is stamped
   /// here and eq. (1) reads the stamp.
@@ -22,10 +44,7 @@ struct Simulator::Effects : DirectRecord {
   }
   void push(Event child) { sim->events_.push(std::move(child)); }
   double draw_rate(EdgeId edge) { return sim->core_.draw_rate(edge); }
-  void send(Event completion, EdgeId, TimeMs) {
-    sim->events_.push(std::move(completion));
-  }
-  bool claim_deposit(Event&) { return false; }
+  void send(Event completion) { sim->events_.push(std::move(completion)); }
   bool send_cut(EdgeId edge, TimeMs start, TimeMs end) const {
     return sim->core_.lost_in_flight(edge, start, end);
   }

@@ -2,11 +2,11 @@
 //
 // The event semantics — what a publish, arrival, processing step, send
 // completion or fault batch does to the overlay — live in BrokerStep
-// (sim/broker_step.h), shared with the sharded engine and the live
-// reactor.  This class only owns the ordering: one EventQueue popped in
-// (time, sequence) order, each event handed to the step with Effects that
-// apply collector and trace effects at once, push children onto the same
-// queue and draw each send's rate when it starts.
+// (sim/broker_step.h), shared with the live reactor.  This class only
+// owns the ordering: one EventQueue popped in (time, sequence) order, each
+// event handed to the step with Effects that apply collector and trace
+// effects at once, push children onto the same queue and draw each send's
+// rate when it starts.
 //
 // Time advances through the step's event types; sends occupy their link
 // for `size * TR` where TR is sampled per send from the *true* link model,

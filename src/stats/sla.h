@@ -12,9 +12,8 @@
 //   * time-to-recover     — the span of the breach region: from the start
 //     of the first degraded window to the end of the last one.
 //
-// It sees the identical stream from either engine (the parallel
-// coordinator replays trace ops in exact sequential order), so the graded
-// series is bitwise-stable across shard counts.  experiment/sweep.h wires
+// The trace stream is deterministic in the run's seed, so the graded
+// series replays bitwise.  experiment/sweep.h wires
 // it behind run_with_sla; tools/storm_report emits the per-scenario JSON.
 #pragma once
 

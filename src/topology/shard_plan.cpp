@@ -1,4 +1,4 @@
-#include "sim/parallel/shard_plan.h"
+#include "topology/shard_plan.h"
 
 #include <algorithm>
 #include <cmath>
@@ -14,10 +14,10 @@ std::vector<std::size_t> degree_weights(const Graph& graph) {
   // degree (high-degree brokers sit on disproportionately many routing
   // paths), so balancing plain degree leaves the hub shard measurably
   // hotter than the rest on scale-free overlays, while a full quadratic
-  // overshoots and starves it.  Degree^1.5 is the balance point observed
-  // on the dense scale-free workload's per-shard lane CPU; on low-variance
-  // shapes (rings/grids) it degenerates to a constant per broker either
-  // way.
+  // overshoots and starves it.  Degree^1.5 was the balance point measured
+  // on a dense scale-free overlay's per-shard event-loop CPU; on
+  // low-variance shapes (rings/grids) it degenerates to a constant per
+  // broker either way.
   std::vector<std::size_t> weights(graph.broker_count());
   for (std::size_t b = 0; b < graph.broker_count(); ++b) {
     const auto degree = static_cast<double>(
@@ -49,42 +49,6 @@ ShardPlan::ShardPlan(const Graph& graph, std::vector<std::uint32_t> shard_of,
       cut_edges_.push_back(static_cast<EdgeId>(e));
     }
   }
-}
-
-ShardPlan ShardPlan::contiguous(const Graph& graph, std::size_t shards) {
-  const std::size_t n = graph.broker_count();
-  shards = clamp_shards(graph, shards);
-  const std::vector<std::size_t> weights = degree_weights(graph);
-  std::size_t total = 0;
-  for (const std::size_t w : weights) total += w;
-
-  std::vector<std::uint32_t> shard_of(n, 0);
-  // Walk brokers in id order, advancing to the next shard whenever the
-  // running weight crosses the ideal boundary — every shard stays a
-  // contiguous id range and within one broker of weight balance.
-  std::size_t shard = 0;
-  std::size_t carried = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::size_t remaining_shards = shards - shard;
-    // Leave at least one broker per remaining shard.
-    if (shard + 1 < shards &&
-        (n - b) > (remaining_shards - 1) &&
-        carried >= (total * (shard + 1) + shards - 1) / shards) {
-      ++shard;
-    }
-    shard_of[b] = static_cast<std::uint32_t>(shard);
-    carried += weights[b];
-  }
-  // If trailing brokers were too light to ever cross a boundary, force the
-  // last shards to be non-empty by reassigning the tail.
-  for (std::size_t s = shards; s-- > 0;) {
-    bool present = false;
-    for (const std::uint32_t owner : shard_of) present |= owner == s;
-    if (!present) {
-      shard_of[n - (shards - s)] = static_cast<std::uint32_t>(s);
-    }
-  }
-  return ShardPlan(graph, std::move(shard_of), shards);
 }
 
 ShardPlan ShardPlan::greedy_edge_cut(const Graph& graph, std::size_t shards) {

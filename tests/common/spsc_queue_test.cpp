@@ -1,13 +1,11 @@
-// SpscQueue + WindowBarrier: the primitives under the sharded engine.
+// SpscQueue: the reactor's cross-worker mailbox.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/spsc_queue.h"
-#include "common/window_barrier.h"
 
 namespace bdps {
 namespace {
@@ -51,31 +49,6 @@ TEST(SpscQueue, ProducerConsumerThreads) {
   }
   producer.join();
   EXPECT_FALSE(queue.pop(value));
-}
-
-TEST(WindowBarrier, LockstepRounds) {
-  constexpr std::size_t kThreads = 4;
-  constexpr int kRounds = 500;
-  WindowBarrier barrier(kThreads);
-  std::atomic<int> counter{0};
-  std::vector<int> observed(kThreads, 0);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        counter.fetch_add(1);
-        barrier.arrive_and_wait();
-        // Between the two barriers every increment of this round is
-        // visible and none of the next round's.
-        observed[t] = counter.load();
-        barrier.arrive_and_wait();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(observed[t], static_cast<int>(kThreads) * kRounds);
-  }
 }
 
 }  // namespace

@@ -1,18 +1,16 @@
-// Fault-storm engine behavior and cross-engine equivalence.
+// Fault-storm simulator behavior and bitwise replay.
 //
 // Three layers:
 //   * Semantics on hand-built overlays where every instant is known: a
 //     down link *holds* copies until recovery (unlike a terminal link kill,
 //     which drains them as losses for good), a crashed broker drops its
 //     queues as losses, and a flap strictly inside a transfer dooms the
-//     in-flight copy.  The kill cases also run through the sharded engine,
-//     which applies kill batches at a window barrier.
+//     in-flight copy.
 //   * Incremental SPT repair: with options.repair_fabric the overlay
 //     routes around an outage it would otherwise wait out forever.
-//   * Bitwise equivalence: the same storm through run_simulation at
-//     shards 0 vs {1,2,4,7}, and trace-stream equality on a hand rig —
-//     fault batches must land at the exact same point of the merged
-//     event order in both engines.
+//   * Bitwise replay: storm configs through run_simulation, and the trace
+//     stream of a hand rig under storms, repair and kills, each run twice
+//     with identical results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,13 +19,13 @@
 #include <string>
 #include <vector>
 
-#include "../sim/equivalence_rig.h"
+#include "../sim/replay_rig.h"
 #include "sim/faults/plan.h"
 
 namespace bdps {
 namespace {
 
-using equivalence::expect_same_result;
+using replay::expect_same_result;
 
 std::shared_ptr<const CompiledFaults> compile_plan(
     const FaultPlan& plan, const Graph& graph,
@@ -86,6 +84,15 @@ void run_with(Simulator& sim,
   sim.run();
 }
 
+/// The rig's run under `options`, returning the collector.
+Collector run_chain(const ChainRig& rig, const SimulatorOptions& options,
+                    std::vector<std::shared_ptr<const Message>> messages) {
+  Simulator sim(&rig.topo, &rig.topo.graph, rig.fabric.get(),
+                rig.strategy.get(), options, Rng(1));
+  run_with(sim, std::move(messages));
+  return sim.collector();
+}
+
 // A down link holds its queued copies and delivers them all after the
 // recovery kick; a never-recovering outage strands them without loss.
 TEST(FaultStorm, HoldAndRecoverDeliversEverything) {
@@ -131,8 +138,7 @@ TEST(FaultStorm, KillDrainsAsLosses) {
   ChainRig rig(3);
   SimulatorOptions options;
   options.faults = compile_plan({}, rig.topo.graph, {LinkFailure{0.0, 1, 2}});
-  const Collector c = equivalence::run_both_engines(
-      rig.topo, *rig.fabric, *rig.strategy, options, rig.make_messages(3));
+  const Collector c = run_chain(rig, options, rig.make_messages(3));
 
   EXPECT_EQ(c.deliveries(), 0u);
   EXPECT_EQ(c.lost_copies(), 3u);
@@ -157,8 +163,8 @@ TEST(FaultStorm, KillInsideAnOutageDrainsTheHeldCopiesForGood) {
   // Copies reach broker 1 at ~200, ~1700 (held, then drained by the kill),
   // ~3200, ~4700 (drained on arrival) and ~6200, after the old recovery
   // instant: every one is lost.
-  const Collector c = equivalence::run_both_engines(
-      rig.topo, *rig.fabric, *rig.strategy, options,
+  const Collector c = run_chain(
+      rig, options,
       rig.make_messages(5, /*first_at=*/100.0, /*spacing=*/1500.0));
   EXPECT_EQ(c.deliveries(), 0u);
   EXPECT_EQ(c.lost_copies(), 5u);
@@ -206,8 +212,6 @@ TEST(FaultStorm, KillAtTheRecoveryInstantDrainsWithoutAKick) {
     }
   }
   EXPECT_EQ(losses, 3u);
-  equivalence::run_both_engines(rig.topo, *rig.fabric, *rig.strategy,
-                                options, rig.make_messages(3));
 }
 
 // A kill on a pair with no link between them kills nothing; one naming a
@@ -217,8 +221,7 @@ TEST(FaultStorm, KillOnANonAdjacentPairIsANoOpAndABadBrokerThrows) {
   SimulatorOptions options;
   options.faults = compile_plan({}, rig.topo.graph, {LinkFailure{0.0, 0, 2}});
   EXPECT_TRUE(options.faults->empty());
-  const Collector c = equivalence::run_both_engines(
-      rig.topo, *rig.fabric, *rig.strategy, options, rig.make_messages(3));
+  const Collector c = run_chain(rig, options, rig.make_messages(3));
   EXPECT_EQ(c.valid_deliveries(), 3u);
   EXPECT_EQ(c.lost_copies(), 0u);
 
@@ -334,8 +337,8 @@ TEST(FaultStorm, RepairRoutesAroundTheOutage) {
   EXPECT_EQ(run_diamond(/*repair=*/true), 4u);
 }
 
-// The same storm scenarios through run_simulation must produce an exactly
-// identical SimResult at every shard count.
+// Storm scenarios through run_simulation take effect, and a rerun
+// produces an exactly identical SimResult.
 TEST(FaultStormEquivalence, StormConfigGrid) {
   std::vector<std::pair<std::string, SimConfig>> configs;
 
@@ -356,7 +359,7 @@ TEST(FaultStormEquivalence, StormConfigGrid) {
     configs.emplace_back("ring_churn", config);
   }
   // Ring with routing repair and serialized processing: the fabric is
-  // patched at fault batches in both engines.
+  // patched at fault batches.
   {
     SimConfig config =
         paper_base_config(ScenarioKind::kPsd, 12.0, StrategyKind::kPc, 37);
@@ -397,7 +400,7 @@ TEST(FaultStormEquivalence, StormConfigGrid) {
     configs.emplace_back("mesh_storm", config);
   }
   // Mesh storm with repair: the strongest interaction — incremental SPT
-  // repair driven from inside both engines at every batch.
+  // repair driven from inside the simulator at every batch.
   {
     SimConfig config =
         paper_base_config(ScenarioKind::kSsd, 15.0, StrategyKind::kEb, 43);
@@ -418,27 +421,19 @@ TEST(FaultStormEquivalence, StormConfigGrid) {
     configs.emplace_back("mesh_storm_repair", config);
   }
 
-  for (const auto& [name, base] : configs) {
-    SimConfig sequential_config = base;
-    sequential_config.shards = 0;
-    const SimResult sequential = run_simulation(sequential_config);
+  for (const auto& [name, config] : configs) {
+    const SimResult sequential = run_simulation(config);
     EXPECT_GT(sequential.published, 0u) << name;
     EXPECT_GT(sequential.fault_batches, 0u) << name;
-    if (base.repair_routing) {
+    if (config.repair_routing) {
       EXPECT_GT(sequential.repaired_rows, 0u) << name;
     }
-    for (const std::size_t shards : {1u, 2u, 4u, 7u}) {
-      SimConfig sharded_config = base;
-      sharded_config.shards = shards;
-      const SimResult sharded = run_simulation(sharded_config);
-      expect_same_result(sequential, sharded,
-                         name + "/P" + std::to_string(shards));
-    }
+    expect_same_result(sequential, run_simulation(config), name);
   }
 }
 
 TEST(FaultStormEquivalence, TraceStreamsMatchUnderStorm) {
-  const equivalence::TraceRing rig;
+  const replay::TraceRing rig;
   FaultPlan plan;
   RegionStorm storm;
   storm.at = 2000.0;
@@ -455,8 +450,8 @@ TEST(FaultStormEquivalence, TraceStreamsMatchUnderStorm) {
   options.online_estimation = true;
   options.faults = compile_plan(plan, rig.topo.graph, {}, /*seed=*/17);
 
-  equivalence::TracedRun sequential;
-  equivalence::expect_same_traces(rig, options, sequential);
+  replay::TracedRun sequential;
+  replay::expect_replays_bitwise(rig, options, sequential);
   EXPECT_GT(sequential.collector.deliveries(), 0u);
   EXPECT_EQ(sequential.collector.fault_batches(),
             options.faults->batches().size());
@@ -465,7 +460,7 @@ TEST(FaultStormEquivalence, TraceStreamsMatchUnderStorm) {
 // Serialized processing plus a broker crash: the crash batch drops the
 // broker's input queue, and those losses are traced inside the batch.
 TEST(FaultStormEquivalence, TraceStreamsMatchWhenACrashDropsInputQueues) {
-  const equivalence::TraceRing rig;
+  const replay::TraceRing rig;
   FaultPlan plan;
   plan.broker_outages.push_back(BrokerOutage{3100.0, 6000.0, 1});
   plan.broker_outages.push_back(BrokerOutage{5300.0, 8000.0, 5});
@@ -475,8 +470,8 @@ TEST(FaultStormEquivalence, TraceStreamsMatchWhenACrashDropsInputQueues) {
   options.processing_delay = 400.0;  // Slower than the arrivals: queues.
   options.faults = compile_plan(plan, rig.topo.graph);
 
-  equivalence::TracedRun sequential;
-  equivalence::expect_same_traces(rig, options, sequential);
+  replay::TracedRun sequential;
+  replay::expect_replays_bitwise(rig, options, sequential);
   EXPECT_GT(sequential.collector.max_input_queue(), 0u);
   // An input-queue loss is the only loss traced without a neighbour at a
   // crash instant.
@@ -488,9 +483,9 @@ TEST(FaultStormEquivalence, TraceStreamsMatchWhenACrashDropsInputQueues) {
 }
 
 // A repairable fabric with repair_fabric set: an unrecovered ring cut is
-// routed around, and the rows the repair rewrites match in both engines.
+// routed around, and a replay rewrites the same rows.
 TEST(FaultStormEquivalence, TraceStreamsMatchUnderRoutingRepair) {
-  const equivalence::TraceRing rig(/*repairable_fabric=*/true);
+  const replay::TraceRing rig(/*repairable_fabric=*/true);
   FaultPlan plan;
   plan.link_outages.push_back(LinkOutage{1200.0, kNoDeadline, 1, 2});
   plan.link_outages.push_back(LinkOutage{4000.0, 7500.0, 5, 6});
@@ -500,18 +495,18 @@ TEST(FaultStormEquivalence, TraceStreamsMatchUnderRoutingRepair) {
   options.online_estimation = true;
   options.faults = compile_plan(plan, rig.topo.graph);
 
-  equivalence::TracedRun sequential;
-  equivalence::expect_same_traces(rig, options, sequential);
+  replay::TracedRun sequential;
+  replay::expect_replays_bitwise(rig, options, sequential);
   EXPECT_GT(sequential.collector.repaired_rows(), 0u);
   EXPECT_GT(sequential.collector.deliveries(), 0u);
 }
 
-// Kills under routing repair, through both engines: a link killed inside
+// Kills under routing repair: a link killed inside
 // its outage window, or at the window's recovery instant, never comes back
 // up, so the rows repair moved off it at the window's start never return
 // to it and no copy is lost over it after the kill.
 TEST(FaultStormEquivalence, KilledLinksStayRoutedAroundUnderRepair) {
-  const equivalence::TraceRing rig(/*repairable_fabric=*/true);
+  const replay::TraceRing rig(/*repairable_fabric=*/true);
   struct Case {
     const char* name;
     LinkOutage outage;
@@ -531,8 +526,8 @@ TEST(FaultStormEquivalence, KilledLinksStayRoutedAroundUnderRepair) {
       EXPECT_TRUE(batch.edges_up.empty()) << c.name;
     }
 
-    equivalence::TracedRun sequential;
-    equivalence::expect_same_traces(rig, options, sequential);
+    replay::TracedRun sequential;
+    replay::expect_replays_bitwise(rig, options, sequential);
     EXPECT_GT(sequential.collector.repaired_rows(), 0u) << c.name;
     EXPECT_GT(sequential.collector.valid_deliveries(), 0u) << c.name;
     for (const TraceEvent& event : sequential.trace.events()) {

@@ -15,7 +15,7 @@
 
 #include "experiment/live.h"
 #include "routing/fabric.h"
-#include "sim/parallel/shard_plan.h"
+#include "topology/shard_plan.h"
 #include "topology/builders.h"
 
 namespace bdps {
@@ -144,8 +144,8 @@ TEST(ShardEventLoop, SocketShardRunsExactlyItsWorkers) {
 
 TEST(ShardEventLoop, SecondWorkerCopiesCrossTheTrunkThroughWorkerZero) {
   const Rig rig;
-  // The reactor places brokers with the sharded engine's greedy edge cut
-  // over the whole topology; find cut links whose source sits on worker 1
+  // The reactor places brokers with ShardPlan's greedy edge cut over the
+  // whole topology; find cut links whose source sits on worker 1
   // — their copies reach the trunk only through worker 0's mailbox.
   const ShardPlan plan = ShardPlan::greedy_edge_cut(rig.topo.graph, 2);
   std::size_t worker1_cut_links = 0;

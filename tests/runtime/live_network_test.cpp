@@ -90,14 +90,17 @@ TEST_P(LiveNetworkModes, DeliveryDelaysAreMeasuredOnTheScaledClock) {
   net.start();
   net.publish(0, LiveRig::message_template());
   net.drain();
+  // Every delivery happened between the publish (at or after scaled time
+  // 0) and this reading of the same scaled clock, however loaded the host.
+  const TimeMs drained_at = net.clock().now();
   net.stop();
 
   ASSERT_EQ(net.stats().deliveries().size(), 2u);
   for (const LiveDelivery& d : net.stats().deliveries()) {
-    // Two ~100 ms (sim) transmissions + processing: the delay must be in a
-    // plausible simulated-milliseconds band, not wall-clock units.
+    // Two ~100 ms (sim) transmissions + processing: the delay must be in
+    // simulated milliseconds, not wall-clock units.
     EXPECT_GT(d.delay, 100.0);
-    EXPECT_LT(d.delay, 5000.0);
+    EXPECT_LE(d.delay, drained_at);
     EXPECT_TRUE(d.valid);
   }
 }

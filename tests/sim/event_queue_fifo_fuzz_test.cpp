@@ -2,16 +2,14 @@
 //
 // The (time, sequence) heap order is a correctness invariant, not a nicety:
 // same-instant events must pop in push order or whole runs stop being
-// reproducible, and the sharded engine's cross-lane merge
-// (sim/parallel/parallel_simulator.cpp) reconstructs exactly this order —
-// its lanes and barrier records inherit the contract from here.  The fuzz
-// drives random interleavings of pushes and pops of all five event kinds,
-// with times drawn from a tiny set so same-instant collisions are the
-// norm, against a stable-sort reference model.  The times walk forward
-// and step back at random, so every kind's FIFO lane takes in-order pushes
-// and sends out-of-order ones to the heap, and same-instant ties meet
-// across lanes and the heap.  The queue's invariants are checked after
-// every operation.
+// reproducible, and the virtual-clock reactor replays exactly this order
+// (the sim<->live gate).  The fuzz drives random interleavings of pushes
+// and pops of all five event kinds, with times drawn from a tiny set so
+// same-instant collisions are the norm, against a stable-sort reference
+// model.  The times walk forward and step back at random, so every kind's
+// FIFO lane takes in-order pushes and sends out-of-order ones to the heap,
+// and same-instant ties meet across lanes and the heap.  The queue's
+// invariants are checked after every operation.
 #include <gtest/gtest.h>
 
 #include <algorithm>

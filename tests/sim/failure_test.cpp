@@ -1,26 +1,32 @@
 // Failure-injection semantics: dead links lose in-flight and queued
 // copies, single-path routing cannot recover, multi-path redundancy can.
-// Kills compile into the fault timeline, so every hand-built case runs
-// through both engines: ParallelSimulator at two shards applies the kill
-// batches at a window barrier and must reproduce Simulator's Collector.
+// Kills compile into the fault timeline and apply as fault batches.
 #include <gtest/gtest.h>
 
-#include "equivalence_rig.h"
+#include <memory>
+#include <vector>
+
+#include "experiment/paper.h"
+#include "experiment/runner.h"
+#include "routing/fabric.h"
+#include "sim/simulator.h"
 
 namespace bdps {
 namespace {
 
-using equivalence::Messages;
+using Messages = std::vector<std::shared_ptr<const Message>>;
 
-/// `kills` compiled into `options`, run through both engines.
+/// `kills` compiled into `options`, run through Simulator.
 Collector run_with_kills(const Topology& topo, const RoutingFabric& fabric,
                          const Strategy& strategy, SimulatorOptions options,
                          const std::vector<LinkFailure>& kills,
                          const Messages& messages) {
   options.faults = std::make_shared<const CompiledFaults>(
       CompiledFaults::compile({}, topo.graph, kills));
-  return equivalence::run_both_engines(topo, fabric, strategy, options,
-                                       messages);
+  Simulator sim(&topo, &topo.graph, &fabric, &strategy, options, Rng(1));
+  for (const auto& message : messages) sim.schedule_publish(message);
+  sim.run();
+  return sim.collector();
 }
 
 /// Line 0 - 1 - 2 (zero variance), one subscriber at 2, like

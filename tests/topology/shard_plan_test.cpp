@@ -4,7 +4,7 @@
 #include <set>
 
 #include "common/random.h"
-#include "sim/parallel/shard_plan.h"
+#include "topology/shard_plan.h"
 
 namespace bdps {
 namespace {
@@ -59,22 +59,6 @@ void check_valid(const Graph& graph, const ShardPlan& plan,
   EXPECT_EQ(plan.cut_edges(), expected);
 }
 
-TEST(ShardPlan, ContiguousCoversEveryShape) {
-  for (const std::size_t brokers : {1u, 2u, 5u, 16u, 33u}) {
-    const Graph graph = ring(std::max<std::size_t>(brokers, 3));
-    for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
-      const ShardPlan plan = ShardPlan::contiguous(graph, shards);
-      check_valid(graph, plan, shards);
-      // Contiguity: members of shard s are one id range.
-      for (std::size_t s = 0; s < plan.shard_count(); ++s) {
-        const auto& members = plan.members(s);
-        EXPECT_EQ(members.back() - members.front() + 1,
-                  static_cast<BrokerId>(members.size()));
-      }
-    }
-  }
-}
-
 TEST(ShardPlan, GreedyCoversEveryShape) {
   for (const std::uint64_t seed : {1ull, 5ull, 9ull}) {
     const Graph graph = random_mesh(40, 60, seed);
@@ -84,9 +68,9 @@ TEST(ShardPlan, GreedyCoversEveryShape) {
   }
 }
 
-TEST(ShardPlan, GreedyCutsNoMoreThanContiguousOnClusteredMesh) {
-  // Two dense clusters joined by one bridge, ids interleaved so contiguous
-  // ranges split both clusters while greedy growth keeps them whole.
+TEST(ShardPlan, GreedyCutsOnlyTheBridgeOfAClusteredMesh) {
+  // Two dense clusters joined by one bridge, ids interleaved so id ranges
+  // would split both clusters; greedy growth keeps them whole.
   const std::size_t half = 12;
   Graph graph(2 * half);
   for (std::size_t i = 0; i < half; ++i) {
@@ -101,18 +85,14 @@ TEST(ShardPlan, GreedyCutsNoMoreThanContiguousOnClusteredMesh) {
   }
   graph.add_bidirectional(0, 1, LinkParams{50.0, 10.0});  // The bridge.
   const ShardPlan greedy = ShardPlan::greedy_edge_cut(graph, 2);
-  const ShardPlan contiguous = ShardPlan::contiguous(graph, 2);
   check_valid(graph, greedy, 2);
-  check_valid(graph, contiguous, 2);
-  EXPECT_LT(greedy.cut_edges().size(), contiguous.cut_edges().size());
   EXPECT_LE(greedy.cut_edges().size(), 2u);  // Only the bridge crosses.
 }
 
 TEST(ShardPlan, ClampsToBrokerCount) {
   const Graph graph = ring(3);
   EXPECT_EQ(ShardPlan::greedy_edge_cut(graph, 64).shard_count(), 3u);
-  EXPECT_EQ(ShardPlan::contiguous(graph, 64).shard_count(), 3u);
-  EXPECT_THROW(ShardPlan::contiguous(graph, 0), std::invalid_argument);
+  EXPECT_THROW(ShardPlan::greedy_edge_cut(graph, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -13,12 +13,13 @@
 // Compare the same (strategy, depth, fan-out) pair across the two engines;
 // items_processed counts queue rows per pick, as micro_scheduler does.
 // Each iteration advances the queue's clock, so the queue's state depends
-// on how many iterations ran: every cycle row runs a fixed count
+// on how many iterations ran: every row runs a fixed count
 // (kCycleIterations), and every build times the same op sequence.
 //
 // BM_OutputQueueTakeNextPurge times the engine's whole send step instead:
 // OutputQueue::take_next with the §5.4 purge on (paper defaults), EBPC,
-// refilled to the depth before each take with young, mostly-kept rows.
+// refilled to the depth before each take with young, mostly-kept rows
+// (enqueue scores each, as it does for Broker::process).
 #include <benchmark/benchmark.h>
 
 #include "broker/output_queue.h"
@@ -32,6 +33,7 @@ using namespace bdps;
 /// Pre-built subscription entries reused by every generated row; only the
 /// Message and its targets/scored vectors are allocated per enqueue (the
 /// same work Broker::process does, and identical across both engines).
+/// Rows come unscored; every queue scores them with PD 2 ms.
 struct Rig {
   std::vector<std::unique_ptr<Subscription>> subs;
   std::vector<std::unique_ptr<SubscriptionEntry>> entries;
@@ -62,7 +64,6 @@ struct Rig {
       queued.targets.push_back(
           entries[rng.uniform_index(entries.size())].get());
     }
-    precompute_scores(queued, 2.0);
     return queued;
   }
 };
@@ -74,22 +75,23 @@ void run_cycle(benchmark::State& state, StrategyKind kind, bool incremental) {
 
   std::vector<QueuedMessage> queue;
   queue.reserve(depth + 1);
-  const auto scheduler = strategy.make_state(&queue);
+  const auto scheduler = strategy.make_state();
   TimeMs now = 600000.0;
-  for (std::size_t i = 0; i < depth; ++i) {
+  const auto enqueue = [&] {
     queue.push_back(rig.make_row(now));
-    if (incremental) scheduler->on_enqueue(queue.size() - 1);
-  }
+    precompute_scores(queue.back(), 2.0);
+    if (incremental) scheduler->on_enqueue(queue, queue.size() - 1);
+  };
+  for (std::size_t i = 0; i < depth; ++i) enqueue();
 
   for (auto _ : state) {
     now += 25.0;
-    const SchedulingContext context{now, 2.0, 3750.0};
-    queue.push_back(rig.make_row(now));
-    if (incremental) scheduler->on_enqueue(queue.size() - 1);
+    const SchedulingContext context{now, 3750.0};
+    enqueue();
     const std::size_t pick = incremental
-                                 ? scheduler->pick(context)
+                                 ? scheduler->pick(queue, context)
                                  : strategy.reference_pick(queue, context);
-    if (incremental) scheduler->on_remove(pick);
+    if (incremental) scheduler->on_remove(queue, pick);
     benchmark::DoNotOptimize(take_at(queue, pick));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -123,7 +125,7 @@ void BM_OutputQueueTakeNextPurge(benchmark::State& state) {
   Rig rig(static_cast<std::size_t>(state.range(1)));
   rig.max_age = 2000.0;  // Deadlines are 10-50 s: most rows are kept.
   const Strategy strategy(StrategyKind::kEbpc, 0.5);
-  OutputQueue queue(1, 0, LinkParams{150.0, 20.0}, &strategy);
+  OutputQueue queue(1, 0, LinkParams{150.0, 20.0}, &strategy, 2.0);
   const PurgePolicy policy;
   TimeMs now = 600000.0;
   PurgeStats stats;
@@ -131,14 +133,14 @@ void BM_OutputQueueTakeNextPurge(benchmark::State& state) {
     now += 25.0;
     while (queue.size() < depth) queue.enqueue(rig.make_row(now));
     benchmark::DoNotOptimize(
-        queue.take_next(SchedulingContext{now, 2.0, 3750.0}, policy, &stats));
+        queue.take_next(SchedulingContext{now, 3750.0}, policy, &stats));
   }
   state.counters["purged_per_take"] = benchmark::Counter(
       static_cast<double>(stats.expired + stats.hopeless) /
       static_cast<double>(state.iterations()));
 }
 
-/// Iterations of every cycle row: 25 s of simulated queue time.
+/// Iterations of every row: 25 s of simulated queue time.
 constexpr benchmark::IterationCount kCycleIterations = 1000;
 
 #define CYCLE_ARGS                                                      \
@@ -152,7 +154,11 @@ BENCHMARK(BM_IncrementalEb) CYCLE_ARGS;
 BENCHMARK(BM_RescanEb) CYCLE_ARGS;
 BENCHMARK(BM_IncrementalEbpc) CYCLE_ARGS;
 BENCHMARK(BM_RescanEbpc) CYCLE_ARGS;
-BENCHMARK(BM_OutputQueueTakeNextPurge)->Args({1, 4})->Args({4, 4})->Args({64, 4});
+BENCHMARK(BM_OutputQueueTakeNextPurge)
+    ->Args({1, 4})
+    ->Args({4, 4})
+    ->Args({64, 4})
+    ->Iterations(kCycleIterations);
 
 }  // namespace
 

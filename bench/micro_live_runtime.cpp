@@ -27,6 +27,7 @@
 #include "experiment/live.h"
 #include "routing/fabric.h"
 #include "topology/builders.h"
+#include "topology/shard_plan.h"
 
 namespace {
 
@@ -55,7 +56,7 @@ const Rig& rig_for(std::size_t links) {
     rig->fabric = std::make_unique<RoutingFabric>(
         rig->topo, flood_subscriptions(rig->topo));
     rig->strategy = make_strategy(StrategyKind::kEb);
-    rig->broker_shard = live_broker_shards(rig->topo.graph, 2);
+    rig->broker_shard = greedy_edge_cut(rig->topo.graph, 2);
     slot = std::move(rig);
   }
   return *slot;

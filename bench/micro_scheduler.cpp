@@ -16,7 +16,7 @@ struct Rig {
   std::vector<std::unique_ptr<Subscription>> subs;
   std::vector<std::unique_ptr<SubscriptionEntry>> entries;
   std::vector<QueuedMessage> queue;
-  SchedulingContext context{600000.0, 2.0, 3750.0};
+  SchedulingContext context{600000.0, 3750.0};
 
   Rig(std::size_t queue_depth, std::size_t targets_per_message) {
     Rng rng(1);
@@ -39,9 +39,9 @@ struct Rig {
         subs.push_back(std::move(sub));
         entries.push_back(std::move(entry));
       }
-      // Fold the scoring kernel as Broker::process does at enqueue time, so
+      // Fold the scoring kernel (PD 2 ms) as OutputQueue::enqueue does, so
       // the timed loops measure the steady-state pick/purge path.
-      precompute_scores(queued, context.processing_delay);
+      precompute_scores(queued, 2.0);
       queue.push_back(std::move(queued));
     }
   }

@@ -10,7 +10,7 @@ namespace bdps {
 Broker::Broker(BrokerId id, const RoutingFabric* fabric,
                const Graph* believed_links, const Strategy* strategy,
                TimeMs processing_delay, bool queues_for_all_links)
-    : id_(id), fabric_(fabric), processing_delay_(processing_delay) {
+    : id_(id), fabric_(fabric) {
   // One queue per downstream neighbour appearing in the subscription table,
   // in ascending neighbour order (slot == rank).
   std::vector<LinkRef> links;
@@ -55,7 +55,7 @@ Broker::Broker(BrokerId id, const RoutingFabric* fabric,
   for (const LinkRef& link : links) {
     queues_.emplace_back(link.neighbor, link.edge,
                          believed_links->edge(link.edge).link.params(),
-                         strategy);
+                         strategy, processing_delay);
     neighbors_.push_back(link.neighbor);
   }
   slot_targets_.resize(links.size());
@@ -135,9 +135,6 @@ const Broker::FanOut& Broker::fan_out(
         message, now,
         std::vector<const SubscriptionEntry*>(targets.begin(), targets.end())};
     targets.clear();
-    // Fold the time-invariant scoring constants now, while the rows are
-    // cache-hot, so picks and purges never touch the subscription table.
-    precompute_scores(queued, processing_delay_);
     out.enqueue(std::move(queued));
     result.enqueued.push_back(slot);
     if (was_startable) result.sendable.push_back(slot);
@@ -161,8 +158,7 @@ void Broker::take_next(std::span<const QueueSlot> slots, TimeMs now,
     dispatch.neighbor = queue.neighbor();
     dispatch.purge = PurgeStats{};
     dispatch.purged_ids.clear();
-    const SchedulingContext ctx{now, processing_delay_,
-                                queue.head_of_line_estimate(average_kb)};
+    const SchedulingContext ctx{now, queue.head_of_line_estimate(average_kb)};
     dispatch.chosen = queue.take_next(
         ctx, policy, &dispatch.purge,
         collect_purged_ids ? &dispatch.purged_ids : nullptr);
@@ -184,12 +180,9 @@ double Broker::average_message_size_kb() const {
   return total_size_kb_ / static_cast<double>(processed_count_);
 }
 
-SchedulingContext Broker::context_at(QueueSlot slot, TimeMs now,
-                                     TimeMs processing_delay) const {
-  const OutputQueue& out = queues_[slot];
+SchedulingContext Broker::context_at(QueueSlot slot, TimeMs now) const {
   return SchedulingContext{
-      now, processing_delay,
-      out.head_of_line_estimate(average_message_size_kb())};
+      now, queues_[slot].head_of_line_estimate(average_message_size_kb())};
 }
 
 }  // namespace bdps

@@ -44,12 +44,13 @@ class Broker {
   /// scheduling math (FT); they may deviate from the true simulation links
   /// in the estimation ablation.  `strategy` is the run's shared scheduling
   /// policy; each queue mints its own SchedulerState from it.
-  /// `processing_delay` (PD) is folded into the precomputed scoring kernel
-  /// of every enqueued copy.  `queues_for_all_links` binds a queue slot for
-  /// every believed out-link instead of only the neighbours present in the
-  /// initial subscription table — required when routing repair can re-point
-  /// entries at neighbours that carried no subscription at construction
-  /// time (fan-out asserts the target slot exists).
+  /// `processing_delay` (PD) is the constant of every queue: each enqueued
+  /// copy's scoring kernel is folded with it once.  `queues_for_all_links`
+  /// binds a queue slot for every believed out-link instead of only the
+  /// neighbours present in the initial subscription table — required when
+  /// routing repair can re-point entries at neighbours that carried no
+  /// subscription at construction time (fan-out asserts the target slot
+  /// exists).
   Broker(BrokerId id, const RoutingFabric* fabric, const Graph* believed_links,
          const Strategy* strategy, TimeMs processing_delay = 0.0,
          bool queues_for_all_links = false);
@@ -121,13 +122,11 @@ class Broker {
   double average_message_size_kb() const;
 
   /// Builds the SchedulingContext for a pick/purge on a slot's queue.
-  SchedulingContext context_at(QueueSlot slot, TimeMs now,
-                               TimeMs processing_delay) const;
+  SchedulingContext context_at(QueueSlot slot, TimeMs now) const;
 
  private:
   BrokerId id_;
   const RoutingFabric* fabric_;
-  TimeMs processing_delay_;
   /// Flat queue storage; slot i's neighbour is mirrored in neighbors_[i]
   /// (the contiguous binary-search key array behind slot_of).
   std::vector<OutputQueue> queues_;

@@ -7,33 +7,13 @@
 
 namespace bdps {
 
-SchedulerState& OutputQueue::state() {
-  if (!state_) {
-    state_ = strategy_->make_state(&queue_);
-    // Replay rows enqueued before the state existed (or present when a
-    // move dropped the previous state).
-    for (std::size_t i = 0; i < queue_.size(); ++i) state_->on_enqueue(i);
-  }
-  return *state_;
-}
-
 void OutputQueue::enqueue(QueuedMessage queued) {
-  // Mint (and replay) the state before growing the queue, so the new row
-  // is announced exactly once.
-  SchedulerState& scheduler = state();
-  // A row already folded with the horizons' PD gets its horizon now; any
-  // other waits for the next take_next.
-  TimeMs horizon = std::numeric_limits<double>::quiet_NaN();
-  if (queued.scored_pd == horizon_pd_ &&
-      queued.scored.size() == queued.targets.size()) {
-    horizon = keep_horizon(queued, horizon_pd_, horizon_policy_, horizon_z_);
-  }
-  earliest_keep_until_ = std::isnan(horizon)
-                             ? -kNever
-                             : std::min(earliest_keep_until_, horizon);
+  precompute_scores(queued, processing_delay_);
+  const TimeMs horizon = keep_horizon(queued, horizon_policy_, horizon_z_);
+  earliest_keep_until_ = std::min(earliest_keep_until_, horizon);
   queue_.push_back(std::move(queued));
   keep_until_.push_back(horizon);
-  scheduler.on_enqueue(queue_.size() - 1);
+  state_->on_enqueue(queue_, queue_.size() - 1);
 }
 
 QueuedMessage OutputQueue::remove_at(std::size_t index) {
@@ -45,19 +25,18 @@ QueuedMessage OutputQueue::remove_at(std::size_t index) {
 std::optional<QueuedMessage> OutputQueue::take_next(
     const SchedulingContext& context, const PurgePolicy& policy,
     PurgeStats* purge_stats, std::vector<MessageId>* purged_ids) {
-  SchedulerState& scheduler = state();
-  scheduler.on_tick(context);
+  state_->on_tick(queue_, context);
 
-  // Horizons hold for one PD and one policy; a change voids them all.  The
-  // `!=` also catches the initial NaN.
-  if (context.processing_delay != horizon_pd_ ||
-      policy.epsilon != horizon_policy_.epsilon ||
+  // Horizons hold for one policy; a change recomputes them all.
+  if (policy.epsilon != horizon_policy_.epsilon ||
       policy.drop_expired != horizon_policy_.drop_expired) {
-    horizon_pd_ = context.processing_delay;
     horizon_policy_ = policy;
     horizon_z_ = keep_horizon_z(policy);
-    keep_until_.assign(queue_.size(), std::numeric_limits<double>::quiet_NaN());
-    earliest_keep_until_ = -kNever;
+    earliest_keep_until_ = kNever;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      keep_until_[i] = keep_horizon(queue_[i], horizon_policy_, horizon_z_);
+      earliest_keep_until_ = std::min(earliest_keep_until_, keep_until_[i]);
+    }
   }
 
   // Pre-send purge (§5.4), hook-aware: removal swaps the back row in, so
@@ -70,11 +49,7 @@ std::optional<QueuedMessage> OutputQueue::take_next(
   if (!(context.now < earliest_keep_until_)) {
     TimeMs earliest = kNever;
     for (std::size_t i = 0; i < queue_.size();) {
-      TimeMs& horizon = keep_until_[i];
-      if (std::isnan(horizon)) {
-        horizon = keep_horizon(queue_[i], horizon_pd_, horizon_policy_,
-                               horizon_z_);
-      }
+      const TimeMs horizon = keep_until_[i];
       if (context.now < horizon) {
         earliest = std::min(earliest, horizon);
         ++i;
@@ -95,7 +70,7 @@ std::optional<QueuedMessage> OutputQueue::take_next(
       if (purged_ids != nullptr) {
         purged_ids->push_back(queue_[i].message->id());
       }
-      scheduler.on_remove(i);
+      state_->on_remove(queue_, i);
       remove_at(i);  // Dropped.
     }
     earliest_keep_until_ = earliest;
@@ -103,8 +78,8 @@ std::optional<QueuedMessage> OutputQueue::take_next(
   if (purge_stats != nullptr) *purge_stats += stats;
   if (queue_.empty()) return std::nullopt;
 
-  const std::size_t choice = scheduler.pick(context);
-  scheduler.on_remove(choice);
+  const std::size_t choice = state_->pick(queue_, context);
+  state_->on_remove(queue_, choice);
   return remove_at(choice);
 }
 
@@ -117,14 +92,13 @@ void OutputQueue::check_invariants(const SchedulingContext& context) {
     fail("the keep horizons do not mirror the queue");
   }
   for (std::size_t i = 0; i < queue_.size(); ++i) {
-    const TimeMs horizon = keep_until_[i];
-    if (std::isnan(horizon)) {
-      if (earliest_keep_until_ != -kNever) {
-        fail("a row awaits its horizon but the purge scan may be skipped");
-      }
-      continue;
+    if (queue_[i].scored.size() != queue_[i].targets.size()) {
+      fail("row " + std::to_string(i) + " has " +
+           std::to_string(queue_[i].scored.size()) + " kernel rows for " +
+           std::to_string(queue_[i].targets.size()) + " targets");
     }
-    if (horizon < earliest_keep_until_) {
+    const TimeMs horizon = keep_until_[i];
+    if (!(horizon >= earliest_keep_until_)) {  // NaN fails too.
       fail("row " + std::to_string(i) +
            "'s horizon is before the queue's earliest");
     }
@@ -133,16 +107,15 @@ void OutputQueue::check_invariants(const SchedulingContext& context) {
     const TimeMs before = horizon == kNever
                               ? std::numeric_limits<double>::max()
                               : std::nextafter(horizon, -kNever);
-    const SchedulingContext at{before, horizon_pd_, 0.0};
+    const SchedulingContext at{before, 0.0};
     if (classify_purge(queue_[i], at, horizon_policy_) != PurgeVerdict::kKeep) {
       fail("row " + std::to_string(i) +
            "'s keep horizon is past its last keep instant");
     }
   }
   if (queue_.empty()) return;
-  SchedulerState& scheduler = state();
-  scheduler.check_invariants(context);
-  const std::size_t got = scheduler.pick(context);
+  state_->check_invariants(queue_, context);
+  const std::size_t got = state_->pick(queue_, context);
   const std::size_t want = strategy_->reference_pick(queue_, context);
   if (got != want) {
     fail("the scheduler picks row " + std::to_string(got) +

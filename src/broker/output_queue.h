@@ -3,18 +3,20 @@
 // One instance exists per (broker, downstream neighbour) pair.  It owns the
 // waiting messages, the link-busy flag (a send is in flight), the believed
 // parameters of its link — from which the head-of-line estimate FT of
-// eq. (6) is derived — and the per-queue SchedulerState minted from the
-// run's shared Strategy.  Every queue mutation is forwarded to the state's
-// lifecycle hooks, so picks are incremental instead of full rescans.  The
-// simulators and the live reactor drive the same class through BrokerStep;
-// one queue is driven by one thread at a time (the live runtime keeps each
-// queue on its source broker's worker).
+// eq. (6) is derived — its broker's processing delay PD, and the per-queue
+// SchedulerState minted from the run's shared Strategy.  PD is a constant
+// of the queue: enqueue folds every copy's kernel rows with it once
+// (precompute_scores), and nothing re-folds them.  Every queue mutation is
+// forwarded to the state's lifecycle hooks, so picks are incremental
+// instead of full rescans.  The simulators and the live reactor drive the
+// same class through BrokerStep; one queue is driven by one thread at a
+// time (the live runtime keeps each queue on its source broker's worker).
 //
 // Beside the rows the queue mirrors one keep horizon per row
 // (scheduling/purge.h, keep_horizon): an instant before which the §5.4
 // purge keeps the row for certain.  It is fixed once the row is scored, so
 // it is computed once per row, and the pre-send purge classifies only the
-// rows whose horizon has passed; a PD or purge-policy change voids every
+// rows whose horizon has passed; a purge-policy change recomputes every
 // horizon.
 #pragma once
 
@@ -32,32 +34,15 @@ namespace bdps {
 class OutputQueue {
  public:
   /// `strategy` must outlive the queue (it is shared across the run).
+  /// `processing_delay` is the PD every enqueued copy is scored with.
   OutputQueue(BrokerId neighbor, EdgeId edge, LinkParams believed_link,
-              const Strategy* strategy)
+              const Strategy* strategy, TimeMs processing_delay)
       : neighbor_(neighbor),
         edge_(edge),
         believed_link_(believed_link),
-        strategy_(strategy) {}
-
-  /// Moving re-homes the message vector, so the bound SchedulerState is
-  /// dropped and lazily re-minted (and replayed) at the new address.  Only
-  /// container shuffling during broker construction moves queues; by then
-  /// they are empty, so the replay is free.
-  OutputQueue(OutputQueue&& other) noexcept
-      : neighbor_(other.neighbor_),
-        edge_(other.edge_),
-        believed_link_(other.believed_link_),
-        strategy_(other.strategy_),
-        queue_(std::move(other.queue_)),
-        keep_until_(std::move(other.keep_until_)),
-        earliest_keep_until_(other.earliest_keep_until_),
-        horizon_pd_(other.horizon_pd_),
-        horizon_policy_(other.horizon_policy_),
-        horizon_z_(other.horizon_z_),
-        link_busy_(other.link_busy_) {}
-  OutputQueue& operator=(OutputQueue&&) = delete;
-  OutputQueue(const OutputQueue&) = delete;
-  OutputQueue& operator=(const OutputQueue&) = delete;
+        strategy_(strategy),
+        processing_delay_(processing_delay),
+        state_(strategy->make_state()) {}
 
   BrokerId neighbor() const { return neighbor_; }
   EdgeId edge() const { return edge_; }
@@ -73,6 +58,8 @@ class OutputQueue {
   bool link_busy() const { return link_busy_; }
   void set_link_busy(bool busy) { link_busy_ = busy; }
 
+  /// Appends `queued`, folding its kernel rows with this queue's PD
+  /// (whatever rows it carried are rebuilt).
   void enqueue(QueuedMessage queued);
 
   /// Drops every queued message (link failure); returns how many.
@@ -81,7 +68,8 @@ class OutputQueue {
     queue_.clear();
     keep_until_.clear();
     earliest_keep_until_ = kNever;
-    state_.reset();  // Cheaper to re-mint empty than to unwind row by row.
+    // Cheaper to re-mint empty than to unwind row by row.
+    state_ = strategy_->make_state();
     return dropped;
   }
 
@@ -99,14 +87,12 @@ class OutputQueue {
       const SchedulingContext& context, const PurgePolicy& policy,
       PurgeStats* purge_stats, std::vector<MessageId>* purged_ids = nullptr);
 
-  /// The bound per-queue scheduler state (minted on first use).
-  SchedulerState& state();
-
-  /// Throws std::logic_error unless the keep horizons mirror the queue,
-  /// every computed horizon is at or before its row's exact last keep
-  /// instant (classify_purge keeps the row just before it, under the PD and
-  /// policy the horizons were computed with), the scheduler state's own
-  /// checks hold at `context` and its pick equals Strategy::reference_pick.
+  /// Throws std::logic_error unless every row carries one kernel row per
+  /// target, the keep horizons mirror the queue, every horizon is at or
+  /// before its row's exact last keep instant (classify_purge keeps the row
+  /// just before it, under the policy the horizons were computed with), the
+  /// scheduler state's own checks hold at `context` and its pick equals
+  /// Strategy::reference_pick.
   /// Runs a pick, which only refreshes score bounds: decisions are
   /// unchanged.
   void check_invariants(const SchedulingContext& context);
@@ -121,16 +107,17 @@ class OutputQueue {
   EdgeId edge_;
   LinkParams believed_link_;
   const Strategy* strategy_;
+  TimeMs processing_delay_;
   std::vector<QueuedMessage> queue_;
-  /// keep_until_[i]: row i's keep horizon under horizon_pd_ and
-  /// horizon_policy_; NaN until computed.
+  /// keep_until_[i]: row i's keep horizon under horizon_policy_.
   std::vector<TimeMs> keep_until_;
-  /// At or below every row's horizon (-inf while any is NaN): take_next
-  /// skips the purge scan before it.
+  /// At or below every row's horizon: take_next skips the purge scan
+  /// before it.
   TimeMs earliest_keep_until_ = kNever;
-  TimeMs horizon_pd_ = std::numeric_limits<double>::quiet_NaN();
+  /// The policy of the horizons: the last take_next's (the default one
+  /// before the first).
   PurgePolicy horizon_policy_;
-  double horizon_z_ = 0.0;  // keep_horizon_z(horizon_policy_).
+  double horizon_z_ = keep_horizon_z(horizon_policy_);
   std::unique_ptr<SchedulerState> state_;
   bool link_busy_ = false;
 };

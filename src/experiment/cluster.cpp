@@ -15,6 +15,7 @@
 #include <thread>
 
 #include "net/socket_link.h"
+#include "topology/shard_plan.h"
 
 namespace bdps {
 
@@ -309,8 +310,8 @@ int run_live_daemon(std::uint16_t controller_port, int shard) {
     LiveNetwork net(
         &world.topology, world.fabric.get(), world.strategy.get(),
         live_options_for(config, shard, static_cast<int>(shard_count),
-                         live_broker_shards(world.topology.graph,
-                                            shard_count)));
+                         greedy_edge_cut(world.topology.graph,
+                                         shard_count)));
     PortReplyFrame port_reply;
     port_reply.shard = hello.shard;
     port_reply.port = net.trunk_port();

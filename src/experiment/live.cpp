@@ -101,15 +101,6 @@ LiveWorld build_live_world(const LiveRunConfig& config) {
   return world;
 }
 
-std::vector<std::uint32_t> live_broker_shards(const Graph& graph,
-                                              std::size_t shards) {
-  const ShardPlan plan = ShardPlan::greedy_edge_cut(graph, shards);
-  std::vector<std::uint32_t> out(graph.broker_count());
-  for (std::size_t b = 0; b < out.size(); ++b) {
-    out[b] = plan.shard_of(static_cast<BrokerId>(b));
-  }
-  return out;
-}
 
 LiveOptions live_options_for(const LiveRunConfig& config, int shard,
                              int shard_count,
@@ -217,7 +208,7 @@ LiveRunResult run_live(const LiveRunConfig& config) {
   instances.reserve(shard_count);
   if (shard_count > 1) {
     const std::vector<std::uint32_t> broker_shard =
-        live_broker_shards(world.topology.graph, shard_count);
+        greedy_edge_cut(world.topology.graph, shard_count);
     for (std::size_t s = 0; s < shard_count; ++s) {
       instances.push_back(std::make_unique<LiveNetwork>(
           &world.topology, world.fabric.get(), world.strategy.get(),

@@ -61,9 +61,9 @@ struct LiveRunConfig {
   /// bound wall time with it.
   std::size_t message_limit = 0;
   /// Socket-mode shard count: >= 2 partitions the brokers with
-  /// ShardPlan::greedy_edge_cut and runs one LiveNetwork per shard wired
-  /// over local AF_UNIX trunks; <= 1 runs a single instance.  Ignored by
-  /// kReactor.
+  /// greedy_edge_cut (topology/shard_plan.h) and runs one LiveNetwork per
+  /// shard wired over local AF_UNIX trunks; <= 1 runs a single instance.
+  /// Ignored by kReactor.
   std::size_t shards = 0;
   /// Trunk redial backoff (socket mode).
   double reconnect_initial_ms = 5.0;
@@ -126,12 +126,6 @@ struct LiveWorld {
 };
 
 LiveWorld build_live_world(const LiveRunConfig& config);
-
-/// Shard id per broker for a socket cluster: ShardPlan::greedy_edge_cut
-/// over the built graph — deterministic, so every process computes the
-/// same layout independently.
-std::vector<std::uint32_t> live_broker_shards(const Graph& graph,
-                                              std::size_t shards);
 
 /// LiveOptions for shard `shard` of a `shard_count`-way socket cluster
 /// (pass shard_count <= 1 for the single-instance modes).

@@ -10,7 +10,7 @@
 //
 //   * LiveMode::kReactor (default) — a fixed pool of N workers
 //     (runtime/reactor.h): brokers are assigned to workers with a
-//     greedy-edge-cut ShardPlan, processing delays and transmissions
+//     greedy edge cut, processing delays and transmissions
 //     sleep as timers in each worker's EventQueue (sim/event_queue.h), and
 //     cross-worker handoff rides SpscQueue mailboxes plus an eventfd
 //     doorbell rung only for a parked worker.  Thread count is

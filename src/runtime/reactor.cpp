@@ -118,7 +118,6 @@ struct Reactor::Effects {
     }
   }
   double draw_rate(EdgeId edge) { return reactor->step_->draw_rate(edge); }
-  void send(Event completion) { worker->timers.push(std::move(completion)); }
   bool send_cut(EdgeId edge, TimeMs start, TimeMs) const {
     const BrokerId sender = reactor->step_->topology->graph.edge(edge).from;
     return reactor->crashed_at_[sender] > start;
@@ -148,11 +147,7 @@ Reactor::Reactor(BrokerStep* step, ReactorOptions options, LiveClock* clock,
 
   // The greedy edge cut keeps most fan-outs worker-local; links follow
   // their source broker, so one edge cut is one mailbox hop.
-  const ShardPlan plan = ShardPlan::greedy_edge_cut(graph, worker_count);
-  owner_of_broker_.resize(n);
-  for (std::size_t b = 0; b < n; ++b) {
-    owner_of_broker_[b] = plan.shard_of(static_cast<BrokerId>(b));
-  }
+  owner_of_broker_ = greedy_edge_cut(graph, worker_count);
 
   workers_.reserve(worker_count);
   for (std::size_t w = 0; w < worker_count; ++w) {

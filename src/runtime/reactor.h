@@ -13,13 +13,13 @@
 // Processing is serialized (one message per broker per PD, arrivals wait
 // in the fig. 2 input queue): a recorded decision, not a knob.
 //
-// Placement and handoff: brokers are assigned to workers with a ShardPlan
-// (topology/shard_plan.h; greedy edge cut — most fan-outs stay
-// worker-local); each directed link lives with its *source* broker's
-// worker, so enqueue, pick and purge are always same-worker.  A
-// same-instant arrival runs after the current step from a worker-local
-// FIFO, or crosses to the destination broker's worker through the (source
-// worker, destination worker) SpscQueue mailbox — the only synchronisation
+// Placement and handoff: brokers are assigned to workers with the greedy
+// edge cut of topology/shard_plan.h (most fan-outs stay worker-local);
+// each directed link lives with its *source* broker's worker, so enqueue,
+// pick and purge are always same-worker.  A same-instant arrival runs
+// after the current step from a worker-local FIFO, or crosses to the
+// destination broker's worker through the (source worker, destination
+// worker) SpscQueue mailbox — the only synchronisation
 // in steady state; there are no per-broker blocking channels and no
 // per-link locks.
 //
@@ -211,7 +211,8 @@ class Reactor {
   LiveStats* stats_;
   std::atomic<std::size_t>* outstanding_;
 
-  /// ShardPlan assignment: which worker owns each broker (and its links).
+  /// greedy_edge_cut assignment: which worker owns each broker (and its
+  /// links).
   std::vector<std::uint32_t> owner_of_broker_;
   /// Clock reading of each broker's last crash (-inf before any), written
   /// and read only by the broker's worker: the live cut tests.

@@ -22,7 +22,7 @@ ScoredTarget make_scored_target(const SubscriptionEntry& entry,
   return st;
 }
 
-void precompute_scores(const QueuedMessage& queued, TimeMs processing_delay) {
+void precompute_scores(QueuedMessage& queued, TimeMs processing_delay) {
   queued.scored.clear();
   queued.scored.reserve(queued.targets.size());
   queued.expiry_sum = 0.0;
@@ -36,7 +36,6 @@ void precompute_scores(const QueuedMessage& queued, TimeMs processing_delay) {
       ++queued.bounded_targets;
     }
   }
-  queued.scored_pd = processing_delay;
 }
 
 }  // namespace bdps

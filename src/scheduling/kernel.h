@@ -75,19 +75,14 @@ struct QueuedMessage {
   TimeMs enqueue_time = 0.0;
   std::vector<const SubscriptionEntry*> targets;
 
-  // Precomputed kernel state, parallel to `targets`.  Built eagerly at
-  // enqueue (Broker::process) and lazily healed by ensure_scored() when
-  // absent or folded with a different PD, so queues assembled by hand
-  // (tests, benches) keep working unchanged.  Mutable because pick() takes
-  // the queue const; the same thread-safety contract as the matching index
-  // applies: one queue is scored by one thread at a time (the simulators
-  // are single-threaded per broker, the live runtime keeps each queue on
-  // its source broker's worker).
-  mutable std::vector<ScoredTarget> scored;
-  mutable TimeMs scored_pd = std::numeric_limits<double>::quiet_NaN();
+  // Precomputed kernel state, parallel to `targets`, written only by
+  // precompute_scores: OutputQueue::enqueue folds every copy once with its
+  // queue's PD, and hand-built rows (tests, benches) are folded by their
+  // builder before they are scored.
+  std::vector<ScoredTarget> scored;
   /// Sum of finite expiries and their count (O(1) mean remaining lifetime).
-  mutable double expiry_sum = 0.0;
-  mutable std::uint32_t bounded_targets = 0;
+  double expiry_sum = 0.0;
+  std::uint32_t bounded_targets = 0;
 };
 
 /// Removes and returns queue[index] in O(1) by swapping the back element
@@ -105,17 +100,7 @@ inline QueuedMessage take_at(std::vector<QueuedMessage>& queue,
 }
 
 /// (Re)builds `queued.scored` from `queued.targets` with the given PD.
-void precompute_scores(const QueuedMessage& queued, TimeMs processing_delay);
-
-/// Ensures the kernel rows exist and were folded with `processing_delay`.
-inline void ensure_scored(const QueuedMessage& queued,
-                          TimeMs processing_delay) {
-  if (queued.scored_pd == processing_delay &&
-      queued.scored.size() == queued.targets.size()) {
-    return;
-  }
-  precompute_scores(queued, processing_delay);
-}
+void precompute_scores(QueuedMessage& queued, TimeMs processing_delay);
 
 /// Phi with a saturation fast path: |z| > 8 pins the result to 0/1
 /// (Phi(±8) differs from the limit by < 7e-16, far below the purge epsilon
@@ -164,7 +149,6 @@ std::array<double, N> kernel_benefit_sums(
 /// EB_m of eq. (3) from the kernel rows.
 inline double kernel_expected_benefit(const QueuedMessage& queued,
                                       const SchedulingContext& context) {
-  ensure_scored(queued, context.processing_delay);
   return kernel_benefit_sums<1>(queued.scored, {context.now})[0];
 }
 
@@ -172,7 +156,6 @@ inline double kernel_expected_benefit(const QueuedMessage& queued,
 /// transmission (FT).
 inline double kernel_postponed_benefit(const QueuedMessage& queued,
                                        const SchedulingContext& context) {
-  ensure_scored(queued, context.processing_delay);
   return kernel_benefit_sums<1>(
       queued.scored, {context.now + context.head_of_line_estimate})[0];
 }
@@ -186,7 +169,6 @@ struct BenefitPair {
 
 inline BenefitPair kernel_benefit_pair(const QueuedMessage& queued,
                                        const SchedulingContext& context) {
-  ensure_scored(queued, context.processing_delay);
   const std::array<double, 2> sums = kernel_benefit_sums<2>(
       queued.scored,
       {context.now, context.now + context.head_of_line_estimate});
@@ -196,7 +178,6 @@ inline BenefitPair kernel_benefit_pair(const QueuedMessage& queued,
 /// Lower-bound benefit from the precomputed indicator constants.
 inline double kernel_lower_bound_benefit(const QueuedMessage& queued,
                                          const SchedulingContext& context) {
-  ensure_scored(queued, context.processing_delay);
   double total = 0.0;
   for (const ScoredTarget& st : queued.scored) {
     if (context.now <= st.lb_indicator_const) total += st.price;
@@ -205,14 +186,9 @@ inline double kernel_lower_bound_benefit(const QueuedMessage& queued,
 }
 
 /// Mean remaining lifetime across deadline-bounded targets, O(1) from the
-/// expiry aggregates.  Expiries are PD-independent, so any existing kernel
-/// rows serve; bare queues are folded with PD 0 on first use.
+/// expiry aggregates.
 inline TimeMs kernel_mean_remaining_lifetime(const QueuedMessage& queued,
                                              TimeMs now) {
-  if (queued.targets.empty()) return kNoDeadline;
-  if (queued.scored.size() != queued.targets.size()) {
-    precompute_scores(queued, 0.0);
-  }
   if (queued.bounded_targets == 0) return kNoDeadline;
   return queued.expiry_sum / static_cast<double>(queued.bounded_targets) - now;
 }

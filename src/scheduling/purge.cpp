@@ -33,7 +33,6 @@ bool all_hopeless(const QueuedMessage& queued, TimeMs now, double epsilon) {
 PurgeVerdict classify_purge(const QueuedMessage& queued,
                             const SchedulingContext& context,
                             const PurgePolicy& policy) {
-  ensure_scored(queued, context.processing_delay);
   if (policy.drop_expired && all_expired(queued, context.now)) {
     return PurgeVerdict::kExpired;
   }
@@ -52,10 +51,9 @@ double keep_horizon_z(const PurgePolicy& policy) {
   return std::max(normal_quantile(policy.epsilon), -8.0) + 1e-3;
 }
 
-TimeMs keep_horizon(const QueuedMessage& queued, TimeMs processing_delay,
-                    const PurgePolicy& policy, double z) {
+TimeMs keep_horizon(const QueuedMessage& queued, const PurgePolicy& policy,
+                    double z) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  ensure_scored(queued, processing_delay);
   if (queued.scored.empty()) return kInf;  // Neither rule fires.
   TimeMs expiry_horizon = kInf;
   if (policy.drop_expired) {

@@ -37,7 +37,7 @@ struct PurgeStats {
 /// Why (or whether) one queued message should be deleted right now.
 enum class PurgeVerdict { kKeep, kExpired, kHopeless };
 
-/// Applies both §5.4 rules to one message (ensuring its kernel rows first).
+/// Applies both §5.4 rules to one scored message (its kernel rows).
 PurgeVerdict classify_purge(const QueuedMessage& queued,
                             const SchedulingContext& context,
                             const PurgePolicy& policy);
@@ -51,18 +51,19 @@ PurgeVerdict classify_purge(const QueuedMessage& queued,
 /// every pick.  Unused when epsilon is 0.
 double keep_horizon_z(const PurgePolicy& policy);
 
-/// A conservative keep-until instant of one row (eq. 11 with a fixed PD):
-/// classify_purge(queued, {t, processing_delay, any FT}, policy) is kKeep
-/// for every t < the result.  It is the minimum of the expiry rule's
-/// horizon (the row's latest target expiry) and the eq. (11) rule's (the
-/// latest target instant slack_const - z / inv_size_sigma, a few ulps
-/// early; slack_const itself on a deterministic path), each +inf when its
-/// rule is off; +inf for an empty target list, never NaN.  A row's success
-/// terms only fall as time advances, so the instant is fixed once the row
-/// is scored: OutputQueue computes it once per row and classifies a row
-/// only after its instant has passed.  `z` is keep_horizon_z(policy).
-TimeMs keep_horizon(const QueuedMessage& queued, TimeMs processing_delay,
-                    const PurgePolicy& policy, double z);
+/// A conservative keep-until instant of one scored row (eq. 11 with the PD
+/// its kernel rows were folded with): classify_purge(queued, {t, any FT},
+/// policy) is kKeep for every t < the result.  It is the minimum of the
+/// expiry rule's horizon (the row's latest target expiry) and the eq. (11)
+/// rule's (the latest target instant slack_const - z / inv_size_sigma, a
+/// few ulps early; slack_const itself on a deterministic path), each +inf
+/// when its rule is off; +inf for an empty target list, never NaN.  A
+/// row's success terms only fall as time advances, so the instant is fixed
+/// once the row is scored: OutputQueue computes it once per row and
+/// classifies a row only after its instant has passed.  `z` is
+/// keep_horizon_z(policy).
+TimeMs keep_horizon(const QueuedMessage& queued, const PurgePolicy& policy,
+                    double z);
 
 /// True when eq. (11) says the queued message should be deleted.
 bool should_purge(const QueuedMessage& queued, const SchedulingContext& context,

@@ -11,17 +11,18 @@
 //    run; it carries no mutable state and is safe to use from any thread.
 //
 //  * `SchedulerState` — minted by `Strategy::make_state` and owned by one
-//    `OutputQueue`.  It observes the queue through lifecycle hooks and
-//    answers `pick` incrementally instead of rescanning every row:
+//    `OutputQueue`.  It observes the queue through lifecycle hooks, each
+//    handed the queue's rows, and answers `pick` incrementally instead of
+//    rescanning every row:
 //
-//      on_enqueue(i)  — a row was just appended at index `i`.
-//      on_remove(i)   — row `i` is about to be removed; the back row will
-//                       be swapped into its slot (see take_at below).
-//      on_tick(ctx)   — a new scheduling instant begins (rate-estimate or
-//                       clock updates); called by OutputQueue::take_next
-//                       before the purge scan.
-//      pick(ctx)      — index of the message to send next (queue
-//                       non-empty).  A one-row queue answers 0 at once.
+//      on_enqueue(queue, i) — a row was just appended at index `i`.
+//      on_remove(queue, i)  — row `i` is about to be removed; the back row
+//                             will be swapped into its slot (see take_at).
+//      on_tick(queue, ctx)  — a new scheduling instant begins (rate-estimate
+//                             or clock updates); called by
+//                             OutputQueue::take_next before the purge scan.
+//      pick(queue, ctx)     — index of the message to send next (queue
+//                             non-empty).  A one-row queue answers 0 at once.
 //
 //    FIFO and RL order by time-invariant keys, so their state is an
 //    indexed min-heap: O(log n) per enqueue/remove and O(1) per pick.
@@ -29,9 +30,9 @@
 //    upper bound on its score that can only decay as time advances; rows
 //    whose stale bound cannot beat the running best are skipped without
 //    touching their kernel rows.  Bounds are invalidated only by enqueues,
-//    removals, clock regressions and PD changes (the kernel refolds
-//    slack_const with the new PD) — never by FT / rate-estimate drift,
-//    which the bounds are independent of.
+//    removals and clock regressions — never by FT / rate-estimate drift,
+//    which the bounds are independent of.  PD cannot move them: it is a
+//    constant of the queue, folded into each row once at enqueue.
 //
 // Every state is pick-identical to the stateless rescan: the reference
 // argmax survives as `Strategy::reference_pick`, and
@@ -40,8 +41,9 @@
 // check_invariants after every operation.
 //
 // The engine path is `OutputQueue` (broker/output_queue.h): it is built
-// with the run's Strategy, owns its state for life and forwards every
-// hook; one-shot callers (tests, offline tooling) use `reference_pick`.
+// with the run's Strategy, mints its state at construction (again when a
+// link failure clears it) and forwards every hook; one-shot callers (tests,
+// offline tooling) use `reference_pick`.
 #pragma once
 
 #include <cstddef>
@@ -83,37 +85,30 @@ inline bool tie_break_before(const QueuedMessage& a, const QueuedMessage& b) {
          (a.enqueue_time == b.enqueue_time && a.message->id() < b.message->id());
 }
 
-/// Per-output-queue scheduling state.  Bound to one queue vector at
-/// construction; the owner must call the hooks in lockstep with the queue:
-/// `on_enqueue(i)` after appending at `i`, `on_remove(i)` *before*
-/// `take_at(queue, i)` runs, `on_tick(ctx)` when a new scheduling instant
-/// begins.  One queue is driven by one thread at a time (same contract as
-/// the scoring kernel).
+/// Per-output-queue scheduling state.  The owner hands every hook the
+/// queue's rows and calls them in lockstep with the queue:
+/// `on_enqueue(queue, i)` after appending at `i`, `on_remove(queue, i)`
+/// *before* `take_at(queue, i)` runs, `on_tick(queue, ctx)` when a new
+/// scheduling instant begins.  One queue is driven by one thread at a time
+/// (same contract as the scoring kernel).
 class SchedulerState {
  public:
+  using Rows = std::span<const QueuedMessage>;
+
   virtual ~SchedulerState() = default;
 
-  virtual void on_enqueue(std::size_t index) = 0;
-  virtual void on_remove(std::size_t index) = 0;
-  virtual void on_tick(const SchedulingContext& context) { (void)context; }
+  virtual void on_enqueue(Rows queue, std::size_t index) = 0;
+  virtual void on_remove(Rows queue, std::size_t index) = 0;
+  virtual void on_tick(Rows, const SchedulingContext&) {}
 
-  /// Index of the message to send next; the bound queue is non-empty.
-  virtual std::size_t pick(const SchedulingContext& context) = 0;
+  /// Index of the message to send next; `queue` is non-empty.
+  virtual std::size_t pick(Rows queue, const SchedulingContext& context) = 0;
 
   /// Throws std::logic_error when the state's row mirror does not match
-  /// the queue, or when a score bound that the next pick at `context`
-  /// would prune with lies below its row's exact score there.  Reads the
-  /// kernel rows (folding them with the context's PD, as a pick would).
-  virtual void check_invariants(const SchedulingContext& context) const = 0;
-
- protected:
-  explicit SchedulerState(const std::vector<QueuedMessage>* queue)
-      : queue_(queue) {}
-
-  const std::vector<QueuedMessage>& queue() const { return *queue_; }
-
- private:
-  const std::vector<QueuedMessage>* queue_;
+  /// `queue`, or when a score bound that the next pick at `context` would
+  /// prune with lies below its row's exact score there.
+  virtual void check_invariants(Rows queue,
+                                const SchedulingContext& context) const = 0;
 };
 
 /// Immutable scheduling policy: kind + parameters.  Shared across queues
@@ -131,10 +126,8 @@ class Strategy {
   /// Human-readable name ("EB", "FIFO", "EBPC(r=...)", ...).
   std::string name() const;
 
-  /// Mints the incremental per-queue state for `queue` (non-owning; the
-  /// vector must outlive the state and stay at the same address).
-  std::unique_ptr<SchedulerState> make_state(
-      const std::vector<QueuedMessage>* queue) const;
+  /// Mints the incremental state of one empty queue.
+  std::unique_ptr<SchedulerState> make_state() const;
 
   /// Stateless reference argmax: a full O(rows · targets) rescan through
   /// the scoring kernel.  This is the semantic contract every
@@ -154,9 +147,9 @@ std::unique_ptr<const Strategy> make_strategy(StrategyKind kind,
 
 // ---- Metric helpers (exposed for tests, benches and custom strategies) ----
 //
-// All helpers evaluate through the precomputed kernel (scheduling/kernel.h):
-// the first call on a bare QueuedMessage folds its targets into ScoredTarget
-// rows, subsequent calls are allocation-free and O(1) per score term.
+// All helpers evaluate through the precomputed kernel (scheduling/kernel.h)
+// and read a scored QueuedMessage (precompute_scores ran on it); they are
+// allocation-free and O(1) per score term.
 
 /// EB_m of eq. (3) for a queued message (sum over its queue-local targets).
 double expected_benefit(const QueuedMessage& queued,

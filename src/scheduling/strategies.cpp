@@ -111,17 +111,16 @@ struct HeapKey {
 
 class HeapState final : public SchedulerState {
  public:
-  HeapState(const std::vector<QueuedMessage>* queue, StrategyKind kind)
-      : SchedulerState(queue), kind_(kind) {}
+  explicit HeapState(StrategyKind kind) : kind_(kind) {}
 
-  void on_enqueue(std::size_t index) override {
-    keys_.push_back(make_key(queue()[index]));
+  void on_enqueue(Rows queue, std::size_t index) override {
+    keys_.push_back(make_key(queue[index]));
     pos_.push_back(heap_.size());
     heap_.push_back(index);
     sift_up(heap_.size() - 1);
   }
 
-  void on_remove(std::size_t index) override {
+  void on_remove(Rows, std::size_t index) override {
     detach(pos_[index]);
     const std::size_t last = keys_.size() - 1;
     if (index != last) {
@@ -135,15 +134,17 @@ class HeapState final : public SchedulerState {
     pos_.pop_back();
   }
 
-  std::size_t pick(const SchedulingContext&) override { return heap_.front(); }
+  std::size_t pick(Rows, const SchedulingContext&) override {
+    return heap_.front();
+  }
 
-  void check_invariants(const SchedulingContext&) const override {
-    const std::size_t n = queue().size();
+  void check_invariants(Rows queue, const SchedulingContext&) const override {
+    const std::size_t n = queue.size();
     if (keys_.size() != n || pos_.size() != n || heap_.size() != n) {
       invariant_failed("HeapState", "the heap does not mirror the queue");
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const HeapKey want = make_key(queue()[i]);
+      const HeapKey want = make_key(queue[i]);
       const HeapKey& key = keys_[i];
       if (heap_[pos_[i]] != i || key.before(want) || want.before(key)) {
         invariant_failed("HeapState", "row " + std::to_string(i) +
@@ -162,13 +163,6 @@ class HeapState final : public SchedulerState {
   HeapKey make_key(const QueuedMessage& queued) const {
     HeapKey key{0.0, queued.enqueue_time, queued.message->id()};
     if (kind_ == StrategyKind::kRemainingLifetime) {
-      // Mean expiry needs the kernel aggregates; expiries are
-      // PD-independent, so rows already folded by the enqueue path are
-      // reused and bare rows (hand-built queues) fold with PD 0, exactly
-      // as kernel_mean_remaining_lifetime does.
-      if (queued.scored.size() != queued.targets.size()) {
-        precompute_scores(queued, 0.0);
-      }
       key.primary = queued.bounded_targets == 0
                         ? kInf
                         : queued.expiry_sum /
@@ -244,33 +238,24 @@ class HeapState final : public SchedulerState {
 // running best.
 class BoundedScanState final : public SchedulerState {
  public:
-  BoundedScanState(const std::vector<QueuedMessage>* queue,
-                   StrategyKind kind, double weight)
-      : SchedulerState(queue), kind_(kind), weight_(weight) {}
+  BoundedScanState(StrategyKind kind, double weight)
+      : kind_(kind), weight_(weight) {}
 
-  void on_enqueue(std::size_t) override { bounds_.push_back(kInf); }
+  void on_enqueue(Rows, std::size_t) override { bounds_.push_back(kInf); }
 
-  void on_remove(std::size_t index) override {
+  void on_remove(Rows, std::size_t index) override {
     bounds_[index] = bounds_.back();
     bounds_.pop_back();
   }
 
-  void on_tick(const SchedulingContext& context) override {
-    // Bounds assume time moves forward and a fixed PD: a clock regression
-    // voids them, and so does a PD change — the kernel refolds slack_const
-    // with the new PD (ensure_scored), which can move scores either way.
-    // The `!=` also catches the initial NaN sentinel.
-    if (context.now < last_now_ ||
-        context.processing_delay != last_pd_) {
-      bounds_.assign(bounds_.size(), kInf);
-    }
+  void on_tick(Rows, const SchedulingContext& context) override {
+    // Bounds assume time moves forward: a clock regression voids them.
+    if (context.now < last_now_) bounds_.assign(bounds_.size(), kInf);
   }
 
-  std::size_t pick(const SchedulingContext& context) override {
-    on_tick(context);
+  std::size_t pick(Rows q, const SchedulingContext& context) override {
+    on_tick(q, context);
     last_now_ = context.now;
-    last_pd_ = context.processing_delay;
-    const std::vector<QueuedMessage>& q = queue();
     // A lone row wins unscored; its stale bound stays a valid upper bound.
     if (q.size() == 1) return 0;
     // The row with the largest bound is scored in full first: it is the
@@ -281,14 +266,16 @@ class BoundedScanState final : public SchedulerState {
     const std::size_t first = static_cast<std::size_t>(
         std::max_element(bounds_.begin(), bounds_.end()) - bounds_.begin());
     std::size_t best = first;
-    double best_score = rescore(first, context);
+    double best_score = rescore(q, first, context);
     for (std::size_t i = 0; i < q.size(); ++i) {
       // A stale bound below the running best can never win; equal to it, it
       // can at most tie — which only matters if this row wins the tie.
-      if (i == first || !may_beat(bounds_[i], i, best_score, best)) continue;
+      if (i == first || !may_beat(q, bounds_[i], i, best_score, best)) {
+        continue;
+      }
       const double eb = kernel_expected_benefit(q[i], context);
       bounds_[i] = bound_of(eb);
-      if (!may_beat(bounds_[i], i, best_score, best)) continue;
+      if (!may_beat(q, bounds_[i], i, best_score, best)) continue;
       const double s = score_of(eb, kernel_postponed_benefit(q[i], context));
       if (s > best_score ||
           (s == best_score && tie_break_before(q[i], q[best]))) {
@@ -299,16 +286,14 @@ class BoundedScanState final : public SchedulerState {
     return best;
   }
 
-  void check_invariants(const SchedulingContext& context) const override {
-    const std::vector<QueuedMessage>& q = queue();
+  void check_invariants(Rows q,
+                        const SchedulingContext& context) const override {
     if (bounds_.size() != q.size()) {
       invariant_failed("BoundedScanState",
                        "the bounds do not mirror the queue");
     }
-    // A pick at an earlier instant or another PD voids the bounds first.
-    if (context.now < last_now_ || context.processing_delay != last_pd_) {
-      return;
-    }
+    // A pick at an earlier instant voids the bounds first.
+    if (context.now < last_now_) return;
     for (std::size_t i = 0; i < q.size(); ++i) {
       const BenefitPair pair = kernel_benefit_pair(q[i], context);
       const double score = score_of(pair.immediate, pair.postponed);
@@ -324,11 +309,10 @@ class BoundedScanState final : public SchedulerState {
  private:
   /// Whether row `i` with score bound `bound` can still beat the running
   /// best: clear it, or tie it and win the tie.
-  bool may_beat(double bound, std::size_t i, double best_score,
-                std::size_t best) const {
+  static bool may_beat(Rows q, double bound, std::size_t i,
+                       double best_score, std::size_t best) {
     return bound > best_score ||
-           (bound == best_score &&
-            tie_break_before(queue()[i], queue()[best]));
+           (bound == best_score && tie_break_before(q[i], q[best]));
   }
 
   /// The score's decay bound from EB.  PC = EB − EB' never exceeds EB.
@@ -346,8 +330,8 @@ class BoundedScanState final : public SchedulerState {
 
   /// Exact score of row `i` now; refreshes its decay bound as a side
   /// effect.
-  double rescore(std::size_t i, const SchedulingContext& context) {
-    const BenefitPair pair = kernel_benefit_pair(queue()[i], context);
+  double rescore(Rows q, std::size_t i, const SchedulingContext& context) {
+    const BenefitPair pair = kernel_benefit_pair(q[i], context);
     bounds_[i] = bound_of(pair.immediate);
     return score_of(pair.immediate, pair.postponed);
   }
@@ -355,7 +339,6 @@ class BoundedScanState final : public SchedulerState {
   StrategyKind kind_;
   double weight_;
   TimeMs last_now_ = -kInf;
-  TimeMs last_pd_ = std::numeric_limits<double>::quiet_NaN();
   std::vector<double> bounds_;  // bounds_[queue index], mirrors the queue.
 };
 
@@ -394,11 +377,9 @@ class BoundedScanState final : public SchedulerState {
 // aside mid-walk and re-pushed afterwards instead of being rescored again.
 class BoundedArgmaxState final : public SchedulerState {
  public:
-  BoundedArgmaxState(const std::vector<QueuedMessage>* queue,
-                     StrategyKind kind)
-      : SchedulerState(queue), kind_(kind) {}
+  explicit BoundedArgmaxState(StrategyKind kind) : kind_(kind) {}
 
-  void on_enqueue(std::size_t index) override {
+  void on_enqueue(Rows queue, std::size_t index) override {
     std::uint32_t serial;
     if (!free_serials_.empty()) {
       serial = free_serials_.back();
@@ -413,10 +394,10 @@ class BoundedArgmaxState final : public SchedulerState {
     bound_by_serial_[serial] = kInf;
     index_by_serial_[serial] = static_cast<std::int64_t>(index);
     serial_by_index_.push_back(serial);
-    push_entry(serial, kInf, queue()[index]);
+    push_entry(serial, kInf, queue[index]);
   }
 
-  void on_remove(std::size_t index) override {
+  void on_remove(Rows, std::size_t index) override {
     const std::uint32_t serial = serial_by_index_[index];
     ++generation_[serial];  // Kills this row's surviving heap entries.
     index_by_serial_[serial] = -1;
@@ -432,15 +413,10 @@ class BoundedArgmaxState final : public SchedulerState {
     if (serial_by_index_.empty()) heap_.clear();
   }
 
-  void on_tick(const SchedulingContext& context) override {
-    // Bounds assume time moves forward and a fixed PD: a clock regression
-    // voids them, and so does a PD change — the kernel refolds slack_const
-    // with the new PD (ensure_scored), which can move scores either way.
-    // The `!=` also catches the initial NaN sentinel.
-    if (context.now < last_now_ ||
-        context.processing_delay != last_pd_) {
+  void on_tick(Rows q, const SchedulingContext& context) override {
+    // Bounds assume time moves forward: a clock regression voids them.
+    if (context.now < last_now_) {
       heap_.clear();
-      const std::vector<QueuedMessage>& q = queue();
       for (std::size_t i = 0; i < q.size(); ++i) {
         const std::uint32_t serial = serial_by_index_[i];
         bound_by_serial_[serial] = kInf;
@@ -451,11 +427,9 @@ class BoundedArgmaxState final : public SchedulerState {
     }
   }
 
-  std::size_t pick(const SchedulingContext& context) override {
-    on_tick(context);
+  std::size_t pick(Rows q, const SchedulingContext& context) override {
+    on_tick(q, context);
     last_now_ = context.now;
-    last_pd_ = context.processing_delay;
-    const std::vector<QueuedMessage>& q = queue();
     // A lone row wins unscored; its live entry keeps a valid upper bound.
     if (q.size() == 1) return 0;
     ++epoch_;
@@ -488,7 +462,7 @@ class BoundedArgmaxState final : public SchedulerState {
       }
       pop_entry();
       visited_epoch_[top.serial] = epoch_;
-      const double score = rescore(index, context);
+      const double score = rescore(q, index, context);
       if (best == kNone || score > best_score ||
           (score == best_score && tie_break_before(q[index], q[best]))) {
         best_score = score;
@@ -503,14 +477,13 @@ class BoundedArgmaxState final : public SchedulerState {
     return best;
   }
 
-  void check_invariants(const SchedulingContext& context) const override {
-    const std::vector<QueuedMessage>& q = queue();
+  void check_invariants(Rows q,
+                        const SchedulingContext& context) const override {
     if (serial_by_index_.size() != q.size()) {
       invariant_failed("BoundedArgmaxState",
                        "the serials do not mirror the queue");
     }
-    const bool forward = !(context.now < last_now_) &&
-                         context.processing_delay == last_pd_;
+    const bool forward = !(context.now < last_now_);
     std::vector<std::uint8_t> has_entry(bound_by_serial_.size(), 0);
     for (const Entry& entry : heap_) {
       if (generation_[entry.serial] == entry.generation &&
@@ -570,8 +543,8 @@ class BoundedArgmaxState final : public SchedulerState {
   /// Exact score of row `index` now; refreshes its decay bound (EB for the
   /// EB-dominated scores, the score itself otherwise) and pushes the
   /// refreshed heap entry.
-  double rescore(std::size_t index, const SchedulingContext& context) {
-    const QueuedMessage& queued = queue()[index];
+  double rescore(Rows q, std::size_t index, const SchedulingContext& context) {
+    const QueuedMessage& queued = q[index];
     const double exact = score(queued, context);
     const std::uint32_t serial = serial_by_index_[index];
     bound_by_serial_[serial] = exact;
@@ -594,7 +567,6 @@ class BoundedArgmaxState final : public SchedulerState {
 
   StrategyKind kind_;
   TimeMs last_now_ = -kInf;
-  TimeMs last_pd_ = std::numeric_limits<double>::quiet_NaN();
   // Serial-keyed row state (stable across take_at's index renames).
   std::vector<double> bound_by_serial_;
   std::vector<std::uint32_t> generation_;
@@ -624,18 +596,17 @@ std::string Strategy::name() const {
   return strategy_name(kind_);
 }
 
-std::unique_ptr<SchedulerState> Strategy::make_state(
-    const std::vector<QueuedMessage>* queue) const {
+std::unique_ptr<SchedulerState> Strategy::make_state() const {
   switch (kind_) {
     case StrategyKind::kFifo:
     case StrategyKind::kRemainingLifetime:
-      return std::make_unique<HeapState>(queue, kind_);
+      return std::make_unique<HeapState>(kind_);
     case StrategyKind::kEb:
     case StrategyKind::kLowerBound:
-      return std::make_unique<BoundedArgmaxState>(queue, kind_);
+      return std::make_unique<BoundedArgmaxState>(kind_);
     case StrategyKind::kPc:
     case StrategyKind::kEbpc:
-      return std::make_unique<BoundedScanState>(queue, kind_, ebpc_weight_);
+      return std::make_unique<BoundedScanState>(kind_, ebpc_weight_);
   }
   throw std::invalid_argument("unknown strategy kind");
 }

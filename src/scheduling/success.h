@@ -23,13 +23,13 @@
 
 namespace bdps {
 
-/// Broker-local constants needed to evaluate the §5 formulas for one
-/// output queue at one instant.
+/// What the §5 formulas need, beyond a copy's kernel rows, to score it on
+/// one output queue at one instant.  The broker's processing delay PD is
+/// not here: it is a constant of the queue, folded into every row once,
+/// when the copy is enqueued (scheduling/kernel.h).
 struct SchedulingContext {
   /// Current simulation time (defines hdl(m) = now - publish_time).
   TimeMs now = 0.0;
-  /// Per-broker processing delay PD.
-  TimeMs processing_delay = 0.0;
   /// FT (eq. 6): estimated time to send the head-of-line message on this
   /// queue's link = running average message size * link mean rate.
   TimeMs head_of_line_estimate = 0.0;

@@ -41,9 +41,9 @@
 //   // here, so a driver that has not stamped it yet stamps it now
 //   // (RoutingFabric::stamp) and every broker reads that stamp.
 //   std::pair<std::size_t, double> interest(const Event& publish);
-//   void push(Event child);           // A child of the event being handled.
+//   void push(Event child);           // A child of the event being handled
+//                                     // (a started send's completion too).
 //   double draw_rate(EdgeId edge);    // ms/KB of the edge's next send.
-//   void send(Event completion);      // A send started; its completion.
 //   StepScratch& scratch();
 //   // Fault cuts, asked only while fault state is allocated (has_faults):
 //   // is the copy on the wire over (start, end] lost, and is the message
@@ -446,7 +446,7 @@ void BrokerStep::start_sends(Fx& fx, BrokerId broker_id,
     Event complete = make_event(now + duration, EventType::kSendComplete,
                                 broker_id, std::move(dispatch.chosen->message));
     complete.neighbor = dispatch.neighbor;
-    fx.send(std::move(complete));
+    fx.push(std::move(complete));
   }
 }
 

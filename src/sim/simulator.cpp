@@ -44,7 +44,6 @@ struct Simulator::Effects {
   }
   void push(Event child) { sim->events_.push(std::move(child)); }
   double draw_rate(EdgeId edge) { return sim->core_.draw_rate(edge); }
-  void send(Event completion) { sim->events_.push(std::move(completion)); }
   bool send_cut(EdgeId edge, TimeMs start, TimeMs end) const {
     return sim->core_.lost_in_flight(edge, start, end);
   }

@@ -29,29 +29,15 @@ std::vector<std::size_t> degree_weights(const Graph& graph) {
 
 std::size_t clamp_shards(const Graph& graph, std::size_t shards) {
   if (shards == 0) {
-    throw std::invalid_argument("ShardPlan: shard count must be >= 1");
+    throw std::invalid_argument("greedy_edge_cut: shard count must be >= 1");
   }
   return std::min(shards, std::max<std::size_t>(1, graph.broker_count()));
 }
 
 }  // namespace
 
-ShardPlan::ShardPlan(const Graph& graph, std::vector<std::uint32_t> shard_of,
-                     std::size_t shards)
-    : shard_of_(std::move(shard_of)), members_(shards) {
-  for (std::size_t b = 0; b < shard_of_.size(); ++b) {
-    members_[shard_of_[b]].push_back(static_cast<BrokerId>(b));
-  }
-  for (std::size_t e = 0; e < graph.edge_count(); ++e) {
-    const Edge& edge = graph.edge(static_cast<EdgeId>(e));
-    if (shard_of_[static_cast<std::size_t>(edge.from)] !=
-        shard_of_[static_cast<std::size_t>(edge.to)]) {
-      cut_edges_.push_back(static_cast<EdgeId>(e));
-    }
-  }
-}
-
-ShardPlan ShardPlan::greedy_edge_cut(const Graph& graph, std::size_t shards) {
+std::vector<std::uint32_t> greedy_edge_cut(const Graph& graph,
+                                           std::size_t shards) {
   const std::size_t n = graph.broker_count();
   shards = clamp_shards(graph, shards);
   const std::vector<std::size_t> weights = degree_weights(graph);
@@ -157,7 +143,7 @@ ShardPlan ShardPlan::greedy_edge_cut(const Graph& graph, std::size_t shards) {
     shard_of[b] = static_cast<std::uint32_t>(best);
     shard_weight[best] += weights[b];
   }
-  return ShardPlan(graph, std::move(shard_of), shards);
+  return shard_of;
 }
 
 }  // namespace bdps

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+
 namespace bdps {
 namespace {
 
@@ -104,9 +108,8 @@ TEST(Broker, ContextUsesBelievedLinkForFt) {
   Broker broker(0, rig.fabric.get(), &rig.topo.graph, &rig.strategy);
   broker.process(make_message(50.0), 0.0);
   const SchedulingContext context =
-      broker.context_at(broker.slot_of(1), 123.0, 2.0);
+      broker.context_at(broker.slot_of(1), 123.0);
   EXPECT_DOUBLE_EQ(context.now, 123.0);
-  EXPECT_DOUBLE_EQ(context.processing_delay, 2.0);
   // FT = avg size (50 KB) * believed mean (50 ms/KB) = 2500 ms.
   EXPECT_DOUBLE_EQ(context.head_of_line_estimate, 2500.0);
 }
@@ -154,7 +157,7 @@ TEST(OutputQueue, TakeNextRemovesChosenMessage) {
 
   PurgeStats stats;
   const auto taken = queue.take_next(
-      broker.context_at(broker.slot_of(1), 0.0, 2.0), PurgePolicy{}, &stats);
+      broker.context_at(broker.slot_of(1), 0.0), PurgePolicy{}, &stats);
   ASSERT_TRUE(taken.has_value());
   EXPECT_EQ(queue.size(), 1u);
 }
@@ -171,7 +174,7 @@ TEST(OutputQueue, TakeNextPurgesFirst) {
 
   PurgeStats stats;
   const auto taken = queue.take_next(
-      broker.context_at(broker.slot_of(1), 0.0, 2.0), PurgePolicy{}, &stats);
+      broker.context_at(broker.slot_of(1), 0.0), PurgePolicy{}, &stats);
   EXPECT_FALSE(taken.has_value());
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_TRUE(queue.empty());
@@ -179,10 +182,85 @@ TEST(OutputQueue, TakeNextPurgesFirst) {
 
 TEST(OutputQueue, BelievedLinkIsAdjustable) {
   const Strategy strategy{StrategyKind::kFifo};
-  OutputQueue queue(1, 0, LinkParams{50.0, 20.0}, &strategy);
+  OutputQueue queue(1, 0, LinkParams{50.0, 20.0}, &strategy, 2.0);
   EXPECT_DOUBLE_EQ(queue.head_of_line_estimate(50.0), 2500.0);
   queue.set_believed_link(LinkParams{80.0, 20.0});
   EXPECT_DOUBLE_EQ(queue.head_of_line_estimate(50.0), 4000.0);
+}
+
+/// Two multi-hop targets with distinct deadlines, so PD moves every row.
+struct TwoTargets {
+  Subscription near;
+  Subscription far;
+  SubscriptionEntry near_entry;
+  SubscriptionEntry far_entry;
+
+  TwoTargets() {
+    near.allowed_delay = seconds(12.0);
+    far.allowed_delay = seconds(40.0);
+    far.price = 3.0;
+    near_entry.subscription = &near;
+    near_entry.path = PathStats{3, 150.0, 800.0};
+    far_entry.subscription = &far;
+    far_entry.path = PathStats{1, 90.0, 0.0};
+  }
+
+  QueuedMessage copy(MessageId id) const {
+    return QueuedMessage{std::make_shared<Message>(id, 0, -500.0, 40.0,
+                                                   std::vector<Attribute>{}),
+                         0.0,
+                         {&near_entry, &far_entry}};
+  }
+};
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(OutputQueue, EnqueueScoresEveryCopyWithTheQueuesProcessingDelay) {
+  constexpr TimeMs kPd = 7.5;
+  const TwoTargets rig;
+  const Strategy strategy{StrategyKind::kEb};
+  OutputQueue queue(1, 0, LinkParams{50.0, 20.0}, &strategy, kPd);
+  QueuedMessage other_pd = rig.copy(1);
+  precompute_scores(other_pd, 0.5);
+  QueuedMessage same_pd = rig.copy(2);
+  precompute_scores(same_pd, kPd);
+  queue.enqueue(rig.copy(0));  // Unscored.
+  queue.enqueue(std::move(other_pd));
+  queue.enqueue(std::move(same_pd));
+
+  ASSERT_EQ(queue.size(), 3u);
+  for (const QueuedMessage& got : queue.messages()) {
+    QueuedMessage want = rig.copy(got.message->id());
+    precompute_scores(want, kPd);
+    ASSERT_EQ(got.scored.size(), want.scored.size());
+    for (std::size_t t = 0; t < want.scored.size(); ++t) {
+      const ScoredTarget& g = got.scored[t];
+      const ScoredTarget& w = want.scored[t];
+      EXPECT_TRUE(same_bits(g.slack_const, w.slack_const));
+      EXPECT_TRUE(same_bits(g.inv_size_sigma, w.inv_size_sigma));
+      EXPECT_TRUE(same_bits(g.price, w.price));
+      EXPECT_TRUE(same_bits(g.lb_indicator_const, w.lb_indicator_const));
+      EXPECT_TRUE(same_bits(g.expiry, w.expiry));
+    }
+    EXPECT_TRUE(same_bits(got.expiry_sum, want.expiry_sum));
+    EXPECT_EQ(got.bounded_targets, want.bounded_targets);
+  }
+  EXPECT_NO_THROW(queue.check_invariants(SchedulingContext{1000.0, 0.0}));
+}
+
+TEST(OutputQueue, InvariantsRejectARowWithoutOneKernelRowPerTarget) {
+  const TwoTargets rig;
+  const Strategy strategy{StrategyKind::kEbpc};
+  OutputQueue queue(1, 0, LinkParams{50.0, 20.0}, &strategy, 2.0);
+  queue.enqueue(rig.copy(0));
+  queue.enqueue(rig.copy(1));
+  const SchedulingContext context{1000.0, 2000.0};
+  ASSERT_NO_THROW(queue.check_invariants(context));
+  // Nothing the queue offers can unscore a row; reach past its const view.
+  const_cast<QueuedMessage&>(queue.messages()[1]).scored.clear();
+  EXPECT_THROW(queue.check_invariants(context), std::logic_error);
 }
 
 }  // namespace

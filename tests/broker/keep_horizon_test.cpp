@@ -11,8 +11,11 @@
 // stable purge_queue pass over the same rows; OutputQueue::check_invariants
 // runs after every operation too.  The streams cover eq. (11) epsilons
 // from off to nearly 1, the expiry rule on and off, deterministic paths,
-// rows without a deadline and rows without targets, PD, policy and clock
-// changes mid-stream, and one-row queues for every strategy.
+// rows without a deadline and rows without targets, policy and clock
+// changes mid-stream, and one-row queues for every strategy.  The queue
+// scores each row with its own PD whatever the row carried: the reference
+// holds the rows folded with that PD, the queue is handed them bare,
+// folded with it, or folded with another PD.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -121,33 +124,34 @@ void run_stream(StrategyKind kind, std::uint64_t seed, std::size_t max_depth,
   const Strategy strategy(kind, 0.3);
   RowPool pool(seed);
   Rng rng(seed ^ 0x5bd1e995ULL);
-  OutputQueue queue(1, 0, LinkParams{100.0, 20.0}, &strategy);
+  constexpr TimeMs kPd = 2.0;
+  OutputQueue queue(1, 0, LinkParams{100.0, 20.0}, &strategy, kPd);
   std::vector<QueuedMessage> reference;
 
   TimeMs now = 100000.0;
-  TimeMs pd = 2.0;
   PurgePolicy policy = random_policy(rng);
   std::size_t purged_total = 0;
   std::size_t kept_total = 0;
   for (std::size_t op = 0; op < ops; ++op) {
     now += rng.uniform(0.0, 1500.0);
     if (rng.uniform_index(20) == 0) now -= rng.uniform(0.0, 6000.0);
-    if (rng.uniform_index(25) == 0) pd = rng.uniform(0.0, 5.0);
     if (rng.uniform_index(25) == 0) policy = random_policy(rng);
-    const SchedulingContext context{now, pd, rng.uniform(0.0, 5000.0)};
+    const SchedulingContext context{now, rng.uniform(0.0, 5000.0)};
     const std::string where = strategy.name() + " seed " +
                               std::to_string(seed) + " op " +
                               std::to_string(op);
 
     const std::size_t pick = rng.uniform_index(16);
-    if (pick < 9) {  // Enqueue, folded like Broker::process or left bare.
+    if (pick < 9) {  // Enqueue: bare, folded with the PD or with another.
       if (queue.size() >= max_depth) continue;
       QueuedMessage row = pool.make_row(now);
+      QueuedMessage handed = row;
       if (rng.uniform_index(4) != 0) {
-        precompute_scores(row, rng.uniform_index(8) == 0 ? pd + 1.0 : pd);
+        precompute_scores(handed, rng.uniform_index(8) == 0 ? kPd + 1.0 : kPd);
       }
-      reference.push_back(row);
-      queue.enqueue(std::move(row));
+      precompute_scores(row, kPd);
+      reference.push_back(std::move(row));
+      queue.enqueue(std::move(handed));
     } else if (pick < 15) {  // Purge + pick.
       PurgeStats got_stats;
       std::vector<MessageId> got_purged;
@@ -233,8 +237,8 @@ TEST(KeepHorizon, IsAtOrBeforeTheLastKeepInstant) {
       for (const double variance : {0.0, 1e-9, 40.0, 2500.0}) {
         const PurgePolicy policy{epsilon, drop_expired};
         const OneTarget one(seconds(20.0), variance);
-        const TimeMs horizon = keep_horizon(one.row, 2.0, policy,
-                                            keep_horizon_z(policy));
+        const TimeMs horizon =
+            keep_horizon(one.row, policy, keep_horizon_z(policy));
         ASSERT_FALSE(std::isnan(horizon));
         if (epsilon == 0.0 && !drop_expired) {
           EXPECT_EQ(horizon, kInf);
@@ -243,14 +247,13 @@ TEST(KeepHorizon, IsAtOrBeforeTheLastKeepInstant) {
         ASSERT_LT(horizon, kInf);
         // Kept just before the horizon; and the horizon is tight: the
         // exact rule purges just past its margin.
-        const SchedulingContext before{std::nextafter(horizon, -kInf), 2.0,
-                                       0.0};
+        const SchedulingContext before{std::nextafter(horizon, -kInf), 0.0};
         EXPECT_EQ(classify_purge(one.row, before, policy),
                   PurgeVerdict::kKeep)
             << epsilon << " " << drop_expired << " " << variance;
         // Past the horizon's margin (1e-3 of the target's size * sigma).
         const SchedulingContext later{
-            horizon + 1.0 + 2e-3 * 40.0 * std::sqrt(variance), 2.0, 0.0};
+            horizon + 1.0 + 2e-3 * 40.0 * std::sqrt(variance), 0.0};
         EXPECT_NE(classify_purge(one.row, later, policy), PurgeVerdict::kKeep)
             << epsilon << " " << drop_expired << " " << variance;
       }
@@ -262,19 +265,17 @@ TEST(KeepHorizon, RowsWithoutDeadlineOrTargetsAreKeptForever) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const PurgePolicy policy;
   const OneTarget unbounded(kNoDeadline, 400.0);
-  EXPECT_EQ(keep_horizon(unbounded.row, 2.0, policy, keep_horizon_z(policy)),
-            kInf);
+  EXPECT_EQ(keep_horizon(unbounded.row, policy, keep_horizon_z(policy)), kInf);
   QueuedMessage empty{std::make_shared<Message>(1, 0, 0.0, 40.0,
                                                 std::vector<Attribute>{}),
                       0.0,
                       {}};
-  EXPECT_EQ(keep_horizon(empty, 2.0, policy, keep_horizon_z(policy)), kInf);
+  EXPECT_EQ(keep_horizon(empty, policy, keep_horizon_z(policy)), kInf);
   // An epsilon too close to 1 gets no safe horizon: always classified.
   const PurgePolicy extreme{1.0 - 1e-12, true};
   EXPECT_EQ(keep_horizon_z(extreme), kInf);
   const OneTarget bounded(seconds(20.0), 400.0);
-  EXPECT_EQ(keep_horizon(bounded.row, 2.0, extreme, keep_horizon_z(extreme)),
-            -kInf);
+  EXPECT_EQ(keep_horizon(bounded.row, extreme, keep_horizon_z(extreme)), -kInf);
 }
 
 }  // namespace

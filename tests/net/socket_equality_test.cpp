@@ -18,6 +18,7 @@
 #include "experiment/live.h"
 #include "routing/fabric.h"
 #include "topology/builders.h"
+#include "topology/shard_plan.h"
 
 namespace bdps {
 namespace {
@@ -85,7 +86,7 @@ Multiset run_star_socket(const StarRig& rig, int shards,
                          std::size_t* deliveries,
                          std::uint64_t* trunk_forwards) {
   const std::vector<std::uint32_t> broker_shard =
-      live_broker_shards(rig.topo.graph, static_cast<std::size_t>(shards));
+      greedy_edge_cut(rig.topo.graph, static_cast<std::size_t>(shards));
   std::vector<std::unique_ptr<LiveNetwork>> nets;
   std::vector<LiveNetwork*> raw;
   for (int shard = 0; shard < shards; ++shard) {
@@ -157,7 +158,7 @@ TEST(SocketEquality, TrunkSeverAndHealReentersService) {
   // Copies queued toward the cut are held the whole time — loss-free.
   StarRig rig;
   const std::vector<std::uint32_t> broker_shard =
-      live_broker_shards(rig.topo.graph, 2);
+      greedy_edge_cut(rig.topo.graph, 2);
   // Find a cut edge to fault.
   BrokerId cut_a = kNoBroker, cut_b = kNoBroker;
   for (EdgeId e = 0; static_cast<std::size_t>(e) < rig.topo.graph.edge_count();

@@ -50,26 +50,27 @@ double ref_success(const SubscriptionEntry& e, const Message& m, TimeMs now,
   return ref_phi((budget - mean) / sd);
 }
 
-double ref_eb(const QueuedMessage& q, const SchedulingContext& c,
+// The reference scores take PD explicitly: the kernel rows carry it folded.
+double ref_eb(const QueuedMessage& q, const SchedulingContext& c, TimeMs pd,
               TimeMs extra = 0.0) {
   double total = 0.0;
   for (const SubscriptionEntry* e : q.targets) {
     total += e->subscription->price *
-             ref_success(*e, *q.message, c.now, c.processing_delay, extra);
+             ref_success(*e, *q.message, c.now, pd, extra);
   }
   return total;
 }
 
-double ref_pc(const QueuedMessage& q, const SchedulingContext& c) {
-  return ref_eb(q, c) - ref_eb(q, c, c.head_of_line_estimate);
+double ref_pc(const QueuedMessage& q, const SchedulingContext& c, TimeMs pd) {
+  return ref_eb(q, c, pd) - ref_eb(q, c, pd, c.head_of_line_estimate);
 }
 
-double ref_ebpc(const QueuedMessage& q, const SchedulingContext& c,
+double ref_ebpc(const QueuedMessage& q, const SchedulingContext& c, TimeMs pd,
                 double r) {
-  return r * ref_eb(q, c) + (1.0 - r) * ref_pc(q, c);
+  return r * ref_eb(q, c, pd) + (1.0 - r) * ref_pc(q, c, pd);
 }
 
-double ref_lb(const QueuedMessage& q, const SchedulingContext& c) {
+double ref_lb(const QueuedMessage& q, const SchedulingContext& c, TimeMs pd) {
   double total = 0.0;
   for (const SubscriptionEntry* e : q.targets) {
     const TimeMs deadline = ref_deadline(*e, *q.message);
@@ -78,7 +79,7 @@ double ref_lb(const QueuedMessage& q, const SchedulingContext& c) {
       continue;
     }
     const TimeMs budget = deadline - (c.now - q.message->publish_time()) -
-                          e->path.hop_brokers * c.processing_delay;
+                          e->path.hop_brokers * pd;
     const double pessimistic =
         e->path.mean_ms_per_kb + 2.0 * std::sqrt(e->path.variance);
     if (q.message->size_kb() * pessimistic <= budget) {
@@ -110,11 +111,12 @@ struct RandomRig {
   std::vector<std::unique_ptr<SubscriptionEntry>> entries;
   std::vector<QueuedMessage> queue;
   SchedulingContext context;
+  TimeMs pd = 0.0;  // Folded into every row.
 
   RandomRig(std::uint64_t seed, Shape shape, std::size_t depth) {
     Rng rng(seed);
     context.now = 500000.0 + rng.uniform(0.0, 100000.0);
-    context.processing_delay = rng.uniform(0.0, 5.0);
+    pd = rng.uniform(0.0, 5.0);
     context.head_of_line_estimate = rng.uniform(0.0, 8000.0);
 
     for (std::size_t m = 0; m < depth; ++m) {
@@ -150,6 +152,7 @@ struct RandomRig {
         subs.push_back(std::move(sub));
         entries.push_back(std::move(entry));
       }
+      precompute_scores(queued, pd);
       queue.push_back(std::move(queued));
     }
   }
@@ -160,17 +163,17 @@ double tolerance(double reference) {
 }
 
 /// Kernel pick must be reference-optimal (ties may pick either index).
-void expect_reference_optimal(const Strategy& scheduler,
-                              const RandomRig& rig,
-                              double (*ref_score)(const QueuedMessage&,
-                                                  const SchedulingContext&)) {
+void expect_reference_optimal(
+    const Strategy& scheduler, const RandomRig& rig,
+    double (*ref_score)(const QueuedMessage&, const SchedulingContext&,
+                        TimeMs)) {
   const std::size_t pick = scheduler.reference_pick(rig.queue, rig.context);
   ASSERT_LT(pick, rig.queue.size());
   double best = -kInf;
   for (const QueuedMessage& q : rig.queue) {
-    best = std::max(best, ref_score(q, rig.context));
+    best = std::max(best, ref_score(q, rig.context, rig.pd));
   }
-  const double picked = ref_score(rig.queue[pick], rig.context);
+  const double picked = ref_score(rig.queue[pick], rig.context, rig.pd);
   if (picked == best) return;  // Exact agreement (covers the all -inf case).
   EXPECT_NEAR(picked, best, tolerance(best)) << scheduler.name();
 }
@@ -182,26 +185,26 @@ TEST_P(KernelProperty, MetricsMatchReferenceFormulas) {
     for (const std::size_t depth : {1u, 7u, 33u, 96u}) {
       const RandomRig rig(GetParam() * 1000 + depth, shape, depth);
       for (const QueuedMessage& q : rig.queue) {
-        const double eb_ref = ref_eb(q, rig.context);
+        const double eb_ref = ref_eb(q, rig.context, rig.pd);
         EXPECT_NEAR(expected_benefit(q, rig.context), eb_ref,
                     tolerance(eb_ref));
 
-        const double ebp_ref =
-            ref_eb(q, rig.context, rig.context.head_of_line_estimate);
+        const double ebp_ref = ref_eb(q, rig.context, rig.pd,
+                                      rig.context.head_of_line_estimate);
         EXPECT_NEAR(postponed_benefit(q, rig.context), ebp_ref,
                     tolerance(ebp_ref));
 
-        const double pc_ref = ref_pc(q, rig.context);
+        const double pc_ref = ref_pc(q, rig.context, rig.pd);
         EXPECT_NEAR(postponing_cost(q, rig.context), pc_ref,
                     tolerance(pc_ref));
 
         for (const double r : {0.0, 0.3, 0.5, 1.0}) {
-          const double ebpc_ref = ref_ebpc(q, rig.context, r);
+          const double ebpc_ref = ref_ebpc(q, rig.context, rig.pd, r);
           EXPECT_NEAR(ebpc_metric(q, rig.context, r), ebpc_ref,
                       tolerance(ebpc_ref));
         }
 
-        const double lb_ref = ref_lb(q, rig.context);
+        const double lb_ref = ref_lb(q, rig.context, rig.pd);
         EXPECT_NEAR(lower_bound_benefit(q, rig.context), lb_ref,
                     tolerance(lb_ref));
 
@@ -224,33 +227,33 @@ TEST_P(KernelProperty, PicksAreReferenceOptimalForAllSixStrategies) {
 
       expect_reference_optimal(
           *make_strategy(StrategyKind::kEb), rig,
-          +[](const QueuedMessage& q, const SchedulingContext& c) {
-            return ref_eb(q, c);
+          +[](const QueuedMessage& q, const SchedulingContext& c, TimeMs pd) {
+            return ref_eb(q, c, pd);
           });
       expect_reference_optimal(
           *make_strategy(StrategyKind::kPc), rig,
-          +[](const QueuedMessage& q, const SchedulingContext& c) {
-            return ref_pc(q, c);
+          +[](const QueuedMessage& q, const SchedulingContext& c, TimeMs pd) {
+            return ref_pc(q, c, pd);
           });
       expect_reference_optimal(
           *make_strategy(StrategyKind::kEbpc, 0.5), rig,
-          +[](const QueuedMessage& q, const SchedulingContext& c) {
-            return ref_ebpc(q, c, 0.5);
+          +[](const QueuedMessage& q, const SchedulingContext& c, TimeMs pd) {
+            return ref_ebpc(q, c, pd, 0.5);
           });
       expect_reference_optimal(
           *make_strategy(StrategyKind::kLowerBound), rig,
-          +[](const QueuedMessage& q, const SchedulingContext& c) {
-            return ref_lb(q, c);
+          +[](const QueuedMessage& q, const SchedulingContext& c, TimeMs pd) {
+            return ref_lb(q, c, pd);
           });
       expect_reference_optimal(
           *make_strategy(StrategyKind::kRemainingLifetime), rig,
-          +[](const QueuedMessage& q, const SchedulingContext& c) {
+          +[](const QueuedMessage& q, const SchedulingContext& c, TimeMs) {
             const TimeMs rl = ref_rl(q, c.now);
             return rl == kInf ? -kInf : -rl;
           });
       expect_reference_optimal(
           *make_strategy(StrategyKind::kFifo), rig,
-          +[](const QueuedMessage& q, const SchedulingContext&) {
+          +[](const QueuedMessage& q, const SchedulingContext&, TimeMs) {
             return -q.enqueue_time;
           });
     }
@@ -270,8 +273,8 @@ TEST_P(KernelProperty, PurgeDecisionsMatchReferenceRule) {
                            : deadline - (rig.context.now -
                                          q.message->publish_time());
       if (lifetime == kInf || lifetime > 0.0) all_expired = false;
-      if (ref_success(*e, *q.message, rig.context.now,
-                      rig.context.processing_delay, 0.0) >= policy.epsilon) {
+      if (ref_success(*e, *q.message, rig.context.now, rig.pd, 0.0) >=
+          policy.epsilon) {
         all_hopeless = false;
       }
     }
@@ -297,17 +300,18 @@ TEST(KernelEdgeCases, DeterministicPathAtExactBoundaryCountsAsSuccess) {
   entry.path = PathStats{2, 100.0, 0.0};
   auto message = std::make_shared<Message>(
       0, 0, 0.0, 50.0, std::vector<Attribute>{});
-  const QueuedMessage q{message, 0.0, {&entry}};
-  const SchedulingContext context{0.0, 2.0, 0.0};
+  QueuedMessage q{message, 0.0, {&entry}};
+  precompute_scores(q, 2.0);
+  const SchedulingContext context{0.0, 0.0};
   EXPECT_DOUBLE_EQ(expected_benefit(q, context), 3.0);
   // One ULP past the deadline the step function drops to zero.
-  const SchedulingContext late{std::nextafter(0.0, 1.0) + 1e-9, 2.0, 0.0};
+  const SchedulingContext late{std::nextafter(0.0, 1.0) + 1e-9, 0.0};
   EXPECT_DOUBLE_EQ(expected_benefit(q, late), 0.0);
 }
 
 TEST(KernelEdgeCases, RescoringAfterProcessingDelayChange) {
-  // Kernel rows fold NN*PD into slack_const; a context with a different PD
-  // must transparently re-fold instead of reusing stale constants.
+  // Kernel rows fold NN*PD into slack_const; rescoring a row with another
+  // PD must replace its constants, not reuse stale ones.
   Subscription sub;
   sub.allowed_delay = seconds(10.0);  // Keeps Phi off its saturation ends.
   SubscriptionEntry entry;
@@ -315,13 +319,16 @@ TEST(KernelEdgeCases, RescoringAfterProcessingDelayChange) {
   entry.path = PathStats{3, 150.0, 800.0};
   auto message = std::make_shared<Message>(
       0, 0, 0.0, 50.0, std::vector<Attribute>{});
-  const QueuedMessage q{message, 0.0, {&entry}};
-  const SchedulingContext pd2{1000.0, 2.0, 500.0};
-  const SchedulingContext pd50{1000.0, 50.0, 500.0};
-  const double with_pd2 = expected_benefit(q, pd2);
-  const double with_pd50 = expected_benefit(q, pd50);
-  EXPECT_NEAR(with_pd2, ref_eb(q, pd2), tolerance(ref_eb(q, pd2)));
-  EXPECT_NEAR(with_pd50, ref_eb(q, pd50), tolerance(ref_eb(q, pd50)));
+  QueuedMessage q{message, 0.0, {&entry}};
+  const SchedulingContext context{1000.0, 500.0};
+  precompute_scores(q, 2.0);
+  const double with_pd2 = expected_benefit(q, context);
+  precompute_scores(q, 50.0);
+  const double with_pd50 = expected_benefit(q, context);
+  EXPECT_NEAR(with_pd2, ref_eb(q, context, 2.0),
+              tolerance(ref_eb(q, context, 2.0)));
+  EXPECT_NEAR(with_pd50, ref_eb(q, context, 50.0),
+              tolerance(ref_eb(q, context, 50.0)));
   EXPECT_GT(with_pd2, with_pd50);  // More PD per hop can only hurt.
 }
 
@@ -351,11 +358,12 @@ TEST(KernelEdgeCases, PhiReuseMatchesThePlainLoopBitForBit) {
   const SubscriptionEntry e_deterministic = entry_of(b, 0.0);
   auto message = std::make_shared<Message>(
       0, 0, 0.0, 50.0, std::vector<Attribute>{});
-  const QueuedMessage q{
+  QueuedMessage q{
       message,
       0.0,
       {&ea, &ea, &ea_pricier, &eb, &ea, &e_unbounded, &e_unbounded,
        &e_deterministic, &e_deterministic, &eb, &eb, &ea_pricier}};
+  precompute_scores(q, 2.0);
   const auto plain = [&](double t) {
     double total = 0.0;
     for (const ScoredTarget& st : q.scored) {
@@ -365,8 +373,7 @@ TEST(KernelEdgeCases, PhiReuseMatchesThePlainLoopBitForBit) {
   };
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   for (const TimeMs now : {0.0, 1500.0, 4000.0, 6000.0, 9000.0, 20000.0}) {
-    const SchedulingContext context{now, 2.0, 1800.0};
-    ensure_scored(q, context.processing_delay);
+    const SchedulingContext context{now, 1800.0};
     const BenefitPair pair = kernel_benefit_pair(q, context);
     EXPECT_EQ(bits(pair.immediate), bits(plain(now))) << now;
     EXPECT_EQ(bits(pair.postponed), bits(plain(now + 1800.0))) << now;

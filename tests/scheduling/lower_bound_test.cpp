@@ -12,7 +12,7 @@ class LowerBoundRig : public ::testing::Test {
  protected:
   std::vector<std::unique_ptr<Subscription>> subs_;
   std::vector<std::unique_ptr<SubscriptionEntry>> entries_;
-  SchedulingContext context_{0.0, 2.0, 3750.0};
+  SchedulingContext context_{0.0, 3750.0};
 
   const SubscriptionEntry* add_subscription(TimeMs deadline, double price,
                                             PathStats path) {
@@ -28,9 +28,11 @@ class LowerBoundRig : public ::testing::Test {
   }
 
   QueuedMessage queued(std::vector<const SubscriptionEntry*> targets) {
-    return QueuedMessage{
+    QueuedMessage q{
         std::make_shared<Message>(0, 0, 0.0, 50.0, std::vector<Attribute>{}),
         0.0, std::move(targets)};
+    precompute_scores(q, 2.0);
+    return q;
   }
 };
 

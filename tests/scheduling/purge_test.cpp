@@ -10,8 +10,8 @@ class PurgeRig : public ::testing::Test {
   std::vector<std::unique_ptr<Subscription>> subs_;
   std::vector<std::unique_ptr<SubscriptionEntry>> entries_;
   std::vector<QueuedMessage> queue_;
-  SchedulingContext context_{/*now=*/0.0, /*processing_delay=*/2.0,
-                             /*head_of_line_estimate=*/3750.0};
+  static constexpr TimeMs kProcessingDelay = 2.0;
+  SchedulingContext context_{/*now=*/0.0, /*head_of_line_estimate=*/3750.0};
   PurgePolicy policy_;  // Paper defaults: eps = 0.05%, drop expired.
 
   const SubscriptionEntry* add_subscription(TimeMs deadline,
@@ -34,6 +34,7 @@ class PurgeRig : public ::testing::Test {
         std::vector<Attribute>{});
     queue_.push_back(
         QueuedMessage{std::move(message), context_.now, std::move(targets)});
+    precompute_scores(queue_.back(), kProcessingDelay);
   }
 };
 
@@ -157,10 +158,11 @@ TEST_P(EpsilonMonotonicity, SurvivorCountDecreasesWithEpsilon) {
       auto message = std::make_shared<Message>(
           age_s, 0, -seconds(age_s), 50.0, std::vector<Attribute>{});
       queue.push_back(QueuedMessage{std::move(message), 0.0, {&entry}});
+      precompute_scores(queue.back(), 2.0);
     }
     PurgePolicy policy;
     policy.epsilon = epsilon;
-    const SchedulingContext context{0.0, 2.0, 3750.0};
+    const SchedulingContext context{0.0, 3750.0};
     purge_queue(queue, context, policy);
     return queue.size();
   };

@@ -5,8 +5,10 @@
 // queue got into its current shape — across randomized interleavings of
 // enqueue, arbitrary removal, purge and tick at advancing (and
 // occasionally regressing) clocks, over SSD and PSD target shapes and
-// depths 1..4096.  Each state's check_invariants (row mirror, heap order,
-// score bounds at or above the exact scores) runs after every operation.
+// depths 1..4096.  Rows are scored once, with one PD per queue, as
+// OutputQueue::enqueue scores them.  Each state's check_invariants (row
+// mirror, heap order, score bounds at or above the exact scores) runs after
+// every operation.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,9 +38,11 @@ struct RowFactory {
   std::vector<std::unique_ptr<SubscriptionEntry>> entries;
   Rng rng;
   Shape shape;
+  TimeMs pd;  // The queue's processing delay, folded into every row.
   MessageId next_id = 0;
 
-  RowFactory(std::uint64_t seed, Shape shape_in) : rng(seed), shape(shape_in) {}
+  RowFactory(std::uint64_t seed, Shape shape_in)
+      : rng(seed), shape(shape_in), pd(rng.uniform(0.0, 5.0)) {}
 
   QueuedMessage make_row(TimeMs now) {
     TimeMs message_deadline = kNoDeadline;
@@ -68,6 +72,7 @@ struct RowFactory {
       subs.push_back(std::move(sub));
       entries.push_back(std::move(entry));
     }
+    precompute_scores(queued, pd);
     return queued;
   }
 
@@ -80,6 +85,7 @@ struct RowFactory {
         std::vector<Attribute>{}, m.allowed_delay());
     QueuedMessage queued{std::move(message), other.enqueue_time,
                          other.targets};
+    precompute_scores(queued, pd);
     return queued;
   }
 };
@@ -95,16 +101,15 @@ void run_interleaving(StrategyKind kind, double weight, Shape shape,
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
 
   std::vector<QueuedMessage> queue;
-  const std::unique_ptr<SchedulerState> state = strategy.make_state(&queue);
+  const std::unique_ptr<SchedulerState> state = strategy.make_state();
   PurgePolicy policy;  // Paper defaults: eps = 0.05%, drop expired.
 
   TimeMs now = 500000.0;
   for (std::size_t op = 0; op < ops; ++op) {
     now += rng.uniform(0.0, 2000.0);
     if (rng.uniform_index(16) == 0) now -= rng.uniform(0.0, 5000.0);
-    const SchedulingContext context{now, rng.uniform(0.0, 5.0),
-                                    rng.uniform(0.0, 8000.0)};
-    state->on_tick(context);
+    const SchedulingContext context{now, rng.uniform(0.0, 8000.0)};
+    state->on_tick(queue, context);
 
     switch (rng.uniform_index(4)) {
       case 0:
@@ -115,13 +120,13 @@ void run_interleaving(StrategyKind kind, double weight, Shape shape,
                                       queue[rng.uniform_index(queue.size())])
                                 : factory.make_row(now);
         queue.push_back(std::move(row));
-        state->on_enqueue(queue.size() - 1);
+        state->on_enqueue(queue, queue.size() - 1);
         break;
       }
       case 2: {  // Arbitrary removal (losses, dedup, external drops).
         if (queue.empty()) break;
         const std::size_t victim = rng.uniform_index(queue.size());
-        state->on_remove(victim);
+        state->on_remove(queue, victim);
         take_at(queue, victim);
         break;
       }
@@ -132,22 +137,22 @@ void run_interleaving(StrategyKind kind, double weight, Shape shape,
             ++i;
             continue;
           }
-          state->on_remove(i);
+          state->on_remove(queue, i);
           take_at(queue, i);
         }
         break;
       }
     }
 
-    ASSERT_NO_THROW(state->check_invariants(context))
+    ASSERT_NO_THROW(state->check_invariants(queue, context))
         << strategy.name() << " op=" << op;
     if (queue.empty()) continue;
-    const std::size_t got = state->pick(context);
+    const std::size_t got = state->pick(queue, context);
     const std::size_t want = strategy.reference_pick(queue, context);
     ASSERT_EQ(got, want)
         << strategy.name() << " depth=" << queue.size() << " op=" << op
         << " now=" << now;
-    ASSERT_NO_THROW(state->check_invariants(context))
+    ASSERT_NO_THROW(state->check_invariants(queue, context))
         << strategy.name() << " op=" << op << " after the pick";
   }
 }
@@ -173,46 +178,6 @@ TEST_P(SchedulerStateEquivalence, EbpcWeightsCoverTheEndpoints) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerStateEquivalence,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-TEST(SchedulerStateEquivalence, PdChangeInvalidatesCachedBounds) {
-  // Regression: EB depends on PD through slack_const = adl + publish_time -
-  // NN_p*PD - size*mu_p, so *lowering* PD raises a multi-hop row's score
-  // and a bound cached under the old PD is no longer an upper bound.  Row B
-  // (4 remaining hops, slightly looser deadline) loses to row A at PD = 5
-  // but must win once PD drops to 0; a state that only invalidates on
-  // clock regression returns the stale pick here.
-  const Strategy strategy(StrategyKind::kEb);
-  std::vector<std::unique_ptr<Subscription>> subs;
-  std::vector<std::unique_ptr<SubscriptionEntry>> entries;
-  std::vector<QueuedMessage> queue;
-  const auto state = strategy.make_state(&queue);
-
-  const auto add_row = [&](MessageId id, TimeMs deadline, int hops) {
-    auto sub = std::make_unique<Subscription>();
-    sub->allowed_delay = deadline;
-    sub->price = 1.0;
-    auto entry = std::make_unique<SubscriptionEntry>();
-    entry->subscription = sub.get();
-    entry->path = PathStats{hops, 150.0, 800.0};
-    auto message = std::make_shared<Message>(id, 0, 0.0, 50.0,
-                                             std::vector<Attribute>{});
-    queue.push_back(QueuedMessage{std::move(message), 0.0, {entry.get()}});
-    subs.push_back(std::move(sub));
-    entries.push_back(std::move(entry));
-    state->on_enqueue(queue.size() - 1);
-  };
-  add_row(0, seconds(30.0), 0);
-  add_row(1, seconds(30.01), 4);
-
-  const SchedulingContext before{23000.0, 5.0, 0.0};
-  state->on_tick(before);
-  EXPECT_EQ(state->pick(before), strategy.reference_pick(queue, before));
-
-  const SchedulingContext after{23001.0, 0.0, 0.0};
-  state->on_tick(after);
-  EXPECT_EQ(state->pick(after), strategy.reference_pick(queue, after));
-  EXPECT_EQ(strategy.reference_pick(queue, after), 1u);
-}
-
 TEST(SchedulerStateEquivalence, EbpcBoundCoversScoresThatRoundAboveEb) {
   // With EB' = 0 the EBPC score r·EB + (1 − r)·EB equals EB exactly, but
   // for many (r, EB) pairs it rounds one ulp above it.  A bound of plain
@@ -229,9 +194,10 @@ TEST(SchedulerStateEquivalence, EbpcBoundCoversScoresThatRoundAboveEb) {
         std::make_shared<Message>(id, 0, 0.0, 50.0, std::vector<Attribute>{}),
         0.0,
         {&entry}});
+    precompute_scores(queue.back(), 2.0);
   }
   // A huge FT pushes every postponed success to 0.
-  const SchedulingContext context{20000.0, 2.0, 1e9};
+  const SchedulingContext context{20000.0, 1e9};
   const double eb = kernel_benefit_pair(queue[0], context).immediate;
   ASSERT_EQ(kernel_benefit_pair(queue[0], context).postponed, 0.0);
   double weight = -1.0;
@@ -242,11 +208,12 @@ TEST(SchedulerStateEquivalence, EbpcBoundCoversScoresThatRoundAboveEb) {
   ASSERT_GT(weight, 0.0) << "no weight rounds above EB " << eb;
 
   const Strategy strategy(StrategyKind::kEbpc, weight);
-  const auto state = strategy.make_state(&queue);
-  state->on_enqueue(0);
-  state->on_enqueue(1);
-  EXPECT_EQ(state->pick(context), strategy.reference_pick(queue, context));
-  EXPECT_NO_THROW(state->check_invariants(context));
+  const auto state = strategy.make_state();
+  state->on_enqueue(queue, 0);
+  state->on_enqueue(queue, 1);
+  EXPECT_EQ(state->pick(queue, context),
+            strategy.reference_pick(queue, context));
+  EXPECT_NO_THROW(state->check_invariants(queue, context));
 }
 
 TEST(SchedulerStateEquivalence, LargestBoundFirstKeepsTheReferencePick) {
@@ -277,9 +244,11 @@ TEST(SchedulerStateEquivalence, LargestBoundFirstKeepsTheReferencePick) {
   const SubscriptionEntry e_loose = entry_of(loose);
   const auto row = [](MessageId id, TimeMs enqueue,
                       std::vector<const SubscriptionEntry*> targets) {
-    return QueuedMessage{
+    QueuedMessage queued{
         std::make_shared<Message>(id, 0, 0.0, 50.0, std::vector<Attribute>{}),
         enqueue, std::move(targets)};
+    precompute_scores(queued, 2.0);
+    return queued;
   };
 
   for (const StrategyKind kind :
@@ -291,26 +260,30 @@ TEST(SchedulerStateEquivalence, LargestBoundFirstKeepsTheReferencePick) {
       queue.push_back(row(1, 5.0, {&e_mid, &e_mid}));
       queue.push_back(row(2, 1.0, {&e_mid, &e_mid}));
       queue.push_back(row(3, 2.0, {&e_loose, &e_loose}));
-      const auto state = strategy.make_state(&queue);
-      for (std::size_t i = 0; i < queue.size(); ++i) state->on_enqueue(i);
+      const auto state = strategy.make_state();
+      for (std::size_t i = 0; i < queue.size(); ++i) {
+        state->on_enqueue(queue, i);
+      }
 
       TimeMs now = 2000.0;
-      const SchedulingContext first{now, 2.0, ft};
+      const SchedulingContext first{now, ft};
       ASSERT_EQ(expected_benefit(queue[1], first),
                 expected_benefit(queue[2], first));
       ASSERT_LT(expected_benefit(queue[0], first),
                 expected_benefit(queue[1], first));
-      ASSERT_EQ(state->pick(first), strategy.reference_pick(queue, first))
+      ASSERT_EQ(state->pick(queue, first),
+                strategy.reference_pick(queue, first))
           << strategy.name();
       while (!queue.empty()) {
         now += 700.0;
-        const SchedulingContext context{now, 2.0, ft};
-        state->on_tick(context);
-        const std::size_t got = state->pick(context);
+        const SchedulingContext context{now, ft};
+        state->on_tick(queue, context);
+        const std::size_t got = state->pick(queue, context);
         ASSERT_EQ(got, strategy.reference_pick(queue, context))
             << strategy.name() << " ft=" << ft << " depth=" << queue.size();
-        ASSERT_NO_THROW(state->check_invariants(context)) << strategy.name();
-        state->on_remove(got);
+        ASSERT_NO_THROW(state->check_invariants(queue, context))
+            << strategy.name();
+        state->on_remove(queue, got);
         take_at(queue, got);
       }
     }
@@ -327,20 +300,20 @@ TEST(SchedulerStateEquivalence, DeepQueuesMatchReference) {
       const Strategy strategy(kind, 0.5);
       RowFactory factory(depth * 17 + 3, Shape::kSsd);
       std::vector<QueuedMessage> queue;
-      const auto state = strategy.make_state(&queue);
+      const auto state = strategy.make_state();
       TimeMs now = 500000.0;
       queue.reserve(depth);
       for (std::size_t i = 0; i < depth; ++i) {
         queue.push_back(factory.make_row(now));
-        state->on_enqueue(queue.size() - 1);
+        state->on_enqueue(queue, queue.size() - 1);
       }
       for (int round = 0; round < 6 && !queue.empty(); ++round) {
         now += 500.0;
-        const SchedulingContext context{now, 2.0, 3750.0};
-        const std::size_t got = state->pick(context);
+        const SchedulingContext context{now, 3750.0};
+        const std::size_t got = state->pick(queue, context);
         ASSERT_EQ(got, strategy.reference_pick(queue, context))
             << strategy.name() << " depth=" << depth << " round=" << round;
-        state->on_remove(got);
+        state->on_remove(queue, got);
         take_at(queue, got);
       }
     }

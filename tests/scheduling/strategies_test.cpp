@@ -12,8 +12,8 @@ class StrategyRig : public ::testing::Test {
   std::vector<std::unique_ptr<Subscription>> subs_;
   std::vector<std::unique_ptr<SubscriptionEntry>> entries_;
   std::vector<QueuedMessage> queue_;
-  SchedulingContext context_{/*now=*/0.0, /*processing_delay=*/2.0,
-                             /*head_of_line_estimate=*/3750.0};
+  static constexpr TimeMs kProcessingDelay = 2.0;
+  SchedulingContext context_{/*now=*/0.0, /*head_of_line_estimate=*/3750.0};
 
   const SubscriptionEntry* add_subscription(TimeMs deadline, double price,
                                             PathStats path = {2, 150.0,
@@ -39,6 +39,7 @@ class StrategyRig : public ::testing::Test {
         std::vector<Attribute>{});
     queue_.push_back(QueuedMessage{std::move(message), context_.now,
                                    std::move(targets)});
+    precompute_scores(queue_.back(), kProcessingDelay);
   }
 };
 

@@ -15,7 +15,7 @@ struct RandomQueue {
   std::vector<std::unique_ptr<Subscription>> subs;
   std::vector<std::unique_ptr<SubscriptionEntry>> entries;
   std::vector<QueuedMessage> queue;
-  SchedulingContext context{0.0, 2.0, 3750.0};
+  SchedulingContext context{0.0, 3750.0};
 
   explicit RandomQueue(std::uint64_t seed, double price_scale = 1.0) {
     Rng rng(seed);
@@ -39,6 +39,7 @@ struct RandomQueue {
         subs.push_back(std::move(sub));
         entries.push_back(std::move(entry));
       }
+      precompute_scores(queued, 2.0);
       queue.push_back(std::move(queued));
     }
   }
@@ -119,7 +120,7 @@ TEST_P(StrategyProperties, EbChoiceMaximisesTheMetric) {
 TEST_P(StrategyProperties, FifoIgnoresTheContextEntirely) {
   const RandomQueue rig(GetParam());
   const auto fifo = make_strategy(StrategyKind::kFifo);
-  const SchedulingContext shifted{rig.context.now + 1e6, 50.0, 99999.0};
+  const SchedulingContext shifted{rig.context.now + 1e6, 99999.0};
   EXPECT_EQ(fifo->reference_pick(rig.queue, rig.context),
             fifo->reference_pick(rig.queue, shifted));
 }

@@ -46,6 +46,7 @@
 #include "runtime/reactor.h"
 #include "runtime/timer_slack.h"
 #include "topology/builders.h"
+#include "topology/shard_plan.h"
 
 using namespace bdps;
 
@@ -171,7 +172,7 @@ Probe run_probe_socket(const Topology& topo, const RoutingFabric& fabric,
   probe.mode = "socket_x2";
   try {
     const std::vector<std::uint32_t> broker_shard =
-        live_broker_shards(topo.graph, 2);
+        greedy_edge_cut(topo.graph, 2);
     std::vector<std::unique_ptr<LiveNetwork>> nets;
     std::vector<LiveNetwork*> raw;
     for (int shard = 0; shard < 2; ++shard) {
